@@ -45,7 +45,7 @@ import numpy as np
 
 from . import __version__
 from .encodings import Encoding, encode
-from .fock import FockState
+from .fock import NORM_ATOL, FockState
 from .gates import GATE_NAMES, evaluate_gate
 from .measurement import (
     DetectionPattern,
@@ -53,7 +53,7 @@ from .measurement import (
     outcome_distribution,
     postselect_branches,
 )
-from .multiport import ElementSpec, compose_elements, evolve
+from .multiport import MAX_PHOTONS, ElementSpec, compose_elements, evolve
 from .search import (
     ns_in_ns_feasibility,
     optimize_success,
@@ -85,66 +85,13 @@ class ParseError(Exception):
 # -- circuit description files -------------------------------------------
 
 @dataclass(frozen=True)
-class CircuitElement:
-    kind: str                    # "bs" | "ps" | "gen3"
-    ports: tuple[int, ...]       # 1-based
-    params: tuple[float, ...]    # canonical: bs=(eta,), ps=(delta,), gen3=(t1,t2,t3)
+class Circuit:
+    """A parsed circuit file; every port is already a 0-based mode index."""
 
-    def to_line(self) -> str:
-        ports = " ".join(str(p) for p in self.ports)
-        if self.kind == "bs":
-            return f"bs {ports} eta={self.params[0]!r}"
-        if self.kind == "ps":
-            return f"ps {ports} delta={self.params[0]!r}"
-        return ("gen3 {} t1={!r} t2={!r} t3={!r}"
-                .format(ports, *self.params))
-
-    def to_spec(self, ports_offset: int = 1) -> ElementSpec:
-        modes = tuple(p - ports_offset for p in self.ports)
-        if self.kind == "bs":
-            return ElementSpec.bs(*modes, self.params[0])
-        if self.kind == "ps":
-            return ElementSpec.ps(modes[0], self.params[0])
-        return ElementSpec.gen3(*modes, *self.params)
-
-
-@dataclass(frozen=True)
-class CircuitBranch:
-    pattern: tuple[tuple[int, int], ...]  # ((port, count), ...) sorted
-    correction: str | None = None
-
-    def describe(self) -> str:
-        return " ".join(f"{p}={c}" for p, c in self.pattern)
-
-    def to_line(self) -> str:
-        text = "detect " + self.describe()
-        if self.correction is not None:
-            text += f" correct {self.correction}"
-        return text
-
-
-@dataclass(frozen=True)
-class CircuitFile:
     modes: int
-    input_kind: str | None = None          # "fock" | "dualrail" | None
-    input_values: tuple = ()
-    elements: tuple[CircuitElement, ...] = ()
-    corrections: tuple[tuple[str, CircuitElement], ...] = ()
-    branches: tuple[CircuitBranch, ...] = ()
-
-    def to_text(self) -> str:
-        lines = [f"modes {self.modes}"]
-        if self.input_kind == "fock":
-            lines.append("input fock " + " ".join(str(n) for n in self.input_values))
-        elif self.input_kind == "dualrail":
-            lines.append("input dualrail " + " ".join(repr(a) for a in self.input_values))
-        lines.extend(el.to_line() for el in self.elements)
-        lines.extend(f"correction {name} {el.to_line()}" for name, el in self.corrections)
-        lines.extend(b.to_line() for b in self.branches)
-        return "\n".join(lines) + "\n"
-
-    def correction_elements(self, name: str) -> list[CircuitElement]:
-        return [el for n, el in self.corrections if n == name]
+    state: FockState | None                           # None without an input line
+    elements: tuple[ElementSpec, ...]
+    branches: tuple[tuple[str, OutcomeBranch], ...]   # (correction name, branch)
 
 
 _TOKEN = re.compile(r"\S+")
@@ -191,13 +138,13 @@ def _parse_port(tok: str, lineno: int, col: int, modes: int) -> int:
     return port
 
 
-def _parse_element(tokens: list[tuple[str, int]], lineno: int, modes: int) -> CircuitElement:
+def _parse_element(tokens: list[tuple[str, int]], lineno: int, modes: int) -> ElementSpec:
     kind = tokens[0][0]
     want_ports = {"bs": 2, "ps": 1, "gen3": 3}[kind]
     if len(tokens) < 1 + want_ports:
         raise ParseError(lineno, tokens[0][1], f"{kind} needs {want_ports} port(s)")
     ports = tuple(
-        _parse_port(tok, lineno, col, modes) for tok, col in tokens[1:1 + want_ports]
+        _parse_port(tok, lineno, col, modes) - 1 for tok, col in tokens[1:1 + want_ports]
     )
     if len(set(ports)) != len(ports):
         raise ParseError(lineno, tokens[1][1], f"{kind} ports must be distinct")
@@ -215,30 +162,28 @@ def _parse_element(tokens: list[tuple[str, int]], lineno: int, modes: int) -> Ci
             eta = math.cos(math.radians(theta_deg)) ** 2
         else:
             raise ParseError(lineno, col, f"expected eta= or theta=, got {tok!r}")
-        return CircuitElement("bs", ports, (eta,))
+        return ElementSpec.bs(*ports, eta)
     if kind == "ps":
         if len(rest) != 1:
             raise ParseError(lineno, tokens[0][1], "ps takes exactly delta=<radians>")
         tok, col = rest[0]
-        return CircuitElement("ps", ports, (_parse_kv(tok, lineno, col, "delta"),))
+        return ElementSpec.ps(*ports, _parse_kv(tok, lineno, col, "delta"))
     if len(rest) != 3:
         raise ParseError(lineno, tokens[0][1], "gen3 takes t1= t2= t3= (radians)")
     angles = tuple(
         _parse_kv(tok, lineno, col, f"t{i + 1}") for i, (tok, col) in enumerate(rest)
     )
-    return CircuitElement("gen3", ports, angles)
+    return ElementSpec.gen3(*ports, *angles)
 
 
-def parse_circuit(text: str) -> CircuitFile:
+def parse_circuit(text: str) -> Circuit:
     """Parse a circuit description; every failure is a positioned error."""
     modes: int | None = None
-    input_kind: str | None = None
-    input_values: tuple = ()
-    elements: list[CircuitElement] = []
-    corrections: list[tuple[str, CircuitElement]] = []
+    state: FockState | None = None
+    elements: list[ElementSpec] = []
+    corrections: list[tuple[str, ElementSpec]] = []
     correction_lines: dict[str, int] = {}
-    branches: list[CircuitBranch] = []
-    branch_lines: list[int] = []
+    detects: list[tuple[DetectionPattern, str]] = []
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         tokens = _tokens(raw)
@@ -261,7 +206,7 @@ def parse_circuit(text: str) -> CircuitFile:
             raise ParseError(lineno, head_col, "modes must be declared before any other directive")
 
         if head == "input":
-            if input_kind is not None:
+            if state is not None:
                 raise ParseError(lineno, head_col, "duplicate input declaration")
             if len(tokens) < 2:
                 raise ParseError(lineno, head_col, "usage: input fock|dualrail <values>")
@@ -277,7 +222,11 @@ def parse_circuit(text: str) -> CircuitFile:
                     if n < 0:
                         raise ParseError(lineno, col, "occupations must be non-negative")
                     occ.append(n)
-                input_kind, input_values = "fock", tuple(occ)
+                if sum(occ) > MAX_PHOTONS:
+                    raise ParseError(lineno, tokens[1][1],
+                                     f"input fock carries {sum(occ)} photons, "
+                                     f"at most {MAX_PHOTONS} are supported")
+                state = FockState.from_occupation(occ)
             elif kind == "dualrail":
                 count = len(values)
                 if count == 0 or count & (count - 1):
@@ -297,11 +246,12 @@ def parse_circuit(text: str) -> CircuitFile:
                     if not (math.isfinite(a.real) and math.isfinite(a.imag)):
                         raise ParseError(lineno, col, "amplitudes must be finite")
                     amps.append(a)
-                norm = math.sqrt(sum(abs(a) ** 2 for a in amps))
-                if abs(norm - 1.0) > 1e-6:
+                vec = np.array(amps, dtype=complex)
+                norm = float(np.linalg.norm(vec))  # as encode computes it
+                if abs(norm - 1.0) > NORM_ATOL:
                     raise ParseError(lineno, tokens[1][1],
-                                     f"amplitudes are not normalized (norm {norm:.6f})")
-                input_kind, input_values = "dualrail", tuple(amps)
+                                     f"amplitudes are not normalized (norm {norm:.10f})")
+                state = encode(vec, Encoding("dual_rail", qubits))
             else:
                 raise ParseError(lineno, tokens[1][1],
                                  f"unknown input kind {kind!r} (use fock or dualrail)")
@@ -360,8 +310,8 @@ def parse_circuit(text: str) -> CircuitFile:
                 if correction_name not in correction_lines:
                     raise ParseError(lineno, head_col,
                                      f"unknown correction {correction_name!r}")
-            branches.append(CircuitBranch(tuple(sorted(pairs)), correction_name))
-            branch_lines.append(lineno)
+            detects.append((DetectionPattern({p - 1: c for p, c in pairs}),
+                            correction_name or "identity"))
             continue
 
         raise ParseError(lineno, head_col, f"unknown directive {head!r}")
@@ -369,30 +319,24 @@ def parse_circuit(text: str) -> CircuitFile:
     if modes is None:
         raise ParseError(1, 1, "missing modes declaration")
 
-    circ = CircuitFile(
-        modes=modes,
-        input_kind=input_kind,
-        input_values=input_values,
-        elements=tuple(elements),
-        corrections=tuple(corrections),
-        branches=tuple(branches),
-    )
-
-    # corrections act on surviving ports: recheck ranges per referencing branch
-    for branch, lineno in zip(circ.branches, branch_lines):
-        if branch.correction in (None, "identity"):
-            continue
-        surviving = modes - len(branch.pattern)
-        for name, el in circ.corrections:
-            if name != branch.correction:
-                continue
-            bad = [p for p in el.ports if p > surviving]
-            if bad:
-                raise ParseError(
-                    correction_lines[name], 1,
-                    f"correction {name!r} uses port {bad[0]} but branch "
-                    f"'{branch.describe()}' leaves only {surviving} surviving port(s)")
-    return circ
+    # corrections act on surviving ports: check ranges and compose per branch
+    branches = []
+    for pattern, name in detects:
+        label = " ".join(f"{m + 1}={c}" for m, c in pattern.constraints)
+        surviving = modes - len(pattern.modes)
+        correction = None
+        if name != "identity":
+            specs = [el for n, el in corrections if n == name]
+            for el in specs:
+                bad = [m + 1 for m in el.modes if m >= surviving]
+                if bad:
+                    raise ParseError(
+                        correction_lines[name], 1,
+                        f"correction {name!r} uses port {bad[0]} but branch "
+                        f"'{label}' leaves only {surviving} surviving port(s)")
+            correction = compose_elements(specs, surviving)
+        branches.append((name, OutcomeBranch(pattern, correction, label=label)))
+    return Circuit(modes, state, tuple(elements), tuple(branches))
 
 
 # -- report assembly -------------------------------------------------------
@@ -405,34 +349,13 @@ def _pair(z: complex) -> list[float]:
     return [float(z.real), float(z.imag)]
 
 
-def _build_input_state(circ: CircuitFile) -> FockState:
-    if circ.input_kind is None:
+def simulate_report(circ: Circuit, source_text: str) -> dict:
+    if circ.state is None:
         raise CliError("circuit file has no input declaration")
-    if circ.input_kind == "fock":
-        return FockState.from_occupation(circ.input_values)
-    qubits = len(circ.input_values).bit_length() - 1
-    return encode(np.array(circ.input_values, dtype=complex), Encoding("dual_rail", qubits))
-
-
-def _branch_to_outcome(circ: CircuitFile, branch: CircuitBranch) -> OutcomeBranch:
-    pattern = DetectionPattern({p - 1: c for p, c in branch.pattern})
-    correction = None
-    if branch.correction not in (None, "identity"):
-        surviving = circ.modes - len(branch.pattern)
-        specs = [el.to_spec() for el in circ.correction_elements(branch.correction)]
-        correction = compose_elements(specs, surviving)
-    return OutcomeBranch(pattern, correction, label=branch.describe())
-
-
-def simulate_report(circ: CircuitFile, source_text: str) -> dict:
-    state = _build_input_state(circ)
-    if state.num_modes != circ.modes:
-        raise CliError(f"input state spans {state.num_modes} modes, file declares {circ.modes}")
-    transform = compose_elements([el.to_spec() for el in circ.elements], circ.modes)
-    out = evolve(state, transform)
+    out = evolve(circ.state, compose_elements(circ.elements, circ.modes))
 
     if circ.branches:
-        measured = sorted({p - 1 for b in circ.branches for p, _ in b.pattern})
+        measured = sorted({m for _, b in circ.branches for m in b.pattern.modes})
     else:
         measured = list(range(circ.modes))
     dist = outcome_distribution(out, measured)
@@ -452,22 +375,21 @@ def simulate_report(circ: CircuitFile, source_text: str) -> dict:
 
     if circ.branches:
         try:
-            evaluated = postselect_branches(out, [_branch_to_outcome(circ, b) for b in circ.branches])
+            evaluated = postselect_branches(out, [b for _, b in circ.branches])
         except ValueError as exc:
             raise CliError(str(exc)) from None
         rows = []
         total = 0.0
-        for circuit_branch, (branch, res) in zip(circ.branches, evaluated):
+        for (name, branch), (_, res) in zip(circ.branches, evaluated):
             total += res.probability
-            surviving_ports = [p for p in range(1, circ.modes + 1)
-                               if p not in {q for q, _ in circuit_branch.pattern}]
+            surviving_ports = [m + 1 for m in range(circ.modes) if m not in branch.pattern.modes]
             conditional = {}
             if res.conditional_state is not None:
                 for occ, amp in res.conditional_state.terms():
                     conditional[_fmt_counts(occ)] = _pair(amp)
             rows.append({
-                "pattern": circuit_branch.describe(),
-                "correction": circuit_branch.correction or "identity",
+                "pattern": branch.label,
+                "correction": name,
                 "probability": res.probability,
                 "surviving_ports": surviving_ports,
                 "conditional": conditional,
@@ -511,30 +433,32 @@ def gate_report(name: str) -> dict:
 def search_report(scheme: str, grid_step: float | None, tolerance: float | None) -> dict:
     if scheme not in SEARCH_SCHEMES:
         raise CliError(f"unknown search scheme {scheme!r}; choose from {', '.join(SEARCH_SCHEMES)}")
-    if grid_step is not None and grid_step <= 0:
-        raise CliError("--grid-step must be positive")
-    if tolerance is not None and tolerance <= 0:
-        raise CliError("--tolerance must be positive")
+    for flag, value in (("--grid-step", grid_step), ("--tolerance", tolerance)):
+        if value is not None and not (math.isfinite(value) and value > 0):
+            raise CliError(f"{flag} must be finite and positive, got {value}")
     kwargs = {}
     if tolerance is not None:
         kwargs["tolerance"] = tolerance
 
-    if scheme.startswith("single_bs:"):
-        case = int(scheme[-1])
-        step = grid_step if grid_step is not None else 1e-2
-        records = [
-            single_bs_infeasibility(case, step, target=target, **kwargs).to_record()
-            for target in ("sign_flip", "restore")
-        ]
-    elif scheme == "two_bs:case3":
-        step = grid_step if grid_step is not None else 1e-2
-        records = [two_bs_feasibility(3, step, **kwargs).to_record()]
-    elif scheme == "ns_in_ns:case1":
-        step = grid_step if grid_step is not None else 2e-2
-        records = [ns_in_ns_feasibility(1, (2, 0), step, **kwargs).to_record()]
-    else:  # optimize_ns
-        step = grid_step if grid_step is not None else 0.05
-        records = [optimize_success("ns_sign_flip", step).to_record()]
+    try:
+        if scheme.startswith("single_bs:"):
+            case = int(scheme[-1])
+            step = grid_step if grid_step is not None else 1e-2
+            records = [
+                single_bs_infeasibility(case, step, target=target, **kwargs).to_record()
+                for target in ("sign_flip", "restore")
+            ]
+        elif scheme == "two_bs:case3":
+            step = grid_step if grid_step is not None else 1e-2
+            records = [two_bs_feasibility(3, step, **kwargs).to_record()]
+        elif scheme == "ns_in_ns:case1":
+            step = grid_step if grid_step is not None else 2e-2
+            records = [ns_in_ns_feasibility(1, (2, 0), step, **kwargs).to_record()]
+        else:  # optimize_ns
+            step = grid_step if grid_step is not None else 0.05
+            records = [optimize_success("ns_sign_flip", step).to_record()]
+    except ValueError as exc:  # empty grid or slab budget exceeded
+        raise CliError(str(exc)) from None
 
     request = f"{scheme}|grid_step={grid_step}|tolerance={tolerance}"
     return {

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fock import FockState, NORM_ATOL
-from .multiport import ElementSpec, ModeTransform, compose_elements, evolve
+from .multiport import ElementSpec, compose_elements, evolve
 
 SCHEMES = ("single_rail", "dual_rail", "one_hot", "polarization")
 
@@ -223,12 +223,6 @@ def zy_decompose(u: np.ndarray) -> ZYDecomposition:
     if np.abs(dec.rotation_product() - u).max() > 1e-9:
         raise AssertionError("angle extraction failed to reconstruct the input")
     return dec
-
-
-def rail_pair_transform(u: np.ndarray) -> ModeTransform:
-    """Two-mode transform whose single-photon action equals u up to phase."""
-    dec = zy_decompose(u)
-    return compose_elements(dec.elements, 2)
 
 
 def dual_rail_apply(u: np.ndarray, qubit: int, state: FockState) -> FockState:

@@ -123,7 +123,8 @@ def postselect_branches(
         for b in branches[i + 1:]:
             if not a.pattern.conflicts_with(b.pattern):
                 raise ValueError(
-                    f"branch patterns overlap: '{a.pattern.describe()}' and '{b.pattern.describe()}'"
+                    f"branch patterns overlap: '{a.label or a.pattern.describe()}' "
+                    f"and '{b.label or b.pattern.describe()}'"
                 )
     results = []
     for branch in branches:

@@ -32,7 +32,10 @@ UNITARY_TOL = 1e-9
 
 SQRT2 = math.sqrt(2.0)
 
-_FACT = [math.factorial(n) for n in range(40)]
+#: Most photons one Fock term may carry; sizes the factorial table.
+MAX_PHOTONS = 39
+
+_FACT = [math.factorial(n) for n in range(MAX_PHOTONS + 1)]
 
 
 class ModeTransform:
@@ -143,6 +146,19 @@ def phase_shifter(delta: float) -> ModeTransform:
     return ModeTransform(np.array([[np.exp(1j * float(delta)), 0], [0, 1]]))
 
 
+def general3_columns(t1, t2, t3):
+    """Yield the columns of ``general3`` in order: the images of the three
+    mode creation operators. Accepts scalars or broadcastable arrays; a
+    caller that needs only the first columns stops early."""
+    c1, s1 = np.cos(t1), np.sin(t1)
+    c2, s2 = np.cos(t2), np.sin(t2)
+    c3, s3 = np.cos(t3), np.sin(t3)
+    yield -c2, c1 * s2, s1 * s2
+    c1c2, s1c2 = c1 * c2, s1 * c2
+    yield s2 * c3, s1 * s3 + c1c2 * c3, -c1 * s3 + s1c2 * c3
+    yield s2 * s3, -s1 * c3 + c1c2 * s3, c1 * c3 + s1c2 * s3
+
+
 def general3(theta1: float, theta2: float, theta3: float) -> ModeTransform:
     """The real three-mode family swept by the postcorrection searches.
 
@@ -150,14 +166,7 @@ def general3(theta1: float, theta2: float, theta3: float) -> ModeTransform:
     theta3, a reflection-type splitter on modes (0,1) by theta2, then a
     rotation on modes (1,2) by theta1.
     """
-    c1, s1 = math.cos(theta1), math.sin(theta1)
-    c2, s2 = math.cos(theta2), math.sin(theta2)
-    c3, s3 = math.cos(theta3), math.sin(theta3)
-    return ModeTransform(np.array([
-        [-c2, s2 * c3, s2 * s3],
-        [c1 * s2, s1 * s3 + c1 * c2 * c3, -s1 * c3 + c1 * c2 * s3],
-        [s1 * s2, -c1 * s3 + s1 * c2 * c3, c1 * c3 + s1 * c2 * s3],
-    ]))
+    return ModeTransform(np.array(list(general3_columns(theta1, theta2, theta3))).T)
 
 
 def ns_matrix() -> ModeTransform:

@@ -22,12 +22,27 @@ Verdicts are numerical certificates, not proofs: "infeasible" means the
 residual exceeded the margin everywhere on a refined grid outside small
 exclusion windows around degenerate angles.
 
+Every scan runs on one engine, ``_refine_scan``: a coarse grid over the
+scheme's domain, then rounds that divide the step by ten and rescan a
+window of refined cells either side of the incumbent. The last two axes
+form one slab per kernel call (at most ``MAX_SLAB_POINTS`` points); a
+leading axis is looped over. A "clipped" grid is laid over the window
+cut to the domain; a "filtered" one over the whole window, keeping only
+the points inside the domain. Per scheme:
+
+* ``single_bs``: x in [0, pi], filtered, degenerate angles excluded; window 100.
+* ``two_bs``: x, y in [0, pi], clipped, phases a fixed leading axis; window 100.
+* ``ns_in_ns``: t1, t2, t3 in [0, 2 pi], filtered; window 100.
+* ``optimize_ns``: t1, t2, t3 in [0, pi], clipped; window 10. The engine
+  minimizes, so the score enters negated.
+
 All scans are deterministic: fixed grids, first-index argmin, and a
 derivative-free-seeded SLSQP polish only where noted.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -36,11 +51,15 @@ from scipy.optimize import minimize
 
 from .fock import FockState
 from .measurement import DetectionPattern
-from .multiport import SQRT2, evolve, general3
+from .multiport import SQRT2, evolve, general3, general3_columns
 
 #: Grid points whose angles sit within this radius of a degenerate value
 #: are excluded from infeasibility certificates.
 DEGENERATE_EXCLUSION = 1e-3
+
+#: Most grid points one kernel call may cover. A scan whose slab would be
+#: larger is rejected before the slab is allocated.
+MAX_SLAB_POINTS = 10**7
 
 _U = 1.0 - SQRT2              # signal back-reflection of the sign-shift core
 _V = 2.0 ** -0.25             # signal <-> ancilla coupling
@@ -51,16 +70,6 @@ TARGETS = {"sign_flip": (1.0, 1.0, -1.0), "restore": (1.0, 1.0, 1.0)}
 
 
 # -- closed-form outcome amplitudes --------------------------------------
-
-def _columns(t1, t2, t3):
-    """Images of the signal (d) and ancilla (e) creation operators."""
-    c1, s1 = np.cos(t1), np.sin(t1)
-    c2, s2 = np.cos(t2), np.sin(t2)
-    c3, s3 = np.cos(t3), np.sin(t3)
-    d = (-c2, c1 * s2, s1 * s2)
-    e = (s2 * c3, s1 * s3 + c1 * c2 * c3, -c1 * s3 + s1 * c2 * c3)
-    return d, e
-
 
 #: Detector outcomes with at most one photon per detector, per signal count.
 OUTCOME_PATTERNS = {
@@ -78,7 +87,7 @@ def closed_form_amplitudes(angles: tuple[float, float, float]) -> dict:
     simulator path; the factorial weights of multiply-occupied modes are
     already folded in.
     """
-    d, e = _columns(*angles)
+    d, e = itertools.islice(general3_columns(*angles), 2)
     d1, d2, d3 = d
     e1, e2, e3 = e
     return {
@@ -110,7 +119,7 @@ def parametrized_ns_amplitudes(angles: tuple[float, float, float]) -> dict:
 def sign_shift_branch_amplitudes(t1, t2, t3):
     """Amplitudes of the heralded branch (one photon on detector 1, none
     on detector 2) for k = 0, 1, 2; accepts scalars or arrays."""
-    d, e = _columns(t1, t2, t3)
+    d, e = itertools.islice(general3_columns(t1, t2, t3), 2)
     a0 = e[1]
     a1 = d[0] * e[1] + d[1] * e[0]
     a2 = d[0] * (d[0] * e[1] + 2 * d[1] * e[0])
@@ -216,6 +225,80 @@ def _verdict(best: float, tolerance: float, margin: float) -> str:
     return "inconclusive"
 
 
+# -- the scan engine ---------------------------------------------------------
+
+def _excluded(axis: np.ndarray, points: tuple[float, ...]) -> np.ndarray:
+    mask = np.ones(axis.shape, dtype=bool)
+    for p in points:
+        mask &= np.abs(axis - p) > DEGENERATE_EXCLUSION
+    return mask
+
+
+def _refine_scan(kernel, domains, step, rounds, window, *, clip, exclude=(), fixed=None):
+    """Grid scan of ``kernel`` over ``domains``, refined around the incumbent.
+
+    Each round divides the step by ten and rescans ``window`` refined cells
+    either side of the incumbent. With ``clip`` the window is clipped to
+    the domain before the grid is laid; otherwise the grid covers the whole
+    window and points outside the domain, or within DEGENERATE_EXCLUSION of
+    an ``exclude`` value, are dropped. ``fixed`` holds the values of a
+    leading axis that is scanned but never refined.
+
+    The last two axes are meshed into one slab and ``kernel(*lead, *slab)``
+    is called once for each combination of leading-axis values. It returns
+    ``(cost, *aux)`` arrays over the slab; ``aux`` is read at the minimum.
+
+    Returns ``(best, history)``. ``best`` is ``(cost, point, aux)`` with the
+    point ordered like the axes, fixed axis first; ``history`` holds one
+    ``(step, best)`` pair for the coarse scan and one per round.
+    """
+    if not (math.isfinite(step) and step > 0):
+        raise ValueError("grid_step must be finite and positive")
+    lead_fixed = [] if fixed is None else [tuple(fixed)]
+
+    def scan(windows, step):
+        if clip:
+            windows = [(max(lo, dlo), min(hi, dhi)) for (lo, hi), (dlo, dhi) in zip(windows, domains)]
+        slab = 1.0
+        for lo, hi in windows[-2:]:
+            slab *= max(0.0, (hi - lo) / step + 1.0)
+        if slab > MAX_SLAB_POINTS:
+            raise ValueError(f"a scan slab of {slab:.3g} grid points exceeds "
+                             f"MAX_SLAB_POINTS = {MAX_SLAB_POINTS}; use a larger grid_step")
+        axes = []
+        for (lo, hi), (dlo, dhi) in zip(windows, domains):
+            ax = np.arange(lo, hi + step / 2, step)
+            if not clip:
+                ax = ax[(ax >= dlo) & (ax <= dhi) & _excluded(ax, exclude)]
+            axes.append(ax)
+        axes = lead_fixed + axes
+        if not all(len(ax) for ax in axes):
+            return None
+        mesh = np.meshgrid(*axes[-2:], indexing="ij") if len(axes) > 1 else axes
+        best = None
+        for lead in itertools.product(*axes[:-2]):
+            cost, *aux = kernel(*lead, *mesh)
+            i = int(np.argmin(cost))
+            value = float(cost.flat[i])
+            if best is None or value < best[0]:
+                point = (*lead, *(g.flat[i] for g in mesh))
+                best = (value, tuple(map(float, point)), tuple(float(a.flat[i]) for a in aux))
+        return best
+
+    best = scan(domains, step)
+    if best is None:
+        raise ValueError("the coarse grid has no admissible point; use a smaller grid_step")
+    history = [(step, best)]
+    for _ in range(rounds):
+        step /= 10.0
+        center = best[1][len(lead_fixed):]
+        refined = scan([(c - window * step, c + window * step) for c in center], step)
+        if refined is not None and refined[0] < best[0]:
+            best = refined
+        history.append((step, best))
+    return best, history
+
+
 # -- one-splitter correction ------------------------------------------------
 
 def single_bs_corrected(case: int, x):
@@ -237,13 +320,6 @@ def single_bs_corrected(case: int, x):
     return tuple(k * m for k, m in zip(coeff, monos))
 
 
-def _excluded(axis: np.ndarray, points: tuple[float, ...]) -> np.ndarray:
-    mask = np.ones(axis.shape, dtype=bool)
-    for p in points:
-        mask &= np.abs(axis - p) > DEGENERATE_EXCLUSION
-    return mask
-
-
 def single_bs_infeasibility(
     case: int,
     grid_step: float = 1e-2,
@@ -259,35 +335,20 @@ def single_bs_infeasibility(
     `components` selects which photon-count amplitudes the proportionality
     system constrains; a single component is trivially satisfiable.
     """
-    if grid_step <= 0:
-        raise ValueError("grid_step must be positive")
     if target not in TARGETS:
         raise ValueError(f"target must be one of {sorted(TARGETS)}")
     tvec = np.array([TARGETS[target][i] for i in components], dtype=complex)
     fallback = proportionality_residual(
         [case_amplitudes(case).values[i] for i in components], tvec
     )
-    degenerate = (0.0, math.pi / 2, math.pi)
 
-    def scan(lo: float, hi: float, step: float):
-        xs = np.arange(lo, hi + step / 2, step)
-        keep = _excluded(xs, degenerate) & (xs > 0) & (xs < math.pi)
-        xs = xs[keep]
-        if xs.size == 0:
-            return None
+    def kernel(xs):
         parts = [single_bs_corrected(case, xs)[i] for i in components]
-        r = _grid_residual(parts, tvec, fallback)
-        i = int(np.argmin(r))
-        return float(r[i]), float(xs[i])
+        return (_grid_residual(parts, tvec, fallback),)
 
-    best = scan(0.0, math.pi, grid_step)
-    step = grid_step
-    for _ in range(refine_rounds):
-        step /= 10.0
-        w = 100 * step  # ten previous-grid cells either side
-        refined = scan(best[1] - w, best[1] + w, step)
-        if refined is not None and refined[0] < best[0]:
-            best = refined
+    (residual, (x,), _), _ = _refine_scan(
+        kernel, [(0.0, math.pi)], grid_step, refine_rounds, 100,
+        clip=False, exclude=(0.0, math.pi / 2, math.pi))
     return FeasibilityReport(
         scheme=f"single_bs:case{case}:{target}",
         parameters={
@@ -297,9 +358,9 @@ def single_bs_infeasibility(
             "components": list(components),
             "refine_rounds": refine_rounds,
         },
-        best_residual=best[0],
-        best_params={"x": best[1]},
-        verdict=_verdict(best[0], tolerance, margin),
+        best_residual=residual,
+        best_params={"x": x},
+        verdict=_verdict(residual, tolerance, margin),
         extras={"uncorrected_mismatch": fallback},
     )
 
@@ -336,35 +397,15 @@ def two_bs_feasibility(
     """Scan the two-splitter correction over (x, y) and optional phase."""
     if case != 3:
         raise ValueError("only case 3 has a two-splitter correction family")
-    if grid_step <= 0:
-        raise ValueError("grid_step must be positive")
     tvec = np.array(TARGETS[target], dtype=complex)
     fallback = uncorrected_mismatch(case, target)
 
-    def scan(xlo, xhi, ylo, yhi, step):
-        xs = np.arange(max(xlo, 0.0), min(xhi, math.pi) + step / 2, step)
-        ys = np.arange(max(ylo, 0.0), min(yhi, math.pi) + step / 2, step)
-        if xs.size == 0 or ys.size == 0:
-            return None
-        X, Y = np.meshgrid(xs, ys, indexing="ij")
-        best = None
-        for phi in phases:
-            parts = list(two_bs_corrected(X, Y, phi))
-            r = _grid_residual(parts, tvec, fallback)
-            i = int(np.argmin(r))
-            cand = (float(r.ravel()[i]), float(X.ravel()[i]), float(Y.ravel()[i]), float(phi))
-            if best is None or cand[0] < best[0]:
-                best = cand
-        return best
+    def kernel(phi, X, Y):
+        return (_grid_residual(list(two_bs_corrected(X, Y, phi)), tvec, fallback),)
 
-    best = scan(0.0, math.pi, 0.0, math.pi, grid_step)
-    step = grid_step
-    for _ in range(refine_rounds):
-        step /= 10.0
-        w = 100 * step
-        refined = scan(best[1] - w, best[1] + w, best[2] - w, best[2] + w, step)
-        if refined is not None and refined[0] < best[0]:
-            best = refined
+    (residual, (phase, x, y), _), _ = _refine_scan(
+        kernel, [(0.0, math.pi)] * 2, grid_step, refine_rounds, 100,
+        clip=True, fixed=phases)
 
     # constrained equal-angle slice
     ys = np.arange(0.0, math.pi + grid_step / 2, grid_step)
@@ -380,9 +421,9 @@ def two_bs_feasibility(
             "phases": list(phases),
             "refine_rounds": refine_rounds,
         },
-        best_residual=best[0],
-        best_params={"x": best[1], "y": best[2], "phase": best[3]},
-        verdict=_verdict(best[0], tolerance, margin),
+        best_residual=residual,
+        best_params={"x": x, "y": y, "phase": phase},
+        verdict=_verdict(residual, tolerance, margin),
         extras={
             "uncorrected_mismatch": fallback,
             "equal_angle_min_residual": float(slice_r[j]),
@@ -412,7 +453,7 @@ def second_gate_coefficients(case: int, pattern: tuple[int, int], t1, t2, t3):
     the simulator amplitude equals the coefficient times
     sqrt(prod(out!)*2)/sqrt(n!) (tests pin this conversion).
     """
-    d, e = _columns(t1, t2, t3)
+    d, e = itertools.islice(general3_columns(t1, t2, t3), 2)
     d1, d2, d3 = d
     e1, e2, e3 = e
     if case == 1 and pattern == (2, 0):
@@ -478,38 +519,14 @@ def ns_in_ns_feasibility(
             f"unknown pattern {pattern} for case {case}; "
             f"supported: {NS_IN_NS_PATTERNS}"
         )
-    if grid_step <= 0:
-        raise ValueError("grid_step must be positive")
     tvec = np.array(TARGETS[target], dtype=complex)
     fallback = uncorrected_mismatch(case, target)
 
-    def scan(lo: np.ndarray, hi: np.ndarray, step: float):
-        axes = [np.arange(lo[i], hi[i] + step / 2, step) for i in range(3)]
-        axes = [ax[(ax >= 0) & (ax <= 2 * math.pi)] for ax in axes]
-        if any(ax.size == 0 for ax in axes):
-            return None
-        best = None
-        t2g, t3g = np.meshgrid(axes[1], axes[2], indexing="ij")
-        for t1 in axes[0]:  # slab over t1 keeps memory flat
-            parts = list(ns_in_ns_products(case, pattern, t1, t2g, t3g))
-            r = _grid_residual(parts, tvec, fallback)
-            i = int(np.argmin(r))
-            cand = (float(r.ravel()[i]), float(t1), float(t2g.ravel()[i]), float(t3g.ravel()[i]))
-            if best is None or cand[0] < best[0]:
-                best = cand
-        return best
+    def kernel(t1, t2, t3):
+        return (_grid_residual(list(ns_in_ns_products(case, pattern, t1, t2, t3)), tvec, fallback),)
 
-    lo = np.zeros(3)
-    hi = np.full(3, 2 * math.pi)
-    best = scan(lo, hi, grid_step)
-    step = grid_step
-    for _ in range(refine_rounds):
-        step /= 10.0
-        w = 100 * step
-        center = np.array(best[1:])
-        refined = scan(center - w, center + w, step)
-        if refined is not None and refined[0] < best[0]:
-            best = refined
+    (residual, angles, _), _ = _refine_scan(
+        kernel, [(0.0, 2 * math.pi)] * 3, grid_step, refine_rounds, 100, clip=False)
 
     extras = {"uncorrected_mismatch": fallback}
     if case == 1 and pattern == (2, 0):
@@ -518,8 +535,8 @@ def ns_in_ns_feasibility(
         j = int(np.argmin(fam_r))
         extras["candidate_family_best_residual"] = float(fam_r[j])
         extras["candidate_family_best_angles"] = list(fam[j])
-        if fam_r[j] < best[0]:
-            best = (float(fam_r[j]), *fam[j])
+        if fam_r[j] < residual:
+            residual, angles = float(fam_r[j]), fam[j]
 
     return FeasibilityReport(
         scheme=f"ns_in_ns:case{case}:{pattern[0]},{pattern[1]}:{target}",
@@ -529,9 +546,9 @@ def ns_in_ns_feasibility(
             "margin": margin,
             "refine_rounds": refine_rounds,
         },
-        best_residual=best[0],
-        best_params={"t1": best[1], "t2": best[2], "t3": best[3]},
-        verdict=_verdict(best[0], tolerance, margin),
+        best_residual=residual,
+        best_params={"t1": angles[0], "t2": angles[1], "t3": angles[2]},
+        verdict=_verdict(residual, tolerance, margin),
         extras=extras,
     )
 
@@ -563,13 +580,6 @@ class OptimizationResult:
         }
 
 
-def _sign_flip_score(t1, t2, t3, penalty: float):
-    a0, a1, a2 = sign_shift_branch_amplitudes(t1, t2, t3)
-    prob = np.minimum(np.minimum(a0 ** 2, a1 ** 2), a2 ** 2)
-    r = _grid_residual([a0, a1, a2], np.array([1.0, 1.0, -1.0], dtype=complex), 1.0)
-    return prob - penalty * r, prob, r
-
-
 def optimize_success(
     objective: str = "ns_sign_flip",
     grid_step: float = 0.05,
@@ -585,44 +595,25 @@ def optimize_success(
     """
     if objective != "ns_sign_flip":
         raise ValueError(f"unknown objective {objective!r}")
-    if grid_step <= 0:
-        raise ValueError("grid_step must be positive")
 
-    def scan(lo: np.ndarray, hi: np.ndarray, step: float):
-        axes = [np.arange(max(lo[i], 0.0), min(hi[i], math.pi) + step / 2, step) for i in range(3)]
-        if any(ax.size == 0 for ax in axes):
-            return None
-        best = None
-        t2g, t3g = np.meshgrid(axes[1], axes[2], indexing="ij")
-        for t1 in axes[0]:
-            score, prob, r = _sign_flip_score(t1, t2g, t3g, penalty)
-            i = int(np.argmax(score))
-            cand = (float(score.ravel()[i]), float(t1), float(t2g.ravel()[i]),
-                    float(t3g.ravel()[i]), float(prob.ravel()[i]), float(r.ravel()[i]))
-            if best is None or cand[0] > best[0]:
-                best = cand
-        return best
+    tvec = np.array(TARGETS["sign_flip"], dtype=complex)
 
-    best = scan(np.zeros(3), np.full(3, math.pi), grid_step)
-    rounds = [{"round": 0, "step": grid_step, "score": best[0],
-               "probability": best[4], "residual": best[5]}]
-    step = grid_step
-    for n in range(refinement_rounds):
-        step /= 10.0
-        center = np.array(best[1:4])
-        refined = scan(center - 10 * step, center + 10 * step, step)
-        if refined is not None and refined[0] > best[0]:
-            best = refined
-        rounds.append({"round": n + 1, "step": step, "score": best[0],
-                       "probability": best[4], "residual": best[5]})
+    def kernel(t1, t2, t3):  # the engine minimizes, so the score enters negated
+        a0, a1, a2 = sign_shift_branch_amplitudes(t1, t2, t3)
+        prob = np.minimum(np.minimum(a0 ** 2, a1 ** 2), a2 ** 2)
+        r = _grid_residual([a0, a1, a2], tvec, 1.0)
+        return -(prob - penalty * r), prob, r
 
-    angles = tuple(best[1:4])
-    prob, resid = best[4], best[5]
+    (neg_score, angles, (prob, resid)), history = _refine_scan(
+        kernel, [(0.0, math.pi)] * 3, grid_step, refinement_rounds, 10, clip=True)
+    rounds = [{"round": n, "step": step, "score": -cost, "probability": aux[0], "residual": aux[1]}
+              for n, (step, (cost, _, aux)) in enumerate(history)]
+
     if polish:
         polished = _polish_sign_flip(angles)
         if polished is not None:
             p_angles, p_prob, p_resid = polished
-            if p_prob - penalty * p_resid >= best[0] - 1e-12:
+            if p_prob - penalty * p_resid >= -neg_score - 1e-12:
                 angles, prob, resid = p_angles, p_prob, p_resid
     return OptimizationResult(
         objective=objective,

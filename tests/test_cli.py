@@ -1,10 +1,15 @@
+import hashlib
 import json
 import string
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from loqc import ElementSpec, compose_elements
 from loqc.cli import ParseError, main, parse_circuit
+
+REFERENCE_DIGESTS = Path(__file__).resolve().parent.parent / "perfbench" / "reference.json"
 
 NS_FILE = """\
 # heralded sign shift driven from a circuit file
@@ -56,7 +61,7 @@ def test_bad_float_is_positioned():
 
 def test_theta_converts_to_reflectivity():
     circ = parse_circuit("modes 2\nbs 1 2 theta=60\n")
-    assert circ.elements[0].params[0] == pytest.approx(0.25)
+    assert circ.elements[0].eta == pytest.approx(0.25)
 
 
 def test_unknown_correction_name():
@@ -78,9 +83,12 @@ def test_detect_requires_a_surviving_port():
 def test_dualrail_amplitudes_must_be_normalized():
     with pytest.raises(ParseError, match="not normalized"):
         parse_circuit("modes 2\ninput dualrail 1 1\n")
+    # norm off by 1.7e-9, beyond the encoder's 1e-9 tolerance
+    with pytest.raises(ParseError, match="not normalized"):
+        parse_circuit("modes 2\ninput dualrail 0.70710678 0.70710678\n")
 
 
-def test_round_trip_through_serialization():
+def test_parse_converts_ports_at_the_boundary():
     text = (
         "modes 4\n"
         "input dualrail 0.5 0.5 0.5+0j 0.5j\n"
@@ -92,8 +100,28 @@ def test_round_trip_through_serialization():
         "detect 2=0\n"
     )
     circ = parse_circuit(text)
-    again = parse_circuit(circ.to_text())
-    assert again == circ
+    assert circ.modes == 4
+    assert circ.state.num_modes == 4
+    assert circ.state.amplitude((0, 1, 0, 1)) == pytest.approx(0.5j)
+    assert circ.elements == (
+        ElementSpec.bs(0, 2, 0.5),
+        ElementSpec.ps(1, 3.14),
+        ElementSpec.gen3(0, 1, 3, 0.1, 0.2, 0.3),
+    )
+    (fix_name, fixed), (plain_name, plain) = circ.branches
+    assert (fix_name, fixed.label, fixed.pattern.constraints) == ("fix", "2=1", ((1, 1),))
+    assert (plain_name, plain.label, plain.pattern.constraints) == ("identity", "2=0", ((1, 0),))
+    want = compose_elements([ElementSpec.ps(0, 1.5)], 3).matrix
+    assert np.array_equal(fixed.correction.matrix, want)
+    assert plain.correction is None
+
+
+def test_fock_input_photon_cap_is_a_positioned_error():
+    with pytest.raises(ParseError) as info:
+        parse_circuit("modes 2\ninput fock 40 0\n")
+    assert info.value.line == 2
+    assert "at most 39" in info.value.message
+    assert parse_circuit("modes 2\ninput fock 39 0\n").state.num_terms() == 1
 
 
 def test_parser_never_crashes_on_garbage():
@@ -176,6 +204,7 @@ def test_overlapping_detect_lines_are_a_diagnostic(tmp_path, capsys):
     code, _, err = run_cli(capsys, "simulate", str(path))
     assert code == 1
     assert "overlap" in err
+    assert "'2=0'" in err and "'3=0'" in err
 
 
 def test_parse_error_exit_code(tmp_path, capsys):
@@ -272,9 +301,37 @@ def test_search_optimizer_scheme(capsys):
     assert record["residual"] <= 1e-6
 
 
-def test_search_rejects_bad_grid_step(capsys):
-    code, _, err = run_cli(capsys, "search", "single_bs:case1", "--grid-step", "-1")
+@pytest.mark.parametrize("argv", [
+    ["single_bs:case1", "--grid-step", "-1"],
+    ["single_bs:case1", "--grid-step", "4"],  # every coarse point excluded
+    ["single_bs:case1", "--grid-step", "nan"],
+    ["two_bs:case3", "--grid-step", "inf"],
+    ["optimize_ns", "--tolerance", "nan"],
+    ["single_bs:case3", "--tolerance", "inf"],
+], ids=["negative-step", "empty-grid", "nan-step", "inf-step", "nan-tolerance", "inf-tolerance"])
+def test_search_rejects_bad_inputs(capsys, argv):
+    code, out, err = run_cli(capsys, "search", *argv)
     assert code == 1
+    assert out == ""
+    assert err.startswith("loqc: error: ")
+
+
+def test_search_slab_budget_is_checked_before_allocation(capsys, monkeypatch):
+    def no_mesh(*args, **kwargs):
+        raise AssertionError("slab allocated")
+
+    monkeypatch.setattr(np, "meshgrid", no_mesh)
+    code, _, err = run_cli(capsys, "search", "ns_in_ns:case1", "--grid-step", "1e-3")
+    assert code == 1
+    assert "MAX_SLAB_POINTS" in err
+
+
+@pytest.mark.parametrize("scheme", ["single_bs:case1", "single_bs:case3", "two_bs:case3", "optimize_ns"])
+def test_default_searches_match_reference_digests(capsys, scheme):
+    reference = json.loads(REFERENCE_DIGESTS.read_text(encoding="utf-8"))
+    code, out, _ = run_cli(capsys, "search", scheme)
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == reference[f"search {scheme}"]
 
 
 def test_verify_gate_cs_and_cnot(capsys):
