@@ -53,7 +53,7 @@ from .measurement import (
     outcome_distribution,
     postselect_branches,
 )
-from .multiport import MAX_PHOTONS, ElementSpec, compose_elements, evolve
+from .multiport import MAX_FOCK_TERMS, MAX_PHOTONS, ElementSpec, compose_elements, evolve
 from .search import (
     ns_in_ns_feasibility,
     optimize_success,
@@ -136,6 +136,14 @@ def _parse_port(tok: str, lineno: int, col: int, modes: int) -> int:
     if not 1 <= port <= modes:
         raise ParseError(lineno, col, f"port {port} out of range 1..{modes}")
     return port
+
+
+def _check_basis_budget(photons: int, modes: int, lineno: int, col: int) -> None:
+    terms = math.comb(photons + modes - 1, photons)
+    if terms > MAX_FOCK_TERMS:
+        raise ParseError(lineno, col,
+                         f"{photons} photons in {modes} modes span {terms} basis terms, "
+                         f"more than MAX_FOCK_TERMS = {MAX_FOCK_TERMS}")
 
 
 def _parse_element(tokens: list[tuple[str, int]], lineno: int, modes: int) -> ElementSpec:
@@ -226,6 +234,7 @@ def parse_circuit(text: str) -> Circuit:
                     raise ParseError(lineno, tokens[1][1],
                                      f"input fock carries {sum(occ)} photons, "
                                      f"at most {MAX_PHOTONS} are supported")
+                _check_basis_budget(sum(occ), modes, lineno, tokens[1][1])
                 state = FockState.from_occupation(occ)
             elif kind == "dualrail":
                 count = len(values)
@@ -237,6 +246,7 @@ def parse_circuit(text: str) -> Circuit:
                     raise ParseError(lineno, tokens[1][1],
                                      f"{count} amplitudes encode {qubits} qubit(s) "
                                      f"needing {2 * qubits} modes, file declares {modes}")
+                _check_basis_budget(qubits, modes, lineno, tokens[1][1])
                 amps = []
                 for tok, col in values:
                     try:

@@ -240,9 +240,5 @@ def dual_rail_apply(u: np.ndarray, qubit: int, state: FockState) -> FockState:
         raise ValueError(f"qubit {qubit} out of range for {n_qubits} qubits")
     dec = zy_decompose(u)
     base = 2 * qubit
-    shifted = []
-    for el in dec.elements:
-        modes = tuple(m + base for m in el.modes)
-        shifted.append(ElementSpec(el.kind, modes, eta=el.eta, delta=el.delta,
-                                   angles=el.angles, matrix=el.matrix))
+    shifted = [ElementSpec(tuple(m + base for m in el.modes), el.block) for el in dec.elements]
     return evolve(state, compose_elements(shifted, state.num_modes))

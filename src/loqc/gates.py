@@ -15,13 +15,17 @@ The gallery:
 
 A ``GateCircuit`` is an immutable description (ancilla preparation,
 element list, outcome branches, computational modes); evaluation is pure.
+``GateCircuit.run`` returns each branch's ``PostselectionResult`` in
+branch order, straight from ``postselect_branches``. ``evaluate_gate`` is
+one loop over a gate's inputs with a prepare/read pair per gate: a
+one-mode qutrit for ``ns``, ``encode``/``decode`` for the others.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -30,6 +34,7 @@ from .fock import FockState
 from .measurement import (
     DetectionPattern,
     OutcomeBranch,
+    PostselectionResult,
     postselect_branches,
     with_ancilla,
 )
@@ -43,13 +48,6 @@ from .multiport import (
 )
 
 GATE_NAMES = ("ns", "cs", "cnot_klm", "cnot_2photon")
-
-
-@dataclass
-class BranchOutcome:
-    label: str
-    probability: float
-    conditional_state: FockState | None
 
 
 @dataclass
@@ -76,15 +74,11 @@ class GateCircuit:
     def transform(self) -> ModeTransform:
         return compose_elements(self.elements, self.num_modes)
 
-    def run(self, comp_state: FockState) -> list[BranchOutcome]:
-        """Evolve a computational-mode input and evaluate every branch."""
+    def run(self, comp_state: FockState) -> list[PostselectionResult]:
+        """Evolve a computational-mode input; one result per branch, in branch order."""
         full = with_ancilla(comp_state, self.ancilla, self.num_modes)
         out = evolve(full, self.transform)
-        results = []
-        for branch, res in postselect_branches(out, self.branches):
-            results.append(BranchOutcome(branch.label or branch.pattern.describe(),
-                                         res.probability, res.conditional_state))
-        return results
+        return [res for _, res in postselect_branches(out, self.branches)]
 
 
 # -- circuit builders ---------------------------------------------------
@@ -219,79 +213,65 @@ class GateReport:
     sign_pattern: str | None = None
 
 
-_CZ = np.diag([1.0, 1.0, 1.0, -1.0]).astype(complex)
+_GATE_TARGETS = {
+    "ns": np.diag([1.0, 1.0, -1.0]).astype(complex),
+    "cs": np.diag([1.0, 1.0, 1.0, -1.0]).astype(complex),
+    "cnot_klm": qubit_gate("CNOT"),
+    "cnot_2photon": qubit_gate("CNOT"),
+}
 
-_GATE_TARGETS = {"cs": _CZ, "cnot_klm": qubit_gate("CNOT"), "cnot_2photon": qubit_gate("CNOT")}
+
+def _basis_inputs(labels: list[str]) -> list[tuple[str, np.ndarray]]:
+    return [(label, np.eye(len(labels), dtype=complex)[k]) for k, label in enumerate(labels)]
+
+
+def _qutrit_state(vec: np.ndarray) -> FockState:
+    return FockState(1, {(k,): a for k, a in enumerate(vec) if a != 0})
+
+
+def _qutrit_read(state: FockState) -> tuple[np.ndarray, float]:
+    return np.array([state.amplitude((k,)) for k in range(3)]), 0.0
 
 
 def _vec_to_pairs(vec: np.ndarray) -> list[list[float]]:
     return [[float(a.real), float(a.imag)] for a in vec]
 
 
-def _eval_ns(circuit: GateCircuit, extra_inputs: list[tuple[str, np.ndarray]]) -> GateReport:
-    inputs: list[tuple[str, np.ndarray]] = [
-        ("|0>", np.array([1, 0, 0], dtype=complex)),
-        ("|1>", np.array([0, 1, 0], dtype=complex)),
-        ("|2>", np.array([0, 0, 1], dtype=complex)),
-        ("(|0>+|1>+|2>)/sqrt3", np.ones(3, dtype=complex) / math.sqrt(3.0)),
-    ] + extra_inputs
-    target_map = np.diag([1.0, 1.0, -1.0]).astype(complex)
-    rows = []
-    signs = []
-    for label, vec in inputs:
-        state = FockState(1, {(k,): a for k, a in enumerate(vec) if a != 0})
-        outcomes = circuit.run(state)
-        probs = {o.label: o.probability for o in outcomes}
-        success = sum(probs.values())
-        cond = outcomes[0].conditional_state
-        cond_vec = np.array([cond.amplitude((k,)) if cond else 0j for k in range(3)])
-        target = target_map @ vec
-        target /= np.linalg.norm(target)
-        fid = logical_fidelity(target, cond_vec)
-        rows.append(GateInputResult(label, probs, success, fid, _vec_to_pairs(cond_vec)))
-        if label in ("|0>", "|1>", "|2>"):
-            k = int(label[1])
-            amp = cond_vec[k]
-            signs.append("+" if amp.real >= 0 else "-")
-    overall = sum(r.success_probability for r in rows) / len(rows)
-    return GateReport("ns", rows, overall, sign_pattern="".join(signs))
+def evaluate_gate(name: str) -> GateReport:
+    """Run a named gate over its inputs and compare with its target map.
 
-
-def _eval_logical(circuit: GateCircuit, extra_inputs: list[tuple[str, np.ndarray]]) -> GateReport:
+    ``ns`` takes the Fock basis of one mode with up to two photons plus
+    their equal superposition and reports the sign each basis input picks
+    up; the other gates take their logical basis through their encoding.
+    """
+    circuit = build_gate(name)
     enc = circuit.encoding
-    target_u = _GATE_TARGETS[circuit.name]
-    inputs: list[tuple[str, np.ndarray]] = []
-    for index in range(enc.dim):
-        bits = format(index, f"0{enc.num_qubits}b")
-        vec = np.zeros(enc.dim, dtype=complex)
-        vec[index] = 1.0
-        inputs.append((f"|{bits}>", vec))
-    inputs += extra_inputs
+    if enc is None:  # ns: a qutrit on one mode, no logical encoding
+        inputs = _basis_inputs(["|0>", "|1>", "|2>"])
+        inputs.append(("(|0>+|1>+|2>)/sqrt3", np.ones(3, dtype=complex) / math.sqrt(3.0)))
+        prepare, read = _qutrit_state, _qutrit_read
+    else:
+        inputs = _basis_inputs([f"|{k:0{enc.num_qubits}b}>" for k in range(enc.dim)])
+        prepare, read = partial(encode, encoding=enc), partial(decode, encoding=enc)
+    labels = [b.label or b.pattern.describe() for b in circuit.branches]
     rows = []
     for label, vec in inputs:
-        state = encode(vec, enc)
-        outcomes = circuit.run(state)
-        probs = {o.label: o.probability for o in outcomes}
+        outcomes = circuit.run(prepare(vec))
+        probs = {lab: o.probability for lab, o in zip(labels, outcomes)}
         cond = outcomes[0].conditional_state
         if cond is None:
             rows.append(GateInputResult(label, probs, 0.0, 0.0))
             continue
-        logical, leakage = decode(cond, enc)
+        logical, leakage = read(cond)
+        success = sum(probs.values())
         if circuit.coincidence:
-            success = sum(probs.values()) * (1.0 - leakage)
-        else:
-            success = sum(probs.values())
-        target = target_u @ vec
+            success *= 1.0 - leakage
+        target = _GATE_TARGETS[name] @ vec
         fid = logical_fidelity(target / np.linalg.norm(target), logical)
         rows.append(GateInputResult(label, probs, success, fid, _vec_to_pairs(logical)))
     overall = sum(r.success_probability for r in rows) / len(rows)
-    return GateReport(circuit.name, rows, overall)
-
-
-def evaluate_gate(name: str, extra_inputs: list[tuple[str, np.ndarray]] | None = None) -> GateReport:
-    """Run a named gate over its logical basis (plus optional extras)."""
-    circuit = build_gate(name)
-    extras = extra_inputs or []
-    if name == "ns":
-        return _eval_ns(circuit, extras)
-    return _eval_logical(circuit, extras)
+    signs = None
+    if enc is None:  # the sign of each basis input's own amplitude
+        signs = "".join("+" if row.conditional[k][0] >= 0 else "-"
+                        for k, row in enumerate(rows[:3]))
+    return GateReport(name, rows, overall, sign_pattern=signs)

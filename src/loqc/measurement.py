@@ -7,6 +7,9 @@ is the squared norm of the unnormalized projection.
 
 Postcorrection generalizes this to several mutually exclusive patterns,
 each paired with a unitary correction applied to the surviving modes.
+``postselect_branches`` is the one place that postselects and corrects:
+gate runs, circuit files and ``input_independence_check`` all go
+through it.
 Everything here operates on pure states with product ancillas, which is
 exact for the circuits this package builds; the density-operator form of
 the same rules is exercised as an independent oracle in the test suite.
@@ -16,7 +19,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .fock import FockState, Occupation
 from .multiport import ModeTransform, evolve
@@ -184,7 +187,6 @@ class IndependenceReport:
     max_gram_deviation: float
     operationally_unitary: bool
     tolerance: float = 1e-9
-    notes: list[str] = field(default_factory=list)
 
 
 def input_independence_check(
@@ -197,7 +199,8 @@ def input_independence_check(
     """Probe whether branch probabilities depend on the computational input.
 
     Each probe (a state on the computational modes) is combined with the
-    fixed ancilla preparation, evolved, and postselected per branch. The
+    fixed ancilla preparation, evolved, and evaluated per branch by
+    ``postselect_branches``, so the branches must be mutually exclusive. The
     scheme is flagged operationally unitary when every branch probability
     is probe-independent within tolerance and the branch maps preserve
     inner products between the probes at the common success amplitude.
@@ -205,26 +208,21 @@ def input_independence_check(
     if not probes:
         raise ValueError("at least one probe state is required")
     normalized_probes = [p.normalized()[0] for p in probes]
-    outputs = [
-        evolve(with_ancilla(p, ancilla, transform.dim), transform) for p in normalized_probes
+    per_probe = [
+        postselect_branches(evolve(with_ancilla(p, ancilla, transform.dim), transform), branches)
+        for p in normalized_probes
     ]
     labels = [b.label or b.pattern.describe() for b in branches]
     probabilities: list[list[float]] = []
     projected: list[list[FockState | None]] = []
-    for branch in branches:
-        row_p: list[float] = []
-        row_s: list[FockState | None] = []
-        for out in outputs:
-            res = postselect(out, branch.pattern)
-            row_p.append(res.probability)
-            cond = res.conditional_state
-            if cond is not None:
-                if branch.correction is not None:
-                    cond = evolve(cond, branch.correction)
-                cond = cond.scaled(math.sqrt(res.probability))  # back to unnormalized
-            row_s.append(cond)
-        probabilities.append(row_p)
-        projected.append(row_s)
+    for column in zip(*per_probe):
+        results = [res for _, res in column]
+        probabilities.append([res.probability for res in results])
+        projected.append([  # corrected conditionals, back to unnormalized
+            None if res.conditional_state is None
+            else res.conditional_state.scaled(math.sqrt(res.probability))
+            for res in results
+        ])
 
     prob_dev = max(max(row) - min(row) for row in probabilities)
     gram_dev = 0.0

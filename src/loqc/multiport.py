@@ -35,6 +35,10 @@ SQRT2 = math.sqrt(2.0)
 #: Most photons one Fock term may carry; sizes the factorial table.
 MAX_PHOTONS = 39
 
+#: Most basis terms, C(n+m-1, n) for n photons in m modes, that an input
+#: may span; ``evolve`` builds that many output terms.
+MAX_FOCK_TERMS = 10**5
+
 _FACT = [math.factorial(n) for n in range(MAX_PHOTONS + 1)]
 
 
@@ -68,62 +72,48 @@ class ModeTransform:
         return f"ModeTransform(dim={self.dim})"
 
 
-@dataclass
+@dataclass(eq=False)
 class ElementSpec:
-    """One optical element and the circuit modes it touches.
+    """One optical element: its unitary block and the circuit modes it touches.
 
-    kind is one of "bs" (two-mode splitter, parameter eta), "ps"
-    (single-mode phase, parameter delta), "gen3" (the parametrized
-    three-mode family, three angles in radians) or "raw" (an explicit
-    unitary block).
+    Row and column k of ``block`` act on ``modes[k]``. The constructors
+    ``bs``, ``ps``, ``gen3`` and ``raw`` build the block once; equality
+    compares modes and blocks exactly.
     """
 
-    kind: str
     modes: tuple[int, ...]
-    eta: float | None = None
-    delta: float | None = None
-    angles: tuple[float, float, float] | None = None
-    matrix: np.ndarray | None = None
+    block: np.ndarray
 
     def __post_init__(self) -> None:
         self.modes = tuple(int(m) for m in self.modes)
         if len(set(self.modes)) != len(self.modes):
             raise ValueError(f"element modes must be distinct: {self.modes}")
-        widths = {"bs": 2, "ps": 1, "gen3": 3}
-        if self.kind in widths:
-            if len(self.modes) != widths[self.kind]:
-                raise ValueError(f"{self.kind} element takes exactly {widths[self.kind]} mode(s)")
-        elif self.kind == "raw":
-            if self.matrix is None or len(self.modes) != np.shape(self.matrix)[0]:
-                raise ValueError("raw element needs a square matrix matching its mode count")
-        else:
-            raise ValueError(f"unknown element kind {self.kind!r}")
+        block = ModeTransform(self.block)
+        if block.dim != len(self.modes):
+            raise ValueError(f"a {block.dim}x{block.dim} block cannot act on "
+                             f"{len(self.modes)} mode(s)")
+        self.block = block.matrix
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, ElementSpec):
+            return NotImplemented
+        return self.modes == other.modes and np.array_equal(self.block, other.block)
 
     @classmethod
     def bs(cls, i: int, j: int, eta: float) -> "ElementSpec":
-        return cls("bs", (i, j), eta=float(eta))
+        return cls((i, j), beam_splitter(eta).matrix)
 
     @classmethod
     def ps(cls, mode: int, delta: float) -> "ElementSpec":
-        return cls("ps", (mode,), delta=float(delta))
+        return cls((mode,), np.array([[np.exp(1j * float(delta))]]))
 
     @classmethod
     def gen3(cls, i: int, j: int, k: int, t1: float, t2: float, t3: float) -> "ElementSpec":
-        return cls("gen3", (i, j, k), angles=(float(t1), float(t2), float(t3)))
+        return cls((i, j, k), general3(float(t1), float(t2), float(t3)).matrix)
 
     @classmethod
     def raw(cls, modes: tuple[int, ...], matrix: np.ndarray) -> "ElementSpec":
-        return cls("raw", tuple(modes), matrix=np.array(matrix, dtype=complex))
-
-    def block(self) -> np.ndarray:
-        """The element's own unitary block."""
-        if self.kind == "bs":
-            return beam_splitter(self.eta).matrix
-        if self.kind == "ps":
-            return np.array([[np.exp(1j * self.delta)]])
-        if self.kind == "gen3":
-            return general3(*self.angles).matrix
-        return np.asarray(self.matrix)
+        return cls(modes, matrix)
 
 
 def beam_splitter(eta: float) -> ModeTransform:
@@ -169,18 +159,22 @@ def general3(theta1: float, theta2: float, theta3: float) -> ModeTransform:
     return ModeTransform(np.array(list(general3_columns(theta1, theta2, theta3))).T)
 
 
+#: Entries of ``ns_matrix``, shared with the search's closed forms.
+NS_U = 1.0 - SQRT2              # signal back-reflection of the sign-shift core
+NS_V = 2.0 ** -0.25             # signal <-> ancilla coupling
+NS_W = math.sqrt(3.0 / SQRT2 - 2.0)
+NS_R = 0.5 - 1.0 / SQRT2
+
+
 def ns_matrix() -> ModeTransform:
     """Closed-form 3x3 matrix of the nonlinear sign-shift network.
 
     Mode 0 is the signal; modes 1 and 2 are the ancilla/detector modes.
     """
-    u = 1.0 - SQRT2
-    v = 2.0 ** -0.25
-    w = math.sqrt(3.0 / SQRT2 - 2.0)
     return ModeTransform(np.array([
-        [u, v, w],
-        [v, 0.5, 0.5 - 1.0 / SQRT2],
-        [w, 0.5 - 1.0 / SQRT2, SQRT2 - 0.5],
+        [NS_U, NS_V, NS_W],
+        [NS_V, 0.5, NS_R],
+        [NS_W, NS_R, SQRT2 - 0.5],
     ]))
 
 
@@ -197,7 +191,7 @@ def embed(element: ElementSpec, total_modes: int) -> ModeTransform:
             raise ValueError(f"element mode {m} out of range for {total_modes} modes")
     full = np.eye(total_modes, dtype=complex)
     idx = np.array(element.modes)
-    full[np.ix_(idx, idx)] = element.block()
+    full[np.ix_(idx, idx)] = element.block
     return ModeTransform(full)
 
 
@@ -210,10 +204,10 @@ def compose(first: ModeTransform, then: ModeTransform) -> ModeTransform:
 
 def compose_elements(elements: list[ElementSpec] | tuple[ElementSpec, ...], total_modes: int) -> ModeTransform:
     """Embed and compose a sequence of elements in circuit order."""
-    total = ModeTransform(np.eye(total_modes))
+    total = np.eye(total_modes, dtype=complex)
     for el in elements:
-        total = compose(total, embed(el, total_modes))
-    return total
+        total = embed(el, total_modes).matrix @ total
+    return ModeTransform(total)
 
 
 def evolve(state: FockState, transform: ModeTransform, prune_tol: float = PRUNE_TOL) -> FockState:

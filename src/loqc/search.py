@@ -51,20 +51,25 @@ from scipy.optimize import minimize
 
 from .fock import FockState
 from .measurement import DetectionPattern
-from .multiport import SQRT2, evolve, general3, general3_columns
+from .multiport import NS_R, NS_U, NS_V, NS_W, SQRT2, evolve, general3, general3_columns
 
 #: Grid points whose angles sit within this radius of a degenerate value
 #: are excluded from infeasibility certificates.
 DEGENERATE_EXCLUSION = 1e-3
 
+#: A best residual above this margin makes an "infeasible" verdict; one
+#: between the tolerance and the margin is "inconclusive".
+VERDICT_MARGIN = 1e-3
+
+#: Phases of the two-splitter scheme's phase shifter, a fixed scan axis.
+TWO_BS_PHASES = (0.0, math.pi)
+
+#: Weight of the proportionality residual in the optimizer's score.
+RESIDUAL_PENALTY = 1.0
+
 #: Most grid points one kernel call may cover. A scan whose slab would be
 #: larger is rejected before the slab is allocated.
 MAX_SLAB_POINTS = 10**7
-
-_U = 1.0 - SQRT2              # signal back-reflection of the sign-shift core
-_V = 2.0 ** -0.25             # signal <-> ancilla coupling
-_W = math.sqrt(3.0 / SQRT2 - 2.0)
-_R = 0.5 - 1.0 / SQRT2
 
 TARGETS = {"sign_flip": (1.0, 1.0, -1.0), "restore": (1.0, 1.0, 1.0)}
 
@@ -144,24 +149,16 @@ class CaseAmplitudes:
 
 
 _CASE_VALUES = {
-    1: (_V, 2.0 * _U * _V, math.sqrt(3.0) * _U * _U * _V),
+    1: (NS_V, 2.0 * NS_U * NS_V, math.sqrt(3.0) * NS_U * NS_U * NS_V),
     2: (0.5, 0.5, -0.5),
-    3: (_R, _U * _R + _V * _W, _U * _U * _R + 2.0 * _U * _V * _W),
+    3: (NS_R, NS_U * NS_R + NS_V * NS_W, NS_U * NS_U * NS_R + 2.0 * NS_U * NS_V * NS_W),
 }
-
-_CASE_PATTERNS = {1: {1: 0, 2: 0}, 2: {1: 1, 2: 0}, 3: {1: 0, 2: 1}}
 
 
 def case_amplitudes(case: int) -> CaseAmplitudes:
     if case not in _CASE_VALUES:
         raise ValueError(f"case must be 1, 2 or 3, got {case}")
     return CaseAmplitudes(case, _CASE_VALUES[case])
-
-
-def case_detection_pattern(case: int) -> DetectionPattern:
-    if case not in _CASE_PATTERNS:
-        raise ValueError(f"case must be 1, 2 or 3, got {case}")
-    return DetectionPattern(_CASE_PATTERNS[case])
 
 
 # -- residuals -------------------------------------------------------------
@@ -175,6 +172,13 @@ def proportionality_residual(values, target) -> float:
     if nc <= 0.0:
         return 1.0
     return float(max(0.0, 1.0 - abs(np.vdot(t, c)) ** 2 / (nt * nc)))
+
+
+def _target_vector(target: str, components: tuple[int, ...] = (0, 1, 2)) -> np.ndarray:
+    """The named target pattern restricted to ``components``."""
+    if target not in TARGETS:
+        raise ValueError(f"target must be one of {sorted(TARGETS)}")
+    return np.array([TARGETS[target][i] for i in components], dtype=complex)
 
 
 def uncorrected_mismatch(case: int, target: str) -> float:
@@ -217,10 +221,10 @@ class FeasibilityReport:
         }
 
 
-def _verdict(best: float, tolerance: float, margin: float) -> str:
+def _verdict(best: float, tolerance: float) -> str:
     if best <= tolerance:
         return "feasible"
-    if best > margin:
+    if best > VERDICT_MARGIN:
         return "infeasible"
     return "inconclusive"
 
@@ -326,7 +330,6 @@ def single_bs_infeasibility(
     *,
     target: str = "sign_flip",
     tolerance: float = 1e-6,
-    margin: float = 1e-3,
     refine_rounds: int = 3,
     components: tuple[int, ...] = (0, 1, 2),
 ) -> FeasibilityReport:
@@ -335,9 +338,7 @@ def single_bs_infeasibility(
     `components` selects which photon-count amplitudes the proportionality
     system constrains; a single component is trivially satisfiable.
     """
-    if target not in TARGETS:
-        raise ValueError(f"target must be one of {sorted(TARGETS)}")
-    tvec = np.array([TARGETS[target][i] for i in components], dtype=complex)
+    tvec = _target_vector(target, components)
     fallback = proportionality_residual(
         [case_amplitudes(case).values[i] for i in components], tvec
     )
@@ -354,13 +355,13 @@ def single_bs_infeasibility(
         parameters={
             "grid_step": grid_step,
             "tolerance": tolerance,
-            "margin": margin,
+            "margin": VERDICT_MARGIN,
             "components": list(components),
             "refine_rounds": refine_rounds,
         },
         best_residual=residual,
         best_params={"x": x},
-        verdict=_verdict(residual, tolerance, margin),
+        verdict=_verdict(residual, tolerance),
         extras={"uncorrected_mismatch": fallback},
     )
 
@@ -390,14 +391,12 @@ def two_bs_feasibility(
     *,
     target: str = "sign_flip",
     tolerance: float = 1e-6,
-    margin: float = 1e-3,
-    phases: tuple[float, ...] = (0.0, math.pi),
     refine_rounds: int = 3,
 ) -> FeasibilityReport:
-    """Scan the two-splitter correction over (x, y) and optional phase."""
+    """Scan the two-splitter correction over (x, y) and the phases ``TWO_BS_PHASES``."""
     if case != 3:
         raise ValueError("only case 3 has a two-splitter correction family")
-    tvec = np.array(TARGETS[target], dtype=complex)
+    tvec = _target_vector(target)
     fallback = uncorrected_mismatch(case, target)
 
     def kernel(phi, X, Y):
@@ -405,7 +404,7 @@ def two_bs_feasibility(
 
     (residual, (phase, x, y), _), _ = _refine_scan(
         kernel, [(0.0, math.pi)] * 2, grid_step, refine_rounds, 100,
-        clip=True, fixed=phases)
+        clip=True, fixed=TWO_BS_PHASES)
 
     # constrained equal-angle slice
     ys = np.arange(0.0, math.pi + grid_step / 2, grid_step)
@@ -417,13 +416,13 @@ def two_bs_feasibility(
         parameters={
             "grid_step": grid_step,
             "tolerance": tolerance,
-            "margin": margin,
-            "phases": list(phases),
+            "margin": VERDICT_MARGIN,
+            "phases": list(TWO_BS_PHASES),
             "refine_rounds": refine_rounds,
         },
         best_residual=residual,
         best_params={"x": x, "y": y, "phase": phase},
-        verdict=_verdict(residual, tolerance, margin),
+        verdict=_verdict(residual, tolerance),
         extras={
             "uncorrected_mismatch": fallback,
             "equal_angle_min_residual": float(slice_r[j]),
@@ -440,7 +439,7 @@ NS_IN_NS_PATTERNS = {1: ((2, 0), (0, 2), (1, 1)), 3: ((1, 0),)}
 #: Case 1 keeps the raw monomial weights of the survivors (1..3 photons);
 #: case 3 uses the exact conditional amplitudes (0..2 photons).
 _SECOND_GATE_INPUT = {
-    1: (_V, _U * 2.0 ** 0.25, _U * _U * _V),
+    1: (NS_V, NS_U * 2.0 ** 0.25, NS_U * NS_U * NS_V),
     3: _CASE_VALUES[3],
 }
 
@@ -507,7 +506,6 @@ def ns_in_ns_feasibility(
     *,
     target: str = "sign_flip",
     tolerance: float = 1e-6,
-    margin: float = 1e-3,
     refine_rounds: int = 3,
 ) -> FeasibilityReport:
     """Scan the second-network angle space for a working correction."""
@@ -519,7 +517,7 @@ def ns_in_ns_feasibility(
             f"unknown pattern {pattern} for case {case}; "
             f"supported: {NS_IN_NS_PATTERNS}"
         )
-    tvec = np.array(TARGETS[target], dtype=complex)
+    tvec = _target_vector(target)
     fallback = uncorrected_mismatch(case, target)
 
     def kernel(t1, t2, t3):
@@ -543,12 +541,12 @@ def ns_in_ns_feasibility(
         parameters={
             "grid_step": grid_step,
             "tolerance": tolerance,
-            "margin": margin,
+            "margin": VERDICT_MARGIN,
             "refine_rounds": refine_rounds,
         },
         best_residual=residual,
         best_params={"t1": angles[0], "t2": angles[1], "t3": angles[2]},
-        verdict=_verdict(residual, tolerance, margin),
+        verdict=_verdict(residual, tolerance),
         extras=extras,
     )
 
@@ -585,7 +583,6 @@ def optimize_success(
     grid_step: float = 0.05,
     refinement_rounds: int = 3,
     *,
-    penalty: float = 1.0,
     polish: bool = True,
 ) -> OptimizationResult:
     """Maximize the worst-case heralded-branch probability of the
@@ -602,7 +599,7 @@ def optimize_success(
         a0, a1, a2 = sign_shift_branch_amplitudes(t1, t2, t3)
         prob = np.minimum(np.minimum(a0 ** 2, a1 ** 2), a2 ** 2)
         r = _grid_residual([a0, a1, a2], tvec, 1.0)
-        return -(prob - penalty * r), prob, r
+        return -(prob - RESIDUAL_PENALTY * r), prob, r
 
     (neg_score, angles, (prob, resid)), history = _refine_scan(
         kernel, [(0.0, math.pi)] * 3, grid_step, refinement_rounds, 10, clip=True)
@@ -613,7 +610,7 @@ def optimize_success(
         polished = _polish_sign_flip(angles)
         if polished is not None:
             p_angles, p_prob, p_resid = polished
-            if p_prob - penalty * p_resid >= -neg_score - 1e-12:
+            if p_prob - RESIDUAL_PENALTY * p_resid >= -neg_score - 1e-12:
                 angles, prob, resid = p_angles, p_prob, p_resid
     return OptimizationResult(
         objective=objective,

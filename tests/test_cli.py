@@ -61,7 +61,7 @@ def test_bad_float_is_positioned():
 
 def test_theta_converts_to_reflectivity():
     circ = parse_circuit("modes 2\nbs 1 2 theta=60\n")
-    assert circ.elements[0].eta == pytest.approx(0.25)
+    assert circ.elements[0].block[0, 0] ** 2 == pytest.approx(0.25)
 
 
 def test_unknown_correction_name():
@@ -122,6 +122,25 @@ def test_fock_input_photon_cap_is_a_positioned_error():
     assert info.value.line == 2
     assert "at most 39" in info.value.message
     assert parse_circuit("modes 2\ninput fock 39 0\n").state.num_terms() == 1
+
+
+def test_fock_basis_budget_is_checked_before_evolve(tmp_path, capsys, monkeypatch):
+    def no_evolve(*args, **kwargs):
+        raise AssertionError("evolve ran")
+
+    monkeypatch.setattr("loqc.cli.evolve", no_evolve)
+    path = tmp_path / "big.circ"
+    for text in (
+        "modes 10\ninput fock 39" + " 0" * 9 + "\n",            # C(48, 39) terms
+        "modes 16\ninput dualrail 1" + " 0" * 255 + "\n",       # C(23, 8) terms
+    ):
+        path.write_text(text)
+        code, out, err = run_cli(capsys, "simulate", str(path))
+        assert code == 1
+        assert out == ""
+        assert "big.circ:2:" in err and "MAX_FOCK_TERMS" in err
+    # 10 photons in 10 modes span 92,378 terms, inside the budget
+    assert parse_circuit("modes 10\ninput fock 10" + " 0" * 9 + "\n").state.num_terms() == 1
 
 
 def test_parser_never_crashes_on_garbage():
@@ -326,12 +345,18 @@ def test_search_slab_budget_is_checked_before_allocation(capsys, monkeypatch):
     assert "MAX_SLAB_POINTS" in err
 
 
-@pytest.mark.parametrize("scheme", ["single_bs:case1", "single_bs:case3", "two_bs:case3", "optimize_ns"])
-def test_default_searches_match_reference_digests(capsys, scheme):
+@pytest.mark.parametrize("argv", [
+    *(pytest.param(["search", scheme], id=scheme)
+      for scheme in ("single_bs:case1", "single_bs:case3", "two_bs:case3", "optimize_ns")),
+    *(pytest.param(["verify-gate", gate], id=f"verify-gate:{gate}")
+      for gate in ("ns", "cs", "cnot_klm", "cnot_2photon")),
+    pytest.param(["selftest", "--seed", "0"], id="selftest:seed0"),
+])
+def test_default_searches_match_reference_digests(capsys, argv):
     reference = json.loads(REFERENCE_DIGESTS.read_text(encoding="utf-8"))
-    code, out, _ = run_cli(capsys, "search", scheme)
+    code, out, _ = run_cli(capsys, *argv)
     assert code == 0
-    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == reference[f"search {scheme}"]
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == reference[" ".join(argv)]
 
 
 def test_verify_gate_cs_and_cnot(capsys):

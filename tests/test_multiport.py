@@ -121,6 +121,17 @@ def test_embed_rejects_bad_targets():
         ElementSpec.bs(1, 1, 0.5)
 
 
+def test_element_block_is_checked_at_construction():
+    with pytest.raises(ValueError, match="not unitary"):
+        ElementSpec.raw((0, 1), np.array([[1.0, 0.0], [0.0, 2.0]]))
+    with pytest.raises(ValueError, match="square"):
+        ElementSpec.raw((0, 1), np.ones((2, 3)))
+    with pytest.raises(ValueError, match="cannot act on 3 mode"):
+        ElementSpec.raw((0, 1, 2), np.eye(2))
+    assert ElementSpec.raw((1, 0), beam_splitter(0.3).matrix) == ElementSpec.bs(1, 0, 0.3)
+    assert ElementSpec.bs(0, 1, 0.3) != ElementSpec.bs(1, 0, 0.3)
+
+
 def test_three_splitter_network_reproduces_ns_matrix():
     # the sign-shift network as three embedded two-mode blocks at the
     # exact angles behind the printed 22.5/65.53/22.5 values

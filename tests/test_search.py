@@ -257,6 +257,16 @@ def test_unknown_pattern_is_rejected():
         ns_in_ns_feasibility(1, (3, 0), 0.1)
 
 
+@pytest.mark.parametrize("scan", [
+    lambda: single_bs_infeasibility(1, 0.5, target="nope"),
+    lambda: two_bs_feasibility(3, 0.5, target="nope"),
+    lambda: ns_in_ns_feasibility(1, (2, 0), 1.0, target="nope"),
+], ids=["single_bs", "two_bs", "ns_in_ns"])
+def test_unknown_target_is_rejected(scan):
+    with pytest.raises(ValueError, match="target must be one of"):
+        scan()
+
+
 # -- optimization -------------------------------------------------------------------------
 
 def test_branch_amplitudes_match_closed_form_table():
