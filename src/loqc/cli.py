@@ -53,7 +53,7 @@ from .measurement import (
     outcome_distribution,
     postselect_branches,
 )
-from .multiport import MAX_FOCK_TERMS, MAX_PHOTONS, ElementSpec, compose_elements, evolve
+from .multiport import MAX_FOCK_TERMS, MAX_MODES, MAX_PHOTONS, ElementSpec, compose_elements, evolve
 from .search import (
     ns_in_ns_feasibility,
     optimize_success,
@@ -207,6 +207,10 @@ def parse_circuit(text: str) -> Circuit:
             n = _parse_int(tokens[1][0], lineno, tokens[1][1], "mode count")
             if n < 1:
                 raise ParseError(lineno, tokens[1][1], "mode count must be positive")
+            if n > MAX_MODES:
+                raise ParseError(lineno, tokens[1][1],
+                                 f"{n} modes requested; at most MAX_MODES = {MAX_MODES} "
+                                 f"are supported")
             modes = n
             continue
 

@@ -15,8 +15,10 @@ The gallery:
 
 A ``GateCircuit`` is an immutable description (ancilla preparation,
 element list, outcome branches, computational modes); evaluation is pure.
-``GateCircuit.run`` returns each branch's ``PostselectionResult`` in
-branch order, straight from ``postselect_branches``. ``evaluate_gate`` is
+``GateCircuit.run`` evolves the input with ``evolve_for_branches`` (only
+the heralded outputs when those are few next to the full basis) and
+returns each branch's ``PostselectionResult`` in branch order, straight
+from ``postselect_branches``. ``evaluate_gate`` is
 one loop over a gate's inputs with a prepare/read pair per gate: a
 one-mode qutrit for ``ns``, ``encode``/``decode`` for the others.
 """
@@ -35,6 +37,7 @@ from .measurement import (
     DetectionPattern,
     OutcomeBranch,
     PostselectionResult,
+    evolve_for_branches,
     postselect_branches,
     with_ancilla,
 )
@@ -43,7 +46,6 @@ from .multiport import (
     ModeTransform,
     SQRT2,
     compose_elements,
-    evolve,
     ns_matrix,
 )
 
@@ -77,7 +79,7 @@ class GateCircuit:
     def run(self, comp_state: FockState) -> list[PostselectionResult]:
         """Evolve a computational-mode input; one result per branch, in branch order."""
         full = with_ancilla(comp_state, self.ancilla, self.num_modes)
-        out = evolve(full, self.transform)
+        out = evolve_for_branches(full, self.transform, self.branches)
         return [res for _, res in postselect_branches(out, self.branches)]
 
 

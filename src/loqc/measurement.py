@@ -10,6 +10,20 @@ each paired with a unitary correction applied to the surviving modes.
 ``postselect_branches`` is the one place that postselects and corrects:
 gate runs, circuit files and ``input_independence_check`` all go
 through it.
+
+Before that, ``evolve_for_branches`` is the one place that picks how a
+heralded evaluation (a gate run, an independence probe) evolves its
+input. Most of a low-success gate's output is thrown away, so when the
+outputs the branches can keep are few next to the full basis
+C(n+m-1, n), it computes only those, by the Ryser permanents of
+``multiport.transition_amplitudes``; otherwise it runs the full
+``evolve``. The rule is a cost comparison fitted to timings of both
+routes (``HERALDED_COST_PER_TERM``, ``HERALDED_COST_PER_OUTPUT``) and
+reads only photon numbers, the mode count and the patterns: the sign
+shift and the two-photon CNOT stay on ``evolve``, the cs and KLM CNOT
+gates and cascades of them take the heralded route. Circuit files keep
+the full ``evolve`` because their report lists the whole outcome
+distribution.
 Everything here operates on pure states with product ancillas, which is
 exact for the circuits this package builds; the density-operator form of
 the same rules is exercised as an independent oracle in the test suite.
@@ -18,11 +32,12 @@ the same rules is exercised as an independent oracle in the test suite.
 from __future__ import annotations
 
 import math
-from collections.abc import Mapping, Sequence
+from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass
+from itertools import combinations_with_replacement
 
 from .fock import FockState, Occupation
-from .multiport import ModeTransform, evolve
+from .multiport import ModeTransform, evolve, transition_amplitudes
 
 PROB_FLOOR = 1e-12
 
@@ -88,16 +103,20 @@ def _strip_modes(occ: Occupation, modes: Sequence[int]) -> Occupation:
     return tuple(n for m, n in enumerate(occ) if m not in drop)
 
 
+def _check_pattern(pattern: DetectionPattern, num_modes: int) -> None:
+    for m in pattern.modes:
+        if not 0 <= m < num_modes:
+            raise ValueError(f"pattern mode {m} out of range for {num_modes} modes")
+    if len(pattern.modes) >= num_modes:
+        raise ValueError("pattern must leave at least one surviving mode")
+
+
 def postselect(state: FockState, pattern: DetectionPattern) -> PostselectionResult:
     """Condition on a detector outcome.
 
     Probability 0 is a valid result and carries no conditional state.
     """
-    for m in pattern.modes:
-        if not 0 <= m < state.num_modes:
-            raise ValueError(f"pattern mode {m} out of range for {state.num_modes} modes")
-    if len(pattern.modes) >= state.num_modes:
-        raise ValueError("pattern must leave at least one surviving mode")
+    _check_pattern(pattern, state.num_modes)
     kept: dict[Occupation, complex] = {}
     prob = 0.0
     for occ, amp in state.terms():
@@ -136,6 +155,64 @@ def postselect_branches(
             res = PostselectionResult(res.probability, evolve(res.conditional_state, branch.correction))
         results.append((branch, res))
     return results
+
+
+#: Cost of ``transition_amplitudes`` in units of one full-basis output term
+#: of ``evolve``: a fixed part per input term and a part per heralded
+#: output. Fitted to both routes timed on 220 circuits: the gate gallery,
+#: the two-stage cs cascade and Haar-random networks of 3..12 modes with
+#: 1..6 photons and random patterns (ROADMAP item 3).
+HERALDED_COST_PER_TERM = 16
+HERALDED_COST_PER_OUTPUT = 1
+
+
+def _heralded_outputs(pattern: DetectionPattern, num_modes: int, photons: int) -> Iterator[Occupation]:
+    """Every occupation with ``photons`` photons that ``pattern`` keeps."""
+    free = photons - sum(c for _, c in pattern.constraints)
+    if free < 0:
+        return
+    fixed = [0] * num_modes
+    for m, c in pattern.constraints:
+        fixed[m] = c
+    survivors = [m for m in range(num_modes) if pattern.count(m) is None]
+    for placed in combinations_with_replacement(survivors, free):
+        occ = list(fixed)
+        for m in placed:
+            occ[m] += 1
+        yield tuple(occ)
+
+
+def _heralded_output_count(pattern: DetectionPattern, num_modes: int, photons: int) -> int:
+    free = photons - sum(c for _, c in pattern.constraints)
+    survivors = num_modes - len(pattern.modes)
+    return math.comb(free + survivors - 1, free) if free >= 0 else 0
+
+
+def evolve_for_branches(
+    state: FockState, transform: ModeTransform, branches: Sequence[OutcomeBranch]
+) -> FockState:
+    """``evolve(state, transform)`` as far as ``branches`` can see it.
+
+    The outputs a branch can keep are its pattern's counts times every
+    occupation of the surviving modes, at each photon number of the
+    input. When, by the measured costs above, computing just those is
+    cheaper than the full basis C(n+m-1, n) per input term, the result
+    is ``transition_amplitudes`` over them; otherwise it is the full
+    ``evolve``. The rule reads only the input's photon numbers, the mode
+    count and the patterns. ``postselect_branches`` gives the same
+    results on either state.
+    """
+    m = transform.dim
+    for branch in branches:
+        _check_pattern(branch.pattern, m)
+    photons = [sum(occ) for occ, _ in state.terms()]
+    full = sum(math.comb(n + m - 1, n) for n in photons)
+    heralded = sum(_heralded_output_count(b.pattern, m, n) for n in photons for b in branches)
+    if HERALDED_COST_PER_TERM * len(photons) + HERALDED_COST_PER_OUTPUT * heralded >= full:
+        return evolve(state, transform)
+    outputs = [occ for n in sorted(set(photons)) for b in branches
+               for occ in _heralded_outputs(b.pattern, m, n)]
+    return transition_amplitudes(state, transform, outputs)
 
 
 def outcome_distribution(state: FockState, modes: Sequence[int]) -> dict[tuple[int, ...], float]:
@@ -208,10 +285,10 @@ def input_independence_check(
     if not probes:
         raise ValueError("at least one probe state is required")
     normalized_probes = [p.normalized()[0] for p in probes]
-    per_probe = [
-        postselect_branches(evolve(with_ancilla(p, ancilla, transform.dim), transform), branches)
-        for p in normalized_probes
-    ]
+    per_probe = []
+    for p in normalized_probes:
+        full = with_ancilla(p, ancilla, transform.dim)
+        per_probe.append(postselect_branches(evolve_for_branches(full, transform, branches), branches))
     labels = [b.label or b.pattern.describe() for b in branches]
     probabilities: list[list[float]] = []
     projected: list[list[FockState | None]] = []

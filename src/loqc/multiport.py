@@ -8,10 +8,21 @@ creation operator of input mode k by the k-th *column* of the matrix:
     a_k+  ->  sum_l  L[l, k] a_l+
 
 ``evolve`` expands each input basis term as a product of such linear
-forms applied to the vacuum and collects the resulting monomials. The
-permanent-based ``permanent_amplitude`` computes single transition
-amplitudes by an independent route and exists purely to cross-check
-``evolve``.
+forms applied to the vacuum and collects the resulting monomials: the
+whole output, C(n+m-1, n) terms for n photons in m modes.
+``transition_amplitudes`` computes <out|U|in> for a given list of output
+occupations only, by Ryser's formula over repeated rows and columns; a
+heralded gate run uses it when the outputs its detectors can keep are
+far fewer than the full basis (``measurement.evolve_for_branches`` makes
+that choice). The n!-sum ``permanent_amplitude`` computes single
+amplitudes by a third route and exists purely to cross-check the other
+two.
+
+Budgets: a Fock term may carry at most ``MAX_PHOTONS`` photons (all three
+routes raise ``ValueError`` beyond it), an input may span at most
+``MAX_FOCK_TERMS`` basis terms and a circuit file may declare at most
+``MAX_MODES`` modes; the command-line parser checks the last two before
+anything is allocated.
 
 All functions are pure; amplitude accumulation runs in a fixed order, so
 results are deterministic.
@@ -20,8 +31,9 @@ results are deterministic.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
-from itertools import permutations
+from itertools import permutations, product
 
 import numpy as np
 
@@ -39,7 +51,18 @@ MAX_PHOTONS = 39
 #: may span; ``evolve`` builds that many output terms.
 MAX_FOCK_TERMS = 10**5
 
+#: Most modes a circuit file may declare: every element is embedded as a
+#: full N x N matrix, so memory grows as N^2 and composition as N^3.
+MAX_MODES = 64
+
 _FACT = [math.factorial(n) for n in range(MAX_PHOTONS + 1)]
+
+
+def _check_photon_budget(occ: Occupation) -> None:
+    """Reject a Fock term carrying more than ``MAX_PHOTONS`` photons."""
+    if sum(occ) > MAX_PHOTONS:
+        raise ValueError(f"a term carries {sum(occ)} photons; at most "
+                         f"MAX_PHOTONS = {MAX_PHOTONS} are supported")
 
 
 class ModeTransform:
@@ -227,6 +250,7 @@ def evolve(state: FockState, transform: ModeTransform, prune_tol: float = PRUNE_
     out: dict[Occupation, complex] = {}
     zero = (0,) * n_modes
     for occ, amp in state.terms():
+        _check_photon_budget(occ)
         poly: dict[Occupation, complex] = {zero: 1.0 + 0j}
         for k, n_k in enumerate(occ):
             for _ in range(n_k):
@@ -242,6 +266,66 @@ def evolve(state: FockState, transform: ModeTransform, prune_tol: float = PRUNE_
     if prune_tol > 0:
         out = {o: a for o, a in out.items() if abs(a) >= prune_tol}
     return FockState(n_modes, out)
+
+
+def transition_amplitudes(
+    state: FockState,
+    transform: ModeTransform,
+    outputs: Iterable[Occupation],
+    prune_tol: float = PRUNE_TOL,
+) -> FockState:
+    """The part of ``evolve(state, transform)`` on the given output occupations.
+
+    For an input term with n_k photons in mode k and an output occupation
+    (o_l), Ryser's formula over repeated rows and columns gives
+
+        <o|U|n> = sum_{0 <= s_k <= n_k} (-1)^(n - |s|) prod_k C(n_k, s_k)
+                  prod_l (sum_k s_k U[l, k])^(o_l) / sqrt(prod n_k! prod o_l!)
+
+    (H. J. Ryser, Combinatorial Mathematics, 1963), prod(n_k + 1) <= 2^n
+    products per output instead of the n! of ``matrix_permanent``. Each
+    input term is one numpy pass over its s-grid and its outputs at the
+    same photon number, holding (n + 1 + outputs) * prod(n_k + 1) * modes
+    complex numbers at once. Outputs with another photon number than every
+    input term get no amplitude; the result is pruned at ``prune_tol``
+    exactly as ``evolve`` prunes.
+    """
+    if state.num_modes != transform.dim:
+        raise ValueError(f"state has {state.num_modes} modes, transform {transform.dim}")
+    dim = transform.dim
+    keys = list(dict.fromkeys(map(tuple, outputs)))
+    outs = np.array(keys, dtype=int).reshape(len(keys), -1) if keys else np.zeros((0, dim), int)
+    if outs.shape[1] != dim or (outs < 0).any():
+        raise ValueError(f"outputs must be non-negative occupations of {dim} modes")
+    for occ in keys:
+        _check_photon_budget(occ)
+    photons = outs.sum(axis=1)
+    sums = np.zeros(len(outs), dtype=complex)
+    rows = np.arange(dim)[:, None]
+    for occ, amp in state.terms():
+        _check_photon_budget(occ)
+        n = sum(occ)
+        sel = photons == n
+        if not sel.any():
+            continue
+        cols = [k for k, c in enumerate(occ) if c]
+        counts = [occ[k] for k in cols]
+        s = np.array(list(product(*(range(c + 1) for c in counts))))   # (s-grid, cols)
+        weights = (-1.0) ** (n - s.sum(axis=1))
+        for j, c in enumerate(counts):
+            weights *= np.array([math.comb(c, k) for k in range(c + 1)])[s[:, j]]
+        r = s @ transform.matrix[:, cols].T                             # (s-grid, modes)
+        powers = np.ones((n + 1, *r.shape), dtype=complex)              # r ** e, e = 0..n
+        for e in range(1, n + 1):
+            powers[e] = powers[e - 1] * r
+        terms = powers[outs[sel].T, :, rows].prod(axis=0)               # (outputs, s-grid)
+        norm = math.sqrt(math.prod(math.factorial(c) for c in counts))
+        sums[sel] += (amp / norm) * (terms @ weights)
+    top = int(photons.max(initial=0))
+    factorials = np.array([math.factorial(k) for k in range(top + 1)], dtype=float)
+    amps = sums / np.sqrt(factorials[outs].prod(axis=1))
+    keep = np.abs(amps) >= prune_tol
+    return FockState(dim, dict(zip(map(tuple, outs[keep].tolist()), amps[keep].tolist())))
 
 
 def matrix_permanent(m: np.ndarray) -> complex:
@@ -270,6 +354,8 @@ def permanent_amplitude(input_occ: Occupation, output_occ: Occupation, transform
     """
     inp = check_occupation(input_occ, transform.dim)
     outp = check_occupation(output_occ, transform.dim)
+    _check_photon_budget(inp)
+    _check_photon_budget(outp)
     if sum(inp) != sum(outp):
         return 0j
     cols = [k for k, n in enumerate(inp) for _ in range(n)]

@@ -8,6 +8,7 @@ import pytest
 
 from loqc import ElementSpec, compose_elements
 from loqc.cli import ParseError, main, parse_circuit
+from loqc.multiport import MAX_MODES
 
 REFERENCE_DIGESTS = Path(__file__).resolve().parent.parent / "perfbench" / "reference.json"
 
@@ -141,6 +142,24 @@ def test_fock_basis_budget_is_checked_before_evolve(tmp_path, capsys, monkeypatc
         assert "big.circ:2:" in err and "MAX_FOCK_TERMS" in err
     # 10 photons in 10 modes span 92,378 terms, inside the budget
     assert parse_circuit("modes 10\ninput fock 10" + " 0" * 9 + "\n").state.num_terms() == 1
+
+
+def test_mode_budget_is_checked_before_compose(tmp_path, capsys, monkeypatch):
+    def no_compose(*args, **kwargs):
+        raise AssertionError("compose_elements ran")
+
+    monkeypatch.setattr("loqc.cli.compose_elements", no_compose)
+    path = tmp_path / "wide.circ"
+    # one photon in 1200 modes spans 1200 basis terms, inside MAX_FOCK_TERMS
+    path.write_text("modes 1200\ninput fock 1" + " 0" * 1199 + "\nbs 1 2 eta=0.5\n")
+    code, out, err = run_cli(capsys, "simulate", str(path))
+    assert code == 1
+    assert out == ""
+    assert "wide.circ:1:7:" in err and "MAX_MODES" in err
+    assert parse_circuit(f"modes {MAX_MODES}\n").modes == MAX_MODES
+    with pytest.raises(ParseError) as info:
+        parse_circuit(f"modes {MAX_MODES + 1}\n")
+    assert (info.value.line, info.value.column) == (1, 7)
 
 
 def test_parser_never_crashes_on_garbage():

@@ -4,8 +4,12 @@ import numpy as np
 import pytest
 
 from loqc import (
+    DetectionPattern,
+    ElementSpec,
     Encoding,
     FockState,
+    GateCircuit,
+    OutcomeBranch,
     build_gate,
     cnot_from_cs,
     cs_gate,
@@ -15,10 +19,14 @@ from loqc import (
     evolve,
     logical_fidelity,
     ns_gate,
+    ns_matrix,
+    postselect_branches,
     qubit_gate,
     two_photon_cnot,
     two_photon_cnot_matrix,
+    with_ancilla,
 )
+from loqc import measurement
 
 SQ2 = math.sqrt(2)
 
@@ -218,3 +226,84 @@ def test_two_photon_report():
 def test_unknown_gate_name():
     with pytest.raises(ValueError, match="unknown gate"):
         build_gate("toffoli")
+
+
+# -- two cs stages in series -------------------------------------------------
+
+_CASCADE_ANCILLA = {4: 1, 5: 0, 6: 1, 7: 0, 8: 1, 9: 0, 10: 1, 11: 0}
+
+
+def cs_cascade() -> GateCircuit:
+    """Two conditional sign flips in series on 12 modes, four cores heralded."""
+    ns = ns_matrix().matrix
+
+    def stage(a, b):
+        return [ElementSpec.bs(1, 3, 0.5), ElementSpec.raw((1, a, a + 1), ns),
+                ElementSpec.raw((3, b, b + 1), ns), ElementSpec.bs(1, 3, 0.5)]
+
+    return GateCircuit(
+        name="cs_cascade",
+        num_modes=12,
+        ancilla=dict(_CASCADE_ANCILLA),
+        elements=stage(4, 6) + stage(8, 10),
+        branches=[OutcomeBranch(DetectionPattern(_CASCADE_ANCILLA), label="all four cores fire")],
+        computational_modes=[0, 1, 2, 3],
+        encoding=Encoding("dual_rail", 2),
+    )
+
+
+def test_cs_cascade_is_the_identity():
+    # CZ . CZ = I, heralded with probability (1/16)^2
+    gate = cs_cascade()
+    enc = gate.encoding
+    rng = np.random.default_rng(44)
+    inputs = list(np.eye(4, dtype=complex))
+    for _ in range(6):
+        v = rng.normal(size=4) + 1j * rng.normal(size=4)
+        inputs.append(v / np.linalg.norm(v))
+    for v in inputs:
+        [outcome] = gate.run(encode(v, enc))
+        assert outcome.probability == pytest.approx(1 / 256, abs=1e-12)
+        vec, leakage = decode(outcome.conditional_state, enc)
+        assert leakage < 1e-9
+        assert logical_fidelity(vec, v) >= 1 - 1e-9
+
+
+@pytest.mark.parametrize("gate,evolve_calls", [
+    (ns_gate(), 1), (two_photon_cnot(), 1), (cs_gate(), 0), (cs_cascade(), 0),
+])
+def test_heralded_runs_pick_their_route_by_size(gate, evolve_calls, monkeypatch):
+    # ns (<= 10 basis terms per input term) and the two-photon CNOT (21) expand
+    # the full output; the cs gate (330) and the cascade (12,376) compute only
+    # the outputs their detectors keep
+    calls = []
+    full = measurement.evolve
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return full(*args, **kwargs)
+
+    monkeypatch.setattr(measurement, "evolve", counted)
+    comp = FockState.from_occupation([1] if gate.encoding is None else [0, 1, 0, 1])
+    gate.run(comp)
+    assert len(calls) == evolve_calls
+
+
+@pytest.mark.parametrize("build", [cs_gate, cnot_from_cs, cs_cascade])
+def test_heralded_route_keeps_the_terms_evolve_keeps(build):
+    # the survivors are the four dual-rail words; the leakage outputs the
+    # heralded route also computes come out below PRUNE_TOL and are dropped
+    gate = build()
+    rng = np.random.default_rng(45)
+    for _ in range(3):
+        v = rng.normal(size=4) + 1j * rng.normal(size=4)
+        comp = encode(v / np.linalg.norm(v), gate.encoding)
+        [got] = gate.run(comp)
+        full = evolve(with_ancilla(comp, gate.ancilla, gate.num_modes), gate.transform)
+        [(_, want)] = postselect_branches(full, gate.branches)
+        assert got.probability == pytest.approx(want.probability, abs=1e-12)
+        got_terms = dict(got.conditional_state.terms())
+        assert got_terms.keys() == dict(want.conditional_state.terms()).keys()
+        assert len(got_terms) == 4
+        for occ, amp in want.conditional_state.terms():
+            assert abs(got_terms[occ] - amp) < 1e-12

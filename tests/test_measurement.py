@@ -9,15 +9,18 @@ from loqc import (
     ModeTransform,
     OutcomeBranch,
     evolve,
+    evolve_for_branches,
     input_independence_check,
     ns_matrix,
     outcome_distribution,
+    permanent_amplitude,
     postselect,
     postselect_branches,
     with_ancilla,
 )
+from loqc import measurement
 
-from helpers import random_state, random_unitary
+from helpers import random_state, random_unitary, state_distance
 
 SQ2 = math.sqrt(2)
 
@@ -256,3 +259,96 @@ def test_ancilla_interleaving():
     comp = FockState.from_occupation([2, 3])
     full = with_ancilla(comp, {1: 1, 3: 0}, 4)
     assert full.amplitude([2, 1, 3, 0]) == pytest.approx(1.0)
+
+
+# -- heralded route vs full evolve -------------------------------------------
+
+def _both_routes(monkeypatch, state, transform, branches):
+    """postselect_branches after evolve_for_branches, forced onto each route."""
+    taken = []
+    ryser = measurement.transition_amplitudes
+
+    def counted(*args, **kwargs):
+        taken.append("heralded")
+        return ryser(*args, **kwargs)
+
+    monkeypatch.setattr(measurement, "transition_amplitudes", counted)
+    results = []
+    for cost in (math.inf, -math.inf):  # never / always worth the heralded route
+        monkeypatch.setattr(measurement, "HERALDED_COST_PER_TERM", cost)
+        out = evolve_for_branches(state, transform, branches)
+        results.append(postselect_branches(out, branches))
+    assert taken == ["heralded"]
+    return results
+
+
+def _assert_same_results(full, heralded):
+    for (_, a), (_, b) in zip(full, heralded, strict=True):
+        assert abs(a.probability - b.probability) < 1e-12
+        if a.conditional_state is None:
+            assert b.conditional_state is None
+            continue
+        assert {o for o, _ in a.conditional_state.terms()} == {o for o, _ in b.conditional_state.terms()}
+        assert state_distance(a.conditional_state, b.conditional_state) < 1e-12
+
+
+def _mixed_input(rng, m):
+    """Repeated occupations at three photon numbers, e.g. |2,1,0...>."""
+    occs = [(2, 1) + (0,) * (m - 2), (1, 1, 1) + (0,) * (m - 3), (1,) + (0,) * (m - 1),
+            (0,) * (m - 2) + (0, 2), (0, 0, 2) + (0,) * (m - 3)]
+    return FockState(m, {o: complex(rng.normal(), rng.normal()) for o in occs}).normalized()[0]
+
+
+@pytest.mark.parametrize("m", range(3, 9))
+def test_heralded_route_matches_evolve_on_haar_unitaries(m, monkeypatch):
+    rng = np.random.default_rng(50 + m)
+    transform = ModeTransform(random_unitary(rng, m))
+    state = _mixed_input(rng, m)
+    a, b = m - 2, m - 1
+    survivors = m - 2
+    branches = [
+        OutcomeBranch(DetectionPattern({a: 1, b: 0})),
+        OutcomeBranch(DetectionPattern({a: 0, b: 1}), ModeTransform(random_unitary(rng, survivors))),
+        OutcomeBranch(DetectionPattern({a: 0, b: 0}), ModeTransform(random_unitary(rng, survivors))),
+        OutcomeBranch(DetectionPattern({a: 2, b: 2})),   # four photons: more than any term holds
+    ]
+    full, heralded = _both_routes(monkeypatch, state, transform, branches)
+    _assert_same_results(full, heralded)
+    assert full[3][1].probability == 0.0 and full[3][1].conditional_state is None
+    assert sum(r.probability for _, r in full) > 0.1
+
+
+def test_heralded_route_on_single_mode_patterns(monkeypatch):
+    rng = np.random.default_rng(60)
+    for m in (3, 5, 7):
+        transform = ModeTransform(random_unitary(rng, m))
+        state = _mixed_input(rng, m)
+        branches = [OutcomeBranch(DetectionPattern({0: c})) for c in range(4)]
+        _assert_same_results(*_both_routes(monkeypatch, state, transform, branches))
+
+
+def test_heralded_amplitudes_match_permanent_oracle(monkeypatch):
+    rng = np.random.default_rng(61)
+    transform = ModeTransform(random_unitary(rng, 5))
+    inp = (2, 1, 0, 1, 0)
+    monkeypatch.setattr(measurement, "HERALDED_COST_PER_TERM", -math.inf)
+    out = evolve_for_branches(FockState.from_occupation(inp), transform,
+                              [OutcomeBranch(DetectionPattern({3: 1, 4: 0}))])
+    assert out.num_terms() == math.comb(3 + 2, 2)   # 3 photons over 3 survivors
+    for occ, amp in out.terms():
+        assert occ[3:] == (1, 0)
+        assert abs(amp - permanent_amplitude(inp, occ, transform)) < 1e-12
+
+
+def test_independence_check_is_route_independent(monkeypatch):
+    probes = _fock_levels((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1))
+    branches = [OutcomeBranch(DetectionPattern({1: 1, 2: 0})),
+                OutcomeBranch(DetectionPattern({1: 0, 2: 1}))]
+    reports = []
+    for cost in (math.inf, -math.inf):
+        monkeypatch.setattr(measurement, "HERALDED_COST_PER_TERM", cost)
+        reports.append(input_independence_check(ns_matrix(), {1: 1, 2: 0}, branches, probes))
+    full, heralded = reports
+    assert np.abs(np.array(full.probabilities) - np.array(heralded.probabilities)).max() < 1e-12
+    assert abs(full.max_gram_deviation - heralded.max_gram_deviation) < 1e-12
+    assert full.operationally_unitary == heralded.operationally_unitary

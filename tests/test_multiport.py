@@ -18,7 +18,9 @@ from loqc import (
     ns_matrix,
     permanent_amplitude,
     phase_shifter,
+    transition_amplitudes,
 )
+from loqc.multiport import MAX_PHOTONS
 
 from helpers import random_state, random_unitary, state_distance
 
@@ -252,3 +254,59 @@ def test_evolve_agrees_with_permanent_oracle():
                 if sum(outp) != sum(inp):
                     continue
                 assert abs(out.amplitude(outp) - permanent_amplitude(inp, outp, t)) < 1e-10
+
+
+# -- heralded-subspace amplitudes (Ryser) ------------------------------------
+
+def test_transition_amplitudes_match_permanent_oracle():
+    rng = np.random.default_rng(12)
+    inputs = [(2, 1, 0, 0), (1, 1, 1, 0), (3, 0, 0, 1), (0, 0, 0, 2)]
+    outputs = [(1, 1, 1, 0), (0, 3, 0, 0), (2, 0, 0, 1), (1, 0, 2, 1), (0, 0, 1, 1), (1, 1, 0, 0)]
+    for _ in range(5):
+        t = ModeTransform(random_unitary(rng, 4))
+        for inp in inputs:
+            got = transition_amplitudes(FockState.from_occupation(inp), t, outputs, prune_tol=0.0)
+            for outp in outputs:
+                want = permanent_amplitude(inp, outp, t)
+                assert abs(got.amplitude(outp) - want) < 1e-12
+
+
+def test_transition_amplitudes_restrict_evolve():
+    rng = np.random.default_rng(13)
+    for m in range(2, 6):
+        t = ModeTransform(random_unitary(rng, m))
+        state = random_state(rng, m, 2, terms=3)
+        full = evolve(state, t)
+        outputs = [occ for occ, _ in full.terms()][::2] + [(5,) + (0,) * (m - 1)]
+        part = transition_amplitudes(state, t, outputs)
+        assert {occ for occ, _ in part.terms()} <= set(outputs)
+        for occ in outputs:
+            assert abs(part.amplitude(occ) - full.amplitude(occ)) < 1e-12
+
+
+def test_transition_amplitudes_prune_like_evolve():
+    # two-photon interference: |1,1> has no coincidence amplitude
+    out = transition_amplitudes(FockState.from_occupation([1, 1]), beam_splitter(0.5),
+                                [(1, 1), (2, 0), (0, 2)])
+    assert {occ for occ, _ in out.terms()} == {(2, 0), (0, 2)}
+    assert out.amplitude([2, 0]) == pytest.approx(1 / SQ2)
+
+
+def test_transition_amplitudes_reject_bad_outputs():
+    t = beam_splitter(0.5)
+    with pytest.raises(ValueError, match="outputs"):
+        transition_amplitudes(FockState.from_occupation([1, 0]), t, [(1, 0, 0)])
+    with pytest.raises(ValueError, match="outputs"):
+        transition_amplitudes(FockState.from_occupation([1, 0]), t, [(2, -1)])
+
+
+@pytest.mark.parametrize("route", ["evolve", "transition_amplitudes", "permanent_amplitude"])
+def test_photon_budget_is_a_named_error(route):
+    state, t = FockState.from_occupation([MAX_PHOTONS + 1]), ModeTransform(np.eye(1))
+    calls = {
+        "evolve": lambda: evolve(state, t),
+        "transition_amplitudes": lambda: transition_amplitudes(state, t, [(MAX_PHOTONS + 1,)]),
+        "permanent_amplitude": lambda: permanent_amplitude((MAX_PHOTONS + 1,), (MAX_PHOTONS + 1,), t),
+    }
+    with pytest.raises(ValueError, match="MAX_PHOTONS"):
+        calls[route]()
