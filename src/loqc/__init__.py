@@ -23,7 +23,6 @@ from .multiport import (
     ns_matrix,
     permanent_amplitude,
     phase_shifter,
-    transition_amplitudes,
 )
 from .encodings import (
     Encoding,
@@ -40,7 +39,6 @@ from .measurement import (
     IndependenceReport,
     OutcomeBranch,
     PostselectionResult,
-    evolve_for_branches,
     input_independence_check,
     outcome_distribution,
     postselect,
@@ -79,12 +77,11 @@ __all__ = [
     "FockState", "inner_product", "normalize",
     "ElementSpec", "ModeTransform", "NS_ANGLES", "beam_splitter", "compose",
     "compose_elements", "embed", "evolve", "general3", "matrix_permanent",
-    "ns_matrix", "permanent_amplitude", "phase_shifter", "transition_amplitudes",
+    "ns_matrix", "permanent_amplitude", "phase_shifter",
     "Encoding", "ZYDecomposition", "decode", "dual_rail_apply", "encode",
     "logical_fidelity", "qubit_gate", "zy_decompose",
     "DetectionPattern", "IndependenceReport", "OutcomeBranch",
-    "PostselectionResult", "evolve_for_branches", "input_independence_check",
-    "outcome_distribution",
+    "PostselectionResult", "input_independence_check", "outcome_distribution",
     "postselect", "postselect_branches", "with_ancilla",
     "GATE_NAMES", "GateCircuit", "GateReport", "build_gate", "cnot_from_cs",
     "cs_gate", "evaluate_gate", "ns_gate", "two_photon_cnot",

@@ -15,12 +15,12 @@ The gallery:
 
 A ``GateCircuit`` is an immutable description (ancilla preparation,
 element list, outcome branches, computational modes); evaluation is pure.
-``GateCircuit.run`` evolves the input with ``evolve_for_branches`` (only
-the heralded outputs when those are few next to the full basis) and
-returns each branch's ``PostselectionResult`` in branch order, straight
-from ``postselect_branches``. ``evaluate_gate`` is
-one loop over a gate's inputs with a prepare/read pair per gate: a
-one-mode qutrit for ``ns``, ``encode``/``decode`` for the others.
+``GateCircuit.run`` evolves the input with
+``measurement.evolve_for_branches``, which picks the route, and returns
+each branch's ``PostselectionResult`` in branch order, straight from
+``postselect_branches``. ``evaluate_gate`` is one loop over a gate's
+inputs with a prepare/read pair per gate: a one-mode qutrit for
+``ns``, ``encode``/``decode`` for the others.
 """
 
 from __future__ import annotations

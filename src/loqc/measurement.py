@@ -13,16 +13,11 @@ through it.
 
 Before that, ``evolve_for_branches`` is the one place that picks how a
 heralded evaluation (a gate run, an independence probe) evolves its
-input. Most of a low-success gate's output is thrown away, so when the
-outputs the branches can keep are few next to the full basis
-C(n+m-1, n), it computes only those, by the Ryser permanents of
-``multiport.transition_amplitudes``; otherwise it runs the full
-``evolve``. The rule is a cost comparison fitted to timings of both
-routes (``HERALDED_COST_PER_TERM``, ``HERALDED_COST_PER_OUTPUT``) and
-reads only photon numbers, the mode count and the patterns: the sign
-shift and the two-photon CNOT stay on ``evolve``, the cs and KLM CNOT
-gates and cascades of them take the heralded route. Circuit files keep
-the full ``evolve`` because their report lists the whole outcome
+input. Most of a low-success gate's output is thrown away, so it may
+compute only the outputs the branches can keep, by the Ryser permanents
+of ``multiport.transition_amplitudes``, instead of the full ``evolve``;
+its docstring gives the measured cost rule that decides. Circuit files
+keep the full ``evolve`` because their report lists the whole outcome
 distribution.
 Everything here operates on pure states with product ancillas, which is
 exact for the circuits this package builds; the density-operator form of
@@ -157,13 +152,11 @@ def postselect_branches(
     return results
 
 
-#: Cost of ``transition_amplitudes`` in units of one full-basis output term
-#: of ``evolve``: a fixed part per input term and a part per heralded
-#: output. Fitted to both routes timed on 220 circuits: the gate gallery,
-#: the two-stage cs cascade and Haar-random networks of 3..12 modes with
-#: 1..6 photons and random patterns (ROADMAP item 3).
-HERALDED_COST_PER_TERM = 16
-HERALDED_COST_PER_OUTPUT = 1
+#: Costs of ``transition_amplitudes`` in units of one full-basis output
+#: term per mode of ``evolve``: a fixed part per input term and a part per
+#: product of its running product (see ``evolve_for_branches``).
+HERALDED_COST_PER_TERM = 128
+HERALDED_COST_PER_PRODUCT = 1 / 512
 
 
 def _heralded_outputs(pattern: DetectionPattern, num_modes: int, photons: int) -> Iterator[Occupation]:
@@ -195,22 +188,44 @@ def evolve_for_branches(
 
     The outputs a branch can keep are its pattern's counts times every
     occupation of the surviving modes, at each photon number of the
-    input. When, by the measured costs above, computing just those is
-    cheaper than the full basis C(n+m-1, n) per input term, the result
-    is ``transition_amplitudes`` over them; otherwise it is the full
-    ``evolve``. The rule reads only the input's photon numbers, the mode
-    count and the patterns. ``postselect_branches`` gives the same
-    results on either state.
+    input. The result is ``transition_amplitudes`` over just those when
+    that is cheaper by the measured costs, else the full ``evolve``. For
+    an input term with n photons, n_k in mode k, on m modes, with H_n
+    heralded outputs over all branches at n photons:
+
+    * ``evolve`` costs m * C(n+m-1, n): every output term, once per mode;
+    * ``transition_amplitudes`` costs ``HERALDED_COST_PER_TERM`` plus
+      ``HERALDED_COST_PER_PRODUCT`` * m * prod(n_k + 1) * H_n: its running
+      product multiplies the s-grid of every output once per mode.
+
+    The heralded route is taken when its cost, summed over the input
+    terms, is below that of ``evolve``. The rule reads only the input's
+    occupations, the mode count and the patterns. Both constants were
+    fitted to both routes timed on 343 inputs: the gate gallery, the
+    two-stage cs cascade, Haar networks of 3..14 modes with 1..7 photons
+    and random patterns, and singly occupied inputs of up to 9 photons
+    with one or two detectors (``BENCH_4.json``). Over that set the rule
+    takes 0.1 % more time than always picking the faster route, and 2.4x
+    at worst on one small input; always-``evolve`` takes 12.5x. The
+    fixed part keeps small inputs on ``evolve``: on the gallery, ``ns``
+    and ``cnot_2photon`` take ``evolve``, ``cs``, ``cnot_klm`` and the
+    cascade the heralded route. The per-product part sends an input back
+    to ``evolve`` when its s-grid outgrows the basis, as for one detector
+    behind 12 singly occupied modes. ``postselect_branches`` gives the
+    same results on either state.
     """
     m = transform.dim
     for branch in branches:
         _check_pattern(branch.pattern, m)
-    photons = [sum(occ) for occ, _ in state.terms()]
-    full = sum(math.comb(n + m - 1, n) for n in photons)
-    heralded = sum(_heralded_output_count(b.pattern, m, n) for n in photons for b in branches)
-    if HERALDED_COST_PER_TERM * len(photons) + HERALDED_COST_PER_OUTPUT * heralded >= full:
+    occs = [occ for occ, _ in state.terms()]
+    full = m * sum(math.comb(sum(occ) + m - 1, sum(occ)) for occ in occs)
+    products = m * sum(
+        math.prod(c + 1 for c in occ) * sum(_heralded_output_count(b.pattern, m, sum(occ)) for b in branches)
+        for occ in occs
+    )
+    if HERALDED_COST_PER_TERM * len(occs) + HERALDED_COST_PER_PRODUCT * products >= full:
         return evolve(state, transform)
-    outputs = [occ for n in sorted(set(photons)) for b in branches
+    outputs = [occ for n in sorted({sum(occ) for occ in occs}) for b in branches
                for occ in _heralded_outputs(b.pattern, m, n)]
     return transition_amplitudes(state, transform, outputs)
 

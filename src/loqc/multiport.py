@@ -12,17 +12,17 @@ forms applied to the vacuum and collects the resulting monomials: the
 whole output, C(n+m-1, n) terms for n photons in m modes.
 ``transition_amplitudes`` computes <out|U|in> for a given list of output
 occupations only, by Ryser's formula over repeated rows and columns; a
-heralded gate run uses it when the outputs its detectors can keep are
-far fewer than the full basis (``measurement.evolve_for_branches`` makes
-that choice). The n!-sum ``permanent_amplitude`` computes single
-amplitudes by a third route and exists purely to cross-check the other
-two.
+heralded evaluation gets one or the other from
+``measurement.evolve_for_branches``, whose docstring gives the rule. The
+n!-sum ``permanent_amplitude`` computes single amplitudes by a third
+route and exists purely to cross-check the other two.
 
 Budgets: a Fock term may carry at most ``MAX_PHOTONS`` photons (all three
 routes raise ``ValueError`` beyond it), an input may span at most
 ``MAX_FOCK_TERMS`` basis terms and a circuit file may declare at most
 ``MAX_MODES`` modes; the command-line parser checks the last two before
-anything is allocated.
+anything is allocated. ``transition_amplitudes`` multiplies at most
+``RYSER_BLOCK`` numbers at once.
 
 All functions are pure; amplitude accumulation runs in a fixed order, so
 results are deterministic.
@@ -54,6 +54,10 @@ MAX_FOCK_TERMS = 10**5
 #: Most modes a circuit file may declare: every element is embedded as a
 #: full N x N matrix, so memory grows as N^2 and composition as N^3.
 MAX_MODES = 64
+
+#: Most complex numbers ``transition_amplitudes`` multiplies at once in
+#: its running product (outputs x s-grid); bounds its working memory.
+RYSER_BLOCK = 1 << 15
 
 _FACT = [math.factorial(n) for n in range(MAX_PHOTONS + 1)]
 
@@ -269,10 +273,7 @@ def evolve(state: FockState, transform: ModeTransform, prune_tol: float = PRUNE_
 
 
 def transition_amplitudes(
-    state: FockState,
-    transform: ModeTransform,
-    outputs: Iterable[Occupation],
-    prune_tol: float = PRUNE_TOL,
+    state: FockState, transform: ModeTransform, outputs: Iterable[Occupation]
 ) -> FockState:
     """The part of ``evolve(state, transform)`` on the given output occupations.
 
@@ -283,12 +284,13 @@ def transition_amplitudes(
                   prod_l (sum_k s_k U[l, k])^(o_l) / sqrt(prod n_k! prod o_l!)
 
     (H. J. Ryser, Combinatorial Mathematics, 1963), prod(n_k + 1) <= 2^n
-    products per output instead of the n! of ``matrix_permanent``. Each
-    input term is one numpy pass over its s-grid and its outputs at the
-    same photon number, holding (n + 1 + outputs) * prod(n_k + 1) * modes
-    complex numbers at once. Outputs with another photon number than every
-    input term get no amplitude; the result is pruned at ``prune_tol``
-    exactly as ``evolve`` prunes.
+    products per output and mode instead of the n! of ``matrix_permanent``.
+    Each input term is one numpy pass over its s-grid and its outputs at
+    the same photon number: a table of powers of (modes, n + 1, s-grid)
+    complex numbers, then a running product over the modes, taken in
+    blocks of outputs of at most ``RYSER_BLOCK`` numbers each. Outputs
+    with another photon number than every input term get no amplitude;
+    the result is pruned at ``PRUNE_TOL`` exactly as ``evolve`` prunes.
     """
     if state.num_modes != transform.dim:
         raise ValueError(f"state has {state.num_modes} modes, transform {transform.dim}")
@@ -301,30 +303,39 @@ def transition_amplitudes(
         _check_photon_budget(occ)
     photons = outs.sum(axis=1)
     sums = np.zeros(len(outs), dtype=complex)
-    rows = np.arange(dim)[:, None]
     for occ, amp in state.terms():
         _check_photon_budget(occ)
         n = sum(occ)
-        sel = photons == n
-        if not sel.any():
+        idx = np.flatnonzero(photons == n)
+        if not len(idx):
             continue
         cols = [k for k, c in enumerate(occ) if c]
         counts = [occ[k] for k in cols]
         s = np.array(list(product(*(range(c + 1) for c in counts))))   # (s-grid, cols)
         weights = (-1.0) ** (n - s.sum(axis=1))
-        for j, c in enumerate(counts):
-            weights *= np.array([math.comb(c, k) for k in range(c + 1)])[s[:, j]]
-        r = s @ transform.matrix[:, cols].T                             # (s-grid, modes)
-        powers = np.ones((n + 1, *r.shape), dtype=complex)              # r ** e, e = 0..n
+        # no matmul here or below: on these small shapes, BLAS threads cost
+        # more than they save
+        r = np.zeros((dim, len(s)), dtype=complex)                      # (modes, s-grid)
+        for j, (k, c) in enumerate(zip(cols, counts)):
+            weights *= np.array([math.comb(c, i) for i in range(c + 1)])[s[:, j]]
+            r += transform.matrix[:, k, None] * s[:, j]
+        weights = weights.astype(complex)
+        powers = np.ones((dim, n + 1, len(s)), dtype=complex)           # r ** e, e = 0..n
         for e in range(1, n + 1):
-            powers[e] = powers[e - 1] * r
-        terms = powers[outs[sel].T, :, rows].prod(axis=0)               # (outputs, s-grid)
-        norm = math.sqrt(math.prod(math.factorial(c) for c in counts))
-        sums[sel] += (amp / norm) * (terms @ weights)
+            powers[:, e] = powers[:, e - 1] * r
+        scale = amp / math.sqrt(math.prod(math.factorial(c) for c in counts))
+        step = max(1, RYSER_BLOCK // len(s))
+        for lo in range(0, len(idx), step):
+            block = idx[lo:lo + step]
+            sub = outs[block]
+            terms = np.repeat(weights[None, :], len(sub), axis=0)           # (outputs, s-grid)
+            for l in np.flatnonzero(sub.any(axis=0)):
+                terms *= powers[l, sub[:, l]]
+            sums[block] += scale * terms.sum(axis=1)
     top = int(photons.max(initial=0))
     factorials = np.array([math.factorial(k) for k in range(top + 1)], dtype=float)
     amps = sums / np.sqrt(factorials[outs].prod(axis=1))
-    keep = np.abs(amps) >= prune_tol
+    keep = np.abs(amps) >= PRUNE_TOL
     return FockState(dim, dict(zip(map(tuple, outs[keep].tolist()), amps[keep].tolist())))
 
 

@@ -9,7 +9,6 @@ from loqc import (
     ModeTransform,
     OutcomeBranch,
     evolve,
-    evolve_for_branches,
     input_independence_check,
     ns_matrix,
     outcome_distribution,
@@ -19,6 +18,7 @@ from loqc import (
     with_ancilla,
 )
 from loqc import measurement
+from loqc.measurement import evolve_for_branches
 
 from helpers import random_state, random_unitary, state_distance
 
@@ -352,3 +352,18 @@ def test_independence_check_is_route_independent(monkeypatch):
     assert np.abs(np.array(full.probabilities) - np.array(heralded.probabilities)).max() < 1e-12
     assert abs(full.max_gram_deviation - heralded.max_gram_deviation) < 1e-12
     assert full.operationally_unitary == heralded.operationally_unitary
+
+
+@pytest.mark.parametrize("photons,modes,route", [
+    (7, 14, "heralded"),    # 50,388 heralded outputs of 77,520: the s-grid still pays
+    (12, 12, "evolve"),     # a 4,096-point s-grid per output outgrows the basis
+    (1, 3, "evolve"),       # tiny inputs: the fixed cost of the heralded route dominates
+])
+def test_one_detector_route_weighs_the_s_grid(photons, modes, route, monkeypatch):
+    taken = []
+    monkeypatch.setattr(measurement, "evolve", lambda *a: taken.append("evolve"))
+    monkeypatch.setattr(measurement, "transition_amplitudes", lambda *a: taken.append("heralded"))
+    state = FockState.from_occupation([1] * photons + [0] * (modes - photons))
+    transform = ModeTransform(np.eye(modes))
+    evolve_for_branches(state, transform, [OutcomeBranch(DetectionPattern({modes - 1: 0}))])
+    assert taken == [route]

@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+from itertools import combinations_with_replacement
 
 import numpy as np
 import pytest
@@ -18,9 +20,10 @@ from loqc import (
     ns_matrix,
     permanent_amplitude,
     phase_shifter,
-    transition_amplitudes,
 )
-from loqc.multiport import MAX_PHOTONS
+from loqc import multiport
+from loqc.fock import PRUNE_TOL
+from loqc.multiport import MAX_PHOTONS, transition_amplitudes
 
 from helpers import random_state, random_unitary, state_distance
 
@@ -265,10 +268,10 @@ def test_transition_amplitudes_match_permanent_oracle():
     for _ in range(5):
         t = ModeTransform(random_unitary(rng, 4))
         for inp in inputs:
-            got = transition_amplitudes(FockState.from_occupation(inp), t, outputs, prune_tol=0.0)
+            got = transition_amplitudes(FockState.from_occupation(inp), t, outputs)
             for outp in outputs:
-                want = permanent_amplitude(inp, outp, t)
-                assert abs(got.amplitude(outp) - want) < 1e-12
+                want = permanent_amplitude(inp, outp, t)   # a pruned output reads 0
+                assert abs(got.amplitude(outp) - want) < PRUNE_TOL + 1e-12
 
 
 def test_transition_amplitudes_restrict_evolve():
@@ -282,6 +285,35 @@ def test_transition_amplitudes_restrict_evolve():
         assert {occ for occ, _ in part.terms()} <= set(outputs)
         for occ in outputs:
             assert abs(part.amplitude(occ) - full.amplitude(occ)) < 1e-12
+
+
+def test_transition_amplitudes_blocks_agree(monkeypatch):
+    # a block of 5 numbers splits the outputs of every s-grid into many blocks
+    rng = np.random.default_rng(14)
+    t = ModeTransform(random_unitary(rng, 5))
+    state = random_state(rng, 5, 3, terms=4)
+    outputs = [occ for occ, _ in evolve(state, t).terms()]
+    whole = transition_amplitudes(state, t, outputs)
+    monkeypatch.setattr(multiport, "RYSER_BLOCK", 5)
+    blocked = transition_amplitudes(state, t, outputs)
+    assert dict(blocked.terms()).keys() == dict(whole.terms()).keys()
+    assert state_distance(blocked, whole) < 1e-13
+
+
+def test_transition_amplitudes_memory_is_bounded_by_the_block():
+    # 3,432 outputs x a 128-point s-grid would take 7 MB per array unblocked
+    t = ModeTransform(random_unitary(np.random.default_rng(15), 9))
+    outputs = [tuple(np.bincount(c, minlength=9)) for c in combinations_with_replacement(range(8), 7)]
+    state = FockState.from_occupation([1] * 7 + [0, 0])
+    transition_amplitudes(state, t, outputs[:1])   # warm up imports and caches
+    tracemalloc.start()
+    try:
+        out = transition_amplitudes(state, t, outputs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(outputs) == out.num_terms() == 3432
+    assert peak < 4 * 2**20
 
 
 def test_transition_amplitudes_prune_like_evolve():
