@@ -8,7 +8,7 @@ deterministic numerical search engine for postcorrection feasibility over
 splitter angles.
 """
 
-from .fock import FockState, inner_product, normalize
+from .fock import FockState
 from .multiport import (
     ElementSpec,
     ModeTransform,
@@ -58,10 +58,9 @@ from .gates import (
     two_photon_cnot_matrix,
 )
 from .search import (
-    CaseAmplitudes,
+    CASE_AMPLITUDES,
     FeasibilityReport,
     OptimizationResult,
-    case_amplitudes,
     closed_form_amplitudes,
     ns_in_ns_feasibility,
     optimize_success,
@@ -74,7 +73,7 @@ from .search import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "FockState", "inner_product", "normalize",
+    "FockState",
     "ElementSpec", "ModeTransform", "NS_ANGLES", "beam_splitter", "compose",
     "compose_elements", "embed", "evolve", "general3", "matrix_permanent",
     "ns_matrix", "permanent_amplitude", "phase_shifter",
@@ -86,8 +85,8 @@ __all__ = [
     "GATE_NAMES", "GateCircuit", "GateReport", "build_gate", "cnot_from_cs",
     "cs_gate", "evaluate_gate", "ns_gate", "two_photon_cnot",
     "two_photon_cnot_matrix",
-    "CaseAmplitudes", "FeasibilityReport", "OptimizationResult",
-    "case_amplitudes", "closed_form_amplitudes", "ns_in_ns_feasibility",
+    "CASE_AMPLITUDES", "FeasibilityReport", "OptimizationResult",
+    "closed_form_amplitudes", "ns_in_ns_feasibility",
     "optimize_success", "parametrized_ns_amplitudes",
     "proportionality_residual", "single_bs_infeasibility",
     "two_bs_feasibility",

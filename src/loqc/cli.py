@@ -450,28 +450,23 @@ def search_report(scheme: str, grid_step: float | None, tolerance: float | None)
     for flag, value in (("--grid-step", grid_step), ("--tolerance", tolerance)):
         if value is not None and not (math.isfinite(value) and value > 0):
             raise CliError(f"{flag} must be finite and positive, got {value}")
-    kwargs = {}
-    if tolerance is not None:
-        kwargs["tolerance"] = tolerance
+    # unset flags are left out, so the library's defaults apply
+    step = {} if grid_step is None else {"grid_step": grid_step}
+    tol = {} if tolerance is None else {"tolerance": tolerance}
 
     try:
         if scheme.startswith("single_bs:"):
-            case = int(scheme[-1])
-            step = grid_step if grid_step is not None else 1e-2
             records = [
-                single_bs_infeasibility(case, step, target=target, **kwargs).to_record()
+                single_bs_infeasibility(int(scheme[-1]), target=target, **step, **tol).to_record()
                 for target in ("sign_flip", "restore")
             ]
         elif scheme == "two_bs:case3":
-            step = grid_step if grid_step is not None else 1e-2
-            records = [two_bs_feasibility(3, step, **kwargs).to_record()]
+            records = [two_bs_feasibility(**step, **tol).to_record()]
         elif scheme == "ns_in_ns:case1":
-            step = grid_step if grid_step is not None else 2e-2
-            records = [ns_in_ns_feasibility(1, (2, 0), step, **kwargs).to_record()]
-        else:  # optimize_ns
-            step = grid_step if grid_step is not None else 0.05
-            records = [optimize_success("ns_sign_flip", step).to_record()]
-    except ValueError as exc:  # empty grid or slab budget exceeded
+            records = [ns_in_ns_feasibility(1, (2, 0), **step, **tol).to_record()]
+        else:  # optimize_ns takes no tolerance
+            records = [optimize_success(**step).to_record()]
+    except ValueError as exc:  # empty grid or a scan budget exceeded
         raise CliError(str(exc)) from None
 
     request = f"{scheme}|grid_step={grid_step}|tolerance={tolerance}"
@@ -485,6 +480,8 @@ def search_report(scheme: str, grid_step: float | None, tolerance: float | None)
 
 
 def selftest_report(seed: int) -> dict:
+    if seed < 0:
+        raise CliError(f"--seed must be a non-negative integer, got {seed}")
     from .multiport import ModeTransform, permanent_amplitude
     from .encodings import SCHEMES, decode, zy_decompose
     from .search import closed_form_amplitudes, parametrized_ns_amplitudes
@@ -653,6 +650,9 @@ def main(argv: list[str] | None = None) -> int:
                 text = Path(args.file).read_text(encoding="utf-8")
             except OSError as exc:
                 raise CliError(f"cannot read {args.file}: {exc.strerror or exc}") from None
+            except UnicodeDecodeError as exc:
+                raise CliError(f"cannot read {args.file}: not UTF-8 text "
+                               f"(byte {exc.start})") from None
             try:
                 circ = parse_circuit(text)
             except ParseError as exc:

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fock import FockState, NORM_ATOL
-from .multiport import ElementSpec, compose_elements, evolve
+from .multiport import ElementSpec, ModeTransform, compose_elements, evolve
 
 SCHEMES = ("single_rail", "dual_rail", "one_hot", "polarization")
 
@@ -146,13 +146,6 @@ def qubit_gate(name: str, angle: float | None = None) -> np.ndarray:
     raise ValueError(f"unknown gate {name!r}")
 
 
-def is_unitary(m: np.ndarray, atol: float = 1e-9) -> bool:
-    m = np.asarray(m, dtype=complex)
-    return m.ndim == 2 and m.shape[0] == m.shape[1] and bool(
-        np.abs(m.conj().T @ m - np.eye(m.shape[0])).max() <= atol
-    )
-
-
 def logical_fidelity(v: np.ndarray, w: np.ndarray) -> float:
     """|<v|w>| for unit vectors: overlap magnitude, global phase ignored."""
     return float(abs(np.vdot(v, w)))
@@ -202,8 +195,9 @@ def zy_decompose(u: np.ndarray) -> ZYDecomposition:
     between beta and delta is not unique and delta is set to 0.
     """
     u = np.asarray(u, dtype=complex)
-    if u.shape != (2, 2) or not is_unitary(u):
+    if u.shape != (2, 2):
         raise ValueError("input must be a 2x2 unitary")
+    ModeTransform(u)  # raises ValueError unless u is unitary
     alpha = cmath.phase(np.linalg.det(u)) / 2.0
     v = cmath.exp(-1j * alpha) * u  # special-unitary part
     gamma = 2.0 * math.atan2(abs(v[1, 0]), abs(v[0, 0]))

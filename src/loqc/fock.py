@@ -177,10 +177,3 @@ class FockState:
             raise ValueError("cannot normalize a zero-norm state")
         return self.scaled(1.0 / n), n
 
-
-def inner_product(lhs: FockState, rhs: FockState) -> complex:
-    return lhs.inner(rhs)
-
-
-def normalize(state: FockState) -> tuple[FockState, float]:
-    return state.normalized()

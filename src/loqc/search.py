@@ -23,12 +23,15 @@ residual exceeded the margin everywhere on a refined grid outside small
 exclusion windows around degenerate angles.
 
 Every scan runs on one engine, ``_refine_scan``: a coarse grid over the
-scheme's domain, then rounds that divide the step by ten and rescan a
-window of refined cells either side of the incumbent. The last two axes
-form one slab per kernel call (at most ``MAX_SLAB_POINTS`` points); a
-leading axis is looped over. A "clipped" grid is laid over the window
-cut to the domain; a "filtered" one over the whole window, keeping only
-the points inside the domain. Per scheme:
+scheme's domain, then ``REFINE_ROUNDS`` (3) rounds that each divide the
+step by ten and rescan a window of refined cells either side of the
+incumbent. The last two axes form one slab per kernel call (at most
+``MAX_SLAB_POINTS`` points); a leading axis is looped over. Before the
+first kernel call the engine also bounds the whole scan, the coarse grid
+plus every refinement window, by ``MAX_SCAN_POINTS`` (10^9) points. A
+"clipped" grid is laid over the window cut to the domain; a "filtered"
+one over the whole window, keeping only the points inside the domain.
+Per scheme:
 
 * ``single_bs``: x in [0, pi], filtered, degenerate angles excluded; window 100.
 * ``two_bs``: x, y in [0, pi], clipped, phases a fixed leading axis; window 100.
@@ -50,7 +53,6 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .fock import FockState
-from .measurement import DetectionPattern
 from .multiport import NS_R, NS_U, NS_V, NS_W, SQRT2, evolve, general3, general3_columns
 
 #: Grid points whose angles sit within this radius of a degenerate value
@@ -67,9 +69,16 @@ TWO_BS_PHASES = (0.0, math.pi)
 #: Weight of the proportionality residual in the optimizer's score.
 RESIDUAL_PENALTY = 1.0
 
+#: Refinement rounds after the coarse grid, each dividing the step by ten.
+REFINE_ROUNDS = 3
+
 #: Most grid points one kernel call may cover. A scan whose slab would be
 #: larger is rejected before the slab is allocated.
 MAX_SLAB_POINTS = 10**7
+
+#: Most grid points one whole scan may cover, coarse grid and refinement
+#: windows together; checked before the first kernel call.
+MAX_SCAN_POINTS = 10**9
 
 TARGETS = {"sign_flip": (1.0, 1.0, -1.0), "restore": (1.0, 1.0, 1.0)}
 
@@ -133,32 +142,17 @@ def sign_shift_branch_amplitudes(t1, t2, t3):
 
 # -- case data ------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CaseAmplitudes:
-    """Per-photon-count coefficients of one detector case of the standard
-    sign-shift network (signal counts k = 0, 1, 2).
-
-    Case 2 (one photon on detector 1) lists the bare conditional
-    amplitudes; it needs no correction. Cases 1 and 3 list the
-    coefficients that multiply the correction-scan monomial families (the
-    two-photon entry of case 1 folds in the photon-removal path weight).
-    """
-
-    case: int
-    values: tuple[float, float, float]
-
-
-_CASE_VALUES = {
+#: Per-photon-count coefficients of each detector case of the standard
+#: sign-shift network (signal counts k = 0, 1, 2). Case 2 (one photon on
+#: detector 1) lists the bare conditional amplitudes; it needs no
+#: correction. Cases 1 and 3 list the coefficients that multiply the
+#: correction-scan monomial families (the two-photon entry of case 1 folds
+#: in the photon-removal path weight).
+CASE_AMPLITUDES = {
     1: (NS_V, 2.0 * NS_U * NS_V, math.sqrt(3.0) * NS_U * NS_U * NS_V),
     2: (0.5, 0.5, -0.5),
     3: (NS_R, NS_U * NS_R + NS_V * NS_W, NS_U * NS_U * NS_R + 2.0 * NS_U * NS_V * NS_W),
 }
-
-
-def case_amplitudes(case: int) -> CaseAmplitudes:
-    if case not in _CASE_VALUES:
-        raise ValueError(f"case must be 1, 2 or 3, got {case}")
-    return CaseAmplitudes(case, _CASE_VALUES[case])
 
 
 # -- residuals -------------------------------------------------------------
@@ -174,16 +168,17 @@ def proportionality_residual(values, target) -> float:
     return float(max(0.0, 1.0 - abs(np.vdot(t, c)) ** 2 / (nt * nc)))
 
 
-def _target_vector(target: str, components: tuple[int, ...] = (0, 1, 2)) -> np.ndarray:
-    """The named target pattern restricted to ``components``."""
+def _target_vector(target: str) -> np.ndarray:
     if target not in TARGETS:
         raise ValueError(f"target must be one of {sorted(TARGETS)}")
-    return np.array([TARGETS[target][i] for i in components], dtype=complex)
+    return np.array(TARGETS[target], dtype=complex)
 
 
 def uncorrected_mismatch(case: int, target: str) -> float:
     """Residual of the raw case amplitudes against a target pattern."""
-    return proportionality_residual(case_amplitudes(case).values, TARGETS[target])
+    if case not in CASE_AMPLITUDES:
+        raise ValueError(f"case must be 1, 2 or 3, got {case}")
+    return proportionality_residual(CASE_AMPLITUDES[case], TARGETS[target])
 
 
 def _grid_residual(parts: list[np.ndarray], target: np.ndarray, fallback: float) -> np.ndarray:
@@ -238,15 +233,16 @@ def _excluded(axis: np.ndarray, points: tuple[float, ...]) -> np.ndarray:
     return mask
 
 
-def _refine_scan(kernel, domains, step, rounds, window, *, clip, exclude=(), fixed=None):
+def _refine_scan(kernel, domains, step, window, *, clip, exclude=(), fixed=None):
     """Grid scan of ``kernel`` over ``domains``, refined around the incumbent.
 
-    Each round divides the step by ten and rescans ``window`` refined cells
-    either side of the incumbent. With ``clip`` the window is clipped to
-    the domain before the grid is laid; otherwise the grid covers the whole
-    window and points outside the domain, or within DEGENERATE_EXCLUSION of
-    an ``exclude`` value, are dropped. ``fixed`` holds the values of a
-    leading axis that is scanned but never refined.
+    Each of ``REFINE_ROUNDS`` rounds divides the step by ten and rescans
+    ``window`` refined cells either side of the incumbent. With ``clip``
+    the window is clipped to the domain before the grid is laid; otherwise
+    the grid covers the whole window and points outside the domain, or
+    within DEGENERATE_EXCLUSION of an ``exclude`` value, are dropped.
+    ``fixed`` holds the values of a leading axis that is scanned but never
+    refined.
 
     The last two axes are meshed into one slab and ``kernel(*lead, *slab)``
     is called once for each combination of leading-axis values. It returns
@@ -259,16 +255,22 @@ def _refine_scan(kernel, domains, step, rounds, window, *, clip, exclude=(), fix
     if not (math.isfinite(step) and step > 0):
         raise ValueError("grid_step must be finite and positive")
     lead_fixed = [] if fixed is None else [tuple(fixed)]
+    # a refinement window spans at most 2 * window + 1 points per axis, so
+    # the coarse grid bounds both budgets
+    coarse = [max(0.0, (hi - lo) / step + 1.0) for lo, hi in domains]
+    slab = math.prod(coarse[-2:])
+    if slab > MAX_SLAB_POINTS:
+        raise ValueError(f"a scan slab of {slab:.3g} grid points exceeds "
+                         f"MAX_SLAB_POINTS = {MAX_SLAB_POINTS}; use a larger grid_step")
+    total = (math.prod(coarse) + REFINE_ROUNDS * (2 * window + 1) ** len(domains)) \
+        * math.prod(len(f) for f in lead_fixed)
+    if total > MAX_SCAN_POINTS:
+        raise ValueError(f"a scan of up to {total:.3g} grid points exceeds "
+                         f"MAX_SCAN_POINTS = {MAX_SCAN_POINTS}; use a larger grid_step")
 
     def scan(windows, step):
         if clip:
             windows = [(max(lo, dlo), min(hi, dhi)) for (lo, hi), (dlo, dhi) in zip(windows, domains)]
-        slab = 1.0
-        for lo, hi in windows[-2:]:
-            slab *= max(0.0, (hi - lo) / step + 1.0)
-        if slab > MAX_SLAB_POINTS:
-            raise ValueError(f"a scan slab of {slab:.3g} grid points exceeds "
-                             f"MAX_SLAB_POINTS = {MAX_SLAB_POINTS}; use a larger grid_step")
         axes = []
         for (lo, hi), (dlo, dhi) in zip(windows, domains):
             ax = np.arange(lo, hi + step / 2, step)
@@ -293,7 +295,7 @@ def _refine_scan(kernel, domains, step, rounds, window, *, clip, exclude=(), fix
     if best is None:
         raise ValueError("the coarse grid has no admissible point; use a smaller grid_step")
     history = [(step, best)]
-    for _ in range(rounds):
+    for _ in range(REFINE_ROUNDS):
         step /= 10.0
         center = best[1][len(lead_fixed):]
         refined = scan([(c - window * step, c + window * step) for c in center], step)
@@ -313,15 +315,14 @@ def single_bs_corrected(case: int, x):
     0..2 photons; the splitter faces a port prepared with one photon that
     must come back out.
     """
-    coeff = case_amplitudes(case).values
     s, c = np.sin(x), np.cos(x)
     if case == 1:
         monos = (s, s * c, s * c ** 2)
     elif case == 3:
         monos = (-c, s ** 2 - c ** 2, 2 * s ** 2 * c - c ** 3)
     else:
-        raise ValueError("only cases 1 and 3 have a one-splitter correction scan")
-    return tuple(k * m for k, m in zip(coeff, monos))
+        raise ValueError(f"only cases 1 and 3 have a one-splitter correction scan, got case {case}")
+    return tuple(k * m for k, m in zip(CASE_AMPLITUDES[case], monos))
 
 
 def single_bs_infeasibility(
@@ -330,25 +331,17 @@ def single_bs_infeasibility(
     *,
     target: str = "sign_flip",
     tolerance: float = 1e-6,
-    refine_rounds: int = 3,
-    components: tuple[int, ...] = (0, 1, 2),
 ) -> FeasibilityReport:
-    """Certify (or refute) the one-splitter correction over angle x in (0, pi).
-
-    `components` selects which photon-count amplitudes the proportionality
-    system constrains; a single component is trivially satisfiable.
-    """
-    tvec = _target_vector(target, components)
-    fallback = proportionality_residual(
-        [case_amplitudes(case).values[i] for i in components], tvec
-    )
+    """Certify (or refute) the one-splitter correction over angle x in (0, pi)."""
+    tvec = _target_vector(target)
+    fallback = uncorrected_mismatch(case, target)
 
     def kernel(xs):
-        parts = [single_bs_corrected(case, xs)[i] for i in components]
+        parts = [single_bs_corrected(case, xs)[i] for i in range(3)]
         return (_grid_residual(parts, tvec, fallback),)
 
     (residual, (x,), _), _ = _refine_scan(
-        kernel, [(0.0, math.pi)], grid_step, refine_rounds, 100,
+        kernel, [(0.0, math.pi)], grid_step, 100,
         clip=False, exclude=(0.0, math.pi / 2, math.pi))
     return FeasibilityReport(
         scheme=f"single_bs:case{case}:{target}",
@@ -356,8 +349,8 @@ def single_bs_infeasibility(
             "grid_step": grid_step,
             "tolerance": tolerance,
             "margin": VERDICT_MARGIN,
-            "components": list(components),
-            "refine_rounds": refine_rounds,
+            "components": [0, 1, 2],
+            "refine_rounds": REFINE_ROUNDS,
         },
         best_residual=residual,
         best_params={"x": x},
@@ -376,7 +369,7 @@ def two_bs_corrected(x, y, phase: float = 0.0):
     an optional phase shifter multiplies the k-photon component by
     e^{i k phase}.
     """
-    coeff = case_amplitudes(3).values
+    coeff = CASE_AMPLITUDES[3]
     sx, cx, sy, cy = np.sin(x), np.cos(x), np.sin(y), np.cos(y)
     monos = (sx * sy, 2 * sx * cx * sy * cy, 3 * sx * cx ** 2 * sy * cy ** 2)
     out = []
@@ -386,24 +379,21 @@ def two_bs_corrected(x, y, phase: float = 0.0):
 
 
 def two_bs_feasibility(
-    case: int = 3,
     grid_step: float = 1e-2,
     *,
     target: str = "sign_flip",
     tolerance: float = 1e-6,
-    refine_rounds: int = 3,
 ) -> FeasibilityReport:
-    """Scan the two-splitter correction over (x, y) and the phases ``TWO_BS_PHASES``."""
-    if case != 3:
-        raise ValueError("only case 3 has a two-splitter correction family")
+    """Scan the case-3 two-splitter correction over (x, y) and the phases
+    ``TWO_BS_PHASES``; no other case has a two-splitter family."""
     tvec = _target_vector(target)
-    fallback = uncorrected_mismatch(case, target)
+    fallback = uncorrected_mismatch(3, target)
 
     def kernel(phi, X, Y):
         return (_grid_residual(list(two_bs_corrected(X, Y, phi)), tvec, fallback),)
 
     (residual, (phase, x, y), _), _ = _refine_scan(
-        kernel, [(0.0, math.pi)] * 2, grid_step, refine_rounds, 100,
+        kernel, [(0.0, math.pi)] * 2, grid_step, 100,
         clip=True, fixed=TWO_BS_PHASES)
 
     # constrained equal-angle slice
@@ -412,13 +402,13 @@ def two_bs_feasibility(
     j = int(np.argmin(slice_r))
 
     return FeasibilityReport(
-        scheme=f"two_bs:case{case}:{target}",
+        scheme=f"two_bs:case3:{target}",
         parameters={
             "grid_step": grid_step,
             "tolerance": tolerance,
             "margin": VERDICT_MARGIN,
             "phases": list(TWO_BS_PHASES),
-            "refine_rounds": refine_rounds,
+            "refine_rounds": REFINE_ROUNDS,
         },
         best_residual=residual,
         best_params={"x": x, "y": y, "phase": phase},
@@ -440,7 +430,7 @@ NS_IN_NS_PATTERNS = {1: ((2, 0), (0, 2), (1, 1)), 3: ((1, 0),)}
 #: case 3 uses the exact conditional amplitudes (0..2 photons).
 _SECOND_GATE_INPUT = {
     1: (NS_V, NS_U * 2.0 ** 0.25, NS_U * NS_U * NS_V),
-    3: _CASE_VALUES[3],
+    3: CASE_AMPLITUDES[3],
 }
 
 
@@ -452,6 +442,8 @@ def second_gate_coefficients(case: int, pattern: tuple[int, int], t1, t2, t3):
     the simulator amplitude equals the coefficient times
     sqrt(prod(out!)*2)/sqrt(n!) (tests pin this conversion).
     """
+    if case == 3 and pattern == (1, 0):
+        return sign_shift_branch_amplitudes(t1, t2, t3)
     d, e = itertools.islice(general3_columns(t1, t2, t3), 2)
     d1, d2, d3 = d
     e1, e2, e3 = e
@@ -467,8 +459,6 @@ def second_gate_coefficients(case: int, pattern: tuple[int, int], t1, t2, t3):
         return (d2 * e3 + d3 * e2,
                 2 * (d1 * d2 * e3 + d1 * d3 * e2 + d2 * d3 * e1),
                 3 * d1 ** 2 * (d2 * e3 + d3 * e2) + 6 * d1 * d2 * d3 * e1)
-    if case == 3 and pattern == (1, 0):
-        return (e2, d1 * e2 + d2 * e1, d1 ** 2 * e2 + 2 * d1 * d2 * e1)
     raise ValueError(f"unsupported case/pattern combination: case {case}, pattern {pattern}")
 
 
@@ -486,11 +476,11 @@ CANDIDATE_T2 = 2.466864691
 CANDIDATE_TAN_RATIO = 0.6614985514
 
 
-def candidate_root_family(samples: int = 21) -> list[tuple[float, float, float]]:
+def candidate_root_family() -> list[tuple[float, float, float]]:
     """Sample the known solution family of the case-1 (2,0) system."""
     pts = []
     for t2 in (CANDIDATE_T2, -CANDIDATE_T2):
-        for t1 in np.linspace(0.2, math.pi - 0.2, samples):
+        for t1 in np.linspace(0.2, math.pi - 0.2, 21):
             tan = math.tan(t1)
             if abs(tan) < 1e-9:
                 continue
@@ -501,17 +491,18 @@ def candidate_root_family(samples: int = 21) -> list[tuple[float, float, float]]
 
 def ns_in_ns_feasibility(
     case: int,
-    pattern: tuple[int, int] | DetectionPattern,
+    pattern: tuple[int, int],
     grid_step: float = 2e-2,
     *,
     target: str = "sign_flip",
     tolerance: float = 1e-6,
-    refine_rounds: int = 3,
 ) -> FeasibilityReport:
-    """Scan the second-network angle space for a working correction."""
-    if isinstance(pattern, DetectionPattern):
-        pattern = (pattern.count(1) or 0, pattern.count(2) or 0)
-    pattern = (int(pattern[0]), int(pattern[1]))
+    """Scan the second-network angle space for a working correction.
+
+    ``pattern`` is the photon count on each of the second network's two
+    detectors; ``NS_IN_NS_PATTERNS`` lists the supported ones per case.
+    """
+    pattern = tuple(pattern)
     if case not in NS_IN_NS_PATTERNS or pattern not in NS_IN_NS_PATTERNS[case]:
         raise ValueError(
             f"unknown pattern {pattern} for case {case}; "
@@ -524,7 +515,7 @@ def ns_in_ns_feasibility(
         return (_grid_residual(list(ns_in_ns_products(case, pattern, t1, t2, t3)), tvec, fallback),)
 
     (residual, angles, _), _ = _refine_scan(
-        kernel, [(0.0, 2 * math.pi)] * 3, grid_step, refine_rounds, 100, clip=False)
+        kernel, [(0.0, 2 * math.pi)] * 3, grid_step, 100, clip=False)
 
     extras = {"uncorrected_mismatch": fallback}
     if case == 1 and pattern == (2, 0):
@@ -542,7 +533,7 @@ def ns_in_ns_feasibility(
             "grid_step": grid_step,
             "tolerance": tolerance,
             "margin": VERDICT_MARGIN,
-            "refine_rounds": refine_rounds,
+            "refine_rounds": REFINE_ROUNDS,
         },
         best_residual=residual,
         best_params={"t1": angles[0], "t2": angles[1], "t3": angles[2]},
@@ -555,17 +546,15 @@ def ns_in_ns_feasibility(
 
 @dataclass
 class OptimizationResult:
-    objective: str
     angles: tuple[float, float, float]
     probability: float
     residual: float
     rounds: list[dict]
     grid_step: float
-    refinement_rounds: int
 
     def to_record(self) -> dict:
         return {
-            "objective": self.objective,
+            "objective": "ns_sign_flip",
             "angles": list(self.angles),
             "probability": self.probability,
             "residual": self.residual,
@@ -574,25 +563,19 @@ class OptimizationResult:
             "postselection_upper_bound": 0.5,
             "rounds": [dict(r) for r in self.rounds],
             "grid_step": self.grid_step,
-            "refinement_rounds": self.refinement_rounds,
+            "refinement_rounds": REFINE_ROUNDS,
         }
 
 
-def optimize_success(
-    objective: str = "ns_sign_flip",
-    grid_step: float = 0.05,
-    refinement_rounds: int = 3,
-    *,
-    polish: bool = True,
-) -> OptimizationResult:
+def optimize_success(grid_step: float = 0.05) -> OptimizationResult:
     """Maximize the worst-case heralded-branch probability of the
     parametrized sign-shift network subject to the sign-flip
     proportionality constraint (penalty form on a refined grid, with a
     deterministic constrained polish from the incumbent).
-    """
-    if objective != "ns_sign_flip":
-        raise ValueError(f"unknown objective {objective!r}")
 
+    ``rounds`` holds the grid-only score of the coarse scan and of each
+    refinement round; the polish is not part of it.
+    """
     tvec = np.array(TARGETS["sign_flip"], dtype=complex)
 
     def kernel(t1, t2, t3):  # the engine minimizes, so the score enters negated
@@ -602,24 +585,21 @@ def optimize_success(
         return -(prob - RESIDUAL_PENALTY * r), prob, r
 
     (neg_score, angles, (prob, resid)), history = _refine_scan(
-        kernel, [(0.0, math.pi)] * 3, grid_step, refinement_rounds, 10, clip=True)
+        kernel, [(0.0, math.pi)] * 3, grid_step, 10, clip=True)
     rounds = [{"round": n, "step": step, "score": -cost, "probability": aux[0], "residual": aux[1]}
               for n, (step, (cost, _, aux)) in enumerate(history)]
 
-    if polish:
-        polished = _polish_sign_flip(angles)
-        if polished is not None:
-            p_angles, p_prob, p_resid = polished
-            if p_prob - RESIDUAL_PENALTY * p_resid >= -neg_score - 1e-12:
-                angles, prob, resid = p_angles, p_prob, p_resid
+    polished = _polish_sign_flip(angles)
+    if polished is not None:
+        p_angles, p_prob, p_resid = polished
+        if p_prob - RESIDUAL_PENALTY * p_resid >= -neg_score - 1e-12:
+            angles, prob, resid = p_angles, p_prob, p_resid
     return OptimizationResult(
-        objective=objective,
         angles=tuple(float(a) for a in angles),
         probability=float(prob),
         residual=float(resid),
         rounds=rounds,
         grid_step=grid_step,
-        refinement_rounds=refinement_rounds,
     )
 
 

@@ -209,7 +209,7 @@ def test_criterion_07_single_splitter_postcorrection_is_infeasible():
 
 def test_criterion_08_optimizer_recovers_the_known_feasible_point():
     with budget("criterion 8: optimizer reaches probability 1/4 on the constraint manifold", 120.0):
-        result = optimize_success("ns_sign_flip", grid_step=0.05, refinement_rounds=3)
+        result = optimize_success(grid_step=0.05)
         assert result.probability >= 0.25 - 1e-6
         assert result.residual <= 1e-6
         scores = [r["score"] for r in result.rounds]

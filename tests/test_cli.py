@@ -6,9 +6,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from loqc import ElementSpec, compose_elements
+from loqc import ElementSpec, compose_elements, search
 from loqc.cli import ParseError, main, parse_circuit
 from loqc.multiport import MAX_MODES
+from loqc.search import CANDIDATE_T2
 
 REFERENCE_DIGESTS = Path(__file__).resolve().parent.parent / "perfbench" / "reference.json"
 
@@ -259,6 +260,15 @@ def test_missing_file_is_a_diagnostic(capsys):
     assert "error" in err
 
 
+def test_non_utf8_file_is_a_diagnostic(tmp_path, capsys):
+    path = tmp_path / "latin1.circ"
+    path.write_bytes(b"modes 1\n# caf\xe9\n")
+    code, out, err = run_cli(capsys, "simulate", str(path))
+    assert code == 1
+    assert out == ""
+    assert err == f"loqc: error: cannot read {path}: not UTF-8 text (byte 13)\n"
+
+
 def test_pretty_output_is_text(tmp_path, capsys):
     path = tmp_path / "ns.circ"
     path.write_text(NS_FILE)
@@ -329,6 +339,8 @@ def test_search_second_network_scheme(capsys):
     [record] = json.loads(out)["reports"]
     assert record["verdict"] == "feasible"
     assert record["extras"]["candidate_family_best_residual"] <= 1e-9
+    # the candidate angles really sit at the fixed second angle
+    assert abs(abs(record["extras"]["candidate_family_best_angles"][1]) - CANDIDATE_T2) < 1e-9
 
 
 def test_search_optimizer_scheme(capsys):
@@ -364,6 +376,19 @@ def test_search_slab_budget_is_checked_before_allocation(capsys, monkeypatch):
     assert "MAX_SLAB_POINTS" in err
 
 
+def test_search_scan_budget_is_checked_before_any_kernel_call(capsys, monkeypatch):
+    # 3,143^3 points: each slab is under MAX_SLAB_POINTS, the whole scan is not
+    def no_kernel(*args, **kwargs):
+        raise AssertionError("kernel called")
+
+    monkeypatch.setattr(search, "sign_shift_branch_amplitudes", no_kernel)
+    code, out, err = run_cli(capsys, "search", "optimize_ns", "--grid-step", "1e-3")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("loqc: error: ")
+    assert "MAX_SCAN_POINTS" in err
+
+
 @pytest.mark.parametrize("argv", [
     *(pytest.param(["search", scheme], id=scheme)
       for scheme in ("single_bs:case1", "single_bs:case3", "two_bs:case3", "optimize_ns")),
@@ -384,6 +409,13 @@ def test_verify_gate_cs_and_cnot(capsys):
         assert code == 0
         report = json.loads(out)
         assert report["overall_success_probability"] == pytest.approx(prob, abs=1e-9)
+
+
+def test_negative_selftest_seed_is_a_diagnostic(capsys):
+    code, out, err = run_cli(capsys, "selftest", "--seed", "-1")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("loqc: error: --seed must be a non-negative integer")
 
 
 def test_selftest_passes(capsys):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from loqc import FockState, inner_product, normalize
+from loqc import FockState
 
 from helpers import random_state, state_distance
 
@@ -63,38 +63,38 @@ def test_mode_out_of_range():
 def test_orthonormality_is_exact():
     a = FockState.from_occupation([1, 0])
     b = FockState.from_occupation([0, 1])
-    assert inner_product(a, b) == 0
-    assert inner_product(a, a) == 1
+    assert a.inner(b) == 0
+    assert a.inner(a) == 1
 
 
 def test_inner_product_mode_mismatch():
     with pytest.raises(ValueError, match="mode-count mismatch"):
-        inner_product(FockState.from_occupation([1]), FockState.from_occupation([1, 0]))
+        FockState.from_occupation([1]).inner(FockState.from_occupation([1, 0]))
 
 
 def test_inner_product_of_orthogonal_superpositions():
     plus = (FockState.from_occupation([0]) + FockState.from_occupation([1])).scaled(1 / math.sqrt(2))
     minus = (FockState.from_occupation([0]) - FockState.from_occupation([1])).scaled(1 / math.sqrt(2))
-    assert abs(inner_product(plus, minus)) < 1e-15
-    assert inner_product(plus, plus) == pytest.approx(1.0, abs=ATOL)
+    assert abs(plus.inner(minus)) < 1e-15
+    assert plus.inner(plus) == pytest.approx(1.0, abs=ATOL)
 
 
 def test_normalize_scalar_multiple():
-    state, norm = normalize(FockState.from_occupation([1]).scaled(2.0))
+    state, norm = FockState.from_occupation([1]).scaled(2.0).normalized()
     assert norm == pytest.approx(2.0)
     assert state.amplitude([1]) == pytest.approx(1.0)
 
 
 def test_normalize_three_term_superposition():
     raw = FockState(1, {(0,): 1, (1,): 1, (2,): 1})
-    state, norm = normalize(raw)
+    state, norm = raw.normalized()
     assert norm == pytest.approx(math.sqrt(3))
     assert state.is_normalized()
 
 
 def test_normalize_zero_state_errors():
     with pytest.raises(ValueError, match="zero-norm"):
-        normalize(FockState.zero(2))
+        FockState.zero(2).normalized()
 
 
 def test_linearity_of_ladder_operators():
