@@ -17,6 +17,7 @@ from loqc import (
     two_bs_feasibility,
 )
 from loqc.search import (
+    CANDIDATE_T2,
     candidate_root_family,
     ns_in_ns_products,
     second_gate_coefficients,
@@ -230,6 +231,14 @@ def test_identity_angles_fall_back_to_uncorrected_mismatch():
     products = ns_in_ns_products(1, (2, 0), 0.0, 0.0, 0.0)
     assert all(p == 0 for p in products)
     assert proportionality_residual(products, (1, 1, -1)) == 1.0
+
+
+def test_second_network_scan_finds_the_family():
+    report = ns_in_ns_feasibility(1, (2, 0), 0.1)
+    assert report.verdict == "feasible"
+    assert report.extras["candidate_family_best_residual"] <= 1e-9
+    # the candidate angles really sit at the fixed second angle
+    assert abs(abs(report.extras["candidate_family_best_angles"][1]) - CANDIDATE_T2) < 1e-9
 
 
 def test_unknown_pattern_is_rejected():
