@@ -26,7 +26,7 @@ are numbered 1..N left to right):
 Reports are JSON trees with fixed key order and floats printed at 10
 significant digits (override with the LOQC_REPORT_DIGITS environment
 variable); identical invocations produce byte-identical output. Exit
-codes: 0 success, 1 diagnostics, 2 internal error.
+codes: 0 success, 1 diagnostics or a closed output pipe, 2 internal error.
 """
 
 from __future__ import annotations
@@ -665,11 +665,16 @@ def main(argv: list[str] | None = None) -> int:
         else:
             report = selftest_report(args.seed)
         print(render_report(report, pretty=args.pretty))
+        sys.stdout.flush()
         if args.subcommand == "selftest" and not report["passed"]:
             return 1
         return 0
     except CliError as exc:
         print(f"loqc: error: {exc}", file=sys.stderr)
+        return 1
+    except BrokenPipeError:
+        # the reader closed stdout; the exit-time flush goes to devnull (Python docs, note on SIGPIPE)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
     except Exception as exc:  # pragma: no cover - defensive
         print(f"loqc: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)

@@ -39,8 +39,8 @@ Per scheme:
 * ``optimize_ns``: t1, t2, t3 in [0, pi], clipped; window 10. The engine
   minimizes, so the score enters negated.
 
-All scans are deterministic: fixed grids, first-index argmin, and a
-derivative-free-seeded SLSQP polish only where noted.
+All scans are deterministic: fixed grids, first-index argmin, and for
+``optimize_ns`` a Newton polish on its KKT system, each step moving no angle over 0.1 rad.
 """
 
 from __future__ import annotations
@@ -50,7 +50,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .fock import FockState
 from .multiport import NS_R, NS_U, NS_V, NS_W, SQRT2, evolve, general3, general3_columns
@@ -79,6 +78,15 @@ MAX_SLAB_POINTS = 10**7
 #: Most grid points one whole scan may cover, coarse grid and refinement
 #: windows together; checked before the first kernel call.
 MAX_SCAN_POINTS = 10**9
+
+#: Newton polish of ``optimize_success``: most steps, the largest angle move
+#: per step (rad), the KKT residual norm that counts as converged, and the
+#: complex-step and central-difference steps.
+_NEWTON_MAXITER = 50
+_NEWTON_MAX_MOVE = 0.1
+_NEWTON_TOL = 1e-12
+_COMPLEX_STEP = 1e-20
+_CENTRAL_STEP = 1e-6
 
 TARGETS = {"sign_flip": (1.0, 1.0, -1.0), "restore": (1.0, 1.0, 1.0)}
 
@@ -181,7 +189,7 @@ def uncorrected_mismatch(case: int, target: str) -> float:
     return proportionality_residual(CASE_AMPLITUDES[case], TARGETS[target])
 
 
-def _grid_residual(parts: list[np.ndarray], target: np.ndarray, fallback: float) -> np.ndarray:
+def _grid_residual(parts: tuple[np.ndarray, ...], target: np.ndarray, fallback: float) -> np.ndarray:
     c = np.stack([np.asarray(p, dtype=complex) for p in parts])
     nc = (np.abs(c) ** 2).sum(axis=0)
     nt = float(np.vdot(target, target).real)
@@ -337,8 +345,7 @@ def single_bs_infeasibility(
     fallback = uncorrected_mismatch(case, target)
 
     def kernel(xs):
-        parts = [single_bs_corrected(case, xs)[i] for i in range(3)]
-        return (_grid_residual(parts, tvec, fallback),)
+        return (_grid_residual(single_bs_corrected(case, xs), tvec, fallback),)
 
     (residual, (x,), _), _ = _refine_scan(
         kernel, [(0.0, math.pi)], grid_step, 100,
@@ -390,7 +397,7 @@ def two_bs_feasibility(
     fallback = uncorrected_mismatch(3, target)
 
     def kernel(phi, X, Y):
-        return (_grid_residual(list(two_bs_corrected(X, Y, phi)), tvec, fallback),)
+        return (_grid_residual(two_bs_corrected(X, Y, phi), tvec, fallback),)
 
     (residual, (phase, x, y), _), _ = _refine_scan(
         kernel, [(0.0, math.pi)] * 2, grid_step, 100,
@@ -398,7 +405,7 @@ def two_bs_feasibility(
 
     # constrained equal-angle slice
     ys = np.arange(0.0, math.pi + grid_step / 2, grid_step)
-    slice_r = _grid_residual(list(two_bs_corrected(ys, ys, 0.0)), tvec, fallback)
+    slice_r = _grid_residual(two_bs_corrected(ys, ys, 0.0), tvec, fallback)
     j = int(np.argmin(slice_r))
 
     return FeasibilityReport(
@@ -512,7 +519,7 @@ def ns_in_ns_feasibility(
     fallback = uncorrected_mismatch(case, target)
 
     def kernel(t1, t2, t3):
-        return (_grid_residual(list(ns_in_ns_products(case, pattern, t1, t2, t3)), tvec, fallback),)
+        return (_grid_residual(ns_in_ns_products(case, pattern, t1, t2, t3), tvec, fallback),)
 
     (residual, angles, _), _ = _refine_scan(
         kernel, [(0.0, 2 * math.pi)] * 3, grid_step, 100, clip=False)
@@ -570,8 +577,9 @@ class OptimizationResult:
 def optimize_success(grid_step: float = 0.05) -> OptimizationResult:
     """Maximize the worst-case heralded-branch probability of the
     parametrized sign-shift network subject to the sign-flip
-    proportionality constraint (penalty form on a refined grid, with a
-    deterministic constrained polish from the incumbent).
+    proportionality constraint (penalty form on a refined grid, then the
+    Newton polish ``minimize`` from the incumbent, kept if it converges and
+    does not lower the score).
 
     ``rounds`` holds the grid-only score of the coarse scan and of each
     refinement round; the polish is not part of it.
@@ -581,7 +589,7 @@ def optimize_success(grid_step: float = 0.05) -> OptimizationResult:
     def kernel(t1, t2, t3):  # the engine minimizes, so the score enters negated
         a0, a1, a2 = sign_shift_branch_amplitudes(t1, t2, t3)
         prob = np.minimum(np.minimum(a0 ** 2, a1 ** 2), a2 ** 2)
-        r = _grid_residual([a0, a1, a2], tvec, 1.0)
+        r = _grid_residual((a0, a1, a2), tvec, 1.0)
         return -(prob - RESIDUAL_PENALTY * r), prob, r
 
     (neg_score, angles, (prob, resid)), history = _refine_scan(
@@ -589,11 +597,11 @@ def optimize_success(grid_step: float = 0.05) -> OptimizationResult:
     rounds = [{"round": n, "step": step, "score": -cost, "probability": aux[0], "residual": aux[1]}
               for n, (step, (cost, _, aux)) in enumerate(history)]
 
-    polished = _polish_sign_flip(angles)
-    if polished is not None:
-        p_angles, p_prob, p_resid = polished
-        if p_prob - RESIDUAL_PENALTY * p_resid >= -neg_score - 1e-12:
-            angles, prob, resid = p_angles, p_prob, p_resid
+    polish = minimize(angles)
+    if polish.success:
+        p_cost, p_prob, p_resid = kernel(*polish.x[:3])
+        if p_cost <= neg_score + 1e-12:
+            angles, prob, resid = polish.x[:3], p_prob, p_resid
     return OptimizationResult(
         angles=tuple(float(a) for a in angles),
         probability=float(prob),
@@ -603,43 +611,44 @@ def optimize_success(grid_step: float = 0.05) -> OptimizationResult:
     )
 
 
-def _polish_sign_flip(angles) -> tuple[tuple[float, float, float], float, float] | None:
-    """Drive the incumbent onto the proportionality manifold with SLSQP.
+@dataclass
+class PolishResult:
+    x: np.ndarray  # (t1, t2, t3, s)
+    nit: int
+    nfev: int
+    success: bool
 
-    Variables are the three angles plus the common branch amplitude s;
-    maximizing s^2 under a0 = a1 = s, a2 = -s maximizes the worst-case
-    branch probability exactly on the constraint manifold.
-    """
 
-    def split(x):
-        return x[:3], x[3]
+def _kkt_residual(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """KKT residual (grad f + J^T lam, g) at z = (t1, t2, t3, s, lam) for
+    f = -s^2 and g = (a0 - s, a1 - s, a2 + s), and J by complex step."""
+    th, s = z[:3], z[3]
+    a = np.array(sign_shift_branch_amplitudes(*(th[:, None] + 1j * _COMPLEX_STEP * np.eye(3))))
+    jac = np.hstack([a.imag / _COMPLEX_STEP, [[-1.0], [-1.0], [1.0]]])
+    return np.concatenate([(0.0, 0.0, 0.0, -2.0 * s) + jac.T @ z[4:], a.real[:, 0] + (-s, -s, s)]), jac
 
-    def neg_obj(x):
-        return -x[3] ** 2
 
-    def c0(x):
-        th, s = split(x)
-        return sign_shift_branch_amplitudes(*th)[0] - s
-
-    def c1(x):
-        th, s = split(x)
-        return sign_shift_branch_amplitudes(*th)[1] - s
-
-    def c2(x):
-        th, s = split(x)
-        return sign_shift_branch_amplitudes(*th)[2] + s
-
-    s0 = sign_shift_branch_amplitudes(*angles)[0]
-    x0 = np.array([*angles, s0])
-    res = minimize(
-        neg_obj, x0, method="SLSQP",
-        constraints=[{"type": "eq", "fun": f} for f in (c0, c1, c2)],
-        options={"maxiter": 300, "ftol": 1e-14},
-    )
-    if not res.success:
-        return None
-    th = tuple(float(v) for v in res.x[:3])
-    a = sign_shift_branch_amplitudes(*th)
-    prob = float(min(v * v for v in a))
-    resid = proportionality_residual(a, (1.0, 1.0, -1.0))
-    return th, prob, resid
+def minimize(angles) -> PolishResult:
+    """Newton's method on the KKT system of: maximize s^2 subject to
+    a0 = a1 = s, a2 = -s, from the incumbent ``angles`` (Nocedal & Wright,
+    Numerical Optimization, ch. 18); on that manifold s^2 is the worst-case
+    branch probability. The KKT matrix comes by central differences. Steps
+    are scaled to move no angle over ``_NEWTON_MAX_MOVE``, as full steps from
+    t1 = 0, t3 = pi run off. A singular, non-finite or non-converged solve
+    returns ``success=False``."""
+    z = np.array([*angles, sign_shift_branch_amplitudes(*angles)[0], 0.0, 0.0, 0.0])
+    # least-squares multipliers: from lam = 0 the iteration falls into s = 0
+    z[4:] = np.linalg.lstsq(_kkt_residual(z)[1].T, (0.0, 0.0, 0.0, 2.0 * z[3]), rcond=None)[0]
+    f = _kkt_residual(z)[0]
+    nit, nfev = 0, 2
+    while nit < _NEWTON_MAXITER and np.all(np.isfinite(f)) and np.linalg.norm(f) >= _NEWTON_TOL:
+        kkt = np.column_stack([_kkt_residual(z + dz)[0] - _kkt_residual(z - dz)[0]
+                               for dz in _CENTRAL_STEP * np.eye(len(z))]) / (2 * _CENTRAL_STEP)
+        try:
+            step = np.linalg.solve(kkt, -f)
+        except np.linalg.LinAlgError:
+            break
+        z = z + step * (_NEWTON_MAX_MOVE / max(_NEWTON_MAX_MOVE, np.max(np.abs(step[:3]))))
+        f = _kkt_residual(z)[0]
+        nit, nfev = nit + 1, nfev + 2 * len(z) + 1
+    return PolishResult(z[:4], nit, nfev, bool(np.linalg.norm(f) < _NEWTON_TOL))

@@ -1,6 +1,9 @@
 import hashlib
 import json
+import os
 import string
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +15,10 @@ from loqc.multiport import MAX_MODES
 from loqc.search import CANDIDATE_T2
 
 REFERENCE_DIGESTS = Path(__file__).resolve().parent.parent / "perfbench" / "reference.json"
+
+#: Environment for a fresh interpreter that imports this checkout's package.
+SRC_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    filter(None, [str(Path(__file__).resolve().parent.parent / "src"), os.environ.get("PYTHONPATH")]))}
 
 NS_FILE = """\
 # heralded sign shift driven from a circuit file
@@ -429,3 +436,26 @@ def test_selftest_passes(capsys):
 def test_no_subcommand_is_a_diagnostic(capsys):
     code, _, err = run_cli(capsys, )
     assert code == 1
+
+
+@pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
+def test_closed_output_pipe_is_not_an_internal_error(unbuffered):
+    # the read end is closed before the child starts, so its first write
+    # fails, or with a buffered stdout its first flush
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "loqc.cli", "--pretty", "selftest"], stdout=write_end,
+                              stderr=subprocess.PIPE, env={**SRC_ENV, "PYTHONUNBUFFERED": unbuffered},
+                              timeout=120)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert proc.stderr == b""
+
+
+def test_cli_import_loads_no_scipy():
+    code = "import sys, loqc.cli; print(any(m.split('.')[0] == 'scipy' for m in sys.modules))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=SRC_ENV, timeout=120, check=True)
+    assert proc.stdout == "False\n"

@@ -16,9 +16,11 @@ from loqc import (
     single_bs_infeasibility,
     two_bs_feasibility,
 )
+from loqc import search
 from loqc.search import (
     CANDIDATE_T2,
     candidate_root_family,
+    minimize,
     ns_in_ns_products,
     second_gate_coefficients,
     sign_shift_branch_amplitudes,
@@ -285,3 +287,39 @@ def test_coarse_grid_achieves_less_than_refined_search():
     # ``rounds`` holds grid-only scores: the coarse scan, then each refinement
     rounds = optimize_success(grid_step=0.5).rounds
     assert rounds[0]["score"] < rounds[-1]["score"]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("step", (0.05, 0.0493, 0.0507, 0.1, 0.2, 0.25, 0.33, 0.55, 1.5, 3.1))
+def test_polish_reaches_the_quarter_point(step):
+    result = optimize_success(grid_step=step)
+    assert result.probability == pytest.approx(0.25, abs=1e-12)
+    assert result.residual <= 1e-12
+    assert all(-math.pi <= t <= 2 * math.pi for t in result.angles)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("step", (0.45, 0.7))
+def test_unconverged_polish_keeps_the_grid_incumbent(step):
+    # at these steps the grid incumbent sits at t2 = 0, where the KKT
+    # matrix is singular
+    result = optimize_success(grid_step=step)
+    assert not minimize(result.angles).success
+    last = result.rounds[-1]
+    assert (result.probability, result.residual) == (last["probability"], last["residual"])
+
+
+@pytest.mark.filterwarnings("error")
+def test_polish_converges_in_few_steps_from_the_default_incumbent(monkeypatch):
+    incumbents = []
+
+    def recording(angles):
+        incumbents.append(tuple(angles))
+        return minimize(angles)
+
+    monkeypatch.setattr(search, "minimize", recording)
+    optimize_success()
+    (angles,) = incumbents
+    polish = minimize(angles)
+    assert polish.success
+    assert polish.nit <= 10
