@@ -69,6 +69,20 @@ class FockState:
         return cls(len(occ), {occ: 1.0 + 0j})
 
     @classmethod
+    def _wrap(cls, num_modes: int, amplitudes: dict[Occupation, complex]) -> "FockState":
+        """Take over a map the library built, unchecked and uncopied.
+
+        The caller vouches for what ``__init__`` would otherwise check:
+        keys are tuples of ``num_modes`` non-negative ints, values are
+        finite, nonzero Python complex numbers, and no value has a -0.0
+        part (``__init__`` adds each value to 0j, which turns -0.0 into 0.0).
+        """
+        state = object.__new__(cls)
+        state.num_modes = num_modes
+        state._amp = amplitudes
+        return state
+
+    @classmethod
     def vacuum(cls, num_modes: int) -> "FockState":
         return cls(num_modes, {(0,) * num_modes: 1.0 + 0j})
 
@@ -103,7 +117,14 @@ class FockState:
 
     def scaled(self, factor: complex) -> "FockState":
         factor = complex(factor)
-        return FockState(self.num_modes, {o: a * factor for o, a in self._amp.items()})
+        amp: dict[Occupation, complex] = {}
+        for occ, a in self._amp.items():
+            a = a * factor + 0j
+            if not cmath.isfinite(a):
+                raise ValueError(f"non-finite amplitude {a!r} for {occ}")
+            if a != 0:
+                amp[occ] = a
+        return FockState._wrap(self.num_modes, amp)
 
     def __add__(self, other: "FockState") -> "FockState":
         if other.num_modes != self.num_modes:

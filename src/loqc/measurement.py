@@ -93,11 +93,6 @@ class OutcomeBranch:
     label: str = ""
 
 
-def _strip_modes(occ: Occupation, modes: Sequence[int]) -> Occupation:
-    drop = set(modes)
-    return tuple(n for m, n in enumerate(occ) if m not in drop)
-
-
 def _check_pattern(pattern: DetectionPattern, num_modes: int) -> None:
     for m in pattern.modes:
         if not 0 <= m < num_modes:
@@ -112,16 +107,16 @@ def postselect(state: FockState, pattern: DetectionPattern) -> PostselectionResu
     Probability 0 is a valid result and carries no conditional state.
     """
     _check_pattern(pattern, state.num_modes)
+    survivors = [m for m in range(state.num_modes) if pattern.count(m) is None]
     kept: dict[Occupation, complex] = {}
     prob = 0.0
     for occ, amp in state.terms():
-        if pattern.matches(occ):
+        if pattern.matches(occ):   # the measured counts are fixed, so survivors are distinct
             prob += abs(amp) ** 2
-            key = _strip_modes(occ, pattern.modes)
-            kept[key] = kept.get(key, 0j) + amp
+            kept[tuple([occ[m] for m in survivors])] = amp
     if prob <= PROB_FLOOR:
         return PostselectionResult(prob, None)
-    survivor = FockState(state.num_modes - len(pattern.modes), kept)
+    survivor = FockState._wrap(len(survivors), kept)
     return PostselectionResult(prob, survivor.scaled(1.0 / math.sqrt(prob)))
 
 
@@ -155,8 +150,8 @@ def postselect_branches(
 #: Costs of ``transition_amplitudes`` in units of one full-basis output
 #: term per mode of ``evolve``: a fixed part per input term and a part per
 #: product of its running product (see ``evolve_for_branches``).
-HERALDED_COST_PER_TERM = 128
-HERALDED_COST_PER_PRODUCT = 1 / 512
+HERALDED_COST_PER_TERM = 256
+HERALDED_COST_PER_PRODUCT = 1 / 16
 
 
 def _heralded_outputs(pattern: DetectionPattern, num_modes: int, photons: int) -> Iterator[Occupation]:
@@ -201,18 +196,19 @@ def evolve_for_branches(
     The heralded route is taken when its cost, summed over the input
     terms, is below that of ``evolve``. The rule reads only the input's
     occupations, the mode count and the patterns. Both constants were
-    fitted to both routes timed on 343 inputs: the gate gallery, the
+    fitted to both routes timed on 347 inputs: the gate gallery, the
     two-stage cs cascade, Haar networks of 3..14 modes with 1..7 photons
     and random patterns, and singly occupied inputs of up to 9 photons
-    with one or two detectors (``BENCH_4.json``). Over that set the rule
-    takes 0.1 % more time than always picking the faster route, and 2.4x
-    at worst on one small input; always-``evolve`` takes 12.5x. The
-    fixed part keeps small inputs on ``evolve``: on the gallery, ``ns``
-    and ``cnot_2photon`` take ``evolve``, ``cs``, ``cnot_klm`` and the
-    cascade the heralded route. The per-product part sends an input back
-    to ``evolve`` when its s-grid outgrows the basis, as for one detector
-    behind 12 singly occupied modes. ``postselect_branches`` gives the
-    same results on either state.
+    with one to three detectors (``BENCH_7.json``). Over that set the rule
+    takes 6 % more time than always picking the faster route, and 2.8x
+    at worst on one small input; always-``evolve`` takes 1.97x and
+    always-heralded 1.50x. The fixed part keeps small inputs on
+    ``evolve``: on the gallery, ``ns`` and ``cnot_2photon`` take
+    ``evolve``, ``cs``, ``cnot_klm`` and the cascade the heralded route.
+    The per-product part sends an input back to ``evolve`` when its
+    s-grid outgrows the basis, as for one detector behind six singly
+    occupied modes. ``postselect_branches`` gives the same results on
+    either state.
     """
     m = transform.dim
     for branch in branches:

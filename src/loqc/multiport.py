@@ -9,7 +9,10 @@ creation operator of input mode k by the k-th *column* of the matrix:
 
 ``evolve`` expands each input basis term as a product of such linear
 forms applied to the vacuum and collects the resulting monomials: the
-whole output, C(n+m-1, n) terms for n photons in m modes.
+whole output, C(n+m-1, n) terms for n photons in m modes. The expansion
+runs as numpy passes over the whole Fock basis, one per photon, guided
+by an index table per (modes, photons) from a bounded cache; the
+``evolve`` docstring gives the order in which it sums.
 ``transition_amplitudes`` computes <out|U|in> for a given list of output
 occupations only, by Ryser's formula over repeated rows and columns; a
 heralded evaluation gets one or the other from
@@ -18,11 +21,13 @@ n!-sum ``permanent_amplitude`` computes single amplitudes by a third
 route and exists purely to cross-check the other two.
 
 Budgets: a Fock term may carry at most ``MAX_PHOTONS`` photons (all three
-routes raise ``ValueError`` beyond it), an input may span at most
-``MAX_FOCK_TERMS`` basis terms and a circuit file may declare at most
-``MAX_MODES`` modes; the command-line parser checks the last two before
-anything is allocated. ``transition_amplitudes`` multiplies at most
-``RYSER_BLOCK`` numbers at once.
+routes raise ``ValueError`` beyond it), an input term may span at most
+``MAX_FOCK_TERMS`` basis terms (``evolve`` raises ``ValueError`` before
+it builds a table; the command-line parser checks a circuit file's input
+first) and a circuit file may declare at most ``MAX_MODES`` modes.
+``evolve`` and ``transition_amplitudes`` hold at most ``RYSER_BLOCK``
+numbers in one working array, or one input term's products with one
+column when those are more.
 
 All functions are pure; amplitude accumulation runs in a fixed order, so
 results are deterministic.
@@ -30,6 +35,7 @@ results are deterministic.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Iterable
 from dataclasses import dataclass
@@ -56,10 +62,16 @@ MAX_FOCK_TERMS = 10**5
 MAX_MODES = 64
 
 #: Most complex numbers ``transition_amplitudes`` multiplies at once in
-#: its running product (outputs x s-grid); bounds its working memory.
+#: its running product (outputs x s-grid), and ``evolve`` forms at once
+#: in one photon's pass (input terms x modes x basis); bounds their
+#: working memory.
 RYSER_BLOCK = 1 << 15
 
 _FACT = [math.factorial(n) for n in range(MAX_PHOTONS + 1)]
+
+#: Signs that turn the imaginary part b of a factor into the two cross
+#: terms of a complex product: (re, im) * (a + ib) = (re*a - im*b, im*a + re*b).
+_CROSS = np.array([-1.0, 1.0])
 
 
 def _check_photon_budget(occ: Occupation) -> None:
@@ -237,6 +249,53 @@ def compose_elements(elements: list[ElementSpec] | tuple[ElementSpec, ...], tota
     return ModeTransform(total)
 
 
+@functools.lru_cache(maxsize=128)
+def _fock_basis(modes: int, photons: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The Fock basis of ``photons`` photons in ``modes`` modes, its
+    scale factors, and the index table that builds it from the basis of
+    one photon fewer.
+
+    ``basis`` holds the occupations o as int8 rows in descending
+    lexicographic order, ``scale`` holds sqrt(prod_l o_l!) as a column,
+    the integer product taken exactly before it is rounded. For the basis
+    ``prev`` of one photon fewer, ``bins[m - 1 - l, p]`` is (2r, 2r + 1),
+    where r is the row of ``prev[p] + e_l``: the real and imaginary slots
+    of that row in an interleaved array. With D_i(p) the number of ways
+    to place the photons that ``prev[p]`` holds beyond mode i in the modes
+    beyond mode i, r = p + sum_{i<l} D_i(p) (combinatorial ranking).
+    """
+    size = math.comb(photons + modes - 1, photons)
+    if photons == 0:
+        return np.zeros((1, modes), np.int8), np.ones((1, 1)), np.zeros((modes, 0, 2), np.int32)
+    prev = _fock_basis(modes, photons - 1)[0]
+    beyond = prev.sum(axis=1, keepdims=True) - np.cumsum(prev, axis=1)
+    ways = np.array([[math.comb(t + modes - i - 2, t) for i in range(modes - 1)]
+                     for t in range(photons)], dtype=np.intp).reshape(photons, modes - 1)
+    ahead = ways[beyond[:, :-1], np.arange(modes - 1)].cumsum(axis=1)
+    rows = np.arange(len(prev))[:, None]
+    child = np.concatenate((rows, rows + ahead), axis=1).T        # (mode l, parent row)
+    basis = np.empty((size, modes), dtype=np.int8)
+    basis[child] = prev + np.eye(modes, dtype=np.int8)[:, None, :]
+    scale = np.sqrt(np.array(_FACT, dtype=object)[basis].prod(axis=1).astype(float))
+    bins = (2 * child[::-1, :, None] + np.array([0, 1])).astype(np.min_scalar_type(2 * size))
+    scale = scale[:, None]
+    for table in (basis, scale, bins):   # shared by every caller
+        table.flags.writeable = False
+    return basis, scale, bins
+
+
+def _state_of(num_modes: int, occs: np.ndarray, amps: np.ndarray) -> FockState:
+    """The state with amplitude ``amps[i]`` on occupation row ``occs[i]``.
+
+    The caller has dropped zero amplitudes and vouches that no part is
+    -0.0; a non-finite amplitude raises, as in ``FockState``.
+    """
+    bad = np.flatnonzero(~np.isfinite(amps))
+    if len(bad):
+        raise ValueError(f"non-finite amplitude {complex(amps[bad[0]])!r} for {tuple(occs[bad[0]].tolist())}")
+    return FockState._wrap(num_modes, dict(zip(map(tuple, occs.tolist()), amps.tolist())))
+
+
 def evolve(state: FockState, transform: ModeTransform, prune_tol: float = PRUNE_TOL) -> FockState:
     """Send a Fock state through a linear network.
 
@@ -245,31 +304,88 @@ def evolve(state: FockState, transform: ModeTransform, prune_tol: float = PRUNE_
     replaced by the linear form given by column k of the matrix, the
     product is expanded, and monomials are converted back to occupation
     amplitudes. Total photon number is conserved term by term.
+
+    The expansion runs on arrays over the whole Fock basis: one numpy
+    pass per photon over all input terms with the same photon number. The
+    photons of a term enter in ascending mode order; after one more photon
+    of mode k, occupation K holds the sum over l of
+    parent(K - e_l) * L[l, k], added up from zero in descending order of
+    l (``np.add.at`` adds in index order). Complex products are formed
+    from real ones, as Python forms them; numpy's complex multiply may
+    fuse them. The amplitudes are then scaled by
+    sqrt(prod o_l!) / sqrt(prod n_k!) and summed over the input terms in
+    sorted order. For a transform whose columns have no zero entry this
+    repeats, operation for operation, the term-by-term expansion of the
+    operator products. Zero entries only add exact zeros, but the
+    expansion then meets fewer occupations and may sum over l in another
+    order, which can move the last bits. Input terms and columns l are
+    taken in blocks, so that a working array holds at most
+    ``RYSER_BLOCK`` complex numbers or one term's products with one
+    column; the order of the sums does not depend on the blocks. The
+    index tables of the last 128 (modes, photons) pairs stay cached.
+
+    Every input term is checked against ``MAX_PHOTONS`` and its basis,
+    C(n+m-1, n) terms for n photons in m modes, against
+    ``MAX_FOCK_TERMS`` before any table is built.
     """
     if state.num_modes != transform.dim:
         raise ValueError(f"state has {state.num_modes} modes, transform {transform.dim}")
-    L = transform.matrix
-    n_modes = transform.dim
-    columns = [[(l, L[l, k]) for l in range(n_modes) if L[l, k] != 0] for k in range(n_modes)]
-    out: dict[Occupation, complex] = {}
-    zero = (0,) * n_modes
+    m = transform.dim
+    groups: dict[int, list[tuple[Occupation, complex]]] = {}
     for occ, amp in state.terms():
         _check_photon_budget(occ)
-        poly: dict[Occupation, complex] = {zero: 1.0 + 0j}
-        for k, n_k in enumerate(occ):
-            for _ in range(n_k):
-                nxt: dict[Occupation, complex] = {}
-                for mono, coeff in poly.items():
-                    for l, c in columns[k]:
-                        key = mono[:l] + (mono[l] + 1,) + mono[l + 1:]
-                        nxt[key] = nxt.get(key, 0j) + coeff * c
-                poly = nxt
-        pref = amp / math.sqrt(math.prod(_FACT[n] for n in occ))
-        for mono, coeff in poly.items():
-            out[mono] = out.get(mono, 0j) + pref * coeff * math.sqrt(math.prod(_FACT[m] for m in mono))
+        n = sum(occ)
+        size = math.comb(n + m - 1, n)
+        if size > MAX_FOCK_TERMS:
+            raise ValueError(f"{n} photons in {m} modes span {size} basis terms; at most "
+                             f"MAX_FOCK_TERMS = {MAX_FOCK_TERMS} are supported")
+        groups.setdefault(n, []).append((occ, amp))
+    if not groups:
+        return FockState._wrap(m, {})
+    cols = np.ascontiguousarray(transform.matrix.T).view(float).reshape(m, m, 2)  # (k, l, re/im)
+    col_re = cols[:, ::-1, None, :1]                      # (k, l descending, 1, 1)
+    col_im = cols[:, ::-1, None, 1:] * _CROSS             # -Im, +Im: the two cross terms
+    bases = [_fock_basis(m, n) for n in groups]
+    total = np.zeros((sum(len(basis) for basis, _, _ in bases), 2))
+    start = 0
+    for (n, terms), (basis, scale, _) in zip(groups.items(), bases):
+        rows = total[start:start + len(basis)]
+        start += len(basis)
+        photon_modes = np.array([[k for k, c in enumerate(occ) for _ in range(c)] for occ, _ in terms],
+                                dtype=np.intp).reshape(len(terms), n)
+        prefs = np.array([amp / math.sqrt(math.prod(_FACT[c] for c in occ)) for occ, amp in terms])
+        prefs = prefs.view(float).reshape(-1, 1, 2)
+        cross = prefs[..., 1:] * _CROSS
+        block = max(1, RYSER_BLOCK // (m * math.comb(n + m - 2, n - 1) if n else m))
+        for lo in range(0, len(terms), block):
+            ks = photon_modes[lo:lo + block]
+            if n:      # the first photon of mode k leaves column k itself
+                coeff = cols[ks[:, 0]]                    # (terms, basis row, re/im)
+            else:
+                coeff = np.tile([1.0, 0.0], (len(ks), 1, 1))
+            for j in range(1, n):
+                bins = _fock_basis(m, j + 1)[2]
+                slots = 2 * math.comb(j + m, j + 1)       # re/im of every row one photon up
+                if len(ks) > 1:
+                    bins = bins + slots * np.arange(len(ks))[:, None, None, None]
+                re, im = col_re[ks[:, j]], col_im[ks[:, j]]
+                nxt = np.zeros(slots * len(ks))
+                step = max(1, RYSER_BLOCK // (len(ks) * coeff.shape[1]))
+                for l in range(0, m, step):
+                    w = coeff[:, None] * re[:, l:l + step]     # (terms, l, parent row, re/im)
+                    w += coeff[:, None, :, ::-1] * im[:, l:l + step]
+                    np.add.at(nxt, bins[..., l:l + step, :, :].ravel(), w.ravel())
+                coeff = nxt.reshape(len(ks), -1, 2)
+            part = coeff * prefs[lo:lo + block, :, :1]
+            part += coeff[..., ::-1] * cross[lo:lo + block]
+            part *= scale
+            for p in part:
+                rows += p
+    amps = total.view(complex)[:, 0]
+    keep = amps != 0
     if prune_tol > 0:
-        out = {o: a for o, a in out.items() if abs(a) >= prune_tol}
-    return FockState(n_modes, out)
+        keep &= np.hypot(total[:, 0], total[:, 1]) >= prune_tol
+    return _state_of(m, np.concatenate([basis for basis, _, _ in bases])[keep], amps[keep])
 
 
 def transition_amplitudes(
@@ -336,7 +452,8 @@ def transition_amplitudes(
     factorials = np.array([math.factorial(k) for k in range(top + 1)], dtype=float)
     amps = sums / np.sqrt(factorials[outs].prod(axis=1))
     keep = np.abs(amps) >= PRUNE_TOL
-    return FockState(dim, dict(zip(map(tuple, outs[keep].tolist()), amps[keep].tolist())))
+    # sums of products added to zeros, over a positive root: no part is -0.0
+    return _state_of(dim, outs[keep], amps[keep])
 
 
 def matrix_permanent(m: np.ndarray) -> complex:

@@ -355,7 +355,7 @@ def test_independence_check_is_route_independent(monkeypatch):
 
 
 @pytest.mark.parametrize("photons,modes,route", [
-    (7, 14, "heralded"),    # 50,388 heralded outputs of 77,520: the s-grid still pays
+    (7, 14, "evolve"),      # 50,388 heralded outputs of 77,520, each over a 128-point s-grid
     (12, 12, "evolve"),     # a 4,096-point s-grid per output outgrows the basis
     (1, 3, "evolve"),       # tiny inputs: the fixed cost of the heralded route dominates
 ])

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from loqc import (
+    DetectionPattern,
     ElementSpec,
     FockState,
     ModeTransform,
@@ -20,6 +21,7 @@ from loqc import (
     ns_matrix,
     permanent_amplitude,
     phase_shifter,
+    postselect,
 )
 from loqc import multiport
 from loqc.fock import PRUNE_TOL
@@ -257,6 +259,104 @@ def test_evolve_agrees_with_permanent_oracle():
                 if sum(outp) != sum(inp):
                     continue
                 assert abs(out.amplitude(outp) - permanent_amplitude(inp, outp, t)) < 1e-10
+    # a composed sparse network: its columns hold 3, 3, 2 and 1 nonzero entries
+    sparse = compose_elements([ElementSpec.bs(0, 1, 0.3), ElementSpec.bs(1, 2, 0.6), ElementSpec.ps(3, 0.7)], 4)
+    assert sorted(np.count_nonzero(sparse.matrix, axis=0)) == [1, 2, 3, 3]
+    cases = [(FockState.from_occupation(occ), sparse)
+             for occ in [(1, 1, 1, 0), (0, 2, 1, 1), (3, 0, 0, 1), (0, 0, 2, 2), (0, 0, 0, 3)]]
+    cases += [
+        (FockState.vacuum(3), ModeTransform(random_unitary(rng, 3))),
+        (FockState.from_occupation([4]), ModeTransform(np.array([[np.exp(0.3j)]]))),
+        (FockState(3, {(0, 0, 0): 0.5, (1, 0, 0): 0.5j, (0, 1, 1): -0.5, (2, 1, 0): 0.3, (1, 1, 2): 0.2 - 0.1j}),
+         ModeTransform(random_unitary(rng, 3))),
+        (FockState(4, {(1, 0, 0, 0): 0.6, (0, 1, 1, 0): 0.8j}), sparse),
+    ]
+    for state, t in cases:
+        out = evolve(state, t, prune_tol=0.0)
+        photons = {sum(occ) for occ, _ in state.terms()}
+        assert {sum(occ) for occ, _ in out.terms()} <= photons
+        for n in photons:
+            for placed in combinations_with_replacement(range(t.dim), n):
+                outp = tuple(np.bincount(np.array(placed, dtype=int), minlength=t.dim))
+                want = sum(a * permanent_amplitude(occ, outp, t) for occ, a in state.terms())
+                assert abs(out.amplitude(outp) - want) < 1e-10
+    # two-photon interference cancels exactly: no zero-amplitude term is stored
+    out = evolve(FockState.from_occupation([1, 1]), beam_splitter(0.5), prune_tol=0.0)
+    assert [occ for occ, _ in out.terms()] == [(0, 2), (2, 0)]
+
+
+def _operator_expansion(state, transform):
+    """Reference for ``evolve``: each term's product of column forms expanded
+    monomial by monomial in dicts, zero entries of a column skipped."""
+    L, m = transform.matrix, transform.dim
+    out = {}
+    for occ, amp in state.terms():
+        poly = {(0,) * m: 1.0 + 0j}
+        for k, n_k in enumerate(occ):
+            for _ in range(n_k):
+                nxt = {}
+                for mono, coeff in poly.items():
+                    for l in np.flatnonzero(L[:, k]):
+                        key = mono[:l] + (mono[l] + 1,) + mono[l + 1:]
+                        nxt[key] = nxt.get(key, 0j) + coeff * L[l, k]
+                poly = nxt
+        pref = amp / math.sqrt(math.prod(math.factorial(n) for n in occ))
+        for mono, coeff in poly.items():
+            out[mono] = out.get(mono, 0j) + pref * coeff * math.sqrt(math.prod(math.factorial(n) for n in mono))
+    return FockState(m, {o: a for o, a in out.items() if abs(a) >= PRUNE_TOL})
+
+
+def test_evolve_repeats_the_operator_expansion_bit_for_bit():
+    # columns without zero entries: the same float operations in the same order,
+    # down to the order of the terms that norm() sums
+    rng = np.random.default_rng(18)
+    for m in (1, 2, 3, 5):
+        t = ModeTransform(random_unitary(rng, m))
+        state = random_state(rng, m, 2, terms=5)
+        got, want = evolve(state, t), _operator_expansion(state, t)
+        assert list(got.terms()) == list(want.terms())
+        assert got.norm() == want.norm()
+    # with zero entries the sums may be taken in another order
+    sparse = compose_elements([ElementSpec.bs(0, 1, 0.3), ElementSpec.bs(1, 2, 0.6), ElementSpec.ps(3, 0.7)], 4)
+    state = random_state(rng, 4, 2, terms=5)
+    assert state_distance(evolve(state, sparse), _operator_expansion(state, sparse)) < 1e-14
+
+
+def test_evolve_blocks_agree(monkeypatch):
+    # a block of 5 numbers puts every input term and every mode l in a block of its own
+    rng = np.random.default_rng(17)
+    t = ModeTransform(random_unitary(rng, 5))
+    state = random_state(rng, 5, 2, terms=6)
+    whole = evolve(state, t)
+    monkeypatch.setattr(multiport, "RYSER_BLOCK", 5)
+    assert list(evolve(state, t).terms()) == list(whole.terms())
+
+
+def test_evolve_memory_stays_under_8_mb():
+    # 6 photons in 12 modes: 12,376 output terms; the dict expansion peaked at 6.3 MB
+    t = ModeTransform(random_unitary(np.random.default_rng(16), 12))
+    state = FockState.from_occupation([1] * 6 + [0] * 6)
+    evolve(FockState.from_occupation([1] + [0] * 11), t)   # warm up imports
+    tracemalloc.start()
+    try:
+        out = evolve(state, t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.num_terms() == 12376
+    assert peak < 8 * 2**20
+
+
+def test_library_states_store_zero_parts_as_positive_zero():
+    # the public constructor adds every amplitude to 0j; the states the library
+    # builds without it must store the same bits (a real network, negative entries)
+    out = evolve(FockState.from_occupation([2, 1, 0]), ns_matrix())
+    states = [out, out.scaled(-1.0), postselect(out, DetectionPattern({1: 1, 2: 0})).conditional_state,
+              transition_amplitudes(FockState.from_occupation([2, 1, 0]), ns_matrix(), [occ for occ, _ in out.terms()])]
+    for state in states:
+        assert state.num_terms() > 0
+        for _, a in state.terms():
+            assert all(math.copysign(1.0, part) == 1.0 for part in (a.real, a.imag) if part == 0)
 
 
 # -- heralded-subspace amplitudes (Ryser) ------------------------------------
@@ -332,13 +432,15 @@ def test_transition_amplitudes_reject_bad_outputs():
         transition_amplitudes(FockState.from_occupation([1, 0]), t, [(2, -1)])
 
 
-@pytest.mark.parametrize("route", ["evolve", "transition_amplitudes", "permanent_amplitude"])
+@pytest.mark.parametrize("route", ["evolve", "transition_amplitudes", "permanent_amplitude", "evolve_basis"])
 def test_photon_budget_is_a_named_error(route):
     state, t = FockState.from_occupation([MAX_PHOTONS + 1]), ModeTransform(np.eye(1))
     calls = {
         "evolve": lambda: evolve(state, t),
         "transition_amplitudes": lambda: transition_amplitudes(state, t, [(MAX_PHOTONS + 1,)]),
         "permanent_amplitude": lambda: permanent_amplitude((MAX_PHOTONS + 1,), (MAX_PHOTONS + 1,), t),
+        # 12 photons in 12 modes span 1,352,078 basis terms
+        "evolve_basis": lambda: evolve(FockState.from_occupation([1] * 12), ModeTransform(np.eye(12))),
     }
-    with pytest.raises(ValueError, match="MAX_PHOTONS"):
+    with pytest.raises(ValueError, match="MAX_FOCK_TERMS" if route == "evolve_basis" else "MAX_PHOTONS"):
         calls[route]()
