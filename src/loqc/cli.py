@@ -53,7 +53,7 @@ from .measurement import (
     outcome_distribution,
     postselect_branches,
 )
-from .multiport import MAX_FOCK_TERMS, MAX_MODES, MAX_PHOTONS, ElementSpec, compose_elements, evolve
+from .multiport import MAX_MODES, ElementSpec, check_term_budget, compose_elements, evolve
 from .search import (
     ns_in_ns_feasibility,
     optimize_success,
@@ -138,12 +138,11 @@ def _parse_port(tok: str, lineno: int, col: int, modes: int) -> int:
     return port
 
 
-def _check_basis_budget(photons: int, modes: int, lineno: int, col: int) -> None:
-    terms = math.comb(photons + modes - 1, photons)
-    if terms > MAX_FOCK_TERMS:
-        raise ParseError(lineno, col,
-                         f"{photons} photons in {modes} modes span {terms} basis terms, "
-                         f"more than MAX_FOCK_TERMS = {MAX_FOCK_TERMS}")
+def _check_term_budget(photons: int, modes: int, lineno: int, col: int) -> None:
+    try:
+        check_term_budget(photons, modes)
+    except ValueError as exc:
+        raise ParseError(lineno, col, str(exc)) from None
 
 
 def _parse_element(tokens: list[tuple[str, int]], lineno: int, modes: int) -> ElementSpec:
@@ -234,11 +233,7 @@ def parse_circuit(text: str) -> Circuit:
                     if n < 0:
                         raise ParseError(lineno, col, "occupations must be non-negative")
                     occ.append(n)
-                if sum(occ) > MAX_PHOTONS:
-                    raise ParseError(lineno, tokens[1][1],
-                                     f"input fock carries {sum(occ)} photons, "
-                                     f"at most {MAX_PHOTONS} are supported")
-                _check_basis_budget(sum(occ), modes, lineno, tokens[1][1])
+                _check_term_budget(sum(occ), modes, lineno, tokens[1][1])
                 state = FockState.from_occupation(occ)
             elif kind == "dualrail":
                 count = len(values)
@@ -250,7 +245,7 @@ def parse_circuit(text: str) -> Circuit:
                     raise ParseError(lineno, tokens[1][1],
                                      f"{count} amplitudes encode {qubits} qubit(s) "
                                      f"needing {2 * qubits} modes, file declares {modes}")
-                _check_basis_budget(qubits, modes, lineno, tokens[1][1])
+                _check_term_budget(qubits, modes, lineno, tokens[1][1])
                 amps = []
                 for tok, col in values:
                     try:
@@ -363,6 +358,16 @@ def _pair(z: complex) -> list[float]:
     return [float(z.real), float(z.imag)]
 
 
+def _report_header(command: str, digested: str, **details) -> dict:
+    """The ``tool``/``command``/``input`` keys that open every report;
+    ``input.digest`` is the sha256 of ``digested``, then ``details``."""
+    return {
+        "tool": {"name": "loqc", "version": __version__},
+        "command": command,
+        "input": {"digest": "sha256:" + hashlib.sha256(digested.encode()).hexdigest(), **details},
+    }
+
+
 def simulate_report(circ: Circuit, source_text: str) -> dict:
     if circ.state is None:
         raise CliError("circuit file has no input declaration")
@@ -376,13 +381,8 @@ def simulate_report(circ: Circuit, source_text: str) -> dict:
     outcomes = {_fmt_counts(k): v for k, v in sorted(dist.items())}
 
     report = {
-        "tool": {"name": "loqc", "version": __version__},
-        "command": "simulate",
-        "input": {
-            "digest": "sha256:" + hashlib.sha256(source_text.encode()).hexdigest(),
-            "modes": circ.modes,
-            "mode_order": "ports 1..N left to right; internal indices are ports minus 1",
-        },
+        **_report_header("simulate", source_text, modes=circ.modes,
+                         mode_order="ports 1..N left to right; internal indices are ports minus 1"),
         "measured_ports": [m + 1 for m in measured],
         "outcomes": outcomes,
     }
@@ -418,14 +418,9 @@ def gate_report(name: str) -> dict:
         raise CliError(f"unknown gate {name!r}; choose from {', '.join(GATE_NAMES)}")
     rep = evaluate_gate(name)
     payload = {
-        "tool": {"name": "loqc", "version": __version__},
-        "command": "verify-gate",
-        "input": {
-            "digest": "sha256:" + hashlib.sha256(name.encode()).hexdigest(),
-            "gate": name,
-            "mode_order": "ports 1..N left to right; dual-rail qubit q uses ports 2q+1, 2q+2 "
-                          "with the photon on the first port encoding logical 0",
-        },
+        **_report_header("verify-gate", name, gate=name,
+                         mode_order="ports 1..N left to right; dual-rail qubit q uses ports 2q+1, 2q+2 "
+                                    "with the photon on the first port encoding logical 0"),
         "gate": rep.gate,
         "overall_success_probability": rep.overall_success_probability,
     }
@@ -470,13 +465,7 @@ def search_report(scheme: str, grid_step: float | None, tolerance: float | None)
         raise CliError(str(exc)) from None
 
     request = f"{scheme}|grid_step={grid_step}|tolerance={tolerance}"
-    return {
-        "tool": {"name": "loqc", "version": __version__},
-        "command": "search",
-        "input": {"digest": "sha256:" + hashlib.sha256(request.encode()).hexdigest(),
-                  "scheme": scheme},
-        "reports": records,
-    }
+    return {**_report_header("search", request, scheme=scheme), "reports": records}
 
 
 def selftest_report(seed: int) -> dict:

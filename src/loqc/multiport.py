@@ -21,10 +21,11 @@ n!-sum ``permanent_amplitude`` computes single amplitudes by a third
 route and exists purely to cross-check the other two.
 
 Budgets: a Fock term may carry at most ``MAX_PHOTONS`` photons (all three
-routes raise ``ValueError`` beyond it), an input term may span at most
-``MAX_FOCK_TERMS`` basis terms (``evolve`` raises ``ValueError`` before
-it builds a table; the command-line parser checks a circuit file's input
-first) and a circuit file may declare at most ``MAX_MODES`` modes.
+routes check), an input term may span at most ``MAX_FOCK_TERMS`` basis
+terms (``evolve`` checks before it builds a table; the command-line
+parser checks a circuit file's input first), and ``check_term_budget``
+is the one place that raises ``ValueError`` for both. A circuit file may
+declare at most ``MAX_MODES`` modes.
 ``evolve`` and ``transition_amplitudes`` hold at most ``RYSER_BLOCK``
 numbers in one working array, or one input term's products with one
 column when those are more.
@@ -74,11 +75,17 @@ _FACT = [math.factorial(n) for n in range(MAX_PHOTONS + 1)]
 _CROSS = np.array([-1.0, 1.0])
 
 
-def _check_photon_budget(occ: Occupation) -> None:
-    """Reject a Fock term carrying more than ``MAX_PHOTONS`` photons."""
-    if sum(occ) > MAX_PHOTONS:
-        raise ValueError(f"a term carries {sum(occ)} photons; at most "
-                         f"MAX_PHOTONS = {MAX_PHOTONS} are supported")
+def check_term_budget(photons: int, modes: int | None = None) -> None:
+    """Reject a Fock term of more than ``MAX_PHOTONS`` photons and, given
+    ``modes``, one whose basis, C(n+m-1, n) terms for n photons in m modes,
+    exceeds ``MAX_FOCK_TERMS``; raises ``ValueError``."""
+    if photons > MAX_PHOTONS:
+        raise ValueError(f"a term carries {photons} photons; at most "
+                         f"{MAX_PHOTONS} (MAX_PHOTONS) are supported")
+    size = 0 if modes is None else math.comb(photons + modes - 1, photons)
+    if size > MAX_FOCK_TERMS:
+        raise ValueError(f"{photons} photons in {modes} modes span {size} basis terms; at most "
+                         f"MAX_FOCK_TERMS = {MAX_FOCK_TERMS} are supported")
 
 
 class ModeTransform:
@@ -333,12 +340,8 @@ def evolve(state: FockState, transform: ModeTransform, prune_tol: float = PRUNE_
     m = transform.dim
     groups: dict[int, list[tuple[Occupation, complex]]] = {}
     for occ, amp in state.terms():
-        _check_photon_budget(occ)
         n = sum(occ)
-        size = math.comb(n + m - 1, n)
-        if size > MAX_FOCK_TERMS:
-            raise ValueError(f"{n} photons in {m} modes span {size} basis terms; at most "
-                             f"MAX_FOCK_TERMS = {MAX_FOCK_TERMS} are supported")
+        check_term_budget(n, m)
         groups.setdefault(n, []).append((occ, amp))
     if not groups:
         return FockState._wrap(m, {})
@@ -416,12 +419,12 @@ def transition_amplitudes(
     if outs.shape[1] != dim or (outs < 0).any():
         raise ValueError(f"outputs must be non-negative occupations of {dim} modes")
     for occ in keys:
-        _check_photon_budget(occ)
+        check_term_budget(sum(occ))
     photons = outs.sum(axis=1)
     sums = np.zeros(len(outs), dtype=complex)
     for occ, amp in state.terms():
-        _check_photon_budget(occ)
         n = sum(occ)
+        check_term_budget(n)
         idx = np.flatnonzero(photons == n)
         if not len(idx):
             continue
@@ -482,8 +485,8 @@ def permanent_amplitude(input_occ: Occupation, output_occ: Occupation, transform
     """
     inp = check_occupation(input_occ, transform.dim)
     outp = check_occupation(output_occ, transform.dim)
-    _check_photon_budget(inp)
-    _check_photon_budget(outp)
+    check_term_budget(sum(inp))
+    check_term_budget(sum(outp))
     if sum(inp) != sum(outp):
         return 0j
     cols = [k for k, n in enumerate(inp) for _ in range(n)]

@@ -10,13 +10,14 @@ cross-checked against the operator-expansion simulator by the tests.
 Feasibility of a correction scheme is judged by a proportionality
 residual: the corrected amplitude triple must be proportional to the
 target pattern (sign-flipped or identity) for the correction to act as a
-unitary on the signal. The residual is scale-free,
+unitary on the signal. The amplitudes are real and the residual is
+scale-free,
 
-    r(c, t) = 1 - |<t, c>|^2 / (|t|^2 |c|^2),
+    r(c, t) = 1 - <t, c>^2 / (|t|^2 |c|^2),
 
 zero exactly on proportional triples. Where a parameter choice kills all
-three corrected amplitudes the scheme applies no correction at all and
-the residual falls back to the uncorrected mismatch of the case.
+three corrected amplitudes (|c|^2 = 0) the scheme applies no correction
+at all and the residual falls back to the uncorrected mismatch of the case.
 
 Verdicts are numerical certificates, not proofs: "infeasible" means the
 residual exceeded the margin everywhere on a refined grid outside small
@@ -26,15 +27,16 @@ Every scan runs on one engine, ``_refine_scan``: a coarse grid over the
 scheme's domain, then ``REFINE_ROUNDS`` (3) rounds that each divide the
 step by ten and rescan a window of refined cells either side of the
 incumbent. The last two axes form one slab per kernel call (at most
-``MAX_SLAB_POINTS`` points); a leading axis is looped over. Before the
-first kernel call the engine also bounds the whole scan, the coarse grid
-plus every refinement window, by ``MAX_SCAN_POINTS`` (10^9) points. A
-"clipped" grid is laid over the window cut to the domain; a "filtered"
-one over the whole window, keeping only the points inside the domain.
-Per scheme:
+``MAX_SLAB_POINTS`` points), passed as (n, 1) and (1, m) axes that the
+kernel broadcasts, so its trigonometry runs per axis value, not per point;
+a leading axis is looped over. Before the first kernel call the engine
+also bounds the whole scan, the coarse grid plus every refinement window,
+by ``MAX_SCAN_POINTS`` (10^9) points. A "clipped" grid is laid over the
+window cut to the domain; a "filtered" one over the whole window, keeping
+only the points inside the domain. Per scheme:
 
 * ``single_bs``: x in [0, pi], filtered, degenerate angles excluded; window 100.
-* ``two_bs``: x, y in [0, pi], clipped, phases a fixed leading axis; window 100.
+* ``two_bs``: x, y in [0, pi], clipped, phases 0 and pi a fixed leading axis; window 100.
 * ``ns_in_ns``: t1, t2, t3 in [0, 2 pi], filtered; window 100.
 * ``optimize_ns``: t1, t2, t3 in [0, pi], clipped; window 10. The engine
   minimizes, so the score enters negated.
@@ -165,41 +167,32 @@ CASE_AMPLITUDES = {
 
 # -- residuals -------------------------------------------------------------
 
-def proportionality_residual(values, target) -> float:
-    """Scale-free deviation of `values` from being proportional to `target`."""
-    c = np.asarray(values, dtype=complex)
-    t = np.asarray(target, dtype=complex)
-    nc = float(np.vdot(c, c).real)
-    nt = float(np.vdot(t, t).real)
-    if nc <= 0.0:
-        return 1.0
-    return float(max(0.0, 1.0 - abs(np.vdot(t, c)) ** 2 / (nt * nc)))
+def proportionality_residual(values, target, fallback=1.0):
+    """Scale-free deviation of ``values`` from being proportional to ``target``.
 
-
-def _target_vector(target: str) -> np.ndarray:
-    if target not in TARGETS:
-        raise ValueError(f"target must be one of {sorted(TARGETS)}")
-    return np.array(TARGETS[target], dtype=complex)
+    Elementwise over the broadcast shape of the real components of
+    ``values`` (a float for scalars); sum(c^2) and <t, c> are summed in
+    component order, and ``fallback`` is returned where sum(c^2) == 0.
+    Complex input raises ``ValueError``.
+    """
+    if any(np.iscomplexobj(v) for v in (*values, *target)):
+        raise ValueError("proportionality_residual takes real values only")
+    nc = sum(c * c for c in values)
+    ip = sum(t * c for t, c in zip(target, values))
+    nt = sum(t * t for t in target)
+    alive = nc > 0.0
+    ratio = np.divide(ip * ip, nt * nc, out=np.zeros(np.shape(nc)), where=alive)
+    r = np.where(alive, np.clip(1.0 - ratio, 0.0, 1.0), fallback)
+    return r if r.ndim else float(r)
 
 
 def uncorrected_mismatch(case: int, target: str) -> float:
     """Residual of the raw case amplitudes against a target pattern."""
     if case not in CASE_AMPLITUDES:
         raise ValueError(f"case must be 1, 2 or 3, got {case}")
+    if target not in TARGETS:
+        raise ValueError(f"target must be one of {sorted(TARGETS)}")
     return proportionality_residual(CASE_AMPLITUDES[case], TARGETS[target])
-
-
-def _grid_residual(parts: tuple[np.ndarray, ...], target: np.ndarray, fallback: float) -> np.ndarray:
-    c = np.stack([np.asarray(p, dtype=complex) for p in parts])
-    nc = (np.abs(c) ** 2).sum(axis=0)
-    nt = float(np.vdot(target, target).real)
-    ip = np.abs((target.conj()[:, None] * c.reshape(len(parts), -1)).sum(axis=0)) ** 2
-    ip = ip.reshape(nc.shape)
-    alive = nc > 1e-30
-    r = np.full(nc.shape, fallback, dtype=float)
-    np.divide(ip, nt * nc, out=ip, where=alive)
-    r[alive] = np.clip(1.0 - ip[alive], 0.0, 1.0)
-    return r
 
 
 @dataclass
@@ -252,9 +245,11 @@ def _refine_scan(kernel, domains, step, window, *, clip, exclude=(), fixed=None)
     ``fixed`` holds the values of a leading axis that is scanned but never
     refined.
 
-    The last two axes are meshed into one slab and ``kernel(*lead, *slab)``
-    is called once for each combination of leading-axis values. It returns
-    ``(cost, *aux)`` arrays over the slab; ``aux`` is read at the minimum.
+    The last two axes form one slab of ``np.ix_`` axes, shapes (n, 1) and
+    (1, m), and ``kernel(*lead, *slab)`` is called once for each
+    combination of leading-axis values. It returns ``(cost, *aux)`` arrays
+    that broadcast over the slab; ``aux`` is read at the first-index
+    argmin of ``cost``.
 
     Returns ``(best, history)``. ``best`` is ``(cost, point, aux)`` with the
     point ordered like the axes, fixed axis first; ``history`` holds one
@@ -288,14 +283,16 @@ def _refine_scan(kernel, domains, step, window, *, clip, exclude=(), fixed=None)
         axes = lead_fixed + axes
         if not all(len(ax) for ax in axes):
             return None
-        mesh = np.meshgrid(*axes[-2:], indexing="ij") if len(axes) > 1 else axes
+        slab = axes[-2:]
+        grid = np.ix_(*slab)
         best = None
         for lead in itertools.product(*axes[:-2]):
-            cost, *aux = kernel(*lead, *mesh)
+            cost, *aux = np.broadcast_arrays(*kernel(*lead, *grid))
             i = int(np.argmin(cost))
             value = float(cost.flat[i])
             if best is None or value < best[0]:
-                point = (*lead, *(g.flat[i] for g in mesh))
+                at = np.unravel_index(i, cost.shape)
+                point = (*lead, *(ax[j] for ax, j in zip(slab, at)))
                 best = (value, tuple(map(float, point)), tuple(float(a.flat[i]) for a in aux))
         return best
 
@@ -341,11 +338,11 @@ def single_bs_infeasibility(
     tolerance: float = 1e-6,
 ) -> FeasibilityReport:
     """Certify (or refute) the one-splitter correction over angle x in (0, pi)."""
-    tvec = _target_vector(target)
     fallback = uncorrected_mismatch(case, target)
+    tvec = TARGETS[target]
 
     def kernel(xs):
-        return (_grid_residual(single_bs_corrected(case, xs), tvec, fallback),)
+        return (proportionality_residual(single_bs_corrected(case, xs), tvec, fallback),)
 
     (residual, (x,), _), _ = _refine_scan(
         kernel, [(0.0, math.pi)], grid_step, 100,
@@ -373,16 +370,15 @@ def two_bs_corrected(x, y, phase: float = 0.0):
 
     The two angles enter through the product monomial family
     (sin x sin y, 2 sin x cos x sin y cos y, 3 sin x cos^2 x sin y cos^2 y);
-    an optional phase shifter multiplies the k-photon component by
-    e^{i k phase}.
+    a phase shifter multiplies the k-photon component by e^{i k phase},
+    which for the phases ``TWO_BS_PHASES`` (0, pi) is the real cos(k phase),
+    exactly +1 or -1. Any other phase raises ``ValueError``.
     """
-    coeff = CASE_AMPLITUDES[3]
+    if phase not in TWO_BS_PHASES:
+        raise ValueError(f"phase must be one of TWO_BS_PHASES (0, pi), got {phase}")
     sx, cx, sy, cy = np.sin(x), np.cos(x), np.sin(y), np.cos(y)
     monos = (sx * sy, 2 * sx * cx * sy * cy, 3 * sx * cx ** 2 * sy * cy ** 2)
-    out = []
-    for k, (co, m) in enumerate(zip(coeff, monos)):
-        out.append(co * m * np.exp(1j * k * phase))
-    return tuple(out)
+    return tuple(co * m * math.cos(k * phase) for k, (co, m) in enumerate(zip(CASE_AMPLITUDES[3], monos)))
 
 
 def two_bs_feasibility(
@@ -393,11 +389,11 @@ def two_bs_feasibility(
 ) -> FeasibilityReport:
     """Scan the case-3 two-splitter correction over (x, y) and the phases
     ``TWO_BS_PHASES``; no other case has a two-splitter family."""
-    tvec = _target_vector(target)
     fallback = uncorrected_mismatch(3, target)
+    tvec = TARGETS[target]
 
-    def kernel(phi, X, Y):
-        return (_grid_residual(two_bs_corrected(X, Y, phi), tvec, fallback),)
+    def kernel(phi, xs, ys):
+        return (proportionality_residual(two_bs_corrected(xs, ys, phi), tvec, fallback),)
 
     (residual, (phase, x, y), _), _ = _refine_scan(
         kernel, [(0.0, math.pi)] * 2, grid_step, 100,
@@ -405,7 +401,7 @@ def two_bs_feasibility(
 
     # constrained equal-angle slice
     ys = np.arange(0.0, math.pi + grid_step / 2, grid_step)
-    slice_r = _grid_residual(two_bs_corrected(ys, ys, 0.0), tvec, fallback)
+    slice_r = proportionality_residual(two_bs_corrected(ys, ys), tvec, fallback)
     j = int(np.argmin(slice_r))
 
     return FeasibilityReport(
@@ -515,11 +511,11 @@ def ns_in_ns_feasibility(
             f"unknown pattern {pattern} for case {case}; "
             f"supported: {NS_IN_NS_PATTERNS}"
         )
-    tvec = _target_vector(target)
     fallback = uncorrected_mismatch(case, target)
+    tvec = TARGETS[target]
 
     def kernel(t1, t2, t3):
-        return (_grid_residual(ns_in_ns_products(case, pattern, t1, t2, t3), tvec, fallback),)
+        return (proportionality_residual(ns_in_ns_products(case, pattern, t1, t2, t3), tvec, fallback),)
 
     (residual, angles, _), _ = _refine_scan(
         kernel, [(0.0, 2 * math.pi)] * 3, grid_step, 100, clip=False)
@@ -584,12 +580,10 @@ def optimize_success(grid_step: float = 0.05) -> OptimizationResult:
     ``rounds`` holds the grid-only score of the coarse scan and of each
     refinement round; the polish is not part of it.
     """
-    tvec = np.array(TARGETS["sign_flip"], dtype=complex)
-
     def kernel(t1, t2, t3):  # the engine minimizes, so the score enters negated
         a0, a1, a2 = sign_shift_branch_amplitudes(t1, t2, t3)
         prob = np.minimum(np.minimum(a0 ** 2, a1 ** 2), a2 ** 2)
-        r = _grid_residual((a0, a1, a2), tvec, 1.0)
+        r = proportionality_residual((a0, a1, a2), TARGETS["sign_flip"])
         return -(prob - RESIDUAL_PENALTY * r), prob, r
 
     (neg_score, angles, (prob, resid)), history = _refine_scan(

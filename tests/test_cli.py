@@ -374,10 +374,10 @@ def test_search_rejects_bad_inputs(capsys, argv):
 
 
 def test_search_slab_budget_is_checked_before_allocation(capsys, monkeypatch):
-    def no_mesh(*args, **kwargs):
+    def no_kernel(*args, **kwargs):
         raise AssertionError("slab allocated")
 
-    monkeypatch.setattr(np, "meshgrid", no_mesh)
+    monkeypatch.setattr(search, "ns_in_ns_products", no_kernel)
     code, _, err = run_cli(capsys, "search", "ns_in_ns:case1", "--grid-step", "1e-3")
     assert code == 1
     assert "MAX_SLAB_POINTS" in err
@@ -398,7 +398,8 @@ def test_search_scan_budget_is_checked_before_any_kernel_call(capsys, monkeypatc
 
 @pytest.mark.parametrize("argv", [
     *(pytest.param(["search", scheme], id=scheme)
-      for scheme in ("single_bs:case1", "single_bs:case3", "two_bs:case3", "optimize_ns")),
+      for scheme in ("single_bs:case1", "single_bs:case3", "two_bs:case3", "ns_in_ns:case1",
+                     "optimize_ns")),
     *(pytest.param(["verify-gate", gate], id=f"verify-gate:{gate}")
       for gate in ("ns", "cs", "cnot_klm", "cnot_2photon")),
     pytest.param(["selftest", "--seed", "0"], id="selftest:seed0"),

@@ -235,6 +235,43 @@ def test_identity_angles_fall_back_to_uncorrected_mismatch():
     assert proportionality_residual(products, (1, 1, -1)) == 1.0
 
 
+def test_residual_is_elementwise_over_broadcast_components():
+    xs, ys = np.ix_(np.linspace(0.0, math.pi, 7), np.linspace(0.0, math.pi, 5))
+    parts = two_bs_corrected(xs, ys)
+    grid = proportionality_residual(parts, (1, 1, -1), fallback=0.5)
+    assert grid.shape == (7, 5)
+    assert grid[0, 0] == 0.5  # x = y = 0 kills every component
+    for i, j in np.ndindex(grid.shape):
+        point = [np.broadcast_to(p, grid.shape)[i, j] for p in parts]
+        assert grid[i, j] == proportionality_residual(point, (1, 1, -1), 0.5)
+
+
+def test_residual_rejects_complex_input():
+    for values in ((1.0, 1j, 0.0), np.ones((3, 4), dtype=complex)):
+        with pytest.raises(ValueError, match="real"):
+            proportionality_residual(values, (1, 1, -1))
+
+
+def test_two_splitter_phase_is_zero_or_pi():
+    assert two_bs_corrected(0.3, 0.4, math.pi)[1] == -two_bs_corrected(0.3, 0.4)[1]
+    with pytest.raises(ValueError, match="TWO_BS_PHASES"):
+        two_bs_corrected(0.3, 0.4, math.pi / 2)
+
+
+def test_two_axis_kernels_receive_broadcast_axes(monkeypatch):
+    shapes = []
+
+    def recording(case, pattern, t1, t2, t3):
+        shapes.append(tuple(map(np.shape, (t1, t2, t3))))
+        return ns_in_ns_products(case, pattern, t1, t2, t3)
+
+    monkeypatch.setattr(search, "ns_in_ns_products", recording)
+    ns_in_ns_feasibility(3, (1, 0), 0.5)
+    assert shapes
+    for lead, rows, cols in shapes:
+        assert lead == () and len(rows) == len(cols) == 2 and rows[1] == cols[0] == 1
+
+
 def test_second_network_scan_finds_the_family():
     report = ns_in_ns_feasibility(1, (2, 0), 0.1)
     assert report.verdict == "feasible"
