@@ -14,7 +14,6 @@ from .multiport import (
     ModeTransform,
     NS_ANGLES,
     beam_splitter,
-    compose,
     compose_elements,
     embed,
     evolve,
@@ -74,7 +73,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "FockState",
-    "ElementSpec", "ModeTransform", "NS_ANGLES", "beam_splitter", "compose",
+    "ElementSpec", "ModeTransform", "NS_ANGLES", "beam_splitter",
     "compose_elements", "embed", "evolve", "general3", "matrix_permanent",
     "ns_matrix", "permanent_amplitude", "phase_shifter",
     "Encoding", "ZYDecomposition", "decode", "dual_rail_apply", "encode",

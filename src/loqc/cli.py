@@ -445,6 +445,8 @@ def search_report(scheme: str, grid_step: float | None, tolerance: float | None)
     for flag, value in (("--grid-step", grid_step), ("--tolerance", tolerance)):
         if value is not None and not (math.isfinite(value) and value > 0):
             raise CliError(f"{flag} must be finite and positive, got {value}")
+    if scheme == "optimize_ns" and tolerance is not None:
+        raise CliError("--tolerance does not apply to optimize_ns, which gives no verdict")
     # unset flags are left out, so the library's defaults apply
     step = {} if grid_step is None else {"grid_step": grid_step}
     tol = {} if tolerance is None else {"tolerance": tolerance}
@@ -459,7 +461,7 @@ def search_report(scheme: str, grid_step: float | None, tolerance: float | None)
             records = [two_bs_feasibility(**step, **tol).to_record()]
         elif scheme == "ns_in_ns:case1":
             records = [ns_in_ns_feasibility(1, (2, 0), **step, **tol).to_record()]
-        else:  # optimize_ns takes no tolerance
+        else:
             records = [optimize_success(**step).to_record()]
     except ValueError as exc:  # empty grid or a scan budget exceeded
         raise CliError(str(exc)) from None

@@ -1,4 +1,4 @@
-"""Sparse Fock-state vectors and ladder-operator actions.
+"""Sparse Fock-state vectors, the value type that evolution and measurement share.
 
 States are immutable value objects: every operation returns a new
 ``FockState``. Amplitudes are kept in a sparse map keyed by occupation
@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from collections.abc import Iterable, Iterator, Mapping
 
 #: Amplitudes below this magnitude may be dropped without affecting any
@@ -26,9 +27,18 @@ NORM_ATOL = 1e-9
 Occupation = tuple[int, ...]
 
 
+def _integers(values: Iterable[int], what: str) -> tuple[int, ...]:
+    """``values`` as ints; a non-integer such as 1.5 raises ``ValueError``."""
+    values = tuple(values)
+    try:
+        return tuple(map(operator.index, values))
+    except TypeError:
+        raise ValueError(f"{what} must be integers, got {values!r}") from None
+
+
 def check_occupation(counts: Iterable[int], num_modes: int | None = None) -> Occupation:
     """Validate and canonicalize an occupation vector."""
-    occ = tuple(int(n) for n in counts)
+    occ = _integers(counts, "occupation entries")
     if num_modes is not None and len(occ) != num_modes:
         raise ValueError(f"occupation has {len(occ)} modes, expected {num_modes}")
     if any(n < 0 for n in occ):
@@ -39,25 +49,24 @@ def check_occupation(counts: Iterable[int], num_modes: int | None = None) -> Occ
 class FockState:
     """Sparse complex-amplitude map over photon occupation vectors.
 
-    The zero state (no stored terms) is a valid value; it is what
-    annihilating the vacuum produces.
+    The zero state (no stored terms) is a valid value; it is what a
+    difference of equal states produces.
     """
 
     __slots__ = ("num_modes", "_amp")
 
-    def __init__(self, num_modes: int, amplitudes: Mapping[Occupation, complex] | None = None):
-        if num_modes < 1:
+    def __init__(self, num_modes: int, amplitudes: Mapping[Occupation, complex]):
+        [self.num_modes] = _integers([num_modes], "num_modes")
+        if self.num_modes < 1:
             raise ValueError("num_modes must be positive")
-        self.num_modes = int(num_modes)
         amp: dict[Occupation, complex] = {}
-        if amplitudes:
-            for occ, a in amplitudes.items():
-                occ = check_occupation(occ, self.num_modes)
-                a = complex(a)
-                if not (cmath.isfinite(a)):
-                    raise ValueError(f"non-finite amplitude {a!r} for {occ}")
-                if a != 0:
-                    amp[occ] = amp.get(occ, 0j) + a
+        for occ, a in amplitudes.items():
+            occ = check_occupation(occ, self.num_modes)
+            a = complex(a)
+            if not (cmath.isfinite(a)):
+                raise ValueError(f"non-finite amplitude {a!r} for {occ}")
+            if a != 0:
+                amp[occ] = amp.get(occ, 0j) + a
         self._amp = amp
 
     # -- constructors -------------------------------------------------
@@ -82,14 +91,6 @@ class FockState:
         state._amp = amplitudes
         return state
 
-    @classmethod
-    def vacuum(cls, num_modes: int) -> "FockState":
-        return cls(num_modes, {(0,) * num_modes: 1.0 + 0j})
-
-    @classmethod
-    def zero(cls, num_modes: int) -> "FockState":
-        return cls(num_modes, {})
-
     # -- inspection ---------------------------------------------------
 
     def amplitude(self, counts: Iterable[int]) -> complex:
@@ -105,9 +106,6 @@ class FockState:
 
     def norm(self) -> float:
         return math.sqrt(sum(abs(a) ** 2 for a in self._amp.values()))
-
-    def is_normalized(self, atol: float = NORM_ATOL) -> bool:
-        return abs(sum(abs(a) ** 2 for a in self._amp.values()) - 1.0) <= atol
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         parts = [f"({a:.4g})|{','.join(map(str, occ))}>" for occ, a in self.terms()]
@@ -136,49 +134,6 @@ class FockState:
 
     def __sub__(self, other: "FockState") -> "FockState":
         return self + other.scaled(-1.0)
-
-    def tensor(self, other: "FockState") -> "FockState":
-        """Tensor product; this state's modes come first."""
-        amp: dict[Occupation, complex] = {}
-        for o1, a1 in self._amp.items():
-            for o2, a2 in other._amp.items():
-                amp[o1 + o2] = a1 * a2
-        return FockState(self.num_modes + other.num_modes, amp)
-
-    def pruned(self, tol: float = PRUNE_TOL) -> "FockState":
-        """Drop terms with |amplitude| below tol (exact zeros never survive
-        construction in the first place)."""
-        return FockState(self.num_modes, {o: a for o, a in self._amp.items() if abs(a) >= tol})
-
-    # -- ladder operators ---------------------------------------------
-
-    def _check_mode(self, mode: int) -> int:
-        mode = int(mode)
-        if not 0 <= mode < self.num_modes:
-            raise ValueError(f"mode {mode} out of range for {self.num_modes} modes")
-        return mode
-
-    def create(self, mode: int) -> "FockState":
-        """Apply the creation operator on one mode: |n> -> sqrt(n+1)|n+1>."""
-        mode = self._check_mode(mode)
-        amp: dict[Occupation, complex] = {}
-        for occ, a in self._amp.items():
-            n = occ[mode]
-            new = occ[:mode] + (n + 1,) + occ[mode + 1:]
-            amp[new] = amp.get(new, 0j) + a * math.sqrt(n + 1)
-        return FockState(self.num_modes, amp)
-
-    def annihilate(self, mode: int) -> "FockState":
-        """Apply the annihilation operator on one mode: |n> -> sqrt(n)|n-1>."""
-        mode = self._check_mode(mode)
-        amp: dict[Occupation, complex] = {}
-        for occ, a in self._amp.items():
-            n = occ[mode]
-            if n == 0:
-                continue
-            new = occ[:mode] + (n - 1,) + occ[mode + 1:]
-            amp[new] = amp.get(new, 0j) + a * math.sqrt(n)
-        return FockState(self.num_modes, amp)
 
     # -- inner product and normalization -------------------------------
 

@@ -31,10 +31,13 @@ from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
 
-from .fock import FockState, Occupation
+from .fock import FockState, Occupation, _integers
 from .multiport import ModeTransform, evolve, transition_amplitudes
 
 PROB_FLOOR = 1e-12
+
+#: Bound on probability spread and Gram deviation in ``input_independence_check``.
+INDEPENDENCE_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -44,11 +47,11 @@ class DetectionPattern:
     constraints: tuple[tuple[int, int], ...]
 
     def __init__(self, constraints: Mapping[int, int]):
-        items = tuple(sorted((int(m), int(c)) for m, c in dict(constraints).items()))
+        constraints = dict(constraints)  # keys, so the modes are distinct
+        items = tuple(sorted(zip(_integers(constraints, "detector modes"),
+                                 _integers(constraints.values(), "detector counts"))))
         if any(c < 0 for _, c in items):
             raise ValueError("required photon counts must be non-negative")
-        if len({m for m, _ in items}) != len(items):
-            raise ValueError("constrained modes must be distinct")
         object.__setattr__(self, "constraints", items)
 
     @property
@@ -228,7 +231,7 @@ def evolve_for_branches(
 
 def outcome_distribution(state: FockState, modes: Sequence[int]) -> dict[tuple[int, ...], float]:
     """Probability of every photon-count combination on the given modes."""
-    modes = [int(m) for m in modes]
+    modes = _integers(modes, "outcome modes")
     for m in modes:
         if not 0 <= m < state.num_modes:
             raise ValueError(f"mode {m} out of range for {state.num_modes} modes")
@@ -245,7 +248,8 @@ def with_ancilla(comp_state: FockState, ancilla: Mapping[int, int], num_modes: i
     The computational state's modes fill the non-ancilla slots in
     ascending mode order.
     """
-    anc = {int(m): int(c) for m, c in ancilla.items()}
+    anc = dict(zip(_integers(ancilla, "ancilla modes"),
+                   _integers(ancilla.values(), "ancilla counts")))
     for m in anc:
         if not 0 <= m < num_modes:
             raise ValueError(f"ancilla mode {m} out of range for {num_modes} modes")
@@ -254,11 +258,9 @@ def with_ancilla(comp_state: FockState, ancilla: Mapping[int, int], num_modes: i
         raise ValueError(
             f"computational state has {comp_state.num_modes} modes, expected {len(comp_modes)}"
         )
+    full = [anc.get(m, 0) for m in range(num_modes)]
     amp: dict[Occupation, complex] = {}
     for occ, a in comp_state.terms():
-        full = [0] * num_modes
-        for m, c in anc.items():
-            full[m] = c
         for m, n in zip(comp_modes, occ):
             full[m] = n
         amp[tuple(full)] = a
@@ -269,12 +271,10 @@ def with_ancilla(comp_state: FockState, ancilla: Mapping[int, int], num_modes: i
 class IndependenceReport:
     """Outcome of probing a postselection scheme for input independence."""
 
-    branch_labels: list[str]
-    probabilities: list[list[float]]  # [branch][probe]
+    probabilities: list[list[float]]  # [branch][probe], in the order passed in
     max_probability_deviation: float
     max_gram_deviation: float
     operationally_unitary: bool
-    tolerance: float = 1e-9
 
 
 def input_independence_check(
@@ -282,7 +282,6 @@ def input_independence_check(
     ancilla: Mapping[int, int],
     branches: Sequence[OutcomeBranch],
     probes: Sequence[FockState],
-    tolerance: float = 1e-9,
 ) -> IndependenceReport:
     """Probe whether branch probabilities depend on the computational input.
 
@@ -290,8 +289,9 @@ def input_independence_check(
     fixed ancilla preparation, evolved, and evaluated per branch by
     ``postselect_branches``, so the branches must be mutually exclusive. The
     scheme is flagged operationally unitary when every branch probability
-    is probe-independent within tolerance and the branch maps preserve
-    inner products between the probes at the common success amplitude.
+    is probe-independent and the branch maps preserve inner products
+    between the probes at the common success amplitude, both within
+    ``INDEPENDENCE_TOL``.
     """
     if not probes:
         raise ValueError("at least one probe state is required")
@@ -300,7 +300,6 @@ def input_independence_check(
     for p in normalized_probes:
         full = with_ancilla(p, ancilla, transform.dim)
         per_probe.append(postselect_branches(evolve_for_branches(full, transform, branches), branches))
-    labels = [b.label or b.pattern.describe() for b in branches]
     probabilities: list[list[float]] = []
     projected: list[list[FockState | None]] = []
     for column in zip(*per_probe):
@@ -326,10 +325,8 @@ def input_independence_check(
                 got = (si.inner(sj) / d) if (si is not None and sj is not None) else 0j
                 gram_dev = max(gram_dev, abs(got - want))
     return IndependenceReport(
-        branch_labels=labels,
         probabilities=probabilities,
         max_probability_deviation=prob_dev,
         max_gram_deviation=gram_dev,
-        operationally_unitary=(prob_dev <= tolerance and gram_dev <= tolerance),
-        tolerance=tolerance,
+        operationally_unitary=(prob_dev <= INDEPENDENCE_TOL and gram_dev <= INDEPENDENCE_TOL),
     )

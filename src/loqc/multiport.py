@@ -44,7 +44,7 @@ from itertools import permutations, product
 
 import numpy as np
 
-from .fock import FockState, Occupation, PRUNE_TOL, check_occupation
+from .fock import FockState, Occupation, PRUNE_TOL, _integers, check_occupation
 
 #: Maximum allowed deviation of L+L from the identity.
 UNITARY_TOL = 1e-9
@@ -108,14 +108,8 @@ class ModeTransform:
     def matrix(self) -> np.ndarray:
         return self._m
 
-    def dagger(self) -> "ModeTransform":
-        return ModeTransform(self._m.conj().T)
-
     def unitarity_deviation(self) -> float:
         return float(np.abs(self._m.conj().T @ self._m - np.eye(self.dim)).max())
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"ModeTransform(dim={self.dim})"
 
 
 @dataclass(eq=False)
@@ -131,7 +125,7 @@ class ElementSpec:
     block: np.ndarray
 
     def __post_init__(self) -> None:
-        self.modes = tuple(int(m) for m in self.modes)
+        self.modes = _integers(self.modes, "element modes")
         if len(set(self.modes)) != len(self.modes):
             raise ValueError(f"element modes must be distinct: {self.modes}")
         block = ModeTransform(self.block)
@@ -239,13 +233,6 @@ def embed(element: ElementSpec, total_modes: int) -> ModeTransform:
     idx = np.array(element.modes)
     full[np.ix_(idx, idx)] = element.block
     return ModeTransform(full)
-
-
-def compose(first: ModeTransform, then: ModeTransform) -> ModeTransform:
-    """Composite transform of `first` followed by `then` (circuit order)."""
-    if first.dim != then.dim:
-        raise ValueError(f"dimension mismatch: {first.dim} vs {then.dim}")
-    return ModeTransform(then.matrix @ first.matrix)
 
 
 def compose_elements(elements: list[ElementSpec] | tuple[ElementSpec, ...], total_modes: int) -> ModeTransform:

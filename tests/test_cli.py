@@ -365,7 +365,9 @@ def test_search_optimizer_scheme(capsys):
     ["two_bs:case3", "--grid-step", "inf"],
     ["optimize_ns", "--tolerance", "nan"],
     ["single_bs:case3", "--tolerance", "inf"],
-], ids=["negative-step", "empty-grid", "nan-step", "inf-step", "nan-tolerance", "inf-tolerance"])
+    ["optimize_ns", "--tolerance", "1e-6"],  # optimize_ns gives no verdict to threshold
+], ids=["negative-step", "empty-grid", "nan-step", "inf-step", "nan-tolerance", "inf-tolerance",
+        "optimize-tolerance"])
 def test_search_rejects_bad_inputs(capsys, argv):
     code, out, err = run_cli(capsys, "search", *argv)
     assert code == 1

@@ -18,6 +18,7 @@ from loqc import (
     with_ancilla,
 )
 from loqc import measurement
+from loqc.fock import NORM_ATOL
 from loqc.measurement import evolve_for_branches
 
 from helpers import random_state, random_unitary, state_distance
@@ -31,7 +32,7 @@ CASE3_CONDITIONALS = (_R, _U * _R + _V * _W, _U * _U * _R + 2 * _U * _V * _W)
 
 def uniform_signal_with_ancilla() -> FockState:
     signal = FockState(1, {(0,): 1, (1,): 1, (2,): 1}).scaled(1 / math.sqrt(3))
-    return signal.tensor(FockState.from_occupation([1, 0]))
+    return with_ancilla(signal, {1: 1, 2: 0}, 3)
 
 
 def test_sign_shift_postselection_quarter_probability():
@@ -47,7 +48,7 @@ def test_sign_shift_postselection_quarter_probability():
 
 def test_trivial_ancilla_postselection():
     psi = FockState(1, {(0,): 0.6, (1,): 0.8})
-    res = postselect(psi.tensor(FockState.from_occupation([1])), DetectionPattern({1: 1}))
+    res = postselect(with_ancilla(psi, {1: 1}, 2), DetectionPattern({1: 1}))
     assert res.probability == pytest.approx(1.0)
     assert (res.conditional_state - psi).norm() < 1e-12
 
@@ -136,7 +137,7 @@ def test_conditional_states_are_normalized():
     for pattern, _ in outcome_distribution(out, [2]).items():
         res = postselect(out, DetectionPattern({2: pattern[0]}))
         if res.probability > 1e-12:
-            assert res.conditional_state.is_normalized()
+            assert abs(res.conditional_state.norm() ** 2 - 1.0) <= NORM_ATOL
 
 
 # -- density-operator oracle ---------------------------------------------
@@ -190,8 +191,7 @@ def test_pure_state_rule_matches_density_oracle():
     for _ in range(20):
         signal = FockState(1, {(n,): complex(rng.normal(), rng.normal()) for n in range(3)})
         signal = signal.normalized()[0]
-        ancilla = FockState.from_occupation([int(rng.integers(0, 2))])
-        state = signal.tensor(ancilla)
+        state = with_ancilla(signal, {1: int(rng.integers(0, 2))}, 2)
         transform = ModeTransform(random_unitary(rng, 2))
         count = int(rng.integers(0, 3))
 
