@@ -32,6 +32,7 @@ codes: 0 success, 1 diagnostics or a closed output pipe, 2 internal error.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -609,6 +610,7 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(message)
 
 
+@functools.cache   # parsing leaves the parser as it was
 def _make_parser() -> _Parser:
     parser = _Parser(prog="loqc", description="postselected linear-optics simulator")
     parser.add_argument("--pretty", action="store_true", help="human-readable output")

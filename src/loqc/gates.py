@@ -91,14 +91,14 @@ def ns_gate() -> GateCircuit:
         name="ns",
         num_modes=3,
         ancilla={1: 1, 2: 0},
-        elements=[ElementSpec.raw((0, 1, 2), ns_matrix().matrix)],
+        elements=[ElementSpec.raw((0, 1, 2), ns_matrix())],
         branches=[OutcomeBranch(DetectionPattern({1: 1, 2: 0}), label="n1=1,n2=0")],
         computational_modes=[0],
     )
 
 
 def _cs_elements() -> list[ElementSpec]:
-    ns_m = ns_matrix().matrix
+    ns_m = ns_matrix()
     return [
         ElementSpec.bs(1, 3, 0.5),
         ElementSpec.raw((1, 4, 5), ns_m),
@@ -176,7 +176,7 @@ def two_photon_cnot() -> GateCircuit:
         name="cnot_2photon",
         num_modes=6,
         ancilla={4: 0, 5: 0},
-        elements=[ElementSpec.raw((0, 1, 2, 3, 4, 5), two_photon_cnot_matrix().matrix)],
+        elements=[ElementSpec.raw((0, 1, 2, 3, 4, 5), two_photon_cnot_matrix())],
         branches=[OutcomeBranch(DetectionPattern({4: 0, 5: 0}), label="ancilla vacuum")],
         computational_modes=[0, 1, 2, 3],
         encoding=Encoding("polarization", 2),

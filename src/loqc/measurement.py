@@ -27,9 +27,10 @@ the same rules is exercised as an independent oracle in the test suite.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator, Mapping, Sequence
+from collections.abc import Callable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
+from operator import itemgetter
 
 from .fock import FockState, Occupation, _integers
 from .multiport import ModeTransform, evolve, transition_amplitudes
@@ -63,9 +64,6 @@ class DetectionPattern:
             if m == mode:
                 return c
         return None
-
-    def matches(self, occ: Occupation) -> bool:
-        return all(occ[m] == c for m, c in self.constraints)
 
     def conflicts_with(self, other: "DetectionPattern") -> bool:
         """True when no basis state can satisfy both patterns."""
@@ -104,23 +102,39 @@ def _check_pattern(pattern: DetectionPattern, num_modes: int) -> None:
         raise ValueError("pattern must leave at least one surviving mode")
 
 
+def _counts_on(modes: Sequence[int]) -> Callable[[Occupation], tuple[int, ...]]:
+    """The function from an occupation to its counts on ``modes``, as a tuple."""
+    if len(modes) == 1:       # itemgetter of one item returns the bare item
+        mode = modes[0]
+        return lambda occ: (occ[mode],)
+    return itemgetter(*modes) if modes else lambda occ: ()
+
+
 def postselect(state: FockState, pattern: DetectionPattern) -> PostselectionResult:
     """Condition on a detector outcome.
 
     Probability 0 is a valid result and carries no conditional state.
     """
-    _check_pattern(pattern, state.num_modes)
-    survivors = [m for m in range(state.num_modes) if pattern.count(m) is None]
+    return _postselect(list(state.terms()), state.num_modes, pattern)
+
+
+def _postselect(terms: list[tuple[Occupation, complex]], num_modes: int,
+                pattern: DetectionPattern) -> PostselectionResult:
+    """``postselect`` on a state's ``terms()``, listed by the caller."""
+    _check_pattern(pattern, num_modes)
+    measured = _counts_on(pattern.modes)
+    wanted = tuple(c for _, c in pattern.constraints)
+    survivor = _counts_on([m for m in range(num_modes) if pattern.count(m) is None])
     kept: dict[Occupation, complex] = {}
     prob = 0.0
-    for occ, amp in state.terms():
-        if pattern.matches(occ):   # the measured counts are fixed, so survivors are distinct
+    for occ, amp in terms:
+        if measured(occ) == wanted:   # the measured counts are fixed, so survivors are distinct
             prob += abs(amp) ** 2
-            kept[tuple([occ[m] for m in survivors])] = amp
+            kept[survivor(occ)] = amp
     if prob <= PROB_FLOOR:
         return PostselectionResult(prob, None)
-    survivor = FockState._wrap(len(survivors), kept)
-    return PostselectionResult(prob, survivor.scaled(1.0 / math.sqrt(prob)))
+    survivor_state = FockState._wrap(num_modes - len(pattern.modes), kept)
+    return PostselectionResult(prob, survivor_state.scaled(1.0 / math.sqrt(prob)))
 
 
 def postselect_branches(
@@ -141,9 +155,10 @@ def postselect_branches(
                     f"branch patterns overlap: '{a.label or a.pattern.describe()}' "
                     f"and '{b.label or b.pattern.describe()}'"
                 )
+    terms = list(state.terms())   # sorted once for every branch
     results = []
     for branch in branches:
-        res = postselect(state, branch.pattern)
+        res = _postselect(terms, state.num_modes, branch.pattern)
         if res.conditional_state is not None and branch.correction is not None:
             res = PostselectionResult(res.probability, evolve(res.conditional_state, branch.correction))
         results.append((branch, res))

@@ -9,9 +9,11 @@ creation operator of input mode k by the k-th *column* of the matrix:
 
 ``evolve`` expands each input basis term as a product of such linear
 forms applied to the vacuum and collects the resulting monomials: the
-whole output, C(n+m-1, n) terms for n photons in m modes. The expansion
-runs as numpy passes over the whole Fock basis, one per photon, guided
-by an index table per (modes, photons) from a bounded cache; the
+whole output, C(n+m-1, n) terms for n photons in m modes. Only the modes
+the network mixes take part: a spectator mode, whose row and column are
+both e_k, keeps its photons and passes through. The expansion runs as
+numpy passes over the Fock basis of the other modes, one per photon,
+guided by an index table per (modes, photons) from a bounded cache; the
 ``evolve`` docstring gives the order in which it sums.
 ``transition_amplitudes`` computes <out|U|in> for a given list of output
 occupations only, by Ryser's formula over repeated rows and columns; a
@@ -40,7 +42,7 @@ import functools
 import math
 from collections.abc import Iterable
 from dataclasses import dataclass
-from itertools import permutations, product
+from itertools import accumulate, permutations, product
 
 import numpy as np
 
@@ -117,8 +119,9 @@ class ElementSpec:
     """One optical element: its unitary block and the circuit modes it touches.
 
     Row and column k of ``block`` act on ``modes[k]``. The constructors
-    ``bs``, ``ps``, ``gen3`` and ``raw`` build the block once; equality
-    compares modes and blocks exactly.
+    ``bs``, ``ps``, ``gen3`` and ``raw`` build the block once; a block
+    given as a ``ModeTransform`` is taken as checked, any other is checked
+    for unitarity here. Equality compares modes and blocks exactly.
     """
 
     modes: tuple[int, ...]
@@ -128,7 +131,7 @@ class ElementSpec:
         self.modes = _integers(self.modes, "element modes")
         if len(set(self.modes)) != len(self.modes):
             raise ValueError(f"element modes must be distinct: {self.modes}")
-        block = ModeTransform(self.block)
+        block = self.block if isinstance(self.block, ModeTransform) else ModeTransform(self.block)
         if block.dim != len(self.modes):
             raise ValueError(f"a {block.dim}x{block.dim} block cannot act on "
                              f"{len(self.modes)} mode(s)")
@@ -141,7 +144,7 @@ class ElementSpec:
 
     @classmethod
     def bs(cls, i: int, j: int, eta: float) -> "ElementSpec":
-        return cls((i, j), beam_splitter(eta).matrix)
+        return cls((i, j), beam_splitter(eta))
 
     @classmethod
     def ps(cls, mode: int, delta: float) -> "ElementSpec":
@@ -149,10 +152,10 @@ class ElementSpec:
 
     @classmethod
     def gen3(cls, i: int, j: int, k: int, t1: float, t2: float, t3: float) -> "ElementSpec":
-        return cls((i, j, k), general3(float(t1), float(t2), float(t3)).matrix)
+        return cls((i, j, k), general3(float(t1), float(t2), float(t3)))
 
     @classmethod
-    def raw(cls, modes: tuple[int, ...], matrix: np.ndarray) -> "ElementSpec":
+    def raw(cls, modes: tuple[int, ...], matrix: np.ndarray | ModeTransform) -> "ElementSpec":
         return cls(modes, matrix)
 
 
@@ -224,23 +227,54 @@ def ns_matrix() -> ModeTransform:
 NS_ANGLES = (math.pi / 8, math.acos(SQRT2 - 1.0), math.pi / 8)
 
 
-def embed(element: ElementSpec, total_modes: int) -> ModeTransform:
-    """Place an element's block on its target modes, identity elsewhere."""
+def _embedded(element: ElementSpec, total_modes: int) -> np.ndarray:
+    """An element's block on its target modes, identity elsewhere; the
+    block was checked when the element was built."""
     for m in element.modes:
         if not 0 <= m < total_modes:
             raise ValueError(f"element mode {m} out of range for {total_modes} modes")
     full = np.eye(total_modes, dtype=complex)
     idx = np.array(element.modes)
     full[np.ix_(idx, idx)] = element.block
-    return ModeTransform(full)
+    return full
+
+
+def embed(element: ElementSpec, total_modes: int) -> ModeTransform:
+    """Place an element's block on its target modes, identity elsewhere."""
+    return ModeTransform(_embedded(element, total_modes))
 
 
 def compose_elements(elements: list[ElementSpec] | tuple[ElementSpec, ...], total_modes: int) -> ModeTransform:
-    """Embed and compose a sequence of elements in circuit order."""
+    """Embed and compose a sequence of elements in circuit order; the
+    product is checked for unitarity once."""
     total = np.eye(total_modes, dtype=complex)
     for el in elements:
-        total = embed(el, total_modes).matrix @ total
+        total = _embedded(el, total_modes) @ total
     return ModeTransform(total)
+
+
+@functools.lru_cache(maxsize=128)
+def _rank_table(modes: int, photons: int) -> tuple[np.ndarray, np.ndarray]:
+    """``table[i, t]`` = C(t + d - 1, d) for t <= ``photons`` photons in the
+    d = ``modes`` - 1 - i modes beyond mode i (see ``_rank``), and the
+    index of each mode i < ``modes`` - 1."""
+    table = np.array([[math.comb(t + modes - i - 2, modes - i - 1) for t in range(photons + 1)]
+                      for i in range(modes - 1)], dtype=np.int32).reshape(max(modes - 1, 0), photons + 1)
+    return table, np.arange(max(modes - 1, 0))
+
+
+def _rank(occs: np.ndarray, photons: int) -> np.ndarray:
+    """The row of each occupation (along the last axis) in the
+    ``_fock_basis`` of its modes and photons; none holds more than
+    ``photons``.
+
+    An occupation comes after those that agree with it before some mode i
+    and hold more photons at mode i; with t photons beyond mode i and d
+    modes beyond it, there are C(t + d - 1, d) of these for each i.
+    """
+    table, before = _rank_table(occs.shape[-1], photons)
+    beyond = np.cumsum(occs[..., :0:-1], axis=-1, dtype=np.int8)[..., ::-1]   # photons beyond mode i
+    return table[before, beyond].sum(axis=-1)
 
 
 @functools.lru_cache(maxsize=128)
@@ -253,23 +287,17 @@ def _fock_basis(modes: int, photons: int) -> tuple[np.ndarray, np.ndarray, np.nd
     lexicographic order, ``scale`` holds sqrt(prod_l o_l!) as a column,
     the integer product taken exactly before it is rounded. For the basis
     ``prev`` of one photon fewer, ``bins[m - 1 - l, p]`` is (2r, 2r + 1),
-    where r is the row of ``prev[p] + e_l``: the real and imaginary slots
-    of that row in an interleaved array. With D_i(p) the number of ways
-    to place the photons that ``prev[p]`` holds beyond mode i in the modes
-    beyond mode i, r = p + sum_{i<l} D_i(p) (combinatorial ranking).
+    where r = ``_rank(prev[p] + e_l)``: the real and imaginary slots of
+    that row in an interleaved array.
     """
-    size = math.comb(photons + modes - 1, photons)
     if photons == 0:
         return np.zeros((1, modes), np.int8), np.ones((1, 1)), np.zeros((modes, 0, 2), np.int32)
+    size = math.comb(photons + modes - 1, photons)
     prev = _fock_basis(modes, photons - 1)[0]
-    beyond = prev.sum(axis=1, keepdims=True) - np.cumsum(prev, axis=1)
-    ways = np.array([[math.comb(t + modes - i - 2, t) for i in range(modes - 1)]
-                     for t in range(photons)], dtype=np.intp).reshape(photons, modes - 1)
-    ahead = ways[beyond[:, :-1], np.arange(modes - 1)].cumsum(axis=1)
-    rows = np.arange(len(prev))[:, None]
-    child = np.concatenate((rows, rows + ahead), axis=1).T        # (mode l, parent row)
+    eye = np.eye(modes, dtype=np.int8)
+    child = np.array([_rank(prev + e_l, photons) for e_l in eye])     # (mode l, parent row)
     basis = np.empty((size, modes), dtype=np.int8)
-    basis[child] = prev + np.eye(modes, dtype=np.int8)[:, None, :]
+    basis[child] = prev + eye[:, None, :]
     scale = np.sqrt(np.array(_FACT, dtype=object)[basis].prod(axis=1).astype(float))
     bins = (2 * child[::-1, :, None] + np.array([0, 1])).astype(np.min_scalar_type(2 * size))
     scale = scale[:, None]
@@ -290,6 +318,35 @@ def _state_of(num_modes: int, occs: np.ndarray, amps: np.ndarray) -> FockState:
     return FockState._wrap(num_modes, dict(zip(map(tuple, occs.tolist()), amps.tolist())))
 
 
+def _expand(occupations: np.ndarray, photons: int, cols: np.ndarray) -> np.ndarray:
+    """The product of the column forms of the photons of each occupation
+    row, ``photons`` in each, on the Fock basis of that many photons in
+    ``len(cols)`` modes: (rows, basis row, re/im). See ``evolve`` for the
+    order of the sums."""
+    terms, m = occupations.shape
+    if not photons:
+        return np.tile([1.0, 0.0], (terms, 1, 1))
+    photon_modes = np.repeat(np.tile(np.arange(m), terms), occupations.ravel()).reshape(terms, photons)
+    coeff = cols[photon_modes[:, 0]]                      # the first photon leaves its column itself
+    if photons > 1:
+        col_re = cols[:, ::-1, None, :1]                  # (k, l descending, 1, 1)
+        col_im = cols[:, ::-1, None, 1:] * _CROSS         # -Im, +Im: the two cross terms
+    for j in range(1, photons):
+        bins = _fock_basis(m, j + 1)[2]
+        slots = 2 * math.comb(j + m, j + 1)               # re/im of every row one photon up
+        if terms > 1:
+            bins = bins + slots * np.arange(terms)[:, None, None, None]
+        re, im = col_re[photon_modes[:, j]], col_im[photon_modes[:, j]]
+        nxt = np.zeros(slots * terms)
+        step = max(1, RYSER_BLOCK // (terms * coeff.shape[1]))
+        for l in range(0, m, step):
+            w = coeff[:, None] * re[:, l:l + step]        # (terms, l, parent row, re/im)
+            w += coeff[:, None, :, ::-1] * im[:, l:l + step]
+            np.add.at(nxt, bins[..., l:l + step, :, :].ravel(), w.ravel())
+        coeff = nxt.reshape(terms, -1, 2)
+    return coeff
+
+
 def evolve(state: FockState, transform: ModeTransform, prune_tol: float = PRUNE_TOL) -> FockState:
     """Send a Fock state through a linear network.
 
@@ -299,83 +356,88 @@ def evolve(state: FockState, transform: ModeTransform, prune_tol: float = PRUNE_
     product is expanded, and monomials are converted back to occupation
     amplitudes. Total photon number is conserved term by term.
 
-    The expansion runs on arrays over the whole Fock basis: one numpy
-    pass per photon over all input terms with the same photon number. The
-    photons of a term enter in ascending mode order; after one more photon
+    A spectator mode k, whose row and column of the matrix are both
+    exactly e_k, keeps its photons, and no other photon enters it; the
+    expansion runs over the other, active modes only. The photons of a
+    term in active modes enter in ascending mode order, one numpy pass
+    per photon over the Fock basis of the active modes, for all input
+    terms with the same number of active photons. After one more photon
     of mode k, occupation K holds the sum over l of
     parent(K - e_l) * L[l, k], added up from zero in descending order of
     l (``np.add.at`` adds in index order). Complex products are formed
     from real ones, as Python forms them; numpy's complex multiply may
-    fuse them. The amplitudes are then scaled by
-    sqrt(prod o_l!) / sqrt(prod n_k!) and summed over the input terms in
-    sorted order. For a transform whose columns have no zero entry this
-    repeats, operation for operation, the term-by-term expansion of the
-    operator products. Zero entries only add exact zeros, but the
-    expansion then meets fewer occupations and may sum over l in another
-    order, which can move the last bits. Input terms and columns l are
-    taken in blocks, so that a working array holds at most
-    ``RYSER_BLOCK`` complex numbers or one term's products with one
-    column; the order of the sums does not depend on the blocks. The
-    index tables of the last 128 (modes, photons) pairs stay cached.
+    fuse them. Each term's spectator counts are then put back, its rows
+    found in the full basis by their rank, and the amplitudes scaled by
+    sqrt(prod o_l!) / sqrt(prod n_k!) over all modes and summed over the
+    input terms in sorted order. For a transform whose columns have no
+    zero entry this repeats, operation for operation, the term-by-term
+    expansion of the operator products. A spectator photon would multiply
+    by exactly 1 and add exact zeros, so skipping it changes no bit. Other
+    zero entries only add exact zeros, but the expansion then meets fewer
+    occupations and may sum over l in another order, which can move the
+    last bits. Input terms and columns l are taken in blocks, so that a
+    working array holds at most ``RYSER_BLOCK`` complex numbers or one
+    term's products with one column (and, with spectators, m small
+    integers per output row for the ranks); the order of the sums does
+    not depend on the blocks. The index tables of the last 128
+    (modes, photons) pairs stay cached.
 
     Every input term is checked against ``MAX_PHOTONS`` and its basis,
-    C(n+m-1, n) terms for n photons in m modes, against
+    C(n+m-1, n) terms for n photons in all m modes, against
     ``MAX_FOCK_TERMS`` before any table is built.
     """
     if state.num_modes != transform.dim:
         raise ValueError(f"state has {state.num_modes} modes, transform {transform.dim}")
     m = transform.dim
-    groups: dict[int, list[tuple[Occupation, complex]]] = {}
-    for occ, amp in state.terms():
-        n = sum(occ)
+    terms = list(state.terms())
+    photons = [sum(occ) for occ, _ in terms]
+    counts = list(dict.fromkeys(photons))
+    for n in counts:
         check_term_budget(n, m)
-        groups.setdefault(n, []).append((occ, amp))
-    if not groups:
+    if not terms:
         return FockState._wrap(m, {})
-    cols = np.ascontiguousarray(transform.matrix.T).view(float).reshape(m, m, 2)  # (k, l, re/im)
-    col_re = cols[:, ::-1, None, :1]                      # (k, l descending, 1, 1)
-    col_im = cols[:, ::-1, None, 1:] * _CROSS             # -Im, +Im: the two cross terms
-    bases = [_fock_basis(m, n) for n in groups]
-    total = np.zeros((sum(len(basis) for basis, _, _ in bases), 2))
-    start = 0
-    for (n, terms), (basis, scale, _) in zip(groups.items(), bases):
-        rows = total[start:start + len(basis)]
-        start += len(basis)
-        photon_modes = np.array([[k for k, c in enumerate(occ) for _ in range(c)] for occ, _ in terms],
-                                dtype=np.intp).reshape(len(terms), n)
-        prefs = np.array([amp / math.sqrt(math.prod(_FACT[c] for c in occ)) for occ, amp in terms])
-        prefs = prefs.view(float).reshape(-1, 1, 2)
-        cross = prefs[..., 1:] * _CROSS
-        block = max(1, RYSER_BLOCK // (m * math.comb(n + m - 2, n - 1) if n else m))
-        for lo in range(0, len(terms), block):
-            ks = photon_modes[lo:lo + block]
-            if n:      # the first photon of mode k leaves column k itself
-                coeff = cols[ks[:, 0]]                    # (terms, basis row, re/im)
-            else:
-                coeff = np.tile([1.0, 0.0], (len(ks), 1, 1))
-            for j in range(1, n):
-                bins = _fock_basis(m, j + 1)[2]
-                slots = 2 * math.comb(j + m, j + 1)       # re/im of every row one photon up
-                if len(ks) > 1:
-                    bins = bins + slots * np.arange(len(ks))[:, None, None, None]
-                re, im = col_re[ks[:, j]], col_im[ks[:, j]]
-                nxt = np.zeros(slots * len(ks))
-                step = max(1, RYSER_BLOCK // (len(ks) * coeff.shape[1]))
-                for l in range(0, m, step):
-                    w = coeff[:, None] * re[:, l:l + step]     # (terms, l, parent row, re/im)
-                    w += coeff[:, None, :, ::-1] * im[:, l:l + step]
-                    np.add.at(nxt, bins[..., l:l + step, :, :].ravel(), w.ravel())
-                coeff = nxt.reshape(len(ks), -1, 2)
-            part = coeff * prefs[lo:lo + block, :, :1]
-            part += coeff[..., ::-1] * cross[lo:lo + block]
-            part *= scale
-            for p in part:
-                rows += p
-    amps = total.view(complex)[:, 0]
-    keep = amps != 0
+    off = transform.matrix != np.eye(m)
+    mixed = (off | off.T).any(axis=1)                     # False: row and column k are e_k
+    active = np.flatnonzero(mixed)
+    a = len(active)
+    cols = np.ascontiguousarray(transform.matrix[active[:, None], active].T).view(float).reshape(a, a, 2)
+    occs = np.array([occ for occ, _ in terms], dtype=np.int8)
+    moving = occs[:, active].sum(axis=1)
+    # terms with an output in common move as many photons; a stable sort keeps their order
+    order = np.argsort(moving, kind="stable")
+    occs, moving = occs[order], moving[order].tolist()
+    terms = [terms[i] for i in order.tolist()]
+    bases = [_fock_basis(m, n) for n in counts]
+    start = dict(zip(counts, accumulate((len(basis) for basis, _, _ in bases), initial=0)))
+    first = np.array([start[sum(occ)] for occ, _ in terms])   # the first output row of each term's basis
+    scales = np.concatenate([scale for _, scale, _ in bases])
+    prefs = np.array([amp / math.sqrt(math.prod(map(_FACT.__getitem__, occ))) for occ, amp in terms])
+    prefs = prefs.view(float).reshape(-1, 1, 2)
+    cross = prefs[..., 1:] * _CROSS
+    total = np.zeros(len(scales), dtype=complex)
+    ends = [i for i in range(1, len(terms)) if moving[i] != moving[i - 1]] + [len(terms)]
+    for lo, hi in zip([0] + ends, ends):
+        n = moving[lo]
+        basis = _fock_basis(a, n)[0]
+        block = max(1, RYSER_BLOCK // (a * math.comb(n + a - 2, n - 1) if n else 1))
+        for at in range(lo, hi, block):
+            sel = slice(at, min(at + block, hi))
+            coeff = _expand(occs[sel][:, active], n, cols)   # (terms, active basis row, re/im)
+            if a < m:   # each output puts back its term's spectator counts
+                lift = np.zeros((len(basis), m), dtype=np.int8)
+                lift[:, active] = basis
+                rows = _rank(occs[sel, None] * ~mixed + lift, max(counts))
+            else:       # the active basis is the full basis
+                rows = np.arange(len(basis))
+            rows = rows + first[sel, None]
+            part = coeff * prefs[sel, :, :1]
+            part += coeff[..., ::-1] * cross[sel]
+            part *= scales[rows]
+            np.add.at(total, rows.ravel(), part.view(complex).ravel())
+    keep = total != 0
     if prune_tol > 0:
-        keep &= np.hypot(total[:, 0], total[:, 1]) >= prune_tol
-    return _state_of(m, np.concatenate([basis for basis, _, _ in bases])[keep], amps[keep])
+        keep &= np.hypot(total.real, total.imag) >= prune_tol
+    return _state_of(m, np.concatenate([basis for basis, _, _ in bases])[keep], total[keep])
 
 
 def transition_amplitudes(

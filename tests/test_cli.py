@@ -1,4 +1,5 @@
 import hashlib
+import importlib.util
 import json
 import os
 import string
@@ -14,7 +15,8 @@ from loqc.cli import ParseError, main, parse_circuit
 from loqc.multiport import MAX_MODES
 from loqc.search import CANDIDATE_T2
 
-REFERENCE_DIGESTS = Path(__file__).resolve().parent.parent / "perfbench" / "reference.json"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+REFERENCE_DIGESTS = PERFBENCH / "reference.json"
 
 #: Environment for a fresh interpreter that imports this checkout's package.
 SRC_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
@@ -411,6 +413,30 @@ def test_default_searches_match_reference_digests(capsys, argv):
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == reference[" ".join(argv)]
+
+
+@pytest.fixture(scope="module")
+def default_circuit_files(tmp_path_factory):
+    """The seed-0 circuit files whose ``simulate`` stdout ``reference.json`` pins."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", PERFBENCH / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads   # its dataclasses look their module up while it runs
+    try:
+        spec.loader.exec_module(workloads)
+    finally:
+        del sys.modules[spec.name]
+    files = workloads.write_circuits(0, "default", 1, tmp_path_factory.mktemp("circuits"))
+    return {f"simulate {key}": path for key, path, _ in files}
+
+
+@pytest.mark.parametrize("key", sorted(k for k in json.loads(REFERENCE_DIGESTS.read_text(encoding="utf-8"))
+                                       if k.startswith("simulate ")))
+def test_default_circuit_files_match_reference_digests(capsys, default_circuit_files, key):
+    # six of these files end in heralded branches whose corrections leave spectator modes
+    reference = json.loads(REFERENCE_DIGESTS.read_text(encoding="utf-8"))
+    code, out, _ = run_cli(capsys, "simulate", str(default_circuit_files[key]))
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == reference[key]
 
 
 def test_verify_gate_cs_and_cnot(capsys):

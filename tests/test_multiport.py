@@ -299,6 +299,14 @@ def _operator_expansion(state, transform):
     return FockState(m, {o: a for o, a in out.items() if abs(a) >= PRUNE_TOL})
 
 
+def _in_basis_order(state, out):
+    """The terms of ``out`` in the order ``evolve`` lists its keys: the photon
+    numbers as they first occur in ``state.terms()``, each basis in descending
+    lexicographic order."""
+    first = {n: i for i, n in enumerate(dict.fromkeys(sum(occ) for occ, _ in state.terms()))}
+    return sorted(out.terms(), key=lambda term: (first[sum(term[0])], [-c for c in term[0]]))
+
+
 def test_evolve_repeats_the_operator_expansion_bit_for_bit():
     # columns without zero entries: the same float operations in the same order,
     # down to the order of the terms that norm() sums
@@ -307,8 +315,25 @@ def test_evolve_repeats_the_operator_expansion_bit_for_bit():
         t = ModeTransform(random_unitary(rng, m))
         state = random_state(rng, m, 2, terms=5)
         got, want = evolve(state, t), _operator_expansion(state, t)
-        assert list(got.terms()) == list(want.terms())
+        assert list(got._amp.items()) == _in_basis_order(state, want)
         assert got.norm() == want.norm()
+    # spectator modes, whose row and column are e_k, are left out of the expansion
+    # without moving a bit: a splitter plus identity, a circuit file's correction
+    # (bs 1 2, ps 2) on six modes, the identity; and, with no spectator, a mode
+    # that only takes a phase. Columns of at most two entries leave no sum to reorder.
+    correction = compose_elements([ElementSpec.bs(0, 1, 0.37), ElementSpec.ps(1, 2.1)], 6)
+    three_photons = FockState(6, {tuple(modes.count(k) for k in range(6)): complex(rng.normal(), rng.normal())
+                                  for modes in combinations_with_replacement(range(6), 3)})
+    cases = [
+        (compose_elements([ElementSpec.bs(1, 3, 0.3)], 5), random_state(rng, 5, 2, terms=6)),
+        (correction, random_state(rng, 6, 2, terms=6)),
+        (correction, three_photons),                  # 56 terms, 10 active occupations
+        (ModeTransform(np.eye(4)), random_state(rng, 4, 2, terms=6)),
+        (compose_elements([ElementSpec.bs(0, 1, 0.6), ElementSpec.ps(2, 0.9)], 3), random_state(rng, 3, 2, terms=6)),
+    ]
+    for t, state in cases:
+        got, want = evolve(state, t), _operator_expansion(state, t)
+        assert list(got._amp.items()) == _in_basis_order(state, want)
     # with zero entries the sums may be taken in another order
     sparse = compose_elements([ElementSpec.bs(0, 1, 0.3), ElementSpec.bs(1, 2, 0.6), ElementSpec.ps(3, 0.7)], 4)
     state = random_state(rng, 4, 2, terms=5)
@@ -318,11 +343,13 @@ def test_evolve_repeats_the_operator_expansion_bit_for_bit():
 def test_evolve_blocks_agree(monkeypatch):
     # a block of 5 numbers puts every input term and every mode l in a block of its own
     rng = np.random.default_rng(17)
-    t = ModeTransform(random_unitary(rng, 5))
-    state = random_state(rng, 5, 2, terms=6)
-    whole = evolve(state, t)
+    dense = ModeTransform(random_unitary(rng, 5))
+    spectators = compose_elements([ElementSpec.raw((3, 0, 1), random_unitary(rng, 3))], 5)
+    cases = [(t, random_state(rng, 5, 2, terms=6)) for t in (dense, spectators)]
+    whole = [evolve(state, t) for t, state in cases]
     monkeypatch.setattr(multiport, "RYSER_BLOCK", 5)
-    assert list(evolve(state, t).terms()) == list(whole.terms())
+    for (t, state), out in zip(cases, whole):
+        assert list(evolve(state, t)._amp.items()) == list(out._amp.items())
 
 
 def test_evolve_memory_stays_under_8_mb():
