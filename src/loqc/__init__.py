@@ -47,7 +47,6 @@ from .measurement import (
 from .gates import (
     GATE_NAMES,
     GateCircuit,
-    GateReport,
     build_gate,
     cnot_from_cs,
     cs_gate,
@@ -81,9 +80,8 @@ __all__ = [
     "DetectionPattern", "IndependenceReport", "OutcomeBranch",
     "PostselectionResult", "input_independence_check", "outcome_distribution",
     "postselect", "postselect_branches", "with_ancilla",
-    "GATE_NAMES", "GateCircuit", "GateReport", "build_gate", "cnot_from_cs",
-    "cs_gate", "evaluate_gate", "ns_gate", "two_photon_cnot",
-    "two_photon_cnot_matrix",
+    "GATE_NAMES", "GateCircuit", "build_gate", "cnot_from_cs", "cs_gate",
+    "evaluate_gate", "ns_gate", "two_photon_cnot", "two_photon_cnot_matrix",
     "CASE_AMPLITUDES", "FeasibilityReport", "OptimizationResult",
     "closed_form_amplitudes", "ns_in_ns_feasibility",
     "optimize_success", "parametrized_ns_amplitudes",

@@ -255,6 +255,11 @@ def parse_circuit(text: str) -> Circuit:
                         raise ParseError(lineno, col, f"invalid amplitude: {tok!r}") from None
                     if not (math.isfinite(a.real) and math.isfinite(a.imag)):
                         raise ParseError(lineno, col, "amplitudes must be finite")
+                    # a normalized vector has no larger entry, and the norm
+                    # of larger ones can overflow
+                    if (mag := math.hypot(a.real, a.imag)) > 1.0 + NORM_ATOL:
+                        raise ParseError(lineno, col, f"amplitude magnitude {mag:.10g} exceeds 1, "
+                                                      f"so the amplitudes are not normalized")
                     amps.append(a)
                 vec = np.array(amps, dtype=complex)
                 norm = float(np.linalg.norm(vec))  # as encode computes it
@@ -417,27 +422,12 @@ def simulate_report(circ: Circuit, source_text: str) -> dict:
 def gate_report(name: str) -> dict:
     if name not in GATE_NAMES:
         raise CliError(f"unknown gate {name!r}; choose from {', '.join(GATE_NAMES)}")
-    rep = evaluate_gate(name)
-    payload = {
+    return {
         **_report_header("verify-gate", name, gate=name,
                          mode_order="ports 1..N left to right; dual-rail qubit q uses ports 2q+1, 2q+2 "
                                     "with the photon on the first port encoding logical 0"),
-        "gate": rep.gate,
-        "overall_success_probability": rep.overall_success_probability,
+        **evaluate_gate(name),
     }
-    if rep.sign_pattern is not None:
-        payload["sign_pattern"] = rep.sign_pattern
-    payload["inputs"] = [
-        {
-            "input": row.input_label,
-            "branch_probabilities": dict(row.branch_probabilities),
-            "success_probability": row.success_probability,
-            "fidelity": row.fidelity,
-            "conditional": row.conditional,
-        }
-        for row in rep.inputs
-    ]
-    return payload
 
 
 def search_report(scheme: str, grid_step: float | None, tolerance: float | None) -> dict:

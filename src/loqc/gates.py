@@ -20,13 +20,15 @@ element list, outcome branches, computational modes); evaluation is pure.
 each branch's ``PostselectionResult`` in branch order, straight from
 ``postselect_branches``. ``evaluate_gate`` is one loop over a gate's
 inputs with a prepare/read pair per gate: a one-mode qutrit for
-``ns``, ``encode``/``decode`` for the others.
+``ns``, ``encode``/``decode`` for the others. It returns the body of
+the ``verify-gate`` report as a plain dict; the CLI only puts its
+header in front.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, partial
 
 import numpy as np
@@ -48,9 +50,6 @@ from .multiport import (
     compose_elements,
     ns_matrix,
 )
-
-GATE_NAMES = ("ns", "cs", "cnot_klm", "cnot_2photon")
-
 
 @dataclass
 class GateCircuit:
@@ -184,44 +183,24 @@ def two_photon_cnot() -> GateCircuit:
     )
 
 
+#: The gallery: name -> (builder, target map on the gate's input basis).
+_GALLERY = {
+    "ns": (ns_gate, np.diag([1.0, 1.0, -1.0]).astype(complex)),
+    "cs": (cs_gate, np.diag([1.0, 1.0, 1.0, -1.0]).astype(complex)),
+    "cnot_klm": (cnot_from_cs, qubit_gate("CNOT")),
+    "cnot_2photon": (two_photon_cnot, qubit_gate("CNOT")),
+}
+
+GATE_NAMES = tuple(_GALLERY)
+
+
 def build_gate(name: str) -> GateCircuit:
-    builders = {
-        "ns": ns_gate,
-        "cs": cs_gate,
-        "cnot_klm": cnot_from_cs,
-        "cnot_2photon": two_photon_cnot,
-    }
-    if name not in builders:
+    if name not in _GALLERY:
         raise ValueError(f"unknown gate {name!r}; choose from {GATE_NAMES}")
-    return builders[name]()
+    return _GALLERY[name][0]()
 
 
 # -- evaluation ----------------------------------------------------------
-
-@dataclass
-class GateInputResult:
-    input_label: str
-    branch_probabilities: dict[str, float]
-    success_probability: float
-    fidelity: float
-    conditional: list[list[float]] = field(default_factory=list)  # [[re, im], ...]
-
-
-@dataclass
-class GateReport:
-    gate: str
-    inputs: list[GateInputResult]
-    overall_success_probability: float
-    sign_pattern: str | None = None
-
-
-_GATE_TARGETS = {
-    "ns": np.diag([1.0, 1.0, -1.0]).astype(complex),
-    "cs": np.diag([1.0, 1.0, 1.0, -1.0]).astype(complex),
-    "cnot_klm": qubit_gate("CNOT"),
-    "cnot_2photon": qubit_gate("CNOT"),
-}
-
 
 def _basis_inputs(labels: list[str]) -> list[tuple[str, np.ndarray]]:
     return [(label, np.eye(len(labels), dtype=complex)[k]) for k, label in enumerate(labels)]
@@ -235,18 +214,18 @@ def _qutrit_read(state: FockState) -> tuple[np.ndarray, float]:
     return np.array([state.amplitude((k,)) for k in range(3)]), 0.0
 
 
-def _vec_to_pairs(vec: np.ndarray) -> list[list[float]]:
-    return [[float(a.real), float(a.imag)] for a in vec]
-
-
-def evaluate_gate(name: str) -> GateReport:
+def evaluate_gate(name: str) -> dict:
     """Run a named gate over its inputs and compare with its target map.
 
     ``ns`` takes the Fock basis of one mode with up to two photons plus
     their equal superposition and reports the sign each basis input picks
     up; the other gates take their logical basis through their encoding.
+    Returns the body of the ``verify-gate`` report, in its key order; an
+    input whose branch never fires reports zero success and fidelity and
+    no conditional amplitudes.
     """
     circuit = build_gate(name)
+    gate_map = _GALLERY[name][1]
     enc = circuit.encoding
     if enc is None:  # ns: a qutrit on one mode, no logical encoding
         inputs = _basis_inputs(["|0>", "|1>", "|2>"])
@@ -260,20 +239,23 @@ def evaluate_gate(name: str) -> GateReport:
     for label, vec in inputs:
         outcomes = circuit.run(prepare(vec))
         probs = {lab: o.probability for lab, o in zip(labels, outcomes)}
+        row = {"input": label, "branch_probabilities": probs,
+               "success_probability": 0.0, "fidelity": 0.0, "conditional": []}
         cond = outcomes[0].conditional_state
-        if cond is None:
-            rows.append(GateInputResult(label, probs, 0.0, 0.0))
-            continue
-        logical, leakage = read(cond)
-        success = sum(probs.values())
-        if circuit.coincidence:
-            success *= 1.0 - leakage
-        target = _GATE_TARGETS[name] @ vec
-        fid = logical_fidelity(target / np.linalg.norm(target), logical)
-        rows.append(GateInputResult(label, probs, success, fid, _vec_to_pairs(logical)))
-    overall = sum(r.success_probability for r in rows) / len(rows)
-    signs = None
+        if cond is not None:
+            logical, leakage = read(cond)
+            success = sum(probs.values())
+            if circuit.coincidence:
+                success *= 1.0 - leakage
+            target = gate_map @ vec
+            row.update(success_probability=success,
+                       fidelity=logical_fidelity(target / np.linalg.norm(target), logical),
+                       conditional=[[float(a.real), float(a.imag)] for a in logical])
+        rows.append(row)
+    report = {"gate": name,
+              "overall_success_probability": sum(r["success_probability"] for r in rows) / len(rows)}
     if enc is None:  # the sign of each basis input's own amplitude
-        signs = "".join("+" if row.conditional[k][0] >= 0 else "-"
-                        for k, row in enumerate(rows[:3]))
-    return GateReport(name, rows, overall, sign_pattern=signs)
+        report["sign_pattern"] = "".join("+" if row["conditional"][k][0] >= 0 else "-"
+                                         for k, row in enumerate(rows[:3]))
+    report["inputs"] = rows
+    return report

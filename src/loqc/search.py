@@ -49,7 +49,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -204,25 +204,31 @@ class FeasibilityReport:
     best_residual: float
     best_params: dict
     verdict: str
-    extras: dict = field(default_factory=dict)
+    extras: dict
 
     def to_record(self) -> dict:
-        return {
-            "scheme": self.scheme,
-            "parameters": dict(self.parameters),
-            "best_residual": self.best_residual,
-            "best_params": dict(self.best_params),
-            "verdict": self.verdict,
-            "extras": dict(self.extras),
-        }
+        return asdict(self)
 
 
-def _verdict(best: float, tolerance: float) -> str:
-    if best <= tolerance:
-        return "feasible"
-    if best > VERDICT_MARGIN:
-        return "infeasible"
-    return "inconclusive"
+def _feasibility_report(scheme, grid_step, tolerance, residual, best_params, fallback,
+                        extras=None, **scheme_parameters) -> FeasibilityReport:
+    """The one constructor of a scan's ``FeasibilityReport``.
+
+    ``scheme_parameters`` go between the margin and ``refine_rounds``; the
+    extras open with the uncorrected mismatch ``fallback``. A residual at
+    or below ``tolerance`` is "feasible", one above ``VERDICT_MARGIN``
+    "infeasible", and one between them "inconclusive".
+    """
+    return FeasibilityReport(
+        scheme=scheme,
+        parameters={"grid_step": grid_step, "tolerance": tolerance, "margin": VERDICT_MARGIN,
+                    **scheme_parameters, "refine_rounds": REFINE_ROUNDS},
+        best_residual=residual,
+        best_params=best_params,
+        verdict=("feasible" if residual <= tolerance else
+                 "infeasible" if residual > VERDICT_MARGIN else "inconclusive"),
+        extras={"uncorrected_mismatch": fallback, **(extras or {})},
+    )
 
 
 # -- the scan engine ---------------------------------------------------------
@@ -347,20 +353,8 @@ def single_bs_infeasibility(
     (residual, (x,), _), _ = _refine_scan(
         kernel, [(0.0, math.pi)], grid_step, 100,
         clip=False, exclude=(0.0, math.pi / 2, math.pi))
-    return FeasibilityReport(
-        scheme=f"single_bs:case{case}:{target}",
-        parameters={
-            "grid_step": grid_step,
-            "tolerance": tolerance,
-            "margin": VERDICT_MARGIN,
-            "components": [0, 1, 2],
-            "refine_rounds": REFINE_ROUNDS,
-        },
-        best_residual=residual,
-        best_params={"x": x},
-        verdict=_verdict(residual, tolerance),
-        extras={"uncorrected_mismatch": fallback},
-    )
+    return _feasibility_report(f"single_bs:case{case}:{target}", grid_step, tolerance,
+                               residual, {"x": x}, fallback, components=[0, 1, 2])
 
 
 # -- two-splitter correction -------------------------------------------------
@@ -404,24 +398,11 @@ def two_bs_feasibility(
     slice_r = proportionality_residual(two_bs_corrected(ys, ys), tvec, fallback)
     j = int(np.argmin(slice_r))
 
-    return FeasibilityReport(
-        scheme=f"two_bs:case3:{target}",
-        parameters={
-            "grid_step": grid_step,
-            "tolerance": tolerance,
-            "margin": VERDICT_MARGIN,
-            "phases": list(TWO_BS_PHASES),
-            "refine_rounds": REFINE_ROUNDS,
-        },
-        best_residual=residual,
-        best_params={"x": x, "y": y, "phase": phase},
-        verdict=_verdict(residual, tolerance),
-        extras={
-            "uncorrected_mismatch": fallback,
-            "equal_angle_min_residual": float(slice_r[j]),
-            "equal_angle_best_y": float(ys[j]),
-        },
-    )
+    return _feasibility_report(
+        f"two_bs:case3:{target}", grid_step, tolerance, residual,
+        {"x": x, "y": y, "phase": phase}, fallback,
+        {"equal_angle_min_residual": float(slice_r[j]), "equal_angle_best_y": float(ys[j])},
+        phases=list(TWO_BS_PHASES))
 
 
 # -- correction through a second sign-shift network ---------------------------
@@ -472,24 +453,24 @@ def ns_in_ns_products(case: int, pattern: tuple[int, int], t1, t2, t3):
     return tuple(i * c for i, c in zip(incoming, coeffs))
 
 
-#: Parameters of the analytically known root family of the case-1
-#: two-photons-on-detector-1 proportionality system: theta2 fixed, and
-#: tan(theta3) * tan(theta1) a fixed ratio.
-CANDIDATE_T2 = 2.466864691
-CANDIDATE_TAN_RATIO = 0.6614985514
-
-
 def candidate_root_family() -> list[tuple[float, float, float]]:
-    """Sample the known solution family of the case-1 (2,0) system."""
-    pts = []
-    for t2 in (CANDIDATE_T2, -CANDIDATE_T2):
-        for t1 in np.linspace(0.2, math.pi - 0.2, 21):
-            tan = math.tan(t1)
-            if abs(tan) < 1e-9:
-                continue
-            t3 = math.atan(CANDIDATE_TAN_RATIO / tan)
-            pts.append((float(t1), float(t2), float(t3)))
-    return pts
+    """Sample the exact root family of the case-1 (2,0) sign-flip system.
+
+    With d, e the first two ``general3`` columns, a = d1 = -cos t2 and
+    b = d2 e1 / e2, the products are d2 e2 (I0, I1 (b + 2a), 3 I2 a (b + a))
+    for I = ``_SECOND_GATE_INPUT[1]``. Proportionality to (1, 1, -1) gives
+    b = I0/I1 - 2a and 3 I2 a^2 - 3 I2 (I0/I1) a - I0 = 0, whose roots have
+    opposite signs; the positive one lies in [-1, 1] and fixes t2 = acos(-a),
+    then b fixes tan t1 tan t3 = sin^2 t2 / b - cos t2. The family is sampled
+    at 21 values of t1 in [0.2, pi - 0.2] for each sign of t2.
+    """
+    i0, i1, i2 = _SECOND_GATE_INPUT[1]
+    p, q = 3 * i2, -3 * i2 * i0 / i1
+    a = (-q + math.sqrt(q * q + 4 * p * i0)) / (2 * p)
+    t2 = math.acos(-a)
+    tan_ratio = math.sin(t2) ** 2 / (i0 / i1 - 2 * a) - math.cos(t2)
+    return [(float(t1), sign * t2, math.atan(tan_ratio / math.tan(t1)))
+            for sign in (1.0, -1.0) for t1 in np.linspace(0.2, math.pi - 0.2, 21)]
 
 
 def ns_in_ns_feasibility(
@@ -520,7 +501,7 @@ def ns_in_ns_feasibility(
     (residual, angles, _), _ = _refine_scan(
         kernel, [(0.0, 2 * math.pi)] * 3, grid_step, 100, clip=False)
 
-    extras = {"uncorrected_mismatch": fallback}
+    extras = {}
     if case == 1 and pattern == (2, 0):
         fam = candidate_root_family()
         fam_r = [proportionality_residual(ns_in_ns_products(case, pattern, *p), tvec) for p in fam]
@@ -530,19 +511,9 @@ def ns_in_ns_feasibility(
         if fam_r[j] < residual:
             residual, angles = float(fam_r[j]), fam[j]
 
-    return FeasibilityReport(
-        scheme=f"ns_in_ns:case{case}:{pattern[0]},{pattern[1]}:{target}",
-        parameters={
-            "grid_step": grid_step,
-            "tolerance": tolerance,
-            "margin": VERDICT_MARGIN,
-            "refine_rounds": REFINE_ROUNDS,
-        },
-        best_residual=residual,
-        best_params={"t1": angles[0], "t2": angles[1], "t3": angles[2]},
-        verdict=_verdict(residual, tolerance),
-        extras=extras,
-    )
+    return _feasibility_report(
+        f"ns_in_ns:case{case}:{pattern[0]},{pattern[1]}:{target}", grid_step, tolerance,
+        residual, {"t1": angles[0], "t2": angles[1], "t3": angles[2]}, fallback, extras)
 
 
 # -- success-probability optimization ------------------------------------------

@@ -13,7 +13,6 @@ import pytest
 from loqc import ElementSpec, compose_elements, search
 from loqc.cli import ParseError, main, parse_circuit
 from loqc.multiport import MAX_MODES
-from loqc.search import CANDIDATE_T2
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 REFERENCE_DIGESTS = PERFBENCH / "reference.json"
@@ -97,6 +96,10 @@ def test_dualrail_amplitudes_must_be_normalized():
     # norm off by 1.7e-9, beyond the encoder's 1e-9 tolerance
     with pytest.raises(ParseError, match="not normalized"):
         parse_circuit("modes 2\ninput dualrail 0.70710678 0.70710678\n")
+    # an amplitude above 1 is caught at its own column, before its norm overflows
+    with pytest.raises(ParseError, match="not normalized") as info:
+        parse_circuit("modes 2\ninput dualrail 1e200 1e200\n")
+    assert (info.value.line, info.value.column) == (2, 16)
 
 
 def test_parse_converts_ports_at_the_boundary():
@@ -348,8 +351,8 @@ def test_search_second_network_scheme(capsys):
     [record] = json.loads(out)["reports"]
     assert record["verdict"] == "feasible"
     assert record["extras"]["candidate_family_best_residual"] <= 1e-9
-    # the candidate angles really sit at the fixed second angle
-    assert abs(abs(record["extras"]["candidate_family_best_angles"][1]) - CANDIDATE_T2) < 1e-9
+    # the derived second angle, against its value printed to 10 digits
+    assert abs(abs(record["extras"]["candidate_family_best_angles"][1]) - 2.466864691) < 1e-9
 
 
 def test_search_optimizer_scheme(capsys):

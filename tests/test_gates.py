@@ -54,9 +54,9 @@ def test_ns_gate_on_uniform_superposition():
 
 def test_ns_report_sign_pattern():
     rep = evaluate_gate("ns")
-    assert rep.sign_pattern == "++-"
-    assert rep.overall_success_probability == pytest.approx(0.25, abs=1e-9)
-    assert all(r.fidelity >= 1 - 1e-9 for r in rep.inputs)
+    assert rep["sign_pattern"] == "++-"
+    assert rep["overall_success_probability"] == pytest.approx(0.25, abs=1e-9)
+    assert all(r["fidelity"] >= 1 - 1e-9 for r in rep["inputs"])
 
 
 def test_ns_branch_probability_is_input_independent():
@@ -105,8 +105,8 @@ def test_cs_gate_flips_bell_state_phase():
 
 def test_cs_conditional_phase_pattern():
     rep = evaluate_gate("cs")
-    assert rep.overall_success_probability == pytest.approx(1 / 16, abs=1e-9)
-    assert all(r.fidelity >= 1 - 1e-9 for r in rep.inputs)
+    assert rep["overall_success_probability"] == pytest.approx(1 / 16, abs=1e-9)
+    assert all(r["fidelity"] >= 1 - 1e-9 for r in rep["inputs"])
 
 
 # -- CNOT from the sign flip ----------------------------------------------------
@@ -219,8 +219,8 @@ def test_two_photon_truth_table(bits, want):
 
 def test_two_photon_report():
     rep = evaluate_gate("cnot_2photon")
-    assert rep.overall_success_probability == pytest.approx(1 / 9, abs=1e-9)
-    assert all(r.fidelity >= 1 - 1e-9 for r in rep.inputs)
+    assert rep["overall_success_probability"] == pytest.approx(1 / 9, abs=1e-9)
+    assert all(r["fidelity"] >= 1 - 1e-9 for r in rep["inputs"])
 
 
 def test_unknown_gate_name():

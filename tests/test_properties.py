@@ -2,13 +2,16 @@
 
 Each example runs ``loqc.cli.main`` in process twice, on a generated
 circuit file, argv or ``LOQC_REPORT_DIGITS`` value. The exit code must be
-0 or 1 and both runs must print the same stdout. Examples are derived
-from the test function, so every run tries the same inputs.
+0 or 1, both runs must print the same stdout and stderr, and stderr must
+be empty on exit 0 and exactly one ``loqc: error:`` line on exit 1. So a
+leaked warning or a stray traceback fails too. Examples are derived from
+the test function, so every run tries the same inputs.
 """
 
 import contextlib
 import io
 import os
+import re
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -23,17 +26,17 @@ def examples(count):
 
 
 def run_twice(argv, digits=None):
-    """(exit code, stdout) of two runs of ``main(argv)``."""
+    """(exit code, stdout, stderr) of two runs of ``main(argv)``."""
     runs = []
     saved = os.environ.pop(DIGITS_ENV, None)
     try:
         for _ in range(2):
             if digits is not None:
                 os.environ[DIGITS_ENV] = digits
-            out = io.StringIO()
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                 code = main(list(argv))
-            runs.append((code, out.getvalue()))
+            runs.append((code, out.getvalue(), err.getvalue()))
     finally:
         os.environ.pop(DIGITS_ENV, None)
         if saved is not None:
@@ -42,9 +45,13 @@ def run_twice(argv, digits=None):
 
 
 def assert_well_behaved(argv, digits=None):
-    (code, out), again = run_twice(argv, digits)
+    (code, out, err), again = run_twice(argv, digits)
     assert code in (0, 1), (argv, digits)
-    assert again == (code, out), (argv, digits)
+    assert again == (code, out, err), (argv, digits)
+    if code == 0:
+        assert err == "", (argv, digits, err)
+    else:
+        assert re.fullmatch(r"loqc: error: [^\n]*\n", err), (argv, digits, err)
 
 
 # -- argv ------------------------------------------------------------------------
@@ -110,7 +117,7 @@ def test_report_digits_never_reach_internal_error(digits):
 
 WIDTH = {"bs": 2, "ps": 1, "gen3": 3}
 ANGLES = st.floats(min_value=-7.0, max_value=7.0).map(repr)
-JUNK_TOKENS = st.sampled_from(["nan", "inf", "1e400", "-1", "0", "9", "x", "eta=2", "=", "#"])
+JUNK_TOKENS = st.sampled_from(["nan", "inf", "1e400", "1e200", "-1", "0", "9", "x", "eta=2", "=", "#"])
 
 
 @st.composite
@@ -183,6 +190,7 @@ def circuit_path(tmp_path_factory):
 @given(data=circuit_file())
 @example(data=b"modes 2\ninput fock 1 0\nbs 1 2 eta=0.5\ndetect 1=1\n")
 @example(data=b"modes 1\n\xff\n")
+@example(data=b"modes 2\ninput dualrail 1e200 1e200\n")
 def test_circuit_files_never_reach_internal_error(circuit_path, data):
     circuit_path.write_bytes(data)
     assert_well_behaved(["simulate", str(circuit_path)])

@@ -18,7 +18,6 @@ from loqc import (
 )
 from loqc import search
 from loqc.search import (
-    CANDIDATE_T2,
     candidate_root_family,
     minimize,
     ns_in_ns_products,
@@ -276,8 +275,8 @@ def test_second_network_scan_finds_the_family():
     report = ns_in_ns_feasibility(1, (2, 0), 0.1)
     assert report.verdict == "feasible"
     assert report.extras["candidate_family_best_residual"] <= 1e-9
-    # the candidate angles really sit at the fixed second angle
-    assert abs(abs(report.extras["candidate_family_best_angles"][1]) - CANDIDATE_T2) < 1e-9
+    # the derived second angle, against its value printed to 10 digits
+    assert abs(abs(report.extras["candidate_family_best_angles"][1]) - 2.466864691) < 1e-9
 
 
 def test_unknown_pattern_is_rejected():
@@ -333,6 +332,10 @@ def test_polish_reaches_the_quarter_point(step):
     assert result.probability == pytest.approx(0.25, abs=1e-12)
     assert result.residual <= 1e-12
     assert all(-math.pi <= t <= 2 * math.pi for t in result.angles)
+    # the closed-form optimum: cos t2 = |tan t1| = |tan t3| = sqrt(2) - 1
+    t1, t2, t3 = result.angles
+    for value in (math.cos(t2), abs(math.tan(t1)), abs(math.tan(t3))):
+        assert value == pytest.approx(SQ2 - 1, abs=1e-9)
 
 
 @pytest.mark.filterwarnings("error")
