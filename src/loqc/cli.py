@@ -357,7 +357,7 @@ def parse_circuit(text: str) -> Circuit:
 # -- report assembly -------------------------------------------------------
 
 def _fmt_counts(counts) -> str:
-    return ",".join(str(n) for n in counts)
+    return ",".join(map(str, counts))
 
 
 def _pair(z: complex) -> list[float]:
@@ -451,7 +451,7 @@ def search_report(scheme: str, grid_step: float | None, tolerance: float | None)
         elif scheme == "two_bs:case3":
             records = [two_bs_feasibility(**step, **tol).to_record()]
         elif scheme == "ns_in_ns:case1":
-            records = [ns_in_ns_feasibility(1, (2, 0), **step, **tol).to_record()]
+            records = [ns_in_ns_feasibility(**step, **tol).to_record()]
         else:
             records = [optimize_success(**step).to_record()]
     except ValueError as exc:  # empty grid or a scan budget exceeded

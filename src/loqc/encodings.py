@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fock import FockState, NORM_ATOL
+from .fock import FockState, NORM_ATOL, _integers
 from .multiport import ElementSpec, ModeTransform, compose_elements, evolve
 
 SCHEMES = ("single_rail", "dual_rail", "one_hot", "polarization")
@@ -46,6 +46,8 @@ class Encoding:
     def __post_init__(self) -> None:
         if self.scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}; choose from {SCHEMES}")
+        [num_qubits] = _integers([self.num_qubits], "num_qubits")
+        object.__setattr__(self, "num_qubits", num_qubits)
         if self.num_qubits < 1:
             raise ValueError("num_qubits must be positive")
 

@@ -250,9 +250,10 @@ def outcome_distribution(state: FockState, modes: Sequence[int]) -> dict[tuple[i
     for m in modes:
         if not 0 <= m < state.num_modes:
             raise ValueError(f"mode {m} out of range for {state.num_modes} modes")
+    counts = _counts_on(modes)
     dist: dict[tuple[int, ...], float] = {}
     for occ, amp in state.terms():
-        key = tuple(occ[m] for m in modes)
+        key = counts(occ)
         dist[key] = dist.get(key, 0.0) + abs(amp) ** 2
     return dist
 

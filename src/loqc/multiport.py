@@ -464,9 +464,9 @@ def transition_amplitudes(
         raise ValueError(f"state has {state.num_modes} modes, transform {transform.dim}")
     dim = transform.dim
     keys = list(dict.fromkeys(map(tuple, outputs)))
-    outs = np.array(keys, dtype=int).reshape(len(keys), -1) if keys else np.zeros((0, dim), int)
-    if outs.shape[1] != dim or (outs < 0).any():
-        raise ValueError(f"outputs must be non-negative occupations of {dim} modes")
+    outs = np.array(keys).reshape(len(keys), -1) if keys else np.zeros((0, dim), int)
+    if outs.dtype.kind not in "iu" or outs.shape[1] != dim or (outs < 0).any():
+        raise ValueError(f"outputs must be non-negative integer occupations of {dim} modes")
     for occ in keys:
         check_term_budget(sum(occ))
     photons = outs.sum(axis=1)

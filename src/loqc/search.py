@@ -33,10 +33,13 @@ a leading axis is looped over. Before the first kernel call the engine
 also bounds the whole scan, the coarse grid plus every refinement window,
 by ``MAX_SCAN_POINTS`` (10^9) points. A "clipped" grid is laid over the
 window cut to the domain; a "filtered" one over the whole window, keeping
-only the points inside the domain. Per scheme:
+only the points inside the domain. A kernel marks a point it does not
+admit with cost +inf. Per scheme:
 
-* ``single_bs``: x in [0, pi], filtered, degenerate angles excluded; window 100.
-* ``two_bs``: x, y in [0, pi], clipped, phases 0 and pi a fixed leading axis; window 100.
+* ``single_bs``: x in [0, pi], filtered; window 100. Points within
+  ``DEGENERATE_EXCLUSION`` of 0, pi/2 and pi cost +inf.
+* ``two_bs``: x, y in [0, pi], clipped; window 100. Each point is scored at
+  both phases ``TWO_BS_PHASES`` and keeps the lower residual, phase 0 on a tie.
 * ``ns_in_ns``: t1, t2, t3 in [0, 2 pi], filtered; window 100.
 * ``optimize_ns``: t1, t2, t3 in [0, pi], clipped; window 10. The engine
   minimizes, so the score enters negated.
@@ -64,7 +67,8 @@ DEGENERATE_EXCLUSION = 1e-3
 #: between the tolerance and the margin is "inconclusive".
 VERDICT_MARGIN = 1e-3
 
-#: Phases of the two-splitter scheme's phase shifter, a fixed scan axis.
+#: Phases of the two-splitter scheme's phase shifter; every scan point is
+#: scored at both.
 TWO_BS_PHASES = (0.0, math.pi)
 
 #: Weight of the proportionality residual in the optimizer's score.
@@ -233,37 +237,28 @@ def _feasibility_report(scheme, grid_step, tolerance, residual, best_params, fal
 
 # -- the scan engine ---------------------------------------------------------
 
-def _excluded(axis: np.ndarray, points: tuple[float, ...]) -> np.ndarray:
-    mask = np.ones(axis.shape, dtype=bool)
-    for p in points:
-        mask &= np.abs(axis - p) > DEGENERATE_EXCLUSION
-    return mask
-
-
-def _refine_scan(kernel, domains, step, window, *, clip, exclude=(), fixed=None):
+def _refine_scan(kernel, domains, step, window, *, clip):
     """Grid scan of ``kernel`` over ``domains``, refined around the incumbent.
 
     Each of ``REFINE_ROUNDS`` rounds divides the step by ten and rescans
-    ``window`` refined cells either side of the incumbent. With ``clip``
-    the window is clipped to the domain before the grid is laid; otherwise
-    the grid covers the whole window and points outside the domain, or
-    within DEGENERATE_EXCLUSION of an ``exclude`` value, are dropped.
-    ``fixed`` holds the values of a leading axis that is scanned but never
-    refined.
+    ``window`` refined cells either side of the incumbent, which it keeps
+    unless a strictly lower cost turns up. With ``clip`` the window is
+    clipped to the domain before the grid is laid; otherwise the grid
+    covers the whole window and points outside the domain are dropped.
 
     The last two axes form one slab of ``np.ix_`` axes, shapes (n, 1) and
     (1, m), and ``kernel(*lead, *slab)`` is called once for each
     combination of leading-axis values. It returns ``(cost, *aux)`` arrays
-    that broadcast over the slab; ``aux`` is read at the first-index
-    argmin of ``cost``.
+    that broadcast over the slab, with cost +inf at a point it does not
+    admit; ``aux`` is read at the first-index argmin of ``cost``. A coarse
+    grid with no admitted point raises ``ValueError``.
 
     Returns ``(best, history)``. ``best`` is ``(cost, point, aux)`` with the
-    point ordered like the axes, fixed axis first; ``history`` holds one
-    ``(step, best)`` pair for the coarse scan and one per round.
+    point ordered like the axes; ``history`` holds one ``(step, best)`` pair
+    for the coarse scan and one per round.
     """
     if not (math.isfinite(step) and step > 0):
         raise ValueError("grid_step must be finite and positive")
-    lead_fixed = [] if fixed is None else [tuple(fixed)]
     # a refinement window spans at most 2 * window + 1 points per axis, so
     # the coarse grid bounds both budgets
     coarse = [max(0.0, (hi - lo) / step + 1.0) for lo, hi in domains]
@@ -271,24 +266,18 @@ def _refine_scan(kernel, domains, step, window, *, clip, exclude=(), fixed=None)
     if slab > MAX_SLAB_POINTS:
         raise ValueError(f"a scan slab of {slab:.3g} grid points exceeds "
                          f"MAX_SLAB_POINTS = {MAX_SLAB_POINTS}; use a larger grid_step")
-    total = (math.prod(coarse) + REFINE_ROUNDS * (2 * window + 1) ** len(domains)) \
-        * math.prod(len(f) for f in lead_fixed)
+    total = math.prod(coarse) + REFINE_ROUNDS * (2 * window + 1) ** len(domains)
     if total > MAX_SCAN_POINTS:
         raise ValueError(f"a scan of up to {total:.3g} grid points exceeds "
                          f"MAX_SCAN_POINTS = {MAX_SCAN_POINTS}; use a larger grid_step")
 
     def scan(windows, step):
-        if clip:
-            windows = [(max(lo, dlo), min(hi, dhi)) for (lo, hi), (dlo, dhi) in zip(windows, domains)]
         axes = []
         for (lo, hi), (dlo, dhi) in zip(windows, domains):
+            if clip:
+                lo, hi = max(lo, dlo), min(hi, dhi)
             ax = np.arange(lo, hi + step / 2, step)
-            if not clip:
-                ax = ax[(ax >= dlo) & (ax <= dhi) & _excluded(ax, exclude)]
-            axes.append(ax)
-        axes = lead_fixed + axes
-        if not all(len(ax) for ax in axes):
-            return None
+            axes.append(ax if clip else ax[(ax >= dlo) & (ax <= dhi)])
         slab = axes[-2:]
         grid = np.ix_(*slab)
         best = None
@@ -303,14 +292,13 @@ def _refine_scan(kernel, domains, step, window, *, clip, exclude=(), fixed=None)
         return best
 
     best = scan(domains, step)
-    if best is None:
+    if best[0] == math.inf:
         raise ValueError("the coarse grid has no admissible point; use a smaller grid_step")
     history = [(step, best)]
     for _ in range(REFINE_ROUNDS):
         step /= 10.0
-        center = best[1][len(lead_fixed):]
-        refined = scan([(c - window * step, c + window * step) for c in center], step)
-        if refined is not None and refined[0] < best[0]:
+        refined = scan([(c - window * step, c + window * step) for c in best[1]], step)
+        if refined[0] < best[0]:
             best = refined
         history.append((step, best))
     return best, history
@@ -336,6 +324,13 @@ def single_bs_corrected(case: int, x):
     return tuple(k * m for k, m in zip(CASE_AMPLITUDES[case], monos))
 
 
+def _excluded(axis: np.ndarray, points: tuple[float, ...]) -> np.ndarray:
+    mask = np.ones(axis.shape, dtype=bool)
+    for p in points:
+        mask &= np.abs(axis - p) > DEGENERATE_EXCLUSION
+    return mask
+
+
 def single_bs_infeasibility(
     case: int,
     grid_step: float = 1e-2,
@@ -348,11 +343,10 @@ def single_bs_infeasibility(
     tvec = TARGETS[target]
 
     def kernel(xs):
-        return (proportionality_residual(single_bs_corrected(case, xs), tvec, fallback),)
+        r = proportionality_residual(single_bs_corrected(case, xs), tvec, fallback)
+        return (np.where(_excluded(xs, (0.0, math.pi / 2, math.pi)), r, math.inf),)
 
-    (residual, (x,), _), _ = _refine_scan(
-        kernel, [(0.0, math.pi)], grid_step, 100,
-        clip=False, exclude=(0.0, math.pi / 2, math.pi))
+    (residual, (x,), _), _ = _refine_scan(kernel, [(0.0, math.pi)], grid_step, 100, clip=False)
     return _feasibility_report(f"single_bs:case{case}:{target}", grid_step, tolerance,
                                residual, {"x": x}, fallback, components=[0, 1, 2])
 
@@ -375,23 +369,19 @@ def two_bs_corrected(x, y, phase: float = 0.0):
     return tuple(co * m * math.cos(k * phase) for k, (co, m) in enumerate(zip(CASE_AMPLITUDES[3], monos)))
 
 
-def two_bs_feasibility(
-    grid_step: float = 1e-2,
-    *,
-    target: str = "sign_flip",
-    tolerance: float = 1e-6,
-) -> FeasibilityReport:
-    """Scan the case-3 two-splitter correction over (x, y) and the phases
-    ``TWO_BS_PHASES``; no other case has a two-splitter family."""
-    fallback = uncorrected_mismatch(3, target)
-    tvec = TARGETS[target]
+def two_bs_feasibility(grid_step: float = 1e-2, *, tolerance: float = 1e-6) -> FeasibilityReport:
+    """Scan the case-3 two-splitter sign-flip correction over (x, y), each
+    point at both phases ``TWO_BS_PHASES``; no other case has a
+    two-splitter family."""
+    fallback = uncorrected_mismatch(3, "sign_flip")
+    tvec = TARGETS["sign_flip"]
 
-    def kernel(phi, xs, ys):
-        return (proportionality_residual(two_bs_corrected(xs, ys, phi), tvec, fallback),)
+    def kernel(xs, ys):
+        r0, r1 = (proportionality_residual(two_bs_corrected(xs, ys, phi), tvec, fallback)
+                  for phi in TWO_BS_PHASES)
+        return np.minimum(r0, r1), np.where(r1 < r0, TWO_BS_PHASES[1], TWO_BS_PHASES[0])
 
-    (residual, (phase, x, y), _), _ = _refine_scan(
-        kernel, [(0.0, math.pi)] * 2, grid_step, 100,
-        clip=True, fixed=TWO_BS_PHASES)
+    (residual, (x, y), (phase,)), _ = _refine_scan(kernel, [(0.0, math.pi)] * 2, grid_step, 100, clip=True)
 
     # constrained equal-angle slice
     ys = np.arange(0.0, math.pi + grid_step / 2, grid_step)
@@ -399,15 +389,13 @@ def two_bs_feasibility(
     j = int(np.argmin(slice_r))
 
     return _feasibility_report(
-        f"two_bs:case3:{target}", grid_step, tolerance, residual,
+        "two_bs:case3:sign_flip", grid_step, tolerance, residual,
         {"x": x, "y": y, "phase": phase}, fallback,
         {"equal_angle_min_residual": float(slice_r[j]), "equal_angle_best_y": float(ys[j])},
         phases=list(TWO_BS_PHASES))
 
 
 # -- correction through a second sign-shift network ---------------------------
-
-NS_IN_NS_PATTERNS = {1: ((2, 0), (0, 2), (1, 1)), 3: ((1, 0),)}
 
 #: Coefficient triples entering the second-network proportionality systems.
 #: Case 1 keeps the raw monomial weights of the survivors (1..3 photons);
@@ -425,6 +413,10 @@ def second_gate_coefficients(case: int, pattern: tuple[int, int], t1, t2, t3):
     are the coefficients of the monomial with n_detected photons removed;
     the simulator amplitude equals the coefficient times
     sqrt(prod(out!)*2)/sqrt(n!) (tests pin this conversion).
+
+    The scan reads only case 1, pattern (2, 0). The other tables stay as
+    part of the hand-expanded route that the tests cross-check against the
+    simulator; an unknown case/pattern raises ``ValueError``.
     """
     if case == 3 and pattern == (1, 0):
         return sign_shift_branch_amplitudes(t1, t2, t3)
@@ -447,7 +439,12 @@ def second_gate_coefficients(case: int, pattern: tuple[int, int], t1, t2, t3):
 
 
 def ns_in_ns_products(case: int, pattern: tuple[int, int], t1, t2, t3):
-    """Per-photon-count products (incoming coefficient x correction)."""
+    """Per-photon-count products (incoming coefficient x correction).
+
+    The ``ns_in_ns`` scan kernel; the benchmark tracer counts its grid
+    points from the angles at argument positions 2-4, so the signature
+    keeps ``case`` and ``pattern`` although the scan fixes both.
+    """
     coeffs = second_gate_coefficients(case, pattern, t1, t2, t3)
     incoming = _SECOND_GATE_INPUT[case]
     return tuple(i * c for i, c in zip(incoming, coeffs))
@@ -473,46 +470,29 @@ def candidate_root_family() -> list[tuple[float, float, float]]:
             for sign in (1.0, -1.0) for t1 in np.linspace(0.2, math.pi - 0.2, 21)]
 
 
-def ns_in_ns_feasibility(
-    case: int,
-    pattern: tuple[int, int],
-    grid_step: float = 2e-2,
-    *,
-    target: str = "sign_flip",
-    tolerance: float = 1e-6,
-) -> FeasibilityReport:
-    """Scan the second-network angle space for a working correction.
-
-    ``pattern`` is the photon count on each of the second network's two
-    detectors; ``NS_IN_NS_PATTERNS`` lists the supported ones per case.
-    """
-    pattern = tuple(pattern)
-    if case not in NS_IN_NS_PATTERNS or pattern not in NS_IN_NS_PATTERNS[case]:
-        raise ValueError(
-            f"unknown pattern {pattern} for case {case}; "
-            f"supported: {NS_IN_NS_PATTERNS}"
-        )
-    fallback = uncorrected_mismatch(case, target)
-    tvec = TARGETS[target]
+def ns_in_ns_feasibility(grid_step: float = 2e-2, *, tolerance: float = 1e-6) -> FeasibilityReport:
+    """Scan the second-network angle space for a case-1 sign-flip correction
+    with two photons on the second network's first detector, then sample
+    the exact root family ``candidate_root_family``."""
+    fallback = uncorrected_mismatch(1, "sign_flip")
+    tvec = TARGETS["sign_flip"]
 
     def kernel(t1, t2, t3):
-        return (proportionality_residual(ns_in_ns_products(case, pattern, t1, t2, t3), tvec, fallback),)
+        return (proportionality_residual(ns_in_ns_products(1, (2, 0), t1, t2, t3), tvec, fallback),)
 
     (residual, angles, _), _ = _refine_scan(
         kernel, [(0.0, 2 * math.pi)] * 3, grid_step, 100, clip=False)
 
-    extras = {}
-    if case == 1 and pattern == (2, 0):
-        fam = candidate_root_family()
-        fam_r = [proportionality_residual(ns_in_ns_products(case, pattern, *p), tvec) for p in fam]
-        j = int(np.argmin(fam_r))
-        extras["candidate_family_best_residual"] = float(fam_r[j])
-        extras["candidate_family_best_angles"] = list(fam[j])
-        if fam_r[j] < residual:
-            residual, angles = float(fam_r[j]), fam[j]
+    fam = candidate_root_family()
+    fam_r = [proportionality_residual(ns_in_ns_products(1, (2, 0), *p), tvec) for p in fam]
+    j = int(np.argmin(fam_r))
+    extras = {"candidate_family_best_residual": float(fam_r[j]),
+              "candidate_family_best_angles": list(fam[j])}
+    if fam_r[j] < residual:
+        residual, angles = float(fam_r[j]), fam[j]
 
     return _feasibility_report(
-        f"ns_in_ns:case{case}:{pattern[0]},{pattern[1]}:{target}", grid_step, tolerance,
+        "ns_in_ns:case1:2,0:sign_flip", grid_step, tolerance,
         residual, {"t1": angles[0], "t2": angles[1], "t3": angles[2]}, fallback, extras)
 
 

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from loqc import DetectionPattern, ElementSpec, FockState, outcome_distribution, with_ancilla
+from loqc import DetectionPattern, ElementSpec, Encoding, FockState, outcome_distribution, with_ancilla
 from loqc.fock import NORM_ATOL
 
 ATOL = 1e-9
@@ -78,8 +78,11 @@ STATE = FockState(2, {(1, 0): 1.0})
     lambda: outcome_distribution(STATE, [0.5]),
     lambda: ElementSpec.bs(0, 1.5, 0.5),
     lambda: ElementSpec.ps(0.0, 0.1),
+    lambda: Encoding("dual_rail", 2.0),
+    lambda: Encoding("dual_rail", 1.5),
 ], ids=["state-key", "state-modes", "occupation", "occupation-array", "detector-mode",
-        "detector-count", "ancilla-mode", "ancilla-count", "outcome-mode", "bs-mode", "ps-mode"])
+        "detector-count", "ancilla-mode", "ancilla-count", "outcome-mode", "bs-mode", "ps-mode",
+        "encoding-qubits", "encoding-half-qubits"])
 def test_non_integer_counts_and_modes_are_rejected(build):
     # int() would truncate these to valid integers; they must raise instead
     with pytest.raises(ValueError, match="must be integers"):

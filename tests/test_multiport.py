@@ -450,6 +450,9 @@ def test_transition_amplitudes_reject_bad_outputs():
         transition_amplitudes(FockState.from_occupation([1, 0]), t, [(1, 0, 0)])
     with pytest.raises(ValueError, match="outputs"):
         transition_amplitudes(FockState.from_occupation([1, 0]), t, [(2, -1)])
+    for outputs in ([(2.7, 0.2)], [(1.0, 1.0)]):
+        with pytest.raises(ValueError, match="outputs"):
+            transition_amplitudes(FockState.from_occupation([1, 1]), t, outputs)
 
 
 @pytest.mark.parametrize("route", ["evolve", "transition_amplitudes", "permanent_amplitude", "evolve_basis"])

@@ -265,14 +265,15 @@ def test_two_axis_kernels_receive_broadcast_axes(monkeypatch):
         return ns_in_ns_products(case, pattern, t1, t2, t3)
 
     monkeypatch.setattr(search, "ns_in_ns_products", recording)
-    ns_in_ns_feasibility(3, (1, 0), 0.5)
-    assert shapes
-    for lead, rows, cols in shapes:
+    ns_in_ns_feasibility(0.5)
+    slabs = [s for s in shapes if s != ((), (), ())]  # the root family is sampled point by point
+    assert slabs
+    for lead, rows, cols in slabs:
         assert lead == () and len(rows) == len(cols) == 2 and rows[1] == cols[0] == 1
 
 
 def test_second_network_scan_finds_the_family():
-    report = ns_in_ns_feasibility(1, (2, 0), 0.1)
+    report = ns_in_ns_feasibility(0.1)
     assert report.verdict == "feasible"
     assert report.extras["candidate_family_best_residual"] <= 1e-9
     # the derived second angle, against its value printed to 10 digits
@@ -281,17 +282,23 @@ def test_second_network_scan_finds_the_family():
 
 def test_unknown_pattern_is_rejected():
     with pytest.raises(ValueError, match="pattern"):
-        ns_in_ns_feasibility(1, (3, 0), 0.1)
+        second_gate_coefficients(1, (3, 0), 0.1, 0.2, 0.3)
 
 
 @pytest.mark.parametrize("scan", [
     lambda: single_bs_infeasibility(1, 0.5, target="nope"),
-    lambda: two_bs_feasibility(0.5, target="nope"),
-    lambda: ns_in_ns_feasibility(1, (2, 0), 1.0, target="nope"),
-], ids=["single_bs", "two_bs", "ns_in_ns"])
+], ids=["single_bs"])
 def test_unknown_target_is_rejected(scan):
     with pytest.raises(ValueError, match="target must be one of"):
         scan()
+
+
+def test_engine_rejects_a_grid_it_never_admits():
+    def kernel(xs, ys):
+        return (np.full(np.broadcast_shapes(xs.shape, ys.shape), math.inf),)
+
+    with pytest.raises(ValueError, match="no admissible point"):
+        search._refine_scan(kernel, [(0.0, 1.0)] * 2, 0.5, 10, clip=True)
 
 
 # -- optimization -------------------------------------------------------------------------
