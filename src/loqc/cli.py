@@ -280,6 +280,10 @@ def parse_circuit(text: str) -> Circuit:
             if len(tokens) < 3:
                 raise ParseError(lineno, head_col, "usage: correction NAME <element line>")
             name = tokens[1][0]
+            if name == "identity":
+                raise ParseError(lineno, tokens[1][1],
+                                 "correction name 'identity' is reserved: "
+                                 "'correct identity' applies no correction")
             if tokens[2][0] not in ("bs", "ps", "gen3"):
                 raise ParseError(lineno, tokens[2][1],
                                  f"correction element must be bs, ps or gen3, got {tokens[2][0]!r}")
@@ -338,7 +342,7 @@ def parse_circuit(text: str) -> Circuit:
     branches = []
     for pattern, name in detects:
         label = " ".join(f"{m + 1}={c}" for m, c in pattern.constraints)
-        surviving = modes - len(pattern.modes)
+        surviving = len(pattern.survivors(modes))
         correction = None
         if name != "identity":
             specs = [el for n, el in corrections if n == name]
@@ -402,7 +406,7 @@ def simulate_report(circ: Circuit, source_text: str) -> dict:
         total = 0.0
         for (name, branch), (_, res) in zip(circ.branches, evaluated):
             total += res.probability
-            surviving_ports = [m + 1 for m in range(circ.modes) if m not in branch.pattern.modes]
+            surviving_ports = [m + 1 for m in branch.pattern.survivors(circ.modes)]
             conditional = {}
             if res.conditional_state is not None:
                 for occ, amp in res.conditional_state.terms():

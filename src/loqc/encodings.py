@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fock import FockState, NORM_ATOL, _integers
-from .multiport import ElementSpec, ModeTransform, compose_elements, evolve
+from .multiport import MAX_FOCK_TERMS, MAX_MODES, ElementSpec, ModeTransform, compose_elements, evolve
 
 SCHEMES = ("single_rail", "dual_rail", "one_hot", "polarization")
 
@@ -38,7 +38,12 @@ _PAIR_SCHEMES = ("dual_rail", "polarization")
 
 @dataclass(frozen=True)
 class Encoding:
-    """A logical labeling of Fock states: scheme name plus qubit count."""
+    """A logical labeling of Fock states: scheme name plus qubit count.
+
+    Construction rejects an encoding whose logical basis exceeds
+    ``MAX_FOCK_TERMS`` states or whose modes exceed ``MAX_MODES``, before
+    ``encode`` or ``decode`` could allocate for it.
+    """
 
     scheme: str
     num_qubits: int
@@ -50,6 +55,12 @@ class Encoding:
         object.__setattr__(self, "num_qubits", num_qubits)
         if self.num_qubits < 1:
             raise ValueError("num_qubits must be positive")
+        if self.num_qubits >= MAX_FOCK_TERMS.bit_length():   # 2**num_qubits > MAX_FOCK_TERMS
+            raise ValueError(f"{self.num_qubits} qubits span 2^{self.num_qubits} logical basis "
+                             f"states; at most MAX_FOCK_TERMS = {MAX_FOCK_TERMS} are supported")
+        if self.num_modes > MAX_MODES:
+            raise ValueError(f"{self.scheme} encoding of {self.num_qubits} qubits needs "
+                             f"{self.num_modes} modes; at most MAX_MODES = {MAX_MODES} are supported")
 
     @property
     def num_modes(self) -> int:
@@ -232,6 +243,7 @@ def dual_rail_apply(u: np.ndarray, qubit: int, state: FockState) -> FockState:
     if state.num_modes % 2 != 0:
         raise ValueError("dual-rail states need an even mode count")
     n_qubits = state.num_modes // 2
+    [qubit] = _integers([qubit], "qubit")
     if not 0 <= qubit < n_qubits:
         raise ValueError(f"qubit {qubit} out of range for {n_qubits} qubits")
     dec = zy_decompose(u)

@@ -28,7 +28,7 @@ header in front.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property, partial
 
 import numpy as np
@@ -53,7 +53,11 @@ from .multiport import (
 
 @dataclass
 class GateCircuit:
-    """A postselected gate: network, ancilla preparation and branches."""
+    """A postselected gate: network, ancilla preparation and branches.
+
+    ``computational_modes`` must be the modes the ancilla leaves free, in
+    ascending order: ``with_ancilla`` places the input there.
+    """
 
     name: str
     num_modes: int
@@ -65,9 +69,10 @@ class GateCircuit:
     coincidence: bool = False
 
     def __post_init__(self) -> None:
-        comp = set(self.computational_modes)
-        if comp & set(self.ancilla):
-            raise ValueError("ancilla and computational modes must be disjoint")
+        free = DetectionPattern(self.ancilla).survivors(self.num_modes)
+        if list(self.computational_modes) != free:
+            raise ValueError(f"computational modes {self.computational_modes} must be "
+                             f"the modes the ancilla leaves free, {free}")
         if not self.branches:
             raise ValueError("a gate circuit needs at least one outcome branch")
 
@@ -96,20 +101,6 @@ def ns_gate() -> GateCircuit:
     )
 
 
-def _cs_elements() -> list[ElementSpec]:
-    ns_m = ns_matrix()
-    return [
-        ElementSpec.bs(1, 3, 0.5),
-        ElementSpec.raw((1, 4, 5), ns_m),
-        ElementSpec.raw((3, 6, 7), ns_m),
-        ElementSpec.bs(1, 3, 0.5),  # the balanced splitter is an involution
-    ]
-
-
-_CS_ANCILLA = {4: 1, 5: 0, 6: 1, 7: 0}
-_CS_BRANCH = OutcomeBranch(DetectionPattern({4: 1, 5: 0, 6: 1, 7: 0}), label="both cores fire")
-
-
 def cs_gate() -> GateCircuit:
     """Conditional sign flip on two dual-rail qubits (modes 0..3).
 
@@ -118,12 +109,19 @@ def cs_gate() -> GateCircuit:
     the two logical-1 rails, a sign-shift core sits on each arm, and the
     splitter is undone. Success requires both cores to herald.
     """
+    ns_m = ns_matrix()
+    ancilla = {4: 1, 5: 0, 6: 1, 7: 0}
     return GateCircuit(
         name="cs",
         num_modes=8,
-        ancilla=dict(_CS_ANCILLA),
-        elements=_cs_elements(),
-        branches=[_CS_BRANCH],
+        ancilla=ancilla,
+        elements=[
+            ElementSpec.bs(1, 3, 0.5),
+            ElementSpec.raw((1, 4, 5), ns_m),
+            ElementSpec.raw((3, 6, 7), ns_m),
+            ElementSpec.bs(1, 3, 0.5),  # the balanced splitter is an involution
+        ],
+        branches=[OutcomeBranch(DetectionPattern(ancilla), label="both cores fire")],
         computational_modes=[0, 1, 2, 3],
         encoding=Encoding("dual_rail", 2),
     )
@@ -132,16 +130,9 @@ def cs_gate() -> GateCircuit:
 def cnot_from_cs() -> GateCircuit:
     """CNOT: the conditional sign flip between balanced splitters on the
     target qubit's rails (the dual-rail Hadamard)."""
+    cs = cs_gate()
     hadamard = ElementSpec.bs(2, 3, 0.5)
-    return GateCircuit(
-        name="cnot_klm",
-        num_modes=8,
-        ancilla=dict(_CS_ANCILLA),
-        elements=[hadamard, *_cs_elements(), hadamard],
-        branches=[_CS_BRANCH],
-        computational_modes=[0, 1, 2, 3],
-        encoding=Encoding("dual_rail", 2),
-    )
+    return replace(cs, name="cnot_klm", elements=[hadamard, *cs.elements, hadamard])
 
 
 def two_photon_cnot_matrix() -> ModeTransform:

@@ -27,7 +27,7 @@ routes check), an input term may span at most ``MAX_FOCK_TERMS`` basis
 terms (``evolve`` checks before it builds a table; the command-line
 parser checks a circuit file's input first), and ``check_term_budget``
 is the one place that raises ``ValueError`` for both. A circuit file may
-declare at most ``MAX_MODES`` modes.
+declare, and an ``Encoding`` span, at most ``MAX_MODES`` modes.
 ``evolve`` and ``transition_amplitudes`` hold at most ``RYSER_BLOCK``
 numbers in one working array, or one input term's products with one
 column when those are more.
@@ -60,8 +60,9 @@ MAX_PHOTONS = 39
 #: may span; ``evolve`` builds that many output terms.
 MAX_FOCK_TERMS = 10**5
 
-#: Most modes a circuit file may declare: every element is embedded as a
-#: full N x N matrix, so memory grows as N^2 and composition as N^3.
+#: Most modes a circuit file or an encoding may use: every element is
+#: embedded as a full N x N matrix, so memory grows as N^2 and
+#: composition as N^3.
 MAX_MODES = 64
 
 #: Most complex numbers ``transition_amplitudes`` multiplies at once in

@@ -174,16 +174,21 @@ CASE_AMPLITUDES = {
 def proportionality_residual(values, target, fallback=1.0):
     """Scale-free deviation of ``values`` from being proportional to ``target``.
 
-    Elementwise over the broadcast shape of the real components of
-    ``values`` (a float for scalars); sum(c^2) and <t, c> are summed in
-    component order, and ``fallback`` is returned where sum(c^2) == 0.
-    Complex input raises ``ValueError``.
+    ``target`` is a sequence of numbers. Elementwise over the broadcast
+    shape of the real components of ``values`` (a float for scalars);
+    sum(c^2) and <t, c> are summed in component order, and ``fallback``
+    is returned where sum(c^2) == 0. Complex input, a component count
+    unlike the target's and a zero target raise ``ValueError``.
     """
     if any(np.iscomplexobj(v) for v in (*values, *target)):
         raise ValueError("proportionality_residual takes real values only")
+    if len(values) != len(target):
+        raise ValueError(f"values have {len(values)} components, target has {len(target)}")
+    nt = sum(t * t for t in target)
+    if not nt > 0.0:
+        raise ValueError("target must have a nonzero component")
     nc = sum(c * c for c in values)
     ip = sum(t * c for t, c in zip(target, values))
-    nt = sum(t * t for t in target)
     alive = nc > 0.0
     ratio = np.divide(ip * ip, nt * nc, out=np.zeros(np.shape(nc)), where=alive)
     r = np.where(alive, np.clip(1.0 - ratio, 0.0, 1.0), fallback)

@@ -138,6 +138,85 @@ def test_fock_input_photon_cap_is_a_positioned_error():
     assert parse_circuit("modes 2\ninput fock 39 0\n").state.num_terms() == 1
 
 
+#: (file text, line, column, message fragment): one row per ``ParseError``
+#: that ``parse_circuit`` and its helpers raise.
+PARSE_DIAGNOSTICS = [
+    ("modes 2\nbs 1 2 eta=lots\n", 2, 12, "invalid eta: 'lots'"),
+    ("modes 2\nps 1 delta=inf\n", 2, 12, "delta must be finite"),
+    ("modes two\n", 1, 7, "invalid mode count: 'two'"),
+    ("modes 2\ndetect 1=x\n", 2, 10, "invalid photon count: 'x'"),
+    ("modes 2\nps 1 delta\n", 2, 6, "expected delta=<value>"),
+    ("modes 3\ngen3 1 2 3 t1=0 t2=0 t4=0\n", 2, 22, "expected parameter 't3', got 't4'"),
+    ("modes 3\nbs 0 7 eta=0.5\n", 2, 4, "port 0 out of range 1..3"),
+    ("modes 2\ninput fock 40 0\n", 2, 7, "at most 39 (MAX_PHOTONS)"),
+    ("modes 20\ninput fock 10" + " 0" * 19 + "\n", 2, 7, "MAX_FOCK_TERMS"),
+    ("modes 2\nbs 1\n", 2, 1, "bs needs 2 port(s)"),
+    ("modes 2\nbs 1 1 eta=0.5\n", 2, 4, "bs ports must be distinct"),
+    ("modes 2\nbs 1 2\n", 2, 1, "bs takes exactly one of eta= or theta="),
+    ("modes 2\nbs 1 2 eta=1.5\n", 2, 8, "eta must lie in [0, 1]"),
+    ("modes 2\nbs 1 2 r=0.5\n", 2, 8, "expected eta= or theta="),
+    ("modes 2\nps 1\n", 2, 1, "ps takes exactly delta="),
+    ("modes 3\ngen3 1 2 3 t1=0\n", 2, 1, "gen3 takes t1= t2= t3="),
+    ("modes 2\nmodes 3\n", 2, 1, "duplicate modes declaration"),
+    ("modes\n", 1, 1, "usage: modes N"),
+    ("modes 0\n", 1, 7, "mode count must be positive"),
+    (f"modes {MAX_MODES + 1}\n", 1, 7, "MAX_MODES"),
+    ("bs 1 2 eta=0.5\n", 1, 1, "modes must be declared before any other directive"),
+    ("modes 1\ninput fock 1\ninput fock 1\n", 3, 1, "duplicate input declaration"),
+    ("modes 1\ninput\n", 2, 1, "usage: input fock|dualrail"),
+    ("modes 2\ninput fock 1\n", 2, 7, "input fock needs 2 occupation number(s)"),
+    ("modes 2\ninput fock -1 0\n", 2, 12, "occupations must be non-negative"),
+    ("modes 2\ninput dualrail 1 0 0\n", 2, 7, "input dualrail needs 2^q amplitudes"),
+    ("modes 3\ninput dualrail 1 0\n", 2, 7, "needing 2 modes, file declares 3"),
+    ("modes 2\ninput dualrail 1 x\n", 2, 18, "invalid amplitude: 'x'"),
+    ("modes 2\ninput dualrail nan 0\n", 2, 16, "amplitudes must be finite"),
+    ("modes 2\ninput dualrail 1e200 1e200\n", 2, 16, "exceeds 1"),
+    ("modes 2\ninput dualrail 1 1\n", 2, 7, "amplitudes are not normalized (norm"),
+    ("modes 2\ninput coherent 1\n", 2, 7, "unknown input kind 'coherent'"),
+    ("modes 2\ncorrection fix\n", 2, 1, "usage: correction NAME"),
+    ("modes 3\ncorrection identity ps 1 delta=3.14159\n", 2, 12,
+     "correction name 'identity' is reserved"),
+    ("modes 2\ncorrection fix squeeze 1\n", 2, 16, "correction element must be bs, ps or gen3"),
+    ("modes 2\ndetect 1=0 correct\n", 2, 12, "correct needs a correction name"),
+    ("modes 3\ncorrection fix ps 1 delta=1\ndetect 1=0 correct fix 2=0\n", 3, 24,
+     "correct NAME must end the detect line"),
+    ("modes 2\ndetect 1\n", 2, 8, "expected PORT=COUNT"),
+    ("modes 2\ndetect 1=-1\n", 2, 8, "photon counts must be non-negative"),
+    ("modes 2\ndetect\n", 2, 1, "detect needs at least one PORT=COUNT"),
+    ("modes 3\ndetect 1=0 1=1\n", 2, 1, "detect ports must be distinct"),
+    ("modes 2\ndetect 1=0 2=0\n", 2, 1, "detect must leave at least one surviving port"),
+    ("modes 3\ndetect 2=1 correct nope\n", 2, 1, "unknown correction 'nope'"),
+    ("modes 2\nsqueeze 1\n", 2, 1, "unknown directive 'squeeze'"),
+    ("# no modes line\n", 1, 1, "missing modes declaration"),
+    ("modes 3\ncorrection fix ps 3 delta=1.0\ndetect 2=1 3=0 correct fix\n", 2, 1,
+     "leaves only 1 surviving port(s)"),
+]
+
+
+@pytest.mark.parametrize("text,line,column,fragment", PARSE_DIAGNOSTICS,
+                         ids=[row[3] for row in PARSE_DIAGNOSTICS])
+def test_every_parse_diagnostic_is_positioned(text, line, column, fragment):
+    with pytest.raises(ParseError) as info:
+        parse_circuit(text)
+    assert (info.value.line, info.value.column) == (line, column)
+    assert fragment in info.value.message
+
+
+@pytest.mark.parametrize("text,diagnostic", [
+    # without the reservation the file printed the uncorrected conditional
+    ("modes 3\ninput fock 1 1 0\ncorrection identity ps 1 delta=3.14159\n"
+     "detect 3=0 correct identity\n",
+     "circuit.txt:3:12: correction name 'identity' is reserved"),
+    ("modes 2\nbs 1 2 eta=0.5\n", "circuit file has no input declaration"),
+], ids=["reserved-identity", "no-input"])
+def test_simulate_diagnostics_exit_1(tmp_path, capsys, text, diagnostic):
+    path = tmp_path / "circuit.txt"
+    path.write_text(text, encoding="utf-8")
+    code, out, err = run_cli(capsys, "simulate", str(path))
+    assert (code, out) == (1, "")
+    assert diagnostic in err
+
+
 def test_fock_basis_budget_is_checked_before_evolve(tmp_path, capsys, monkeypatch):
     def no_evolve(*args, **kwargs):
         raise AssertionError("evolve ran")

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -77,6 +78,23 @@ def test_polarization_matches_dual_rail_layout():
 def test_encode_rejects_unnormalized_vector():
     with pytest.raises(ValueError, match="not normalized"):
         encode(np.array([1.0, 1.0]), Encoding("dual_rail", 1))
+
+
+@pytest.mark.parametrize("scheme,qubits,budget", [
+    ("one_hot", 40, "MAX_FOCK_TERMS"),     # 2^40 modes and basis states
+    ("dual_rail", 17, "MAX_FOCK_TERMS"),   # 34 modes, 131,072 basis states
+    ("one_hot", 7, "MAX_MODES"),           # 128 modes
+    ("one_hot", 10**6, "MAX_FOCK_TERMS"),  # the integer 2^q alone would take 125 kB
+])
+def test_encoding_budget_is_checked_at_construction(scheme, qubits, budget):
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=budget):
+            Encoding(scheme, qubits)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
 
 
 @pytest.mark.parametrize("scheme", ["single_rail", "dual_rail", "one_hot", "polarization"])
@@ -185,6 +203,13 @@ def test_x_swaps_the_rails():
     vec, leakage = decode(out, enc)
     assert leakage < 1e-12
     assert abs(vec[1]) == pytest.approx(1.0)
+
+
+def test_non_integer_qubit_is_named_in_the_diagnostic():
+    # a float qubit used to pass the range check and fail on element modes
+    state = encode("00", Encoding("dual_rail", 2))
+    with pytest.raises(ValueError, match=r"qubit must be integers, got \(1\.0,\)"):
+        dual_rail_apply(np.eye(2), 1.0, state)
 
 
 def test_identity_leaves_state_alone():

@@ -3,7 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from loqc import DetectionPattern, ElementSpec, Encoding, FockState, outcome_distribution, with_ancilla
+from loqc import (
+    DetectionPattern,
+    ElementSpec,
+    Encoding,
+    FockState,
+    dual_rail_apply,
+    encode,
+    outcome_distribution,
+    with_ancilla,
+)
 from loqc.fock import NORM_ATOL
 
 ATOL = 1e-9
@@ -75,14 +84,16 @@ STATE = FockState(2, {(1, 0): 1.0})
     lambda: DetectionPattern({1: 0.7}),
     lambda: with_ancilla(FockState(1, {(1,): 1.0}), {1.0: 1}, 2),
     lambda: with_ancilla(FockState(1, {(1,): 1.0}), {1: 1.5}, 2),
+    lambda: with_ancilla(FockState(1, {(1,): 1.0}), {1: 1}, 2.0),
     lambda: outcome_distribution(STATE, [0.5]),
     lambda: ElementSpec.bs(0, 1.5, 0.5),
     lambda: ElementSpec.ps(0.0, 0.1),
     lambda: Encoding("dual_rail", 2.0),
     lambda: Encoding("dual_rail", 1.5),
+    lambda: dual_rail_apply(np.eye(2), 1.0, encode("00", Encoding("dual_rail", 2))),
 ], ids=["state-key", "state-modes", "occupation", "occupation-array", "detector-mode",
-        "detector-count", "ancilla-mode", "ancilla-count", "outcome-mode", "bs-mode", "ps-mode",
-        "encoding-qubits", "encoding-half-qubits"])
+        "detector-count", "ancilla-mode", "ancilla-count", "ancilla-register", "outcome-mode",
+        "bs-mode", "ps-mode", "encoding-qubits", "encoding-half-qubits", "dual-rail-qubit"])
 def test_non_integer_counts_and_modes_are_rejected(build):
     # int() would truncate these to valid integers; they must raise instead
     with pytest.raises(ValueError, match="must be integers"):

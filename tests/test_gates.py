@@ -228,6 +228,15 @@ def test_unknown_gate_name():
         build_gate("toffoli")
 
 
+@pytest.mark.parametrize("computational_modes", [[0], [2, 0], [0, 1, 2]])
+def test_computational_modes_must_be_the_free_modes(computational_modes):
+    # the run places the input on the modes the ancilla leaves free, [0, 2]
+    branch = OutcomeBranch(DetectionPattern({1: 1}))
+    with pytest.raises(ValueError, match="leaves free"):
+        GateCircuit("x", 3, {1: 1}, [], [branch], computational_modes)
+    assert GateCircuit("x", 3, {1: 1}, [], [branch], [0, 2]).computational_modes == [0, 2]
+
+
 # -- two cs stages in series -------------------------------------------------
 
 _CASCADE_ANCILLA = {4: 1, 5: 0, 6: 1, 7: 0, 8: 1, 9: 0, 10: 1, 11: 0}

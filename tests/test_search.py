@@ -251,6 +251,15 @@ def test_residual_rejects_complex_input():
             proportionality_residual(values, (1, 1, -1))
 
 
+@pytest.mark.parametrize("values,target,message", [
+    ((1.0, 2.0), (1.0, 1.0, -1.0), "components"),   # zip would drop the third target entry
+    ((1.0, 2.0, 3.0), (0.0, 0.0, 0.0), "nonzero"),  # every ratio would be 0/0
+])
+def test_residual_rejects_mismatched_or_zero_targets(values, target, message):
+    with pytest.raises(ValueError, match=message):
+        proportionality_residual(values, target)
+
+
 def test_two_splitter_phase_is_zero_or_pi():
     assert two_bs_corrected(0.3, 0.4, math.pi)[1] == -two_bs_corrected(0.3, 0.4)[1]
     with pytest.raises(ValueError, match="TWO_BS_PHASES"):
