@@ -35,10 +35,8 @@ from .encodings import (
 )
 from .measurement import (
     DetectionPattern,
-    IndependenceReport,
     OutcomeBranch,
     PostselectionResult,
-    input_independence_check,
     outcome_distribution,
     postselect,
     postselect_branches,
@@ -47,10 +45,12 @@ from .measurement import (
 from .gates import (
     GATE_NAMES,
     GateCircuit,
+    IndependenceReport,
     build_gate,
     cnot_from_cs,
     cs_gate,
     evaluate_gate,
+    input_independence_check,
     ns_gate,
     two_photon_cnot,
     two_photon_cnot_matrix,
@@ -77,11 +77,11 @@ __all__ = [
     "ns_matrix", "permanent_amplitude", "phase_shifter",
     "Encoding", "ZYDecomposition", "decode", "dual_rail_apply", "encode",
     "logical_fidelity", "qubit_gate", "zy_decompose",
-    "DetectionPattern", "IndependenceReport", "OutcomeBranch",
-    "PostselectionResult", "input_independence_check", "outcome_distribution",
-    "postselect", "postselect_branches", "with_ancilla",
-    "GATE_NAMES", "GateCircuit", "build_gate", "cnot_from_cs", "cs_gate",
-    "evaluate_gate", "ns_gate", "two_photon_cnot", "two_photon_cnot_matrix",
+    "DetectionPattern", "OutcomeBranch", "PostselectionResult",
+    "outcome_distribution", "postselect", "postselect_branches", "with_ancilla",
+    "GATE_NAMES", "GateCircuit", "IndependenceReport", "build_gate",
+    "cnot_from_cs", "cs_gate", "evaluate_gate", "input_independence_check",
+    "ns_gate", "two_photon_cnot", "two_photon_cnot_matrix",
     "CASE_AMPLITUDES", "FeasibilityReport", "OptimizationResult",
     "closed_form_amplitudes", "ns_in_ns_feasibility",
     "optimize_success", "parametrized_ns_amplitudes",

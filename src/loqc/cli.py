@@ -23,6 +23,8 @@ are numbered 1..N left to right):
     correction NAME <bs|ps|gen3 line>      # on surviving ports, 1-based
     detect P=C [P=C ...] [correct NAME]
 
+A circuit file may hold at most ``MAX_CIRCUIT_BYTES`` (1 MiB).
+
 Reports are JSON trees with fixed key order and floats printed at 10
 significant digits (override with the LOQC_REPORT_DIGITS environment
 variable); identical invocations produce byte-identical output. Exit
@@ -40,7 +42,6 @@ import os
 import re
 import sys
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -67,6 +68,10 @@ SEARCH_SCHEMES = ("single_bs:case1", "single_bs:case3", "two_bs:case3",
 
 DIGITS_ENV = "LOQC_REPORT_DIGITS"
 DEFAULT_DIGITS = 10
+
+#: Largest circuit file ``simulate`` reads, in bytes: 512 times the largest
+#: file the benchmark generates (2,049 bytes).
+MAX_CIRCUIT_BYTES = 1 << 20
 
 
 class CliError(Exception):
@@ -189,8 +194,9 @@ def parse_circuit(text: str) -> Circuit:
     modes: int | None = None
     state: FockState | None = None
     elements: list[ElementSpec] = []
-    corrections: list[tuple[str, ElementSpec]] = []
-    correction_lines: dict[str, int] = {}
+    # name -> [(element, line, port columns)] in file order; 'identity' is
+    # reserved and names no element
+    corrections: dict[str, list[tuple[ElementSpec, int, list[int]]]] = {"identity": []}
     detects: list[tuple[DetectionPattern, str]] = []
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -290,25 +296,15 @@ def parse_circuit(text: str) -> Circuit:
             # ports inside a correction refer to surviving-mode positions;
             # range is rechecked per referencing branch below
             el = _parse_element(tokens[2:], lineno, modes)
-            corrections.append((name, el))
-            correction_lines.setdefault(name, lineno)
+            port_cols = [col for _, col in tokens[3:3 + len(el.modes)]]
+            corrections.setdefault(name, []).append((el, lineno, port_cols))
             continue
 
         if head == "detect":
-            body = tokens[1:]
-            correction_name: str | None = None
-            pairs: list[tuple[int, int]] = []
-            i = 0
-            while i < len(body):
-                tok, col = body[i]
-                if tok == "correct":
-                    if i + 1 >= len(body):
-                        raise ParseError(lineno, col, "correct needs a correction name")
-                    correction_name = body[i + 1][0]
-                    if i + 2 != len(body):
-                        raise ParseError(lineno, body[i + 2][1],
-                                         "correct NAME must end the detect line")
-                    break
+            words = [tok for tok, _ in tokens]
+            cut = words.index("correct") if "correct" in words else len(tokens)
+            counts: dict[int, int] = {}
+            for tok, col in tokens[1:cut]:
                 if "=" not in tok:
                     raise ParseError(lineno, col, f"expected PORT=COUNT, got {tok!r}")
                 port_s, _, count_s = tok.partition("=")
@@ -316,21 +312,23 @@ def parse_circuit(text: str) -> Circuit:
                 count = _parse_int(count_s, lineno, col + len(port_s) + 1, "photon count")
                 if count < 0:
                     raise ParseError(lineno, col, "photon counts must be non-negative")
-                pairs.append((port, count))
-                i += 1
-            if not pairs:
+                counts[port - 1] = count
+            tail = tokens[cut:]   # empty, or 'correct NAME'
+            if len(tail) == 1:
+                raise ParseError(lineno, tail[0][1], "correct needs a correction name")
+            if len(tail) > 2:
+                raise ParseError(lineno, tail[2][1], "correct NAME must end the detect line")
+            if cut == 1:
                 raise ParseError(lineno, head_col, "detect needs at least one PORT=COUNT")
-            if len({p for p, _ in pairs}) != len(pairs):
+            if len(counts) != cut - 1:
                 raise ParseError(lineno, head_col, "detect ports must be distinct")
-            if len(pairs) >= modes:
+            if len(counts) >= modes:
                 raise ParseError(lineno, head_col,
                                  "detect must leave at least one surviving port")
-            if correction_name is not None and correction_name != "identity":
-                if correction_name not in correction_lines:
-                    raise ParseError(lineno, head_col,
-                                     f"unknown correction {correction_name!r}")
-            detects.append((DetectionPattern({p - 1: c for p, c in pairs}),
-                            correction_name or "identity"))
+            name = tail[1][0] if tail else "identity"
+            if name not in corrections:
+                raise ParseError(lineno, head_col, f"unknown correction {name!r}")
+            detects.append((DetectionPattern(counts), name))
             continue
 
         raise ParseError(lineno, head_col, f"unknown directive {head!r}")
@@ -343,17 +341,13 @@ def parse_circuit(text: str) -> Circuit:
     for pattern, name in detects:
         label = " ".join(f"{m + 1}={c}" for m, c in pattern.constraints)
         surviving = len(pattern.survivors(modes))
-        correction = None
-        if name != "identity":
-            specs = [el for n, el in corrections if n == name]
-            for el in specs:
-                bad = [m + 1 for m in el.modes if m >= surviving]
-                if bad:
-                    raise ParseError(
-                        correction_lines[name], 1,
-                        f"correction {name!r} uses port {bad[0]} but branch "
-                        f"'{label}' leaves only {surviving} surviving port(s)")
-            correction = compose_elements(specs, surviving)
+        for el, line, port_cols in corrections[name]:
+            for m, col in zip(el.modes, port_cols):
+                if m >= surviving:
+                    raise ParseError(line, col, f"correction {name!r} uses port {m + 1} but branch "
+                                                f"'{label}' leaves only {surviving} surviving port(s)")
+        specs = [el for el, _, _ in corrections[name]]
+        correction = compose_elements(specs, surviving) if specs else None
         branches.append((name, OutcomeBranch(pattern, correction, label=label)))
     return Circuit(modes, state, tuple(elements), tuple(branches))
 
@@ -599,6 +593,24 @@ def _render_pretty(report: dict) -> str:
 
 # -- entry point -----------------------------------------------------------
 
+def _read_circuit(path: str) -> str:
+    """A circuit file's text, read in at most ``MAX_CIRCUIT_BYTES`` + 1 bytes
+    and decoded as ``Path.read_text`` would: UTF-8, universal newlines."""
+    try:
+        with open(path, "rb") as f:
+            data = f.read(MAX_CIRCUIT_BYTES + 1)
+    except OSError as exc:
+        raise CliError(f"cannot read {path}: {exc.strerror or exc}") from None
+    if len(data) > MAX_CIRCUIT_BYTES:
+        raise CliError(f"cannot read {path}: larger than "
+                       f"MAX_CIRCUIT_BYTES = {MAX_CIRCUIT_BYTES} bytes")
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise CliError(f"cannot read {path}: not UTF-8 text (byte {exc.start})") from None
+    return text.replace("\r\n", "\n").replace("\r", "\n")
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # diagnostics, not usage-exit(2)
         raise CliError(message)
@@ -633,13 +645,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.subcommand is None:
             raise CliError("a subcommand is required (simulate, verify-gate, search, selftest)")
         if args.subcommand == "simulate":
-            try:
-                text = Path(args.file).read_text(encoding="utf-8")
-            except OSError as exc:
-                raise CliError(f"cannot read {args.file}: {exc.strerror or exc}") from None
-            except UnicodeDecodeError as exc:
-                raise CliError(f"cannot read {args.file}: not UTF-8 text "
-                               f"(byte {exc.start})") from None
+            text = _read_circuit(args.file)
             try:
                 circ = parse_circuit(text)
             except ParseError as exc:

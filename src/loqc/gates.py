@@ -18,16 +18,22 @@ element list, outcome branches, computational modes); evaluation is pure.
 ``GateCircuit.run`` evolves the input with
 ``measurement.evolve_for_branches``, which picks the route, and returns
 each branch's ``PostselectionResult`` in branch order, straight from
-``postselect_branches``. ``evaluate_gate`` is one loop over a gate's
-inputs with a prepare/read pair per gate: a one-mode qutrit for
-``ns``, ``encode``/``decode`` for the others. It returns the body of
-the ``verify-gate`` report as a plain dict; the CLI only puts its
-header in front.
+``postselect_branches``. Everything that evaluates a circuit calls
+``run``:
+
+* ``evaluate_gate`` is one loop over a gate's inputs with a prepare/read
+  pair per gate: a one-mode qutrit for ``ns``, ``encode``/``decode`` for
+  the others. It returns the body of the ``verify-gate`` report as a
+  plain dict; the CLI only puts its header in front.
+* ``input_independence_check(circuit, probes)`` runs each probe and asks
+  whether the branch probabilities depend on the input and whether the
+  branch maps preserve the probes' inner products.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from functools import cached_property, partial
 
@@ -36,6 +42,7 @@ import numpy as np
 from .encodings import Encoding, decode, encode, logical_fidelity, qubit_gate
 from .fock import FockState
 from .measurement import (
+    PROB_FLOOR,
     DetectionPattern,
     OutcomeBranch,
     PostselectionResult,
@@ -250,3 +257,60 @@ def evaluate_gate(name: str) -> dict:
                                          for k, row in enumerate(rows[:3]))
     report["inputs"] = rows
     return report
+
+
+# -- input independence ----------------------------------------------------
+
+#: Bound on probability spread and Gram deviation in ``input_independence_check``.
+INDEPENDENCE_TOL = 1e-9
+
+
+@dataclass
+class IndependenceReport:
+    """Outcome of probing a postselection scheme for input independence."""
+
+    probabilities: list[list[float]]  # [branch][probe], in the order passed in
+    max_probability_deviation: float
+    max_gram_deviation: float
+    operationally_unitary: bool
+
+
+def input_independence_check(circuit: GateCircuit, probes: Sequence[FockState]) -> IndependenceReport:
+    """Probe whether a circuit's branch probabilities depend on its input.
+
+    Each probe, a state on the computational modes, is normalized and run
+    through ``circuit.run``. The scheme is flagged operationally unitary
+    when every branch probability is probe-independent and the branch
+    maps preserve inner products between the probes at the common success
+    amplitude, both within ``INDEPENDENCE_TOL``.
+    """
+    if not probes:
+        raise ValueError("at least one probe state is required")
+    normalized_probes = [p.normalized()[0] for p in probes]
+    per_branch = list(zip(*(circuit.run(p) for p in normalized_probes)))
+    probabilities = [[res.probability for res in results] for results in per_branch]
+    projected = [[  # corrected conditionals, back to unnormalized
+        None if res.conditional_state is None
+        else res.conditional_state.scaled(math.sqrt(res.probability))
+        for res in results
+    ] for results in per_branch]
+
+    prob_dev = max(max(row) - min(row) for row in probabilities)
+    gram_dev = 0.0
+    for row_p, row_s in zip(probabilities, projected):
+        d = sum(row_p) / len(row_p)
+        if d <= PROB_FLOOR:
+            continue
+        n = len(normalized_probes)
+        for i in range(n):
+            for j in range(n):
+                want = normalized_probes[i].inner(normalized_probes[j])
+                si, sj = row_s[i], row_s[j]
+                got = (si.inner(sj) / d) if (si is not None and sj is not None) else 0j
+                gram_dev = max(gram_dev, abs(got - want))
+    return IndependenceReport(
+        probabilities=probabilities,
+        max_probability_deviation=prob_dev,
+        max_gram_deviation=gram_dev,
+        operationally_unitary=(prob_dev <= INDEPENDENCE_TOL and gram_dev <= INDEPENDENCE_TOL),
+    )

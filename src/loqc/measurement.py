@@ -11,20 +11,22 @@ success probability is the squared norm of the unnormalized projection.
 Postcorrection generalizes this to several mutually exclusive patterns,
 each paired with a unitary correction applied to the surviving modes.
 ``postselect_branches`` is the one place that postselects and corrects:
-gate runs, circuit files and ``input_independence_check`` all go
-through it.
+gate runs (``gates.GateCircuit.run``, which the input-independence probe
+calls too) and circuit files both go through it.
 
 Before that, ``evolve_for_branches`` is the one place that picks how a
-heralded evaluation (a gate run, an independence probe) evolves its
-input. Most of a low-success gate's output is thrown away, so it may
-compute only the outputs the branches can keep, by the Ryser permanents
-of ``multiport.transition_amplitudes``, instead of the full ``evolve``;
-its docstring gives the measured cost rule that decides. Circuit files
-keep the full ``evolve`` because their report lists the whole outcome
-distribution.
-Everything here operates on pure states with product ancillas, which is
-exact for the circuits this package builds; the density-operator form of
-the same rules is exercised as an independent oracle in the test suite.
+gate run evolves its input. Most of a low-success gate's output is
+thrown away, so it may compute only the outputs the branches can keep,
+by the Ryser permanents of ``multiport.transition_amplitudes``, instead
+of the full ``evolve``; its docstring gives the measured cost rule that
+decides. Circuit files keep the full ``evolve`` because their report
+lists the whole outcome distribution.
+
+This module holds only these measurement primitives; what runs them on a
+gate lives in ``gates``. Everything here operates on pure states with
+product ancillas, which is exact for the circuits this package builds;
+the density-operator form of the same rules is exercised as an
+independent oracle in the test suite.
 """
 
 from __future__ import annotations
@@ -39,9 +41,6 @@ from .fock import FockState, Occupation, _integers
 from .multiport import ModeTransform, evolve, transition_amplitudes
 
 PROB_FLOOR = 1e-12
-
-#: Bound on probability spread and Gram deviation in ``input_independence_check``.
-INDEPENDENCE_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -296,69 +295,6 @@ def with_ancilla(comp_state: FockState, ancilla: Mapping[int, int], num_modes: i
         for m, n in zip(comp_modes, occ):
             full[m] = n
         amp[tuple(full)] = a
-    return FockState(num_modes, amp)
-
-
-@dataclass
-class IndependenceReport:
-    """Outcome of probing a postselection scheme for input independence."""
-
-    probabilities: list[list[float]]  # [branch][probe], in the order passed in
-    max_probability_deviation: float
-    max_gram_deviation: float
-    operationally_unitary: bool
-
-
-def input_independence_check(
-    transform: ModeTransform,
-    ancilla: Mapping[int, int],
-    branches: Sequence[OutcomeBranch],
-    probes: Sequence[FockState],
-) -> IndependenceReport:
-    """Probe whether branch probabilities depend on the computational input.
-
-    Each probe (a state on the computational modes) is combined with the
-    fixed ancilla preparation, evolved, and evaluated per branch by
-    ``postselect_branches``, so the branches must be mutually exclusive. The
-    scheme is flagged operationally unitary when every branch probability
-    is probe-independent and the branch maps preserve inner products
-    between the probes at the common success amplitude, both within
-    ``INDEPENDENCE_TOL``.
-    """
-    if not probes:
-        raise ValueError("at least one probe state is required")
-    normalized_probes = [p.normalized()[0] for p in probes]
-    per_probe = []
-    for p in normalized_probes:
-        full = with_ancilla(p, ancilla, transform.dim)
-        per_probe.append(postselect_branches(evolve_for_branches(full, transform, branches), branches))
-    probabilities: list[list[float]] = []
-    projected: list[list[FockState | None]] = []
-    for column in zip(*per_probe):
-        results = [res for _, res in column]
-        probabilities.append([res.probability for res in results])
-        projected.append([  # corrected conditionals, back to unnormalized
-            None if res.conditional_state is None
-            else res.conditional_state.scaled(math.sqrt(res.probability))
-            for res in results
-        ])
-
-    prob_dev = max(max(row) - min(row) for row in probabilities)
-    gram_dev = 0.0
-    for row_p, row_s in zip(probabilities, projected):
-        d = sum(row_p) / len(row_p)
-        if d <= PROB_FLOOR:
-            continue
-        n = len(normalized_probes)
-        for i in range(n):
-            for j in range(n):
-                want = normalized_probes[i].inner(normalized_probes[j])
-                si, sj = row_s[i], row_s[j]
-                got = (si.inner(sj) / d) if (si is not None and sj is not None) else 0j
-                gram_dev = max(gram_dev, abs(got - want))
-    return IndependenceReport(
-        probabilities=probabilities,
-        max_probability_deviation=prob_dev,
-        max_gram_deviation=gram_dev,
-        operationally_unitary=(prob_dev <= INDEPENDENCE_TOL and gram_dev <= INDEPENDENCE_TOL),
-    )
+    # the keys are distinct occupations of checked counts and the values come
+    # from a valid state, so there is nothing for ``FockState`` to check
+    return FockState._wrap(len(full), amp)

@@ -38,8 +38,9 @@ admit with cost +inf. Per scheme:
 
 * ``single_bs``: x in [0, pi], filtered; window 100. Points within
   ``DEGENERATE_EXCLUSION`` of 0, pi/2 and pi cost +inf.
-* ``two_bs``: x, y in [0, pi], clipped; window 100. Each point is scored at
-  both phases ``TWO_BS_PHASES`` and keeps the lower residual, phase 0 on a tie.
+* ``two_bs``: x, y in [0, pi], clipped; window 100. Each point's amplitude
+  triple is computed once and scored at both phases ``TWO_BS_PHASES``; it
+  keeps the lower residual, phase 0 on a tie.
 * ``ns_in_ns``: t1, t2, t3 in [0, 2 pi], filtered; window 100.
 * ``optimize_ns``: t1, t2, t3 in [0, pi], clipped; window 10. The engine
   minimizes, so the score enters negated.
@@ -358,20 +359,21 @@ def single_bs_infeasibility(
 
 # -- two-splitter correction -------------------------------------------------
 
-def two_bs_corrected(x, y, phase: float = 0.0):
-    """Corrected amplitude triple of the two-splitter scheme for case 3.
+def two_bs_corrected(x, y):
+    """Corrected amplitude triple of the two-splitter scheme for case 3,
+    at phase 0.
 
     The two angles enter through the product monomial family
-    (sin x sin y, 2 sin x cos x sin y cos y, 3 sin x cos^2 x sin y cos^2 y);
-    a phase shifter multiplies the k-photon component by e^{i k phase},
+    (sin x sin y, 2 sin x cos x sin y cos y, 3 sin x cos^2 x sin y cos^2 y).
+    A phase shifter multiplies the k-photon component by e^{i k phase},
     which for the phases ``TWO_BS_PHASES`` (0, pi) is the real cos(k phase),
-    exactly +1 or -1. Any other phase raises ``ValueError``.
+    exactly +1 or -1. The residual is unchanged when that sign moves from
+    the component onto the target, so ``two_bs_feasibility`` scores phase
+    pi on this same triple against the target with its middle entry negated.
     """
-    if phase not in TWO_BS_PHASES:
-        raise ValueError(f"phase must be one of TWO_BS_PHASES (0, pi), got {phase}")
     sx, cx, sy, cy = np.sin(x), np.cos(x), np.sin(y), np.cos(y)
     monos = (sx * sy, 2 * sx * cx * sy * cy, 3 * sx * cx ** 2 * sy * cy ** 2)
-    return tuple(co * m * math.cos(k * phase) for k, (co, m) in enumerate(zip(CASE_AMPLITUDES[3], monos)))
+    return tuple(co * m for co, m in zip(CASE_AMPLITUDES[3], monos))
 
 
 def two_bs_feasibility(grid_step: float = 1e-2, *, tolerance: float = 1e-6) -> FeasibilityReport:
@@ -380,10 +382,13 @@ def two_bs_feasibility(grid_step: float = 1e-2, *, tolerance: float = 1e-6) -> F
     two-splitter family."""
     fallback = uncorrected_mismatch(3, "sign_flip")
     tvec = TARGETS["sign_flip"]
+    # the target each phase scores the phase-0 triple against: the sign
+    # cos(k phase) of component k, moved onto the target (exact, as it is +-1)
+    phase_targets = [tuple(t * math.cos(k * phi) for k, t in enumerate(tvec)) for phi in TWO_BS_PHASES]
 
     def kernel(xs, ys):
-        r0, r1 = (proportionality_residual(two_bs_corrected(xs, ys, phi), tvec, fallback)
-                  for phi in TWO_BS_PHASES)
+        parts = two_bs_corrected(xs, ys)
+        r0, r1 = (proportionality_residual(parts, t, fallback) for t in phase_targets)
         return np.minimum(r0, r1), np.where(r1 < r0, TWO_BS_PHASES[1], TWO_BS_PHASES[0])
 
     (residual, (x, y), (phase,)), _ = _refine_scan(kernel, [(0.0, math.pi)] * 2, grid_step, 100, clip=True)
@@ -428,14 +433,11 @@ def second_gate_coefficients(case: int, pattern: tuple[int, int], t1, t2, t3):
     d, e = itertools.islice(general3_columns(t1, t2, t3), 2)
     d1, d2, d3 = d
     e1, e2, e3 = e
-    if case == 1 and pattern == (2, 0):
-        return (d2 * e2,
-                d2 ** 2 * e1 + 2 * d1 * d2 * e2,
-                3 * d1 * d2 ** 2 * e1 + 3 * d1 ** 2 * d2 * e2)
-    if case == 1 and pattern == (0, 2):
-        return (d3 * e3,
-                d3 ** 2 * e1 + 2 * d1 * d3 * e3,
-                3 * d1 * d3 ** 2 * e1 + 3 * d1 ** 2 * d3 * e3)
+    if case == 1 and pattern in ((2, 0), (0, 2)):  # both photons on detector j = 2 or 3
+        dj, ej = (d2, e2) if pattern == (2, 0) else (d3, e3)
+        return (dj * ej,
+                dj ** 2 * e1 + 2 * d1 * dj * ej,
+                3 * d1 * dj ** 2 * e1 + 3 * d1 ** 2 * dj * ej)
     if case == 1 and pattern == (1, 1):
         return (d2 * e3 + d3 * e2,
                 2 * (d1 * d2 * e3 + d1 * d3 * e2 + d2 * d3 * e1),

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from loqc import ElementSpec, compose_elements, search
-from loqc.cli import ParseError, main, parse_circuit
+from loqc.cli import MAX_CIRCUIT_BYTES, ParseError, main, parse_circuit
 from loqc.multiport import MAX_MODES
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -188,8 +188,11 @@ PARSE_DIAGNOSTICS = [
     ("modes 3\ndetect 2=1 correct nope\n", 2, 1, "unknown correction 'nope'"),
     ("modes 2\nsqueeze 1\n", 2, 1, "unknown directive 'squeeze'"),
     ("# no modes line\n", 1, 1, "missing modes declaration"),
-    ("modes 3\ncorrection fix ps 3 delta=1.0\ndetect 2=1 3=0 correct fix\n", 2, 1,
+    ("modes 3\ncorrection fix ps 3 delta=1.0\ndetect 2=1 3=0 correct fix\n", 2, 19,
      "leaves only 1 surviving port(s)"),
+    # the offending port is on the correction's second line
+    ("modes 3\ncorrection fix ps 1 delta=1\ncorrection fix ps 3 delta=1\n"
+     "detect 2=1 3=0 correct fix\n", 3, 19, "correction 'fix' uses port 3"),
 ]
 
 
@@ -358,6 +361,34 @@ def test_non_utf8_file_is_a_diagnostic(tmp_path, capsys):
     assert code == 1
     assert out == ""
     assert err == f"loqc: error: cannot read {path}: not UTF-8 text (byte 13)\n"
+
+
+def test_circuit_file_over_the_byte_budget_is_a_diagnostic(tmp_path, capsys):
+    path = tmp_path / "padded.circ"
+    head = "modes 1\ninput fock 1\n"
+    path.write_text(head + "#" * (MAX_CIRCUIT_BYTES - len(head)))
+    assert run_cli(capsys, "simulate", str(path))[0] == 0
+    path.write_text(head + "#" * (MAX_CIRCUIT_BYTES - len(head) + 1))
+    code, out, err = run_cli(capsys, "simulate", str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith("loqc: error:") and err.count("\n") == 1
+    assert "MAX_CIRCUIT_BYTES" in err
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="no /dev/zero")
+def test_endless_circuit_file_is_a_diagnostic(capsys):
+    code, out, err = run_cli(capsys, "simulate", "/dev/zero")
+    assert (code, out) == (1, "")
+    assert err.startswith("loqc: error:") and "MAX_CIRCUIT_BYTES" in err
+
+
+def test_crlf_circuit_file_is_read_with_universal_newlines(tmp_path, capsys):
+    path = tmp_path / "ns.circ"
+    path.write_bytes(NS_FILE.replace("\n", "\r\n").encode())
+    code, out, _ = run_cli(capsys, "simulate", str(path))
+    assert code == 0
+    digest = "sha256:" + hashlib.sha256(NS_FILE.encode()).hexdigest()
+    assert json.loads(out)["input"]["digest"] == digest
 
 
 def test_pretty_output_is_text(tmp_path, capsys):

@@ -60,7 +60,7 @@ def test_ns_report_sign_pattern():
 
 
 def test_ns_branch_probability_is_input_independent():
-    from loqc import input_independence_check, ns_matrix
+    from loqc import input_independence_check
 
     rng = np.random.default_rng(40)
     probes = [FockState.from_occupation([k]) for k in range(3)]
@@ -68,8 +68,7 @@ def test_ns_branch_probability_is_input_independent():
         v = rng.normal(size=3) + 1j * rng.normal(size=3)
         v /= np.linalg.norm(v)
         probes.append(FockState(1, {(k,): a for k, a in enumerate(v)}))
-    gate = ns_gate()
-    report = input_independence_check(ns_matrix(), gate.ancilla, gate.branches, probes)
+    report = input_independence_check(ns_gate(), probes)
     assert report.max_probability_deviation <= 1e-9
     assert report.operationally_unitary
 

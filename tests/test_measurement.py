@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,10 +7,12 @@ import pytest
 from loqc import (
     DetectionPattern,
     FockState,
+    GateCircuit,
     ModeTransform,
     OutcomeBranch,
     evolve,
     input_independence_check,
+    ns_gate,
     ns_matrix,
     outcome_distribution,
     permanent_amplitude,
@@ -218,11 +221,7 @@ def _fock_levels(*amplitude_sets):
 
 def test_sign_shift_heralded_branch_is_input_independent():
     probes = _fock_levels((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1))
-    report = input_independence_check(
-        ns_matrix(), {1: 1, 2: 0},
-        [OutcomeBranch(DetectionPattern({1: 1, 2: 0}))],
-        probes,
-    )
+    report = input_independence_check(ns_gate(), probes)
     assert report.max_probability_deviation <= 1e-9
     assert all(p == pytest.approx(0.25, abs=1e-9) for p in report.probabilities[0])
     assert report.operationally_unitary
@@ -230,11 +229,8 @@ def test_sign_shift_heralded_branch_is_input_independent():
 
 def test_identity_circuit_has_zero_deviation():
     probes = _fock_levels((1, 0, 0), (0, 1, 0), (1, 1, 0))
-    report = input_independence_check(
-        ModeTransform(np.eye(2)), {1: 0},
-        [OutcomeBranch(DetectionPattern({1: 0}))],
-        probes,
-    )
+    branch = OutcomeBranch(DetectionPattern({1: 0}))
+    report = input_independence_check(GateCircuit("identity", 2, {1: 0}, [], [branch], [0]), probes)
     assert report.max_probability_deviation <= 1e-15
     assert report.operationally_unitary
 
@@ -242,10 +238,7 @@ def test_identity_circuit_has_zero_deviation():
 def test_no_photon_branch_is_flagged_input_dependent():
     probes = _fock_levels((1, 0, 0), (0, 0, 1))
     report = input_independence_check(
-        ns_matrix(), {1: 1, 2: 0},
-        [OutcomeBranch(DetectionPattern({1: 0, 2: 0}))],
-        probes,
-    )
+        replace(ns_gate(), branches=[OutcomeBranch(DetectionPattern({1: 0, 2: 0}))]), probes)
     # vacuum input keeps its ancilla photon far more often than the
     # two-photon input does
     p_vac, p_two = report.probabilities[0]
@@ -342,12 +335,12 @@ def test_heralded_amplitudes_match_permanent_oracle(monkeypatch):
 
 def test_independence_check_is_route_independent(monkeypatch):
     probes = _fock_levels((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1))
-    branches = [OutcomeBranch(DetectionPattern({1: 1, 2: 0})),
-                OutcomeBranch(DetectionPattern({1: 0, 2: 1}))]
+    circuit = replace(ns_gate(), branches=[OutcomeBranch(DetectionPattern({1: 1, 2: 0})),
+                                           OutcomeBranch(DetectionPattern({1: 0, 2: 1}))])
     reports = []
     for cost in (math.inf, -math.inf):
         monkeypatch.setattr(measurement, "HERALDED_COST_PER_TERM", cost)
-        reports.append(input_independence_check(ns_matrix(), {1: 1, 2: 0}, branches, probes))
+        reports.append(input_independence_check(circuit, probes))
     full, heralded = reports
     assert np.abs(np.array(full.probabilities) - np.array(heralded.probabilities)).max() < 1e-12
     assert abs(full.max_gram_deviation - heralded.max_gram_deviation) < 1e-12

@@ -260,10 +260,16 @@ def test_residual_rejects_mismatched_or_zero_targets(values, target, message):
         proportionality_residual(values, target)
 
 
-def test_two_splitter_phase_is_zero_or_pi():
-    assert two_bs_corrected(0.3, 0.4, math.pi)[1] == -two_bs_corrected(0.3, 0.4)[1]
-    with pytest.raises(ValueError, match="TWO_BS_PHASES"):
-        two_bs_corrected(0.3, 0.4, math.pi / 2)
+def test_two_splitter_phase_pi_moves_onto_the_target():
+    # the kernel scores phase pi, which negates the one-photon component,
+    # against the target with its middle entry negated; bit for bit the same
+    xs, ys = np.ix_(np.linspace(0.0, math.pi, 41), np.linspace(0.0, math.pi, 37))
+    c0, c1, c2 = two_bs_corrected(xs, ys)
+    fallback = uncorrected_mismatch(3, "sign_flip")
+    moved = proportionality_residual((c0, c1, c2), (1, -1, -1), fallback)
+    negated = proportionality_residual((c0, -c1, c2), (1, 1, -1), fallback)
+    assert moved.shape == (41, 37)
+    assert moved.tobytes() == negated.tobytes()
 
 
 def test_two_axis_kernels_receive_broadcast_axes(monkeypatch):
