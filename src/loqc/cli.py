@@ -27,7 +27,9 @@ A circuit file may hold at most ``MAX_CIRCUIT_BYTES`` (1 MiB).
 
 Reports are JSON trees with fixed key order and floats printed at 10
 significant digits (override with the LOQC_REPORT_DIGITS environment
-variable); identical invocations produce byte-identical output. Exit
+variable, which is read before any work); each float is rounded where its
+report is built, so rendering only serializes. Identical invocations
+produce byte-identical output. Exit
 codes: 0 success, 1 diagnostics or a closed output pipe, 2 internal error.
 """
 
@@ -354,14 +356,6 @@ def parse_circuit(text: str) -> Circuit:
 
 # -- report assembly -------------------------------------------------------
 
-def _fmt_counts(counts) -> str:
-    return ",".join(map(str, counts))
-
-
-def _pair(z: complex) -> list[float]:
-    return [float(z.real), float(z.imag)]
-
-
 def _report_header(command: str, digested: str, **details) -> dict:
     """The ``tool``/``command``/``input`` keys that open every report;
     ``input.digest`` is the sha256 of ``digested``, then ``details``."""
@@ -372,17 +366,21 @@ def _report_header(command: str, digested: str, **details) -> dict:
     }
 
 
-def simulate_report(circ: Circuit, source_text: str) -> dict:
+def simulate_report(circ: Circuit, source_text: str, digits: int) -> dict:
+    """The ``simulate`` report; each float is rounded to ``digits``
+    significant digits as it is written."""
     if circ.state is None:
         raise CliError("circuit file has no input declaration")
+    spec = f".{digits}g"
     out = evolve(circ.state, compose_elements(circ.elements, circ.modes))
 
     if circ.branches:
         measured = sorted({m for _, b in circ.branches for m in b.pattern.modes})
     else:
         measured = list(range(circ.modes))
-    dist = outcome_distribution(out, measured)
-    outcomes = {_fmt_counts(k): v for k, v in sorted(dist.items())}
+    outcome_key = ",".join(["%d"] * len(measured))   # one outcome's counts, comma-separated
+    outcomes = {outcome_key % counts: float(format(p, spec))   # the keys come in ascending order
+                for counts, p in outcome_distribution(out, measured).items()}
 
     report = {
         **_report_header("simulate", source_text, modes=circ.modes,
@@ -403,17 +401,19 @@ def simulate_report(circ: Circuit, source_text: str) -> dict:
             surviving_ports = [m + 1 for m in branch.pattern.survivors(circ.modes)]
             conditional = {}
             if res.conditional_state is not None:
+                survivor_key = ",".join(["%d"] * len(surviving_ports))
                 for occ, amp in res.conditional_state.terms():
-                    conditional[_fmt_counts(occ)] = _pair(amp)
+                    conditional[survivor_key % occ] = [float(format(amp.real, spec)),
+                                                       float(format(amp.imag, spec))]
             rows.append({
                 "pattern": branch.label,
                 "correction": name,
-                "probability": res.probability,
+                "probability": float(format(res.probability, spec)),
                 "surviving_ports": surviving_ports,
                 "conditional": conditional,
             })
         report["branches"] = rows
-        report["success_probability"] = total
+        report["success_probability"] = float(format(total, spec))
     return report
 
 
@@ -550,6 +550,8 @@ def _report_digits() -> int:
 
 
 def _quantize(obj, digits: int):
+    """A report tree with every float rounded to ``digits`` significant
+    digits; for the small reports (``simulate_report`` rounds its own)."""
     if isinstance(obj, float):
         return float(f"{obj:.{digits}g}")
     if isinstance(obj, dict):
@@ -560,7 +562,7 @@ def _quantize(obj, digits: int):
 
 
 def render_report(report: dict, pretty: bool = False) -> str:
-    report = _quantize(report, _report_digits())
+    """Serialize a report whose floats are already rounded."""
     if not pretty:
         return json.dumps(report, separators=(",", ":"))
     return _render_pretty(report)
@@ -644,19 +646,20 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
         if args.subcommand is None:
             raise CliError("a subcommand is required (simulate, verify-gate, search, selftest)")
+        digits = _report_digits()   # before any work, so a bad value costs none
         if args.subcommand == "simulate":
             text = _read_circuit(args.file)
             try:
                 circ = parse_circuit(text)
             except ParseError as exc:
                 raise CliError(f"{args.file}:{exc.line}:{exc.column}: {exc.message}") from None
-            report = simulate_report(circ, text)
+            report = simulate_report(circ, text, digits)
         elif args.subcommand == "verify-gate":
-            report = gate_report(args.name)
+            report = _quantize(gate_report(args.name), digits)
         elif args.subcommand == "search":
-            report = search_report(args.scheme, args.grid_step, args.tolerance)
+            report = _quantize(search_report(args.scheme, args.grid_step, args.tolerance), digits)
         else:
-            report = selftest_report(args.seed)
+            report = _quantize(selftest_report(args.seed), digits)
         print(render_report(report, pretty=args.pretty))
         sys.stdout.flush()
         if args.subcommand == "selftest" and not report["passed"]:

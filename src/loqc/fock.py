@@ -1,9 +1,14 @@
 """Sparse Fock-state vectors, the value type that evolution and measurement share.
 
 States are immutable value objects: every operation returns a new
-``FockState``. Amplitudes are kept in a sparse map keyed by occupation
-tuples (photons per mode), which is exact and cheap at the photon numbers
-this package targets (a handful of photons over at most a few modes).
+``FockState``. A state lists only its nonzero terms, as a map keyed by
+occupation tuples (photons per mode), which is exact and cheap at the
+photon numbers this package targets (a handful of photons over at most a
+few modes). A state that ``evolve`` or ``transition_amplitudes`` built
+holds the occupation rows and amplitude array they computed instead, and
+derives the map from them the first time a method needs it, so a caller
+that reads the arrays (``measurement.outcome_distribution``) never builds
+the map of a large output.
 
 Mode ordering: index 0 is the leftmost slot of the occupation tuple and
 corresponds to port 1 of a circuit. The command-line layer converts
@@ -16,6 +21,8 @@ import cmath
 import math
 import operator
 from collections.abc import Iterable, Iterator, Mapping
+
+import numpy as np
 
 #: Amplitudes below this magnitude may be dropped without affecting any
 #: reported probability at the package's working tolerances.
@@ -47,13 +54,17 @@ def check_occupation(counts: Iterable[int], num_modes: int | None = None) -> Occ
 
 
 class FockState:
-    """Sparse complex-amplitude map over photon occupation vectors.
+    """Complex amplitudes over photon occupation vectors, nonzero terms only.
 
-    The zero state (no stored terms) is a valid value; it is what a
-    difference of equal states produces.
+    The terms are held either as a map from occupation tuples to Python
+    complex numbers or as occupation rows with an amplitude array
+    (``_of_rows``); the map is derived from the rows on first use, in row
+    order, and both forms then stay, since a state never changes. The
+    zero state (no stored terms) is a valid value; it is what a difference
+    of equal states produces.
     """
 
-    __slots__ = ("num_modes", "_amp")
+    __slots__ = ("num_modes", "_map", "_rows", "_values")
 
     def __init__(self, num_modes: int, amplitudes: Mapping[Occupation, complex]):
         [self.num_modes] = _integers([num_modes], "num_modes")
@@ -67,7 +78,8 @@ class FockState:
                 raise ValueError(f"non-finite amplitude {a!r} for {occ}")
             if a != 0:
                 amp[occ] = amp.get(occ, 0j) + a
-        self._amp = amp
+        self._map = amp
+        self._rows = self._values = None
 
     # -- constructors -------------------------------------------------
 
@@ -88,8 +100,40 @@ class FockState:
         """
         state = object.__new__(cls)
         state.num_modes = num_modes
-        state._amp = amplitudes
+        state._map = amplitudes
+        state._rows = state._values = None
         return state
+
+    @classmethod
+    def _of_rows(cls, num_modes: int, rows: np.ndarray, values: np.ndarray) -> "FockState":
+        """Take over occupation rows and their amplitudes, unchecked.
+
+        Row i of the integer array ``rows`` (terms x ``num_modes``) holds
+        the occupation of amplitude ``values[i]``; the caller vouches for
+        what ``_wrap`` asks of the map's keys and values, and that no two
+        rows are equal. Both arrays become read-only.
+        """
+        state = object.__new__(cls)
+        state.num_modes = num_modes
+        state._map = None
+        state._rows, state._values = rows, values
+        rows.flags.writeable = values.flags.writeable = False
+        return state
+
+    @property
+    def _amp(self) -> dict[Occupation, complex]:
+        """The occupation -> amplitude map, built from the rows on first use."""
+        if self._map is None:
+            self._map = dict(zip(map(tuple, self._rows.tolist()), self._values.tolist()))
+        return self._map
+
+    def _arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """Occupation rows (terms x modes) and amplitudes, in the map's order;
+        a state built from a map lists them afresh on each call."""
+        if self._rows is not None:
+            return self._rows, self._values
+        rows = np.array(list(self._map), dtype=np.int64).reshape(len(self._map), self.num_modes)
+        return rows, np.array(list(self._map.values()), dtype=complex)
 
     # -- inspection ---------------------------------------------------
 
@@ -98,11 +142,12 @@ class FockState:
 
     def terms(self) -> Iterator[tuple[Occupation, complex]]:
         """Iterate (occupation, amplitude) pairs in a fixed sorted order."""
-        for occ in sorted(self._amp):
-            yield occ, self._amp[occ]
+        amp = self._amp
+        for occ in sorted(amp):
+            yield occ, amp[occ]
 
     def num_terms(self) -> int:
-        return len(self._amp)
+        return len(self._amp if self._rows is None else self._rows)
 
     def norm(self) -> float:
         return math.sqrt(sum(abs(a) ** 2 for a in self._amp.values()))
@@ -141,9 +186,10 @@ class FockState:
         """<self|other> over the shared occupation basis."""
         if other.num_modes != self.num_modes:
             raise ValueError("mode-count mismatch")
+        mine, theirs = self._amp, other._amp
         total = 0j
-        for occ in self._amp.keys() & other._amp.keys():
-            total += self._amp[occ].conjugate() * other._amp[occ]
+        for occ in mine.keys() & theirs.keys():
+            total += mine[occ].conjugate() * theirs[occ]
         return total
 
     def normalized(self) -> tuple["FockState", float]:

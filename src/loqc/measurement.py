@@ -37,6 +37,8 @@ from dataclasses import dataclass
 from itertools import combinations_with_replacement
 from operator import itemgetter
 
+import numpy as np
+
 from .fock import FockState, Occupation, _integers
 from .multiport import ModeTransform, evolve, transition_amplitudes
 
@@ -261,17 +263,36 @@ def evolve_for_branches(
 
 
 def outcome_distribution(state: FockState, modes: Sequence[int]) -> dict[tuple[int, ...], float]:
-    """Probability of every photon-count combination on the given modes."""
-    modes = _integers(modes, "outcome modes")
+    """Probability of every photon-count combination on the given modes.
+
+    The keys are the count tuples on ``modes`` (in the order given; a mode
+    may repeat) that some term of ``state`` shows, in ascending order. A
+    term's probability is ``np.float_power(np.hypot(re, im), 2)``, which
+    equals Python's ``abs(a) ** 2`` bit for bit (``np.abs(a) ** 2`` does
+    not: numpy squares by one multiplication). One sort by the counts on
+    ``modes`` and then by those on the other modes brings each key's terms
+    together in the order of ``state.terms()`` (terms with one key agree on
+    ``modes``, so the other modes decide their occupation order);
+    ``np.add.at`` adds their probabilities one after another from 0.0 in
+    that order (``np.sum`` would add pairwise). The work runs on the
+    state's occupation rows (``FockState._arrays``), so an ``evolve``
+    output never builds its occupation map here.
+    """
+    modes = list(_integers(modes, "outcome modes"))
     for m in modes:
         if not 0 <= m < state.num_modes:
             raise ValueError(f"mode {m} out of range for {state.num_modes} modes")
-    counts = _counts_on(modes)
-    dist: dict[tuple[int, ...], float] = {}
-    for occ, amp in state.terms():
-        key = counts(occ)
-        dist[key] = dist.get(key, 0.0) + abs(amp) ** 2
-    return dist
+    rows, amps = state._arrays()
+    counts = rows[:, modes]
+    others = sorted(set(range(state.num_modes)).difference(modes))
+    # lexsort's last key decides first: the counts on modes, then on the others
+    order = np.lexsort(np.concatenate([counts, rows[:, others]], axis=1).T[::-1])
+    counts, amps = counts[order], amps[order]
+    first = np.ones(len(counts), dtype=bool)   # the first term of each key
+    first[1:] = (counts[1:] != counts[:-1]).any(axis=1)
+    sums = np.zeros(np.count_nonzero(first))
+    np.add.at(sums, np.cumsum(first) - 1, np.float_power(np.hypot(amps.real, amps.imag), 2))
+    return dict(zip(map(tuple, counts[first].tolist()), sums.tolist()))
 
 
 def with_ancilla(comp_state: FockState, ancilla: Mapping[int, int], num_modes: int) -> FockState:

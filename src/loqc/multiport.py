@@ -308,15 +308,17 @@ def _fock_basis(modes: int, photons: int) -> tuple[np.ndarray, np.ndarray, np.nd
 
 
 def _state_of(num_modes: int, occs: np.ndarray, amps: np.ndarray) -> FockState:
-    """The state with amplitude ``amps[i]`` on occupation row ``occs[i]``.
+    """The state with amplitude ``amps[i]`` on occupation row ``occs[i]``;
+    it keeps both arrays, in this order.
 
-    The caller has dropped zero amplitudes and vouches that no part is
-    -0.0; a non-finite amplitude raises, as in ``FockState``.
+    The caller has dropped zero amplitudes, lists each occupation once and
+    vouches that no part is -0.0; a non-finite amplitude raises, as in
+    ``FockState``.
     """
     bad = np.flatnonzero(~np.isfinite(amps))
     if len(bad):
         raise ValueError(f"non-finite amplitude {complex(amps[bad[0]])!r} for {tuple(occs[bad[0]].tolist())}")
-    return FockState._wrap(num_modes, dict(zip(map(tuple, occs.tolist()), amps.tolist())))
+    return FockState._of_rows(num_modes, occs, amps)
 
 
 def _expand(occupations: np.ndarray, photons: int, cols: np.ndarray) -> np.ndarray:

@@ -412,6 +412,55 @@ def test_report_digits_env_override(tmp_path, capsys, monkeypatch):
     assert code == 1
 
 
+def test_bad_report_digits_are_rejected_before_the_work(capsys, monkeypatch):
+    def scan(*args, **kwargs):
+        raise AssertionError("the search ran before LOQC_REPORT_DIGITS was checked")
+
+    monkeypatch.setattr("loqc.cli.ns_in_ns_feasibility", scan)
+    monkeypatch.setenv("LOQC_REPORT_DIGITS", "x")
+    code, out, err = run_cli(capsys, "search", "ns_in_ns:case1")
+    assert (code, out) == (1, "")
+    assert err == "loqc: error: LOQC_REPORT_DIGITS must be an integer, got 'x'\n"
+
+
+CORRECTED_FILE = """\
+modes 3
+input fock 1 1 0
+gen3 1 2 3 t1=0.4 t2=1.1 t3=0.7
+correction fix ps 1 delta=0.9
+detect 2=1 3=0 correct fix
+detect 2=0 3=1
+"""
+
+
+def _floats(obj):
+    if isinstance(obj, float):
+        yield obj
+    elif isinstance(obj, dict):
+        for value in obj.values():
+            yield from _floats(value)
+    elif isinstance(obj, list):
+        for value in obj:
+            yield from _floats(value)
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "CORRECTED"],
+    ["verify-gate", "cs"],
+    ["search", "single_bs:case1"],
+    ["selftest"],
+], ids=lambda argv: argv[0])
+def test_every_printed_float_is_rounded(argv, tmp_path, capsys, monkeypatch):
+    path = tmp_path / "corrected.circ"
+    path.write_text(CORRECTED_FILE)
+    monkeypatch.setenv("LOQC_REPORT_DIGITS", "3")
+    code, out, _ = run_cli(capsys, *[str(path) if a == "CORRECTED" else a for a in argv])
+    assert code == 0
+    floats = list(_floats(json.loads(out)))
+    assert len(floats) >= 4
+    assert [x for x in floats if float(f"{x:.3g}") != x] == []
+
+
 # -- verify-gate and search ------------------------------------------------------
 
 def test_verify_gate_ns(capsys):

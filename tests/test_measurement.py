@@ -143,6 +143,51 @@ def test_conditional_states_are_normalized():
             assert abs(res.conditional_state.norm() ** 2 - 1.0) <= NORM_ATOL
 
 
+def _term_loop_distribution(state, modes):
+    """The per-term loop ``outcome_distribution`` replaced: first-seen key
+    order, each key's sum taken in ``state.terms()`` order from 0.0."""
+    dist = {}
+    for occ, amp in state.terms():
+        key = tuple(occ[m] for m in modes)
+        dist[key] = dist.get(key, 0.0) + abs(amp) ** 2
+    return dist
+
+
+def _loop_reference_states(rng):
+    """400 states: dict-built with mixed photon numbers, and ``evolve``
+    outputs through Haar networks, one in three with a spectator mode."""
+    for i in range(400):
+        m = int(rng.integers(1, 7))
+        if i % 2 == 0:
+            yield random_state(rng, m, int(rng.integers(0, 4)), terms=int(rng.integers(1, 13)))
+            continue
+        state = random_state(rng, m, 2, terms=int(rng.integers(1, 4)))
+        matrix = random_unitary(rng, m)
+        if i % 3 == 1 and m > 1:
+            spectator = int(rng.integers(m))
+            active = [k for k in range(m) if k != spectator]
+            matrix = np.eye(m, dtype=complex)
+            matrix[np.ix_(active, active)] = random_unitary(rng, m - 1)
+        yield evolve(state, ModeTransform(matrix))
+
+
+def test_outcome_distribution_matches_the_term_loop():
+    rng = np.random.default_rng(15)
+    checked = 0
+    for state in _loop_reference_states(rng):
+        m = state.num_modes
+        subset = [int(k) for k in rng.permutation(m)[:int(rng.integers(1, m + 1))]]
+        repeated = subset + [subset[int(rng.integers(len(subset)))]]
+        for modes in ([], subset, repeated, list(range(m))):
+            got = outcome_distribution(state, modes)
+            want = _term_loop_distribution(state, modes)
+            assert got.keys() == want.keys()
+            assert {k: v.hex() for k, v in got.items()} == {k: v.hex() for k, v in want.items()}
+            assert list(got) == sorted(got)
+        checked += 1
+    assert checked == 400
+
+
 # -- density-operator oracle ---------------------------------------------
 
 def _density_postselect(state: FockState, transform: ModeTransform, count: int):

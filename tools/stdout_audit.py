@@ -10,7 +10,9 @@ invocations whose entries differ (or that only one file has) and exits 1
 if there are any. A change meant to leave reports byte-identical runs the
 first form at the parent commit and at the change, then compares.
 
-The set, each at default digits and at ``LOQC_REPORT_DIGITS=17``:
+The set, each at default digits and at ``LOQC_REPORT_DIGITS`` 3 and 17
+(17 digits round no double, so only a shorter setting shows a float that
+skipped rounding):
 ``verify-gate`` on every gallery gate; the five searches at their default
 grid and at ``--grid-step 0.3``; ``selftest`` with seeds 0 and 7;
 ``simulate`` on the circuit files the benchmark's ``circuits_full``
@@ -37,7 +39,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 import loqc.cli  # noqa: E402
 import workloads  # noqa: E402
 
-DIGITS = (None, "17")
+DIGITS = (None, "3", "17")
 SEEDS = (0, 7)
 
 
