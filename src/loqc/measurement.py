@@ -40,7 +40,7 @@ from operator import itemgetter
 import numpy as np
 
 from .fock import FockState, Occupation, _integers
-from .multiport import ModeTransform, evolve, transition_amplitudes
+from .multiport import MAX_RYSER_GRID, ModeTransform, evolve, transition_amplitudes
 
 PROB_FLOOR = 1e-12
 
@@ -113,7 +113,8 @@ class OutcomeBranch:
 
 
 def _counts_on(modes: Sequence[int]) -> Callable[[Occupation], tuple[int, ...]]:
-    """The function from an occupation to its counts on ``modes``, as a tuple."""
+    """The function from an occupation, or a map from mode to count, to
+    its counts on ``modes``, as a tuple."""
     if len(modes) == 1:       # itemgetter of one item returns the bare item
         mode = modes[0]
         return lambda occ: (occ[mode],)
@@ -151,6 +152,38 @@ def _postselect(terms: list[tuple[Occupation, complex]], num_modes: int,
     return PostselectionResult(prob, survivor_state.scaled(1.0 / math.sqrt(prob)))
 
 
+def _first_overlap(patterns: Sequence[DetectionPattern]) -> tuple[int, int] | None:
+    """The first pair i < j of patterns that some basis state satisfies
+    both, least i then least j; None when every pair conflicts.
+
+    Two patterns overlap exactly when they fix the same counts on the modes
+    they share. For each pair of groups of patterns on one tuple of modes,
+    the counts on the shared modes of the second group's members go into a
+    table that each member of the first looks up: (G + 1) * N count tuples
+    for N patterns in G groups, not N * (N - 1) / 2 comparisons.
+    """
+    fixed = [dict(p.constraints) for p in patterns]
+    groups: dict[tuple[int, ...], list[int]] = {}
+    for i, p in enumerate(patterns):
+        groups.setdefault(p.modes, []).append(i)
+    items = [(modes, set(modes), members) for modes, members in groups.items()]
+    first = None
+    for g, (modes_a, _, members_a) in enumerate(items):
+        for _, modes_b, members_b in items[g:]:
+            counts = _counts_on([m for m in modes_a if m in modes_b])
+            least: dict[tuple[int, ...], int] = {}
+            for j in members_b:   # ascending: the least index with these counts
+                least.setdefault(counts(fixed[j]), j)
+            for i in members_a:
+                # i's least partner; when that is i itself, every later partner
+                # of i finds i first, and the least such pair is found there
+                j = least.get(counts(fixed[i]), i)
+                pair = (min(i, j), max(i, j))
+                if j != i and (first is None or pair < first):
+                    first = pair
+    return first
+
+
 def postselect_branches(
     state: FockState, branches: Sequence[OutcomeBranch]
 ) -> list[tuple[OutcomeBranch, PostselectionResult]]:
@@ -158,19 +191,20 @@ def postselect_branches(
 
     Each branch postselects on its pattern and then sends the survivors
     through its correction. Branches whose patterns could both match the
-    same basis state are a configuration error. The result pairs each
+    same basis state are a configuration error, which names the first such
+    pair (``_first_overlap``). The result pairs each
     branch with its ``PostselectionResult``, in branch order
     (``perfbench/tracer.py`` reads the pairs).
     """
     if not branches:
         raise ValueError("at least one branch is required")
-    for i, a in enumerate(branches):
-        for b in branches[i + 1:]:
-            if not a.pattern.conflicts_with(b.pattern):
-                raise ValueError(
-                    f"branch patterns overlap: '{a.label or a.pattern.describe()}' "
-                    f"and '{b.label or b.pattern.describe()}'"
-                )
+    pair = _first_overlap([b.pattern for b in branches]) if len(branches) > 1 else None
+    if pair is not None:
+        a, b = (branches[i] for i in pair)
+        raise ValueError(
+            f"branch patterns overlap: '{a.label or a.pattern.describe()}' "
+            f"and '{b.label or b.pattern.describe()}'"
+        )
     terms = list(state.terms())   # sorted once for every branch
     results = []
     for branch in branches:
@@ -194,9 +228,8 @@ def _heralded_outputs(pattern: DetectionPattern, survivors: Sequence[int], num_m
 
     ``survivors`` is ``pattern.survivors(num_modes)``. The outputs are
     enumerated by ``combinations_with_replacement`` rather than from
-    ``multiport._fock_basis``: on the ten outputs a ``cs`` branch keeps,
-    the array version took 10.2 us a call against 5.6 us (2-vCPU Xeon,
-    numpy 2.4).
+    ``multiport._fock_basis``: on the few outputs a gate's branch keeps,
+    the array version costs more than it saves.
     """
     free = photons - sum(c for _, c in pattern.constraints)
     if free < 0:
@@ -229,21 +262,20 @@ def evolve_for_branches(
       product multiplies the s-grid of every output once per mode.
 
     The heralded route is taken when its cost, summed over the input
-    terms, is below that of ``evolve``. The rule reads only the input's
-    occupations, the mode count and the patterns. Both constants were
-    fitted to both routes timed on 347 inputs: the gate gallery, the
-    two-stage cs cascade, Haar networks of 3..14 modes with 1..7 photons
-    and random patterns, and singly occupied inputs of up to 9 photons
-    with one to three detectors (``BENCH_7.json``). Over that set the rule
-    takes 6 % more time than always picking the faster route, and 2.8x
-    at worst on one small input; always-``evolve`` takes 1.97x and
-    always-heralded 1.50x. The fixed part keeps small inputs on
-    ``evolve``: on the gallery, ``ns`` and ``cnot_2photon`` take
-    ``evolve``, ``cs``, ``cnot_klm`` and the cascade the heralded route.
-    The per-product part sends an input back to ``evolve`` when its
-    s-grid outgrows the basis, as for one detector behind six singly
-    occupied modes. ``postselect_branches`` gives the same results on
-    either state.
+    terms, is below that of ``evolve`` and no term's s-grid,
+    prod(n_k + 1), exceeds ``multiport.MAX_RYSER_GRID``. The rule reads
+    only the input's occupations, the mode count and the patterns. Both
+    constants were fitted to both routes timed on the gate gallery, the
+    two-stage cs cascade, Haar networks and singly occupied inputs with
+    one to three detectors; the fit and its quality are recorded in
+    ``BENCH_7.json``, and the gallery picks were re-timed when the Ryser
+    pass began to take a group of terms at once (``BENCH_16.json``). The
+    fixed part keeps small inputs on ``evolve``: on the gallery, ``ns``
+    and ``cnot_2photon`` take ``evolve``, ``cs``, ``cnot_klm`` and the
+    cascade the heralded route. The per-product part sends an input back
+    to ``evolve`` when its s-grid outgrows the basis, as for one detector
+    behind six singly occupied modes. ``postselect_branches`` gives the
+    same results on either state.
     """
     m = transform.dim
     survivors = [b.pattern.survivors(m) for b in branches]
@@ -253,8 +285,11 @@ def evolve_for_branches(
     products = 0
     for occ in occs:   # H_n sums C(f + s - 1, f) over branches: f free photons on s survivors
         n = sum(occ)
+        grid = math.prod(c + 1 for c in occ)
+        if grid > MAX_RYSER_GRID:
+            return evolve(state, transform)
         h_n = sum(math.comb(n - h + len(s) - 1, n - h) for h, s in zip(held, survivors) if n >= h)
-        products += m * math.prod(c + 1 for c in occ) * h_n
+        products += m * grid * h_n
     if HERALDED_COST_PER_TERM * len(occs) + HERALDED_COST_PER_PRODUCT * products >= full:
         return evolve(state, transform)
     outputs = [occ for n in sorted({sum(occ) for occ in occs}) for b, s in zip(branches, survivors)

@@ -16,7 +16,8 @@ numpy passes over the Fock basis of the other modes, one per photon,
 guided by an index table per (modes, photons) from a bounded cache; the
 ``evolve`` docstring gives the order in which it sums.
 ``transition_amplitudes`` computes <out|U|in> for a given list of output
-occupations only, by Ryser's formula over repeated rows and columns; a
+occupations only, by Ryser's formula over repeated rows and columns, in
+one numpy pass per group of input terms that share an s-grid; a
 heralded evaluation gets one or the other from
 ``measurement.evolve_for_branches``, whose docstring gives the rule. The
 n!-sum ``permanent_amplitude`` computes single amplitudes by a third
@@ -26,11 +27,14 @@ Budgets: a Fock term may carry at most ``MAX_PHOTONS`` photons (all three
 routes check), an input term may span at most ``MAX_FOCK_TERMS`` basis
 terms (``evolve`` checks before it builds a table; the command-line
 parser checks a circuit file's input first), and ``check_term_budget``
-is the one place that raises ``ValueError`` for both. A circuit file may
-declare, and an ``Encoding`` span, at most ``MAX_MODES`` modes.
-``evolve`` and ``transition_amplitudes`` hold at most ``RYSER_BLOCK``
-numbers in one working array, or one input term's products with one
-column when those are more.
+is the one place that raises ``ValueError`` for both. An input term of
+``transition_amplitudes`` may have an s-grid of at most ``MAX_RYSER_GRID``
+points, prod(n_k + 1) over its modes; it raises ``ValueError`` naming the
+budget before it builds any grid. A circuit file may declare, and an
+``Encoding`` span, at most ``MAX_MODES`` modes. ``evolve`` and
+``transition_amplitudes`` hold at most ``RYSER_BLOCK`` numbers in one
+working array, or one input term's share of it when that is more: its
+products with one column, or its powers table.
 
 All functions are pure; amplitude accumulation runs in a fixed order, so
 results are deterministic.
@@ -42,7 +46,7 @@ import functools
 import math
 from collections.abc import Iterable
 from dataclasses import dataclass
-from itertools import accumulate, permutations, product
+from itertools import accumulate, permutations
 
 import numpy as np
 
@@ -65,11 +69,18 @@ MAX_FOCK_TERMS = 10**5
 #: composition as N^3.
 MAX_MODES = 64
 
-#: Most complex numbers ``transition_amplitudes`` multiplies at once in
-#: its running product (outputs x s-grid), and ``evolve`` forms at once
-#: in one photon's pass (input terms x modes x basis); bounds their
-#: working memory.
+#: Most complex numbers ``transition_amplitudes`` holds at once in one
+#: group's powers table (input terms x modes x (n + 1) x s-grid), its
+#: running product (input terms x outputs x s-grid) and its sums (input
+#: terms x outputs), and ``evolve`` forms at once in one photon's pass
+#: (input terms x modes x basis); bounds their working memory.
 RYSER_BLOCK = 1 << 15
+
+#: Most points, prod(n_k + 1) over the modes of one input term, that an
+#: s-grid of ``transition_amplitudes`` may hold: 12 singly occupied
+#: photons. A term's powers table holds modes x (n + 1) x grid complex
+#: numbers, which doubles with every further singly occupied photon.
+MAX_RYSER_GRID = 1 << 12
 
 _FACT = [math.factorial(n) for n in range(MAX_PHOTONS + 1)]
 
@@ -443,6 +454,63 @@ def evolve(state: FockState, transform: ModeTransform, prune_tol: float = PRUNE_
     return _state_of(m, np.concatenate([basis for basis, _, _ in bases])[keep], total[keep])
 
 
+@functools.lru_cache(maxsize=32)
+def _ryser_grid(counts: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, float]:
+    """The s-grid of an input term whose nonzero counts, in mode order, are
+    ``counts``: the points 0 <= s_j <= counts[j] as (j, point) in the
+    order of ``itertools.product``, each point's weight
+    (-1)^(n - |s|) prod_j C(counts[j], s_j), and the root
+    sqrt(prod_j counts[j]!) that each term's amplitude is divided by. The
+    weights are integers below 2^53, so every product is exact. The grids
+    of the last 32 count tuples stay cached, at most
+    ``MAX_RYSER_GRID`` x 13 numbers each."""
+    dims = [c + 1 for c in counts]
+    weights = np.ones(1)
+    for c in counts:
+        signed = [(-1.0) ** (c - i) * math.comb(c, i) for i in range(c + 1)]
+        weights = np.multiply.outer(weights, signed).ravel()
+    s, weights = np.indices(dims).reshape(len(dims), len(weights)), weights.astype(complex)
+    for table in (s, weights):   # shared by every caller
+        table.flags.writeable = False
+    return s, weights, math.sqrt(math.prod(math.factorial(c) for c in counts))
+
+
+def _ryser_sums(matrix: np.ndarray, terms: list[tuple[Occupation, complex]],
+                grid: tuple[np.ndarray, np.ndarray, float], outs: np.ndarray) -> np.ndarray:
+    """Each term's scaled sum on each output row of ``outs``, as (term,
+    output), for ``terms`` that share ``grid`` (see ``_ryser_grid`` and
+    ``transition_amplitudes``).
+
+    Only the modes and the powers that some output uses are formed. numpy's
+    complex multiply may fuse its products, depending on the operands'
+    strides, so each product keeps the operand layout of a pass over one
+    term: the results do not depend on how many terms share the pass.
+    """
+    s, weights, root = grid
+    used = np.flatnonzero(outs.any(axis=0))
+    cols = np.array([[k for k, c in enumerate(occ) if c] for occ, _ in terms], dtype=int)
+    # no matmul here or below: on these small shapes, BLAS threads cost
+    # more than they save
+    entries = matrix[used[:, None, None], cols]                         # U[l, k_j] as (modes, terms, j)
+    r = np.zeros((len(used), len(terms), len(weights)), dtype=complex)  # (modes, terms, s-grid)
+    for j, s_j in enumerate(s):
+        r += entries[:, :, j, None] * s_j
+    top = int(outs.max(initial=0))
+    powers = np.ones((len(used), len(terms), top + 1, len(weights)), dtype=complex)   # r ** e
+    for e in range(1, top + 1):
+        powers[:, :, e] = powers[:, :, e - 1] * r
+    scales = np.array([amp / root for _, amp in terms])[:, None]
+    sums = np.empty((len(terms), len(outs)), dtype=complex)
+    width = max(1, RYSER_BLOCK // (len(terms) * len(weights)))
+    for lo in range(0, len(outs), width):
+        sub = outs[lo:lo + width, used]
+        prods = np.tile(weights, (len(terms), len(sub), 1))            # (terms, outputs, s-grid)
+        for i in np.flatnonzero(sub.any(axis=0)):
+            prods *= powers[i][:, sub[:, i]]
+        sums[:, lo:lo + width] = scales * prods.sum(axis=2)
+    return sums
+
+
 def transition_amplitudes(
     state: FockState, transform: ModeTransform, outputs: Iterable[Occupation]
 ) -> FockState:
@@ -456,12 +524,20 @@ def transition_amplitudes(
 
     (H. J. Ryser, Combinatorial Mathematics, 1963), prod(n_k + 1) <= 2^n
     products per output and mode instead of the n! of ``matrix_permanent``.
-    Each input term is one numpy pass over its s-grid and its outputs at
-    the same photon number: a table of powers of (modes, n + 1, s-grid)
-    complex numbers, then a running product over the modes, taken in
-    blocks of outputs of at most ``RYSER_BLOCK`` numbers each. Outputs
-    with another photon number than every input term get no amplitude;
-    the result is pruned at ``PRUNE_TOL`` exactly as ``evolve`` prunes.
+    Input terms with the same photon number and the same nonzero counts in
+    mode order share the s-grid and its weights, and each such group takes
+    one numpy pass: r = sum_k s_k U[:, k] and its powers, with a term axis,
+    at most (modes, terms, n + 1, s-grid), then a running product over
+    (terms, outputs, s-grid), multiplied over the modes in ascending order
+    and summed over the s-grid. Each term's scaled sum is added into its
+    outputs from zero in the input's term order, so neither the groups nor
+    the blocks of terms and outputs (see ``RYSER_BLOCK``) change a bit.
+    Outputs with another photon number than every input term get no
+    amplitude; the result is pruned at ``PRUNE_TOL`` exactly as ``evolve``
+    prunes.
+
+    Every input term is checked against ``MAX_PHOTONS`` and its s-grid
+    against ``MAX_RYSER_GRID`` before any grid is built.
     """
     if state.num_modes != transform.dim:
         raise ValueError(f"state has {state.num_modes} modes, transform {transform.dim}")
@@ -472,37 +548,35 @@ def transition_amplitudes(
         raise ValueError(f"outputs must be non-negative integer occupations of {dim} modes")
     for occ in keys:
         check_term_budget(sum(occ))
+    by_photons: dict[int, list[tuple[Occupation, complex]]] = {}   # each in term order
+    for occ, amp in state.terms():
+        check_term_budget(sum(occ))
+        points = math.prod(c + 1 for c in occ)
+        if points > MAX_RYSER_GRID:
+            raise ValueError(f"a term's s-grid holds {points} points; at most "
+                             f"MAX_RYSER_GRID = {MAX_RYSER_GRID} are supported")
+        by_photons.setdefault(sum(occ), []).append((occ, amp))
     photons = outs.sum(axis=1)
     sums = np.zeros(len(outs), dtype=complex)
-    for occ, amp in state.terms():
-        n = sum(occ)
-        check_term_budget(n)
+    for n, terms in by_photons.items():
         idx = np.flatnonzero(photons == n)
         if not len(idx):
             continue
-        cols = [k for k, c in enumerate(occ) if c]
-        counts = [occ[k] for k in cols]
-        s = np.array(list(product(*(range(c + 1) for c in counts))))   # (s-grid, cols)
-        weights = (-1.0) ** (n - s.sum(axis=1))
-        # no matmul here or below: on these small shapes, BLAS threads cost
-        # more than they save
-        r = np.zeros((dim, len(s)), dtype=complex)                      # (modes, s-grid)
-        for j, (k, c) in enumerate(zip(cols, counts)):
-            weights *= np.array([math.comb(c, i) for i in range(c + 1)])[s[:, j]]
-            r += transform.matrix[:, k, None] * s[:, j]
-        weights = weights.astype(complex)
-        powers = np.ones((dim, n + 1, len(s)), dtype=complex)           # r ** e, e = 0..n
-        for e in range(1, n + 1):
-            powers[:, e] = powers[:, e - 1] * r
-        scale = amp / math.sqrt(math.prod(math.factorial(c) for c in counts))
-        step = max(1, RYSER_BLOCK // len(s))
+        groups: dict[tuple[int, ...], list[int]] = {}
+        for i, (occ, _) in enumerate(terms):
+            groups.setdefault(tuple(c for c in occ if c), []).append(i)
+        step = max(1, RYSER_BLOCK // len(terms))
         for lo in range(0, len(idx), step):
             block = idx[lo:lo + step]
-            sub = outs[block]
-            terms = np.repeat(weights[None, :], len(sub), axis=0)           # (outputs, s-grid)
-            for l in np.flatnonzero(sub.any(axis=0)):
-                terms *= powers[l, sub[:, l]]
-            sums[block] += scale * terms.sum(axis=1)
+            part = np.empty((len(terms), len(block)), dtype=complex)    # (term, output)
+            for counts, rows in groups.items():
+                grid = _ryser_grid(counts)
+                chunk = max(1, RYSER_BLOCK // (dim * (n + 1) * len(grid[1])))
+                for first in range(0, len(rows), chunk):
+                    sel = rows[first:first + chunk]
+                    part[sel] = _ryser_sums(transform.matrix, [terms[i] for i in sel], grid, outs[block])
+            for row in part:   # in term order
+                sums[block] += row
     top = int(photons.max(initial=0))
     factorials = np.array([math.factorial(k) for k in range(top + 1)], dtype=float)
     amps = sums / np.sqrt(factorials[outs].prod(axis=1))

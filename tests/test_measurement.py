@@ -97,6 +97,56 @@ def test_compatible_but_distinct_patterns_are_rejected():
         postselect_branches(state, branches)
 
 
+def test_overlap_diagnostic_names_the_first_pair_of_the_double_loop():
+    # the first overlapping pair: the least i, then the least j > i
+    rng = np.random.default_rng(62)
+    state = FockState.from_occupation([1, 0, 0, 0, 0])
+    found = 0
+    for _ in range(400):
+        patterns = []
+        for _ in range(rng.integers(2, 9)):
+            modes = rng.choice(4, size=rng.integers(1, 4), replace=False) + 1
+            patterns.append(DetectionPattern({int(m): int(rng.integers(0, 2)) for m in modes}))
+        pairs = [(i, j) for i in range(len(patterns)) for j in range(i + 1, len(patterns))
+                 if not patterns[i].conflicts_with(patterns[j])]
+        branches = [OutcomeBranch(p, label=f"b{i}" if i % 2 else "") for i, p in enumerate(patterns)]
+        if not pairs:
+            postselect_branches(state, branches)
+            continue
+        found += 1
+        a, b = (branches[k] for k in pairs[0])
+        message = (f"branch patterns overlap: '{a.label or a.pattern.describe()}' "
+                   f"and '{b.label or b.pattern.describe()}'")
+        with pytest.raises(ValueError) as err:
+            postselect_branches(state, branches)
+        assert str(err.value) == message
+    assert 50 < found < 400
+
+
+def test_overlap_check_takes_counts_linear_in_the_branches(monkeypatch):
+    # 2N patterns in two groups of measured modes, none overlapping: each of
+    # the three pairs of groups (a group with itself included) takes its
+    # members' counts once each, 3 x 2N in all, where comparing every pair
+    # takes 2N (2N - 1) / 2 comparisons
+    taken = []
+    counts_on = measurement._counts_on
+
+    def counted(modes):
+        counts = counts_on(modes)
+        return lambda occ: taken.append(occ) or counts(occ)
+
+    monkeypatch.setattr(measurement, "_counts_on", counted)
+    for n in (500, 2000):
+        taken.clear()
+        patterns = [DetectionPattern({1: k}) for k in range(n)]
+        patterns += [DetectionPattern({1: n + k, 2: 0}) for k in range(n)]
+        assert measurement._first_overlap(patterns) is None
+        assert len(taken) == 3 * 2 * n
+    # an overlapping pair found through the table of the other group
+    assert measurement._first_overlap([DetectionPattern({1: 0, 2: 0}), DetectionPattern({1: 1}),
+                                       DetectionPattern({1: 0})]) == (0, 2)
+
+
 def test_sign_shift_case_branch_masses():
     # uniform three-level signal: the heralded branch carries 1/4, the
     # photon-in-detector-2 branch carries the mean of the squared
@@ -392,15 +442,23 @@ def test_independence_check_is_route_independent(monkeypatch):
     assert full.operationally_unitary == heralded.operationally_unitary
 
 
-@pytest.mark.parametrize("photons,modes,route", [
-    (7, 14, "evolve"),      # 50,388 heralded outputs of 77,520, each over a 128-point s-grid
-    (12, 12, "evolve"),     # a 4,096-point s-grid per output outgrows the basis
-    (1, 3, "evolve"),       # tiny inputs: the fixed cost of the heralded route dominates
+@pytest.mark.parametrize("photons,modes,per_product,route", [
+    # 50,388 heralded outputs of 77,520, each over a 128-point s-grid
+    pytest.param(7, 14, None, "evolve", id="7-14-evolve"),
+    # a 4,096-point s-grid per output outgrows the basis
+    pytest.param(12, 12, None, "evolve", id="12-12-evolve"),
+    # tiny inputs: the fixed cost of the heralded route dominates
+    pytest.param(1, 3, None, "evolve", id="1-3-evolve"),
+    # the s-grid free of charge, so heralded outputs cost 256 against 14 x C(26, 13):
+    # only MAX_RYSER_GRID keeps an 8,192-point s-grid off the heralded route
+    pytest.param(13, 14, 0, "evolve", id="13-14-over-MAX_RYSER_GRID-evolve"),
 ])
-def test_one_detector_route_weighs_the_s_grid(photons, modes, route, monkeypatch):
+def test_one_detector_route_weighs_the_s_grid(photons, modes, per_product, route, monkeypatch):
     taken = []
     monkeypatch.setattr(measurement, "evolve", lambda *a: taken.append("evolve"))
     monkeypatch.setattr(measurement, "transition_amplitudes", lambda *a: taken.append("heralded"))
+    if per_product is not None:
+        monkeypatch.setattr(measurement, "HERALDED_COST_PER_PRODUCT", per_product)
     state = FockState.from_occupation([1] * photons + [0] * (modes - photons))
     transform = ModeTransform(np.eye(modes))
     evolve_for_branches(state, transform, [OutcomeBranch(DetectionPattern({modes - 1: 0}))])

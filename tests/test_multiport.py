@@ -1,6 +1,6 @@
 import math
 import tracemalloc
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, product
 
 import numpy as np
 import pytest
@@ -434,6 +434,134 @@ def test_transition_amplitudes_memory_is_bounded_by_the_block():
         tracemalloc.stop()
     assert len(outputs) == out.num_terms() == 3432
     assert peak < 4 * 2**20
+
+
+def _interleaved_groups():
+    """A 4-mode input whose s-grid groups interleave in term order: at two
+    photons (1,1), (2,), (1,1), (1,1), (2,); at three (1,2), (1,1,1); and
+    one photon, which no output below holds."""
+    rng = np.random.default_rng(18)
+    occs = [(0, 0, 0, 1), (0, 0, 1, 1), (0, 0, 2, 0), (0, 1, 0, 1), (0, 1, 2, 0),
+            (1, 1, 0, 0), (1, 1, 1, 0), (2, 0, 0, 0)]
+    state = FockState(4, {o: complex(rng.normal(), rng.normal()) for o in occs}).normalized()[0]
+    outputs = [tuple(np.bincount(c, minlength=4)) for n in (2, 3) for c in combinations_with_replacement(range(4), n)]
+    return state, ModeTransform(random_unitary(rng, 4)), outputs + [(0, 4, 0, 0)]
+
+
+def test_transition_amplitudes_sum_groups_in_term_order():
+    state, t, outputs = _interleaved_groups()
+    got = transition_amplitudes(state, t, outputs)
+    singles = [transition_amplitudes(FockState(4, {occ: amp}), t, outputs) for occ, amp in state.terms()]
+    assert got.amplitude((0, 4, 0, 0)) == 0
+    for outp in outputs[:-1]:
+        want = sum(amp * permanent_amplitude(occ, outp, t) for occ, amp in state.terms())
+        assert abs(got.amplitude(outp)) > 0.01
+        assert abs(got.amplitude(outp) - want) < 1e-15
+        assert abs(got.amplitude(outp) - sum(one.amplitude(outp) for one in singles)) < 1e-15
+
+
+def _ryser_term_by_term(state, transform, outputs):
+    """Ryser's formula one input term at a time, each term's scaled sums
+    added in term order; unpruned, in the order of ``outputs``. The grouped
+    pass must repeat it bit for bit."""
+    dim = transform.dim
+    outs = np.array(outputs).reshape(len(outputs), dim)
+    photons = outs.sum(axis=1)
+    sums = np.zeros(len(outs), dtype=complex)
+    for occ, amp in state.terms():
+        n = sum(occ)
+        idx = np.flatnonzero(photons == n)
+        if not len(idx):
+            continue
+        cols = [k for k, c in enumerate(occ) if c]
+        counts = [occ[k] for k in cols]
+        s = np.array(list(product(*(range(c + 1) for c in counts))))   # (s-grid, cols)
+        weights = (-1.0) ** (n - s.sum(axis=1))
+        r = np.zeros((dim, len(s)), dtype=complex)
+        for j, (k, c) in enumerate(zip(cols, counts)):
+            weights *= np.array([math.comb(c, i) for i in range(c + 1)])[s[:, j]]
+            r += transform.matrix[:, k, None] * s[:, j]
+        powers = np.ones((dim, n + 1, len(s)), dtype=complex)
+        for e in range(1, n + 1):
+            powers[:, e] = powers[:, e - 1] * r
+        scale = amp / math.sqrt(math.prod(math.factorial(c) for c in counts))
+        sub = outs[idx]
+        prods = np.repeat(weights.astype(complex)[None, :], len(sub), axis=0)
+        for l in np.flatnonzero(sub.any(axis=0)):
+            prods *= powers[l, sub[:, l]]
+        sums[idx] += scale * prods.sum(axis=1)
+    factorials = np.array([math.factorial(k) for k in range(int(photons.max(initial=0)) + 1)], dtype=float)
+    return sums / np.sqrt(factorials[outs].prod(axis=1))
+
+
+@pytest.mark.parametrize("block", [multiport.RYSER_BLOCK, 64, 5])
+def test_transition_amplitudes_repeat_the_term_by_term_pass_bit_for_bit(block, monkeypatch):
+    # numpy's complex multiply may fuse its products, depending on the
+    # operands' strides, so this pins the layout of every product too
+    rng = np.random.default_rng(21)
+    cases = [_interleaved_groups()]
+    for _ in range(40):
+        m = int(rng.integers(2, 7))
+        occs = {tuple(np.bincount(rng.integers(0, m, int(rng.integers(0, 5))), minlength=m).tolist())
+                for _ in range(int(rng.integers(1, 7)))}
+        state = FockState(m, {o: complex(rng.normal(), rng.normal()) for o in occs})
+        outputs = sorted({tuple(np.bincount(rng.integers(0, m, int(rng.integers(0, 5))), minlength=m).tolist())
+                          for _ in range(int(rng.integers(1, 30)))})
+        cases.append((state, ModeTransform(random_unitary(rng, m)), outputs))
+    monkeypatch.setattr(multiport, "RYSER_BLOCK", block)
+    for state, t, outputs in cases:
+        want = _ryser_term_by_term(state, t, outputs)
+        keep = np.abs(want) >= PRUNE_TOL
+        rows, amps = transition_amplitudes(state, t, outputs)._arrays()
+        assert np.array_equal(rows, np.array(outputs)[keep])
+        assert amps.tobytes() == want[keep].tobytes()
+
+
+def test_transition_amplitudes_blocks_are_bit_identical(monkeypatch):
+    # a block of 5 numbers puts every term, output and term sum in a block of its own
+    state, t, outputs = _interleaved_groups()
+    whole = transition_amplitudes(state, t, outputs)._arrays()
+    monkeypatch.setattr(multiport, "RYSER_BLOCK", 5)
+    blocked = transition_amplitudes(state, t, outputs)._arrays()
+    assert np.array_equal(blocked[0], whole[0])
+    assert blocked[1].tobytes() == whole[1].tobytes()
+
+
+def test_transition_amplitudes_memory_of_a_group_is_bounded_by_the_block():
+    # 4 terms x 3,432 outputs x a 128-point s-grid would take 28 MB per array in one pass
+    rng = np.random.default_rng(19)
+    t = ModeTransform(random_unitary(rng, 9))
+    outputs = [tuple(np.bincount(c, minlength=9)) for c in combinations_with_replacement(range(8), 7)]
+    occs = [(1,) * 7 + (0, 0), (0, 0) + (1,) * 7, (1, 0) * 4 + (1,), (0,) + (1,) * 7 + (0,)]
+    state = FockState(9, {o: complex(rng.normal(), rng.normal()) for o in occs})
+    transition_amplitudes(state, t, outputs[:1])   # warm up imports and caches
+    tracemalloc.start()
+    try:
+        out = transition_amplitudes(state, t, outputs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.num_terms() == 3432
+    assert peak < 4 * 2**20
+
+
+def test_ryser_grid_budget_is_a_named_error_before_allocating():
+    # 20 singly occupied photons: a 2^20-point s-grid, whose powers table alone
+    # would take 20 x 21 x 2^20 complex numbers (7 GB)
+    t = ModeTransform(np.eye(20))
+    state = FockState.from_occupation([1] * 20)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="MAX_RYSER_GRID"):
+            transition_amplitudes(state, t, [(1,) * 20])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    # the budget itself is allowed: 12 singly occupied photons hold 4,096 points
+    assert multiport.MAX_RYSER_GRID == 2**12
+    out = transition_amplitudes(FockState.from_occupation([1] * 12), ModeTransform(np.eye(12)), [(1,) * 12])
+    assert out.amplitude((1,) * 12) == pytest.approx(1.0)
 
 
 def test_transition_amplitudes_prune_like_evolve():
