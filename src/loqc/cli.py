@@ -57,7 +57,7 @@ from .measurement import (
     outcome_distribution,
     postselect_branches,
 )
-from .multiport import MAX_MODES, ElementSpec, check_term_budget, compose_elements, evolve
+from .multiport import MAX_MODES, ElementSpec, ModeTransform, check_term_budget, compose_elements, evolve
 from .search import (
     ns_in_ns_feasibility,
     optimize_success,
@@ -338,19 +338,22 @@ def parse_circuit(text: str) -> Circuit:
     if modes is None:
         raise ParseError(1, 1, "missing modes declaration")
 
-    # corrections act on surviving ports: check ranges and compose per branch
+    # corrections act on surviving ports: check ranges and compose once per
+    # (name, survivor count), when the first branch that needs it comes
+    composed: dict[tuple[str, int], ModeTransform | None] = {}
     branches = []
     for pattern, name in detects:
         label = " ".join(f"{m + 1}={c}" for m, c in pattern.constraints)
         surviving = len(pattern.survivors(modes))
-        for el, line, port_cols in corrections[name]:
-            for m, col in zip(el.modes, port_cols):
-                if m >= surviving:
-                    raise ParseError(line, col, f"correction {name!r} uses port {m + 1} but branch "
-                                                f"'{label}' leaves only {surviving} surviving port(s)")
-        specs = [el for el, _, _ in corrections[name]]
-        correction = compose_elements(specs, surviving) if specs else None
-        branches.append((name, OutcomeBranch(pattern, correction, label=label)))
+        if (name, surviving) not in composed:
+            for el, line, port_cols in corrections[name]:
+                for m, col in zip(el.modes, port_cols):
+                    if m >= surviving:
+                        raise ParseError(line, col, f"correction {name!r} uses port {m + 1} but branch "
+                                                    f"'{label}' leaves only {surviving} surviving port(s)")
+            specs = [el for el, _, _ in corrections[name]]
+            composed[name, surviving] = compose_elements(specs, surviving) if specs else None
+        branches.append((name, OutcomeBranch(pattern, composed[name, surviving], label=label)))
     return Circuit(modes, state, tuple(elements), tuple(branches))
 
 
@@ -462,7 +465,7 @@ def search_report(scheme: str, grid_step: float | None, tolerance: float | None)
 def selftest_report(seed: int) -> dict:
     if seed < 0:
         raise CliError(f"--seed must be a non-negative integer, got {seed}")
-    from .multiport import ModeTransform, permanent_amplitude
+    from .multiport import permanent_amplitude
     from .encodings import SCHEMES, decode, zy_decompose
     from .search import closed_form_amplitudes, parametrized_ns_amplitudes
 

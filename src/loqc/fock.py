@@ -106,13 +106,19 @@ class FockState:
 
     @classmethod
     def _of_rows(cls, num_modes: int, rows: np.ndarray, values: np.ndarray) -> "FockState":
-        """Take over occupation rows and their amplitudes, unchecked.
+        """Take over occupation rows and their amplitudes, checking only
+        that the amplitudes are finite.
 
         Row i of the integer array ``rows`` (terms x ``num_modes``) holds
-        the occupation of amplitude ``values[i]``; the caller vouches for
-        what ``_wrap`` asks of the map's keys and values, and that no two
-        rows are equal. Both arrays become read-only.
+        the occupation of amplitude ``values[i]``. A non-finite amplitude
+        raises ``ValueError``, as in ``__init__``; the caller vouches for
+        the rest of what ``_wrap`` asks of the map's keys and values (no
+        zero amplitude, no -0.0 part), and that no two rows are equal. Both
+        arrays are kept in this order and become read-only.
         """
+        bad = np.flatnonzero(~np.isfinite(values))
+        if len(bad):
+            raise ValueError(f"non-finite amplitude {complex(values[bad[0]])!r} for {tuple(rows[bad[0]].tolist())}")
         state = object.__new__(cls)
         state.num_modes = num_modes
         state._map = None

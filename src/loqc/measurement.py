@@ -12,7 +12,9 @@ Postcorrection generalizes this to several mutually exclusive patterns,
 each paired with a unitary correction applied to the surviving modes.
 ``postselect_branches`` is the one place that postselects and corrects:
 gate runs (``gates.GateCircuit.run``, which the input-independence probe
-calls too) and circuit files both go through it.
+calls too), circuit files and ``postselect`` (its one-branch case) all go
+through it. It groups the branches by their measured modes and reads the
+state's terms once per group, not once per branch.
 
 Before that, ``evolve_for_branches`` is the one place that picks how a
 gate run evolves its input. Most of a low-success gate's output is
@@ -122,50 +124,29 @@ def _counts_on(modes: Sequence[int]) -> Callable[[Occupation], tuple[int, ...]]:
 
 
 def postselect(state: FockState, pattern: DetectionPattern) -> PostselectionResult:
-    """Condition on a detector outcome.
+    """Condition on a detector outcome: ``postselect_branches`` with one
+    branch and no correction.
 
     Probability 0 is a valid result and carries no conditional state.
     """
-    return _postselect(list(state.terms()), state.num_modes, pattern)
+    [(_, result)] = postselect_branches(state, [OutcomeBranch(pattern)])
+    return result
 
 
-def _postselect(terms: list[tuple[Occupation, complex]], num_modes: int,
-                pattern: DetectionPattern) -> PostselectionResult:
-    """``postselect`` on a state's ``terms()``, listed by the caller.
-
-    ``postselect_branches`` lists (and sorts) a state's terms once for all
-    of its branches; ``postselect`` is the one-branch case.
-    """
-    survivors = pattern.survivors(num_modes)
-    measured = _counts_on(pattern.modes)
-    wanted = tuple(c for _, c in pattern.constraints)
-    survivor = _counts_on(survivors)
-    kept: dict[Occupation, complex] = {}
-    prob = 0.0
-    for occ, amp in terms:
-        if measured(occ) == wanted:   # the measured counts are fixed, so survivors are distinct
-            prob += abs(amp) ** 2
-            kept[survivor(occ)] = amp
-    if prob <= PROB_FLOOR:
-        return PostselectionResult(prob, None)
-    survivor_state = FockState._wrap(len(survivors), kept)
-    return PostselectionResult(prob, survivor_state.scaled(1.0 / math.sqrt(prob)))
-
-
-def _first_overlap(patterns: Sequence[DetectionPattern]) -> tuple[int, int] | None:
+def _first_overlap(patterns: Sequence[DetectionPattern],
+                   groups: Mapping[tuple[int, ...], Sequence[int]]) -> tuple[int, int] | None:
     """The first pair i < j of patterns that some basis state satisfies
     both, least i then least j; None when every pair conflicts.
 
-    Two patterns overlap exactly when they fix the same counts on the modes
-    they share. For each pair of groups of patterns on one tuple of modes,
-    the counts on the shared modes of the second group's members go into a
-    table that each member of the first looks up: (G + 1) * N count tuples
-    for N patterns in G groups, not N * (N - 1) / 2 comparisons.
+    ``groups`` maps each tuple of measured modes to the ascending indices
+    of the patterns on it, as ``postselect_branches`` builds it. Two
+    patterns overlap exactly when they fix the same counts on the modes
+    they share. For each pair of groups, the counts on the shared modes of
+    the second group's members go into a table that each member of the
+    first looks up: (G + 1) * N count tuples for N patterns in G groups,
+    not N * (N - 1) / 2 comparisons.
     """
     fixed = [dict(p.constraints) for p in patterns]
-    groups: dict[tuple[int, ...], list[int]] = {}
-    for i, p in enumerate(patterns):
-        groups.setdefault(p.modes, []).append(i)
     items = [(modes, set(modes), members) for modes, members in groups.items()]
     first = None
     for g, (modes_a, _, members_a) in enumerate(items):
@@ -192,26 +173,52 @@ def postselect_branches(
     Each branch postselects on its pattern and then sends the survivors
     through its correction. Branches whose patterns could both match the
     same basis state are a configuration error, which names the first such
-    pair (``_first_overlap``). The result pairs each
-    branch with its ``PostselectionResult``, in branch order
+    pair (``_first_overlap``).
+
+    The branches are grouped by their measured modes, and each group reads
+    the state's terms once, in ``terms()`` order: the patterns of a group
+    conflict pairwise, so a term's counts on those modes pick at most one
+    branch, which keeps it. Each branch's probability is summed, and its
+    kept map filled, in ``terms()`` order. The result pairs each branch
+    with its ``PostselectionResult``, in branch order
     (``perfbench/tracer.py`` reads the pairs).
     """
     if not branches:
         raise ValueError("at least one branch is required")
-    pair = _first_overlap([b.pattern for b in branches]) if len(branches) > 1 else None
+    patterns = [b.pattern for b in branches]
+    groups: dict[tuple[int, ...], list[int]] = {}
+    for i, p in enumerate(patterns):
+        groups.setdefault(p.modes, []).append(i)
+    pair = _first_overlap(patterns, groups) if len(branches) > 1 else None
     if pair is not None:
         a, b = (branches[i] for i in pair)
         raise ValueError(
             f"branch patterns overlap: '{a.label or a.pattern.describe()}' "
             f"and '{b.label or b.pattern.describe()}'"
         )
-    terms = list(state.terms())   # sorted once for every branch
+    terms = list(state.terms())   # sorted once for every group
+    probs = [0.0] * len(branches)
+    kept: list[dict[Occupation, complex]] = [{} for _ in branches]
+    for modes, members in groups.items():
+        # the members share their survivors, and the groups come in order of
+        # their first members, so a bad pattern fails as its first branch
+        survivors = patterns[members[0]].survivors(state.num_modes)
+        measured, survivor = _counts_on(modes), _counts_on(survivors)
+        branch_of = {tuple(c for _, c in patterns[i].constraints): i for i in members}.get
+        for occ, amp in terms:
+            i = branch_of(measured(occ))
+            if i is not None:   # the measured counts are fixed, so survivors are distinct
+                probs[i] += abs(amp) ** 2
+                kept[i][survivor(occ)] = amp
     results = []
-    for branch in branches:
-        res = _postselect(terms, state.num_modes, branch.pattern)
-        if res.conditional_state is not None and branch.correction is not None:
-            res = PostselectionResult(res.probability, evolve(res.conditional_state, branch.correction))
-        results.append((branch, res))
+    for branch, prob, amps in zip(branches, probs, kept):
+        cond = None
+        if prob > PROB_FLOOR:
+            cond = FockState._wrap(state.num_modes - len(branch.pattern.constraints), amps)
+            cond = cond.scaled(1.0 / math.sqrt(prob))
+            if branch.correction is not None:
+                cond = evolve(cond, branch.correction)
+        results.append((branch, PostselectionResult(prob, cond)))
     return results
 
 

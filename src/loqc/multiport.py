@@ -318,20 +318,6 @@ def _fock_basis(modes: int, photons: int) -> tuple[np.ndarray, np.ndarray, np.nd
     return basis, scale, bins
 
 
-def _state_of(num_modes: int, occs: np.ndarray, amps: np.ndarray) -> FockState:
-    """The state with amplitude ``amps[i]`` on occupation row ``occs[i]``;
-    it keeps both arrays, in this order.
-
-    The caller has dropped zero amplitudes, lists each occupation once and
-    vouches that no part is -0.0; a non-finite amplitude raises, as in
-    ``FockState``.
-    """
-    bad = np.flatnonzero(~np.isfinite(amps))
-    if len(bad):
-        raise ValueError(f"non-finite amplitude {complex(amps[bad[0]])!r} for {tuple(occs[bad[0]].tolist())}")
-    return FockState._of_rows(num_modes, occs, amps)
-
-
 def _expand(occupations: np.ndarray, photons: int, cols: np.ndarray) -> np.ndarray:
     """The product of the column forms of the photons of each occupation
     row, ``photons`` in each, on the Fock basis of that many photons in
@@ -451,7 +437,7 @@ def evolve(state: FockState, transform: ModeTransform, prune_tol: float = PRUNE_
     keep = total != 0
     if prune_tol > 0:
         keep &= np.hypot(total.real, total.imag) >= prune_tol
-    return _state_of(m, np.concatenate([basis for basis, _, _ in bases])[keep], total[keep])
+    return FockState._of_rows(m, np.concatenate([basis for basis, _, _ in bases])[keep], total[keep])
 
 
 @functools.lru_cache(maxsize=32)
@@ -582,7 +568,7 @@ def transition_amplitudes(
     amps = sums / np.sqrt(factorials[outs].prod(axis=1))
     keep = np.abs(amps) >= PRUNE_TOL
     # sums of products added to zeros, over a positive root: no part is -0.0
-    return _state_of(dim, outs[keep], amps[keep])
+    return FockState._of_rows(dim, outs[keep], amps[keep])
 
 
 def matrix_permanent(m: np.ndarray) -> complex:

@@ -407,13 +407,9 @@ def two_bs_feasibility(grid_step: float = 1e-2, *, tolerance: float = 1e-6) -> F
 
 # -- correction through a second sign-shift network ---------------------------
 
-#: Coefficient triples entering the second-network proportionality systems.
-#: Case 1 keeps the raw monomial weights of the survivors (1..3 photons);
-#: case 3 uses the exact conditional amplitudes (0..2 photons).
-_SECOND_GATE_INPUT = {
-    1: (NS_V, NS_U * 2.0 ** 0.25, NS_U * NS_U * NS_V),
-    3: CASE_AMPLITUDES[3],
-}
+#: Coefficient triple entering the case-1 second-network proportionality
+#: system: the raw monomial weights of the survivors (1..3 photons).
+_SECOND_GATE_INPUT = (NS_V, NS_U * 2.0 ** 0.25, NS_U * NS_U * NS_V)
 
 
 def second_gate_coefficients(case: int, pattern: tuple[int, int], t1, t2, t3):
@@ -424,25 +420,16 @@ def second_gate_coefficients(case: int, pattern: tuple[int, int], t1, t2, t3):
     the simulator amplitude equals the coefficient times
     sqrt(prod(out!)*2)/sqrt(n!) (tests pin this conversion).
 
-    The scan reads only case 1, pattern (2, 0). The other tables stay as
-    part of the hand-expanded route that the tests cross-check against the
-    simulator; an unknown case/pattern raises ``ValueError``.
+    Only case 1 with both photons on the second network's first detector,
+    pattern (2, 0), has a table: it is the one the scan reads. Any other
+    case/pattern raises ``ValueError``.
     """
-    if case == 3 and pattern == (1, 0):
-        return sign_shift_branch_amplitudes(t1, t2, t3)
-    d, e = itertools.islice(general3_columns(t1, t2, t3), 2)
-    d1, d2, d3 = d
-    e1, e2, e3 = e
-    if case == 1 and pattern in ((2, 0), (0, 2)):  # both photons on detector j = 2 or 3
-        dj, ej = (d2, e2) if pattern == (2, 0) else (d3, e3)
-        return (dj * ej,
-                dj ** 2 * e1 + 2 * d1 * dj * ej,
-                3 * d1 * dj ** 2 * e1 + 3 * d1 ** 2 * dj * ej)
-    if case == 1 and pattern == (1, 1):
-        return (d2 * e3 + d3 * e2,
-                2 * (d1 * d2 * e3 + d1 * d3 * e2 + d2 * d3 * e1),
-                3 * d1 ** 2 * (d2 * e3 + d3 * e2) + 6 * d1 * d2 * d3 * e1)
-    raise ValueError(f"unsupported case/pattern combination: case {case}, pattern {pattern}")
+    if (case, pattern) != (1, (2, 0)):
+        raise ValueError(f"unsupported case/pattern combination: case {case}, pattern {pattern}")
+    (d1, d2, _), (e1, e2, _) = itertools.islice(general3_columns(t1, t2, t3), 2)
+    return (d2 * e2,
+            d2 ** 2 * e1 + 2 * d1 * d2 * e2,
+            3 * d1 * d2 ** 2 * e1 + 3 * d1 ** 2 * d2 * e2)
 
 
 def ns_in_ns_products(case: int, pattern: tuple[int, int], t1, t2, t3):
@@ -453,8 +440,7 @@ def ns_in_ns_products(case: int, pattern: tuple[int, int], t1, t2, t3):
     keeps ``case`` and ``pattern`` although the scan fixes both.
     """
     coeffs = second_gate_coefficients(case, pattern, t1, t2, t3)
-    incoming = _SECOND_GATE_INPUT[case]
-    return tuple(i * c for i, c in zip(incoming, coeffs))
+    return tuple(i * c for i, c in zip(_SECOND_GATE_INPUT, coeffs))
 
 
 def candidate_root_family() -> list[tuple[float, float, float]]:
@@ -462,13 +448,13 @@ def candidate_root_family() -> list[tuple[float, float, float]]:
 
     With d, e the first two ``general3`` columns, a = d1 = -cos t2 and
     b = d2 e1 / e2, the products are d2 e2 (I0, I1 (b + 2a), 3 I2 a (b + a))
-    for I = ``_SECOND_GATE_INPUT[1]``. Proportionality to (1, 1, -1) gives
+    for I = ``_SECOND_GATE_INPUT``. Proportionality to (1, 1, -1) gives
     b = I0/I1 - 2a and 3 I2 a^2 - 3 I2 (I0/I1) a - I0 = 0, whose roots have
     opposite signs; the positive one lies in [-1, 1] and fixes t2 = acos(-a),
     then b fixes tan t1 tan t3 = sin^2 t2 / b - cos t2. The family is sampled
     at 21 values of t1 in [0.2, pi - 0.2] for each sign of t2.
     """
-    i0, i1, i2 = _SECOND_GATE_INPUT[1]
+    i0, i1, i2 = _SECOND_GATE_INPUT
     p, q = 3 * i2, -3 * i2 * i0 / i1
     a = (-q + math.sqrt(q * q + 4 * p * i0)) / (2 * p)
     t2 = math.acos(-a)

@@ -85,6 +85,31 @@ def test_correction_port_must_fit_surviving_modes():
         parse_circuit(text)
 
 
+def test_a_correction_is_composed_once_per_survivor_count(monkeypatch):
+    # 7 branches name 'fix': 3 leave three ports, 4 leave two
+    calls = []
+
+    def counted(elements, total_modes):
+        calls.append(total_modes)
+        return compose_elements(elements, total_modes)
+
+    monkeypatch.setattr("loqc.cli.compose_elements", counted)
+    text = ("modes 4\ncorrection fix bs 1 2 eta=0.3\ncorrection fix ps 2 delta=0.5\n"
+            + "".join(f"detect 1={k} correct fix\n" for k in (1, 2, 3))
+            + "".join(f"detect 1=0 2={k} correct fix\n" for k in range(4))
+            + "detect 1=4\n")
+    circ = parse_circuit(text)
+    assert sorted(calls) == [2, 3]
+    three = {id(b.correction) for _, b in circ.branches[:3]}
+    two = {id(b.correction) for _, b in circ.branches[3:7]}
+    assert len(three) == len(two) == 1 and three != two
+    assert circ.branches[-1][1].correction is None
+    specs = [ElementSpec.bs(0, 1, 0.3), ElementSpec.ps(1, 0.5)]
+    for _, branch in circ.branches[:7]:
+        dim = branch.correction.dim
+        assert np.array_equal(branch.correction.matrix, compose_elements(specs, dim).matrix)
+
+
 def test_detect_requires_a_surviving_port():
     with pytest.raises(ParseError, match="surviving"):
         parse_circuit("modes 2\ndetect 1=0 2=0\n")

@@ -123,6 +123,15 @@ def test_overlap_diagnostic_names_the_first_pair_of_the_double_loop():
     assert 50 < found < 400
 
 
+def _groups(patterns):
+    """The indices of the patterns on each tuple of measured modes, as
+    ``postselect_branches`` groups them for ``_first_overlap``."""
+    groups = {}
+    for i, p in enumerate(patterns):
+        groups.setdefault(p.modes, []).append(i)
+    return groups
+
+
 def test_overlap_check_takes_counts_linear_in_the_branches(monkeypatch):
     # 2N patterns in two groups of measured modes, none overlapping: each of
     # the three pairs of groups (a group with itself included) takes its
@@ -140,11 +149,113 @@ def test_overlap_check_takes_counts_linear_in_the_branches(monkeypatch):
         taken.clear()
         patterns = [DetectionPattern({1: k}) for k in range(n)]
         patterns += [DetectionPattern({1: n + k, 2: 0}) for k in range(n)]
-        assert measurement._first_overlap(patterns) is None
+        assert measurement._first_overlap(patterns, _groups(patterns)) is None
         assert len(taken) == 3 * 2 * n
     # an overlapping pair found through the table of the other group
-    assert measurement._first_overlap([DetectionPattern({1: 0, 2: 0}), DetectionPattern({1: 1}),
-                                       DetectionPattern({1: 0})]) == (0, 2)
+    patterns = [DetectionPattern({1: 0, 2: 0}), DetectionPattern({1: 1}), DetectionPattern({1: 0})]
+    assert measurement._first_overlap(patterns, _groups(patterns)) == (0, 2)
+
+
+def _per_branch_reference(state, branches):
+    """The per-branch loop ``postselect_branches`` replaced: every branch
+    reads every term of the state, in ``terms()`` order."""
+    terms = list(state.terms())
+    results = []
+    for branch in branches:
+        pattern = branch.pattern
+        survivors = pattern.survivors(state.num_modes)
+        wanted = tuple(c for _, c in pattern.constraints)
+        kept, prob = {}, 0.0
+        for occ, amp in terms:
+            if tuple(occ[m] for m in pattern.modes) == wanted:
+                prob += abs(amp) ** 2
+                kept[tuple(occ[m] for m in survivors)] = amp
+        cond = None
+        if prob > measurement.PROB_FLOOR:
+            cond = FockState._wrap(len(survivors), kept).scaled(1.0 / math.sqrt(prob))
+            if branch.correction is not None:
+                cond = evolve(cond, branch.correction)
+        results.append((prob, cond))
+    return results
+
+
+def _bits(state):
+    """A state's terms in stored order, each amplitude as its exact bits."""
+    if state is None:
+        return None
+    return [(occ, a.real.hex(), a.imag.hex()) for occ, a in state._amp.items()]
+
+
+def _exclusive_branches(rng, num_modes, photons, corrected):
+    """Up to 12 random patterns on up to two modes each, kept when they
+    conflict with every pattern kept before, so they may share a port set
+    or not; each carries a random correction when ``corrected``."""
+    patterns = []
+    for _ in range(12):
+        modes = rng.choice(num_modes, size=int(rng.integers(1, min(2, num_modes - 1) + 1)), replace=False)
+        p = DetectionPattern({int(m): int(rng.integers(0, photons + 1)) for m in modes})
+        if all(p.conflicts_with(q) for q in patterns):
+            patterns.append(p)
+    branches = []
+    for p in patterns:
+        survivors = num_modes - len(p.modes)
+        correction = ModeTransform(random_unitary(rng, survivors)) if corrected and rng.random() < 0.7 else None
+        branches.append(OutcomeBranch(p, correction))
+    return branches
+
+
+def test_grouped_postselection_matches_the_per_branch_loop():
+    rng = np.random.default_rng(17)
+    groups_seen = set()
+    for i in range(240):
+        m = int(rng.integers(2, 6))
+        if i % 2 == 0:
+            state = random_state(rng, m, 2, terms=int(rng.integers(1, 13)))
+        else:
+            state = evolve(random_state(rng, m, 2, terms=int(rng.integers(1, 4))),
+                           ModeTransform(random_unitary(rng, m)))
+        if i % 4 < 2:   # one port set: every count combination on it
+            modes = sorted(int(k) for k in rng.choice(m, size=int(rng.integers(1, m)), replace=False))
+            keys = list(outcome_distribution(state, modes)) if state.num_terms() else [(0,) * len(modes)]
+            branches = [OutcomeBranch(DetectionPattern(dict(zip(modes, key))),
+                                      ModeTransform(random_unitary(rng, m - len(modes)))
+                                      if i % 8 < 4 else None)
+                        for key in keys]
+        else:
+            branches = _exclusive_branches(rng, m, 4, corrected=i % 8 >= 4)
+        groups_seen.add(len({b.pattern.modes for b in branches}))
+        got = postselect_branches(state, branches)
+        want = _per_branch_reference(state, branches)
+        assert [b for b, _ in got] == branches
+        for (_, res), (prob, cond) in zip(got, want):
+            assert res.probability.hex() == prob.hex()
+            assert _bits(res.conditional_state) == _bits(cond)
+    assert {1, 2, 3} <= groups_seen
+
+
+def test_postselection_reads_the_terms_once_per_port_set(monkeypatch):
+    # 7 branches in 2 port sets on a 56-term state: the measured counts of
+    # 2 x 56 terms are read, where a scan per branch reads 7 x 56
+    read = []
+    counts_on = measurement._counts_on
+
+    def counted(modes):
+        counts = counts_on(modes)
+        modes = tuple(modes)
+        return lambda occ: (isinstance(occ, tuple) and read.append(modes)) or counts(occ)
+
+    rng = np.random.default_rng(5)
+    state = evolve(FockState.from_occupation((1, 1, 1, 0, 0, 0)), ModeTransform(random_unitary(rng, 6)))
+    assert state.num_terms() == 56
+    branches = [OutcomeBranch(DetectionPattern({0: k})) for k in (1, 2, 3)]
+    branches += [OutcomeBranch(DetectionPattern({0: 0, 1: k})) for k in range(4)]
+    monkeypatch.setattr(measurement, "_counts_on", counted)
+    results = postselect_branches(state, branches)
+    assert sum(r.probability for _, r in results) == pytest.approx(1.0, abs=1e-12)
+    assert read.count((0,)) == read.count((0, 1)) == 56
+    # every term is kept by exactly one branch, which reads its survivors once
+    assert read.count((1, 2, 3, 4, 5)) + read.count((2, 3, 4, 5)) == 56
+    assert len(read) == 3 * 56
 
 
 def test_sign_shift_case_branch_masses():
