@@ -54,7 +54,7 @@ from .gates import GATE_NAMES, evaluate_gate
 from .measurement import (
     DetectionPattern,
     OutcomeBranch,
-    outcome_distribution,
+    _distribution,
     postselect_branches,
 )
 from .multiport import MAX_MODES, ElementSpec, ModeTransform, check_term_budget, compose_elements, evolve
@@ -369,9 +369,24 @@ def _report_header(command: str, digested: str, **details) -> dict:
     }
 
 
+def _count_keys(rows: np.ndarray) -> list[str]:
+    """Each row of photon counts as comma-separated counts ("1,0,2"),
+    formatted for all rows at once."""
+    row = ",".join(["%d"] * rows.shape[1]) + " "
+    return ((row * len(rows)) % tuple(rows.ravel().tolist())).split()
+
+
+def _rounded(values: np.ndarray, digits: int) -> list[float]:
+    """``float(format(x, f".{digits}g"))`` of each value, formatted for all
+    values at once."""
+    return list(map(float, ((f"%.{digits}g " * len(values)) % tuple(values.tolist())).split()))
+
+
 def simulate_report(circ: Circuit, source_text: str, digits: int) -> dict:
     """The ``simulate`` report; each float is rounded to ``digits``
-    significant digits as it is written."""
+    significant digits as it is written. Each map of the report (outcomes,
+    a branch's conditional) is formatted from the state's arrays with one
+    ``%`` for its keys and one for its values."""
     if circ.state is None:
         raise CliError("circuit file has no input declaration")
     spec = f".{digits}g"
@@ -381,15 +396,13 @@ def simulate_report(circ: Circuit, source_text: str, digits: int) -> dict:
         measured = sorted({m for _, b in circ.branches for m in b.pattern.modes})
     else:
         measured = list(range(circ.modes))
-    outcome_key = ",".join(["%d"] * len(measured))   # one outcome's counts, comma-separated
-    outcomes = {outcome_key % counts: float(format(p, spec))   # the keys come in ascending order
-                for counts, p in outcome_distribution(out, measured).items()}
+    counts, probs = _distribution(out, measured)   # the counts in ascending order
 
     report = {
         **_report_header("simulate", source_text, modes=circ.modes,
                          mode_order="ports 1..N left to right; internal indices are ports minus 1"),
         "measured_ports": [m + 1 for m in measured],
-        "outcomes": outcomes,
+        "outcomes": dict(zip(_count_keys(counts), _rounded(probs, digits))),
     }
 
     if circ.branches:
@@ -401,18 +414,16 @@ def simulate_report(circ: Circuit, source_text: str, digits: int) -> dict:
         total = 0.0
         for (name, branch), (_, res) in zip(circ.branches, evaluated):
             total += res.probability
-            surviving_ports = [m + 1 for m in branch.pattern.survivors(circ.modes)]
             conditional = {}
             if res.conditional_state is not None:
-                survivor_key = ",".join(["%d"] * len(surviving_ports))
-                for occ, amp in res.conditional_state.terms():
-                    conditional[survivor_key % occ] = [float(format(amp.real, spec)),
-                                                       float(format(amp.imag, spec))]
+                occs, amps = res.conditional_state._sorted_arrays()
+                parts = iter(_rounded(np.stack([amps.real, amps.imag], axis=1).ravel(), digits))
+                conditional = dict(zip(_count_keys(occs), map(list, zip(parts, parts))))
             rows.append({
                 "pattern": branch.label,
                 "correction": name,
                 "probability": float(format(res.probability, spec)),
-                "surviving_ports": surviving_ports,
+                "surviving_ports": [m + 1 for m in branch.pattern.survivors(circ.modes)],
                 "conditional": conditional,
             })
         report["branches"] = rows

@@ -7,8 +7,10 @@ photon numbers this package targets (a handful of photons over at most a
 few modes). A state that ``evolve`` or ``transition_amplitudes`` built
 holds the occupation rows and amplitude array they computed instead, and
 derives the map from them the first time a method needs it, so a caller
-that reads the arrays (``measurement.outcome_distribution``) never builds
-the map of a large output.
+that reads the arrays (``measurement.outcome_distribution``, the row route
+of ``measurement.postselect_branches``, the ``simulate`` report) never
+builds the map of a large output; ``scaled`` by a real factor keeps a
+state held as rows.
 
 Mode ordering: index 0 is the leftmost slot of the occupation tuple and
 corresponds to port 1 of a circuit. The command-line layer converts
@@ -116,9 +118,9 @@ class FockState:
         zero amplitude, no -0.0 part), and that no two rows are equal. Both
         arrays are kept in this order and become read-only.
         """
-        bad = np.flatnonzero(~np.isfinite(values))
-        if len(bad):
-            raise ValueError(f"non-finite amplitude {complex(values[bad[0]])!r} for {tuple(rows[bad[0]].tolist())}")
+        if not np.isfinite(values).all():
+            bad = np.flatnonzero(~np.isfinite(values))[0]
+            raise ValueError(f"non-finite amplitude {complex(values[bad])!r} for {tuple(rows[bad].tolist())}")
         state = object.__new__(cls)
         state.num_modes = num_modes
         state._map = None
@@ -140,6 +142,13 @@ class FockState:
             return self._rows, self._values
         rows = np.array(list(self._map), dtype=np.int64).reshape(len(self._map), self.num_modes)
         return rows, np.array(list(self._map.values()), dtype=complex)
+
+    def _sorted_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """Occupation rows and amplitudes in the order of ``terms()``:
+        one lexsort, whose last key (the first mode) decides first."""
+        rows, values = self._arrays()
+        order = np.lexsort(rows.T[::-1])
+        return rows[order], values[order]
 
     # -- inspection ---------------------------------------------------
 
@@ -165,7 +174,19 @@ class FockState:
     # -- algebra ------------------------------------------------------
 
     def scaled(self, factor: complex) -> "FockState":
+        """Every amplitude times ``factor``, as Python multiplies complex
+        numbers; a -0.0 part becomes 0.0 and a zero amplitude is dropped.
+        A state held as rows is scaled by a real factor on its arrays, to
+        the same bits, and stays held as rows."""
         factor = complex(factor)
+        if self._map is None and factor.imag == 0:
+            # each part times the real factor: Python's cross terms are zeros
+            # of either sign, which adding 0.0 makes +0.0 in either case
+            with np.errstate(over="ignore", invalid="ignore"):   # _of_rows rejects what overflows
+                values = np.ascontiguousarray(self._values).view(float) * factor.real + 0.0
+            values = values.view(complex)
+            keep = values != 0
+            return FockState._of_rows(self.num_modes, self._rows[keep], values[keep])
         amp: dict[Occupation, complex] = {}
         for occ, a in self._amp.items():
             a = a * factor + 0j

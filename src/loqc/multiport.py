@@ -118,6 +118,16 @@ class ModeTransform:
         self.dim = m.shape[0]
         self._m = m
 
+    @classmethod
+    def _unitary(cls, matrix: np.ndarray) -> "ModeTransform":
+        """Take over a square matrix that is unitary by construction,
+        unchecked; the caller vouches that its entries are finite."""
+        m = np.array(matrix, dtype=complex)
+        m.flags.writeable = False
+        transform = object.__new__(cls)
+        transform.dim, transform._m = m.shape[0], m
+        return transform
+
     @property
     def matrix(self) -> np.ndarray:
         return self._m
@@ -133,7 +143,10 @@ class ElementSpec:
     Row and column k of ``block`` act on ``modes[k]``. The constructors
     ``bs``, ``ps``, ``gen3`` and ``raw`` build the block once; a block
     given as a ``ModeTransform`` is taken as checked, any other is checked
-    for unitarity here. Equality compares modes and blocks exactly.
+    for unitarity here. ``bs``, ``ps`` and ``gen3`` build blocks that are
+    unitary by construction and skip that check; they reject what it
+    caught, a non-finite parameter or an ``eta`` outside [0, 1], with the
+    same messages. Equality compares modes and blocks exactly.
     """
 
     modes: tuple[int, ...]
@@ -160,7 +173,7 @@ class ElementSpec:
 
     @classmethod
     def ps(cls, mode: int, delta: float) -> "ElementSpec":
-        return cls((mode,), np.array([[np.exp(1j * float(delta))]]))
+        return cls((mode,), ModeTransform._unitary([[np.exp(1j * _finite(delta))]]))
 
     @classmethod
     def gen3(cls, i: int, j: int, k: int, t1: float, t2: float, t3: float) -> "ElementSpec":
@@ -171,19 +184,29 @@ class ElementSpec:
         return cls(modes, matrix)
 
 
+def _finite(angle: float) -> float:
+    """``angle`` as a float; a non-finite one raises the ``ValueError`` that
+    the unitarity check gave for the matrix it makes."""
+    angle = float(angle)
+    if not math.isfinite(angle):
+        raise ValueError("matrix is not unitary (deviation nan)")
+    return angle
+
+
 def beam_splitter(eta: float) -> ModeTransform:
     """Two-mode splitter with reflectivity eta, asymmetric sign convention.
 
     Matrix [[sqrt(eta), sqrt(1-eta)], [sqrt(1-eta), -sqrt(eta)]]; the sign
     flip sits on the second mode's reflection. Other conventions (complex
-    symmetric splitters) are intentionally not provided.
+    symmetric splitters) are intentionally not provided. Unitary for every
+    eta in [0, 1], so it is not checked.
     """
     eta = float(eta)
     if not 0.0 <= eta <= 1.0:
         raise ValueError(f"reflectivity eta must lie in [0, 1], got {eta}")
     r = math.sqrt(eta)
     t = math.sqrt(1.0 - eta)
-    return ModeTransform(np.array([[r, t], [t, -r]]))
+    return ModeTransform._unitary([[r, t], [t, -r]])
 
 
 def phase_shifter(delta: float) -> ModeTransform:
@@ -209,9 +232,11 @@ def general3(theta1: float, theta2: float, theta3: float) -> ModeTransform:
 
     Equals the product of three two-mode rotations: one on modes (1,2) by
     theta3, a reflection-type splitter on modes (0,1) by theta2, then a
-    rotation on modes (1,2) by theta1.
+    rotation on modes (1,2) by theta1, so it is orthogonal for every finite
+    angle and is not checked.
     """
-    return ModeTransform(np.array(list(general3_columns(theta1, theta2, theta3))).T)
+    angles = map(_finite, (theta1, theta2, theta3))
+    return ModeTransform._unitary(np.array(list(general3_columns(*angles))).T)
 
 
 #: Entries of ``ns_matrix``, shared with the search's closed forms.

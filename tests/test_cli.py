@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from loqc import ElementSpec, compose_elements, search
+from loqc import ElementSpec, cli, compose_elements, search
 from loqc.cli import MAX_CIRCUIT_BYTES, ParseError, main, parse_circuit
 from loqc.multiport import MAX_MODES
 
@@ -484,6 +484,30 @@ def test_every_printed_float_is_rounded(argv, tmp_path, capsys, monkeypatch):
     floats = list(_floats(json.loads(out)))
     assert len(floats) >= 4
     assert [x for x in floats if float(f"{x:.3g}") != x] == []
+
+
+def test_bulk_rounding_equals_rounding_each_float():
+    rng = np.random.default_rng(3)
+    special = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1.0, 0.5, 9.99999999995e-05,
+               1 - 2 ** -53, 123456789.0, -1e300, 1.7976931348623157e308]
+    values = np.array(special + rng.normal(size=200).tolist() + (rng.random(200) ** 40).tolist()
+                      + (rng.normal(size=100) * 10.0 ** rng.integers(-300, 300, size=100)).tolist())
+    for digits in range(1, 18):
+        want = [float(format(x, f".{digits}g")) for x in values.tolist()]
+        got = cli._rounded(values, digits)
+        assert [x.hex() for x in got] == [x.hex() for x in want]
+    assert cli._rounded(np.zeros(0), 10) == []
+
+
+def test_bulk_keys_equal_joined_counts():
+    rng = np.random.default_rng(4)
+    for modes in (1, 2, 7):
+        rows = rng.integers(0, 40, size=(300, modes))
+        rows[0] = 39
+        for dtype in (np.int8, np.int64):
+            got = cli._count_keys(rows.astype(dtype))
+            assert got == [",".join(map(str, row)) for row in rows.tolist()]
+    assert cli._count_keys(np.zeros((0, 3), dtype=np.int8)) == []
 
 
 # -- verify-gate and search ------------------------------------------------------

@@ -103,3 +103,22 @@ def test_non_integer_counts_and_modes_are_rejected(build):
 def test_numpy_integers_are_accepted():
     assert FockState.from_occupation(np.array([1, 0])).amplitude(np.array([1, 0])) == 1
     assert DetectionPattern({np.int64(1): np.int8(0)}).constraints == ((1, 0),)
+
+
+def _stored_bits(state):
+    return [(occ, a.real.hex(), a.imag.hex()) for occ, a in state._amp.items()]
+
+
+def test_a_state_held_as_rows_scales_to_the_bits_of_its_map():
+    rng = np.random.default_rng(11)
+    rows = np.array([[2, 0], [1, 1], [0, 2], [3, 0], [0, 3], [1, 2]], dtype=np.int8)
+    values = rng.normal(size=6) + 1j * rng.normal(size=6)
+    values[2], values[3] = complex(-0.0, 1e-310), complex(1e-320, -2.5)
+    for factor in (-1.0, 0.5, 1 / math.sqrt(0.37), 1e-300, 1e300 / 3, 0.0, 0.3 - 0.4j):
+        mapped = FockState._wrap(2, dict(FockState._of_rows(2, rows.copy(), values.copy())._amp))
+        got = FockState._of_rows(2, rows.copy(), values.copy()).scaled(factor)
+        assert (got._map is None) == (complex(factor).imag == 0)   # a real factor keeps the rows
+        assert _stored_bits(got) == _stored_bits(mapped.scaled(factor))
+    huge = FockState._of_rows(2, rows.copy(), values * 1e300)
+    with pytest.raises(ValueError, match="non-finite amplitude"):
+        huge.scaled(1e300)

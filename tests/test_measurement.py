@@ -233,6 +233,92 @@ def test_grouped_postselection_matches_the_per_branch_loop():
     assert {1, 2, 3} <= groups_seen
 
 
+def _nested_branches(rng, num_modes, photons, corrected):
+    """Patterns on three nested port sets (a; a, b; a, b, c) that together
+    keep every term: a = 1..photons, then a = 0 with b = 1..photons, then
+    a = b = 0 with every count of c; a correction on the ones marked."""
+    a, b, c = (int(k) for k in rng.choice(num_modes, size=3, replace=False))
+    patterns = [{a: k} for k in range(1, photons + 1)]
+    patterns += [{a: 0, b: k} for k in range(1, photons + 1)]
+    patterns += [{a: 0, b: 0, c: k} for k in range(photons + 1)]
+    branches = []
+    for i, counts in enumerate(patterns):
+        correction = ModeTransform(random_unitary(rng, num_modes - len(counts))) if corrected and i % 2 else None
+        branches.append(OutcomeBranch(DetectionPattern(counts), correction))
+    return branches
+
+
+@pytest.mark.parametrize("modes, photons", [(8, 4), (8, 6), (9, 5), (10, 4), (10, 5)])
+def test_both_postselection_routes_match_the_per_branch_loop(modes, photons, monkeypatch):
+    # evolve outputs above ARRAY_ROUTE_TERMS, read as rows and, with the
+    # crossover moved past them, term by term
+    rng = np.random.default_rng(modes * 10 + photons)
+    occ = [0] * modes
+    for k in rng.choice(modes, size=photons):
+        occ[k] += 1
+    state = evolve(FockState.from_occupation(occ), ModeTransform(random_unitary(rng, modes)))
+    assert state.num_terms() >= measurement.ARRAY_ROUTE_TERMS
+    families = [_nested_branches(rng, modes, photons, corrected) for corrected in (False, True)]
+    families += [_exclusive_branches(rng, modes, photons, corrected) for corrected in (False, True)]
+    families.append([OutcomeBranch(DetectionPattern({0: photons + 1})),    # keeps nothing
+                     OutcomeBranch(DetectionPattern({0: 10 ** 30, 1: 0}))])
+    for branches in families:
+        want = _per_branch_reference(state, branches)
+        for crossover in (measurement.ARRAY_ROUTE_TERMS, state.num_terms() + 1):
+            monkeypatch.setattr(measurement, "ARRAY_ROUTE_TERMS", crossover)
+            got = postselect_branches(state, branches)
+            for (_, res), (prob, cond) in zip(got, want):
+                assert res.probability.hex() == prob.hex()
+                assert _bits(res.conditional_state) == _bits(cond)
+    assert len({b.pattern.modes for b in families[0]}) == 3
+
+
+def test_the_row_route_takes_one_key_pass_per_port_set(monkeypatch):
+    passes = []
+    row_keys = measurement._row_keys
+
+    def counted(counts, wanted):
+        passes.append(counts.shape[1])
+        return row_keys(counts, wanted)
+
+    monkeypatch.setattr(measurement, "_row_keys", counted)
+    rng = np.random.default_rng(8)
+    state = evolve(FockState.from_occupation((2, 1, 0, 1, 0, 0, 0, 1)), ModeTransform(random_unitary(rng, 8)))
+    assert state.num_terms() == 792 >= measurement.ARRAY_ROUTE_TERMS
+    branches = _nested_branches(rng, 8, 5, corrected=True)   # 16 branches, 3 port sets
+    results = postselect_branches(state, branches)
+    assert sum(r.probability for _, r in results) == pytest.approx(1.0, abs=1e-12)
+    assert sorted(passes) == [1, 2, 3]
+
+
+def test_row_keys_are_equal_exactly_when_the_rows_are():
+    # 64 columns of counts up to 39: the keys so far are ranked whenever the
+    # next column would take them past 2^62
+    rng = np.random.default_rng(64)
+    counts = rng.integers(0, 40, size=(300, 64))
+    counts[150:] = counts[rng.integers(0, 150, size=150)]     # repeated rows
+    wanted = np.concatenate([counts[rng.integers(0, 300, size=20)], rng.integers(0, 40, size=(20, 64))])
+    keys, wanted_keys = measurement._row_keys(counts, wanted)
+    both = np.concatenate([counts, wanted])
+    all_keys = np.concatenate([keys, wanted_keys])
+    same_rows = (both[:, None, :] == both[None, :, :]).all(axis=2)
+    assert (same_rows == (all_keys[:, None] == all_keys[None, :])).all()
+
+
+def test_the_row_route_on_many_measured_modes():
+    # patterns on 44 of 45 modes: their keys pass 2^62 and are ranked
+    rng = np.random.default_rng(45)
+    state = evolve(FockState.from_occupation([1, 1] + [0] * 43), ModeTransform(random_unitary(rng, 45)))
+    assert state.num_terms() == 1035
+    measured = list(range(1, 45))
+    branches = [OutcomeBranch(DetectionPattern(dict(zip(measured, key))))
+                for key in outcome_distribution(state, measured)][::40]
+    got = postselect_branches(state, branches)
+    for (_, res), (prob, cond) in zip(got, _per_branch_reference(state, branches)):
+        assert res.probability.hex() == prob.hex()
+        assert _bits(res.conditional_state) == _bits(cond)
+
+
 def test_postselection_reads_the_terms_once_per_port_set(monkeypatch):
     # 7 branches in 2 port sets on a 56-term state: the measured counts of
     # 2 x 56 terms are read, where a scan per branch reads 7 x 56

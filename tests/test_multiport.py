@@ -138,6 +138,63 @@ def test_element_block_is_checked_at_construction():
     assert ElementSpec.bs(0, 1, 0.3) != ElementSpec.bs(1, 0, 0.3)
 
 
+# bs, ps and gen3 blocks skip the unitarity check: each constructor still
+# rejects what the check caught, with its message, and its blocks pass it
+_NON_FINITE = (math.nan, math.inf, -math.inf)
+_NOT_UNITARY = "matrix is not unitary (deviation nan)"
+
+
+def _rejects(make, args, message):
+    with pytest.raises(ValueError) as err:
+        make(*args)
+    assert str(err.value) == message
+
+
+def _angle_sets():
+    """Three finite angles with each non-finite value in each place."""
+    for k, bad in product(range(3), _NON_FINITE):
+        angles = [0.1, 0.2, 0.3]
+        angles[k] = bad
+        yield angles
+
+
+def _passes_the_check(matrix):
+    assert ModeTransform(matrix).unitarity_deviation() <= 1e-15
+
+
+def test_beam_splitter_rejects_what_the_unitarity_check_caught():
+    for eta in (*_NON_FINITE, -0.1, -1e-300, 1.5):
+        _rejects(beam_splitter, (eta,), f"reflectivity eta must lie in [0, 1], got {eta}")
+    for eta in (0.0, 1e-300, 0.3, 0.5, 1.0):
+        _passes_the_check(beam_splitter(eta).matrix)
+
+
+def test_element_bs_rejects_what_the_unitarity_check_caught():
+    for eta in (*_NON_FINITE, -0.1, 1.5):
+        _rejects(ElementSpec.bs, (0, 1, eta), f"reflectivity eta must lie in [0, 1], got {eta}")
+    _passes_the_check(ElementSpec.bs(1, 0, 0.7).block)
+
+
+def test_element_ps_rejects_what_the_unitarity_check_caught():
+    for delta in _NON_FINITE:
+        _rejects(ElementSpec.ps, (0, delta), _NOT_UNITARY)
+    for delta in (0.0, -2.5, 1e300):
+        _passes_the_check(ElementSpec.ps(0, delta).block)
+
+
+def test_general3_rejects_what_the_unitarity_check_caught():
+    for angles in _angle_sets():
+        _rejects(general3, angles, _NOT_UNITARY)
+    for angles in ((0.0, 0.0, 0.0), (1e300, -1e300, 3.0), NS_ANGLES):
+        _passes_the_check(general3(*angles).matrix)
+
+
+def test_element_gen3_rejects_what_the_unitarity_check_caught():
+    for angles in _angle_sets():
+        _rejects(ElementSpec.gen3, (0, 1, 2, *angles), _NOT_UNITARY)
+    _passes_the_check(ElementSpec.gen3(2, 0, 1, 4.0, -1.0, 0.5).block)
+
+
 def test_three_splitter_network_reproduces_ns_matrix():
     # the sign-shift network as three embedded two-mode blocks at the
     # exact angles behind the printed 22.5/65.53/22.5 values

@@ -17,8 +17,9 @@ skipped rounding):
 grid and at ``--grid-step 0.3``; ``selftest`` with seeds 0 and 7;
 ``simulate`` on the circuit files the benchmark's ``circuits_full``
 workload writes for seeds 0 and 7 (``perfbench/workloads.write_circuits``,
-imported read-only); ``--pretty`` on ``verify-gate cs`` and one
-``simulate``. The library is imported from this checkout's ``src/``.
+imported read-only) and on two files of ``PORT_SET_CIRCUITS``, whose
+branches measure several port sets; ``--pretty`` on ``verify-gate cs`` and
+one ``simulate``. The library is imported from this checkout's ``src/``.
 """
 
 from __future__ import annotations
@@ -42,6 +43,32 @@ import workloads  # noqa: E402
 DIGITS = (None, "3", "17")
 SEEDS = (0, 7)
 
+#: (name, modes, input occupation, correction lines, detect-line suffix):
+#: outputs of 792 and 715 terms, whose detect lines measure three port sets
+#: (1; 1, 2; 1, 2, 3), the second file's through a correction.
+PORT_SET_CIRCUITS = (
+    ("ports8n5", 8, (1, 1, 1, 1, 1, 0, 0, 0), [], ""),
+    ("ports10n4", 10, (0, 1, 0, 1, 0, 1, 0, 1, 0, 0),
+     ["correction fix bs 1 2 eta=0.3", "correction fix ps 2 delta=0.7"], " correct fix"),
+)
+
+
+def _port_set_circuit(modes: int, occupation: tuple[int, ...], corrections: list[str],
+                      suffix: str) -> str:
+    """A brickwork of splitters and phases with fixed parameters, one
+    ``gen3``, and six mutually exclusive detect lines on three port sets."""
+    lines = [f"modes {modes}", "input fock " + " ".join(map(str, occupation))]
+    for layer in range(modes):
+        for i in range(layer % 2, modes - 1, 2):
+            lines.append(f"bs {i + 1} {i + 2} eta={0.2 + 0.6 * ((3 * layer + i) % 7) / 6:.3f}")
+        lines.append(f"ps {layer + 1} delta={0.3 * layer - 1.1:.2f}")
+        if layer == 2:
+            lines.append("gen3 1 4 7 t1=0.4 t2=1.1 t3=2.3")
+    lines += corrections
+    for counts in ("1=1", "1=2", "1=0 2=0", "1=0 2=1", "1=0 2=2 3=0", "1=0 2=2 3=1"):
+        lines.append(f"detect {counts}{suffix}")
+    return "\n".join(lines) + "\n"
+
 
 def _invocations(circuits: Path) -> list[tuple[str, list[str]]]:
     """(key, argv) pairs; keys name circuit files relative to ``circuits``."""
@@ -58,6 +85,10 @@ def _invocations(circuits: Path) -> list[tuple[str, list[str]]]:
     runs += [(f"simulate {name}", ["simulate", str(circuits / name)]) for name in names]
     runs.append(("--pretty verify-gate cs", ["--pretty", "verify-gate", "cs"]))
     runs.append((f"--pretty simulate {names[-1]}", ["--pretty", "simulate", str(circuits / names[-1])]))
+    for name, *spec in PORT_SET_CIRCUITS:
+        path = circuits / f"{name}.txt"
+        path.write_text(_port_set_circuit(*spec), encoding="utf-8")
+        runs.append((f"simulate {name}.txt", ["simulate", str(path)]))
     return runs
 
 
