@@ -10,7 +10,10 @@ derives the map from them the first time a method needs it, so a caller
 that reads the arrays (``measurement.outcome_distribution``, the row route
 of ``measurement.postselect_branches``, the ``simulate`` report) never
 builds the map of a large output; ``scaled`` by a real factor keeps a
-state held as rows.
+state held as rows. ``FockState._sorted_arrays`` is the one sort of the
+rows into ``terms()`` order; led by the counts on some modes, it brings
+the terms that agree on them together, in ``terms()`` order, for the
+distribution and the row route to sum.
 
 Mode ordering: index 0 is the leftmost slot of the occupation tuple and
 corresponds to port 1 of a circuit. The command-line layer converts
@@ -22,7 +25,7 @@ from __future__ import annotations
 import cmath
 import math
 import operator
-from collections.abc import Iterable, Iterator, Mapping
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -43,6 +46,11 @@ def _integers(values: Iterable[int], what: str) -> tuple[int, ...]:
         return tuple(map(operator.index, values))
     except TypeError:
         raise ValueError(f"{what} must be integers, got {values!r}") from None
+
+
+def _overflow_error() -> ValueError:
+    """The error for a squared norm or a probability that overflows a float."""
+    return ValueError("squared amplitudes overflow a float")
 
 
 def check_occupation(counts: Iterable[int], num_modes: int | None = None) -> Occupation:
@@ -143,11 +151,15 @@ class FockState:
         rows = np.array(list(self._map), dtype=np.int64).reshape(len(self._map), self.num_modes)
         return rows, np.array(list(self._map.values()), dtype=complex)
 
-    def _sorted_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """Occupation rows and amplitudes in the order of ``terms()``:
-        one lexsort, whose last key (the first mode) decides first."""
+    def _sorted_arrays(self, first: Sequence[int] = ()) -> tuple[np.ndarray, np.ndarray]:
+        """Occupation rows and amplitudes sorted by the counts on the modes
+        ``first``, in the order given, then by those on the other modes,
+        ascending: with no ``first``, the order of ``terms()``. Terms that
+        agree on ``first`` keep their ``terms()`` order. One lexsort, whose
+        last key decides first."""
         rows, values = self._arrays()
-        order = np.lexsort(rows.T[::-1])
+        columns = list(first) + [m for m in range(self.num_modes) if m not in first]
+        order = np.lexsort(rows[:, columns].T[::-1])
         return rows[order], values[order]
 
     # -- inspection ---------------------------------------------------
@@ -165,7 +177,15 @@ class FockState:
         return len(self._amp if self._rows is None else self._rows)
 
     def norm(self) -> float:
-        return math.sqrt(sum(abs(a) ** 2 for a in self._amp.values()))
+        """The square root of the summed squared magnitudes; a sum that
+        overflows a float raises ``ValueError``."""
+        try:
+            total = sum(abs(a) ** 2 for a in self._amp.values())
+        except OverflowError:
+            raise _overflow_error() from None
+        if math.isinf(total):
+            raise _overflow_error()
+        return math.sqrt(total)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         parts = [f"({a:.4g})|{','.join(map(str, occ))}>" for occ, a in self.terms()]

@@ -16,9 +16,12 @@ calls too), circuit files and ``postselect`` (its one-branch case) all go
 through it. It groups the branches by their measured modes and reads the
 state's terms once per group, not once per branch: a state of fewer than
 ``ARRAY_ROUTE_TERMS`` terms one term at a time, a larger one as
-occupation rows with one integer-key pass per group. Both routes give the
-same bits; the crossover was measured on both (see
-``postselect_branches``).
+occupation rows. The rows are sorted by their counts on the group's
+modes, and each run of equal counts is summed (``_runs``), the same pass
+that gives ``outcome_distribution``; a branch takes the run that shows its
+counts. Both routes give the same bits; the crossover was measured on both
+(see ``postselect_branches``). A probability that overflows a float is a
+``ValueError`` on either route.
 
 Before that, ``evolve_for_branches`` is the one place that picks how a
 gate run evolves its input. Most of a low-success gate's output is
@@ -45,7 +48,7 @@ from operator import itemgetter
 
 import numpy as np
 
-from .fock import FockState, Occupation, _integers
+from .fock import FockState, Occupation, _integers, _overflow_error
 from .multiport import MAX_RYSER_GRID, ModeTransform, evolve, transition_amplitudes
 
 PROB_FLOOR = 1e-12
@@ -185,24 +188,27 @@ def postselect_branches(
     pair (``_first_overlap``).
 
     The branches are grouped by their measured modes, and each group reads
-    the state's terms once, in ``terms()`` order: the patterns of a group
-    conflict pairwise, so a term's counts on those modes pick at most one
-    branch, which keeps it. Each branch's probability is summed from 0.0,
-    and its kept terms listed, in ``terms()`` order; the kept terms are then
-    scaled by ``FockState.scaled``. The groups come in order of their first
-    members, so a bad pattern fails as its first branch.
+    the state once: the patterns of a group conflict pairwise, so a term's
+    counts on those modes pick at most one branch, which keeps it. A
+    branch's probability is the sum over its kept terms in the order that
+    ``_runs`` states, on either route, and a probability that overflows a
+    float raises ``ValueError``; the kept terms are then scaled by
+    ``FockState.scaled``. The groups come in order of their first members,
+    so a bad pattern fails as its first branch.
 
     A state of fewer than ``ARRAY_ROUTE_TERMS`` terms is read term by term
-    (``_read_terms``), a larger one as occupation rows (``_read_rows``).
-    Both give the same bits. The rows pay numpy's fixed cost per call,
-    which grows with the groups and branches, and cost less per term. Both
-    routes were timed on fresh ``evolve`` outputs of 45 to 330 terms with
-    one branch, three on one port set, and five on two port sets (medians
-    of 9 alternating rounds, ``BENCH_19.json``): the rows took 1.05-2.2
-    times as long at 45-84 terms, 0.76-0.93 times at 120-126 terms on one
-    port set but 1.26-1.29 times on two, 0.56-0.94 times at 165-210 and
-    0.41-0.57 times at 330. The crossover lies near 100 terms for one port
-    set and near 150 for two.
+    (``_read_terms``), a larger one as occupation rows (``_read_rows``),
+    which sorts and sums the rows once per group (``_runs``). Both give the
+    same bits. The rows pay numpy's fixed cost, and a sort of the whole
+    state, per group, and cost less per term. Both routes were timed on
+    fresh ``evolve`` outputs of 45 to 330 terms with one branch, three on
+    one port set, and five on two port sets (medians of 9 alternating
+    rounds, ``BENCH_20.json``): the rows took 0.94-2.15 times as long at
+    45-84 terms, 0.64-1.07 times at 120-126 terms on one port set but
+    1.0-1.43 times on two, 0.46-0.85 times at 165-210 and 0.31-0.52 times
+    at 330. The crossover lies between 84 and 126 terms for one port set
+    and near 150 for two, where ``BENCH_19.json`` put it for the key pass
+    this route replaced.
 
     The result pairs each branch with its ``PostselectionResult``, in
     branch order (``perfbench/tracer.py`` reads the pairs).
@@ -222,6 +228,8 @@ def postselect_branches(
         )
     read = _read_terms if state.num_terms() < ARRAY_ROUTE_TERMS else _read_rows
     probs, kept = read(state, patterns, groups)
+    if any(map(math.isinf, probs)):
+        raise _overflow_error()
     results = []
     for branch, prob, amps in zip(branches, probs, kept):
         cond = None
@@ -237,7 +245,8 @@ def _read_terms(state: FockState, patterns: Sequence[DetectionPattern],
                 groups: Mapping[tuple[int, ...], Sequence[int]]) -> tuple[list[float], list[FockState]]:
     """Each pattern's probability and kept (unscaled) survivor terms, read
     one term at a time: a dict lookup of each term's measured counts per
-    group."""
+    group. A kept term's squared magnitude that overflows raises
+    ``ValueError``."""
     terms = list(state.terms())   # sorted once for every group
     probs = [0.0] * len(patterns)
     kept: list[dict[Occupation, complex]] = [{} for _ in patterns]
@@ -248,68 +257,59 @@ def _read_terms(state: FockState, patterns: Sequence[DetectionPattern],
         for occ, amp in terms:
             i = branch_of(measured(occ))
             if i is not None:   # the measured counts are fixed, so survivors are distinct
-                probs[i] += abs(amp) ** 2
+                try:
+                    probs[i] += abs(amp) ** 2
+                except OverflowError:
+                    raise _overflow_error() from None
                 kept[i][survivor(occ)] = amp
     return probs, [FockState._wrap(state.num_modes - len(p.constraints), amps)
                    for p, amps in zip(patterns, kept)]
 
 
-def _row_keys(counts: np.ndarray, wanted: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Integer keys of the count rows ``counts`` and ``wanted``, equal
-    exactly when two rows are equal.
+def _runs(state: FockState, modes: Sequence[int]) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The state's occupation rows and amplitudes sorted by their counts on
+    ``modes`` (``FockState._sorted_arrays``), the index at which each run
+    of equal counts begins, and each run's probability.
 
-    Each column is a digit whose base is one more than its largest count.
-    When the next digit would take a key past 2^62, the keys so far are
-    first replaced by their ranks.
+    The terms of one run agree on ``modes``, so they stand in ``terms()``
+    order. A term's probability is ``np.float_power(np.hypot(re, im), 2)``,
+    which equals Python's ``abs(a) ** 2`` bit for bit (``np.abs(a) ** 2``
+    does not: numpy squares by one multiplication), and ``np.add.at`` adds
+    a run's probabilities one after another from 0.0 (``np.sum`` would add
+    pairwise). So each sum has the bits of ``+= abs(a) ** 2`` over the
+    run's terms in ``terms()`` order. A sum that overflows is ``inf``,
+    without a warning; the callers reject it where they return it.
     """
-    both = np.concatenate([counts, wanted]).astype(np.int64)
-    keys = np.zeros(len(both), dtype=np.int64)
-    span = 1   # every key lies below it
-    for column, top in zip(both.T, both.max(axis=0, initial=0).tolist()):
-        if span * (top + 1) > 1 << 62:
-            keys = np.unique(keys, return_inverse=True)[1].reshape(-1)
-            span = int(keys.max()) + 1
-        keys = keys * (top + 1) + column
-        span *= top + 1
-    return keys[:len(counts)], keys[len(counts):]
+    rows, amps = state._sorted_arrays(modes)
+    counts = rows[:, modes]
+    first = np.ones(len(rows), dtype=bool)   # the first term of each run
+    first[1:] = (counts[1:] != counts[:-1]).any(axis=1)
+    sums = np.zeros(np.count_nonzero(first))
+    with np.errstate(over="ignore"):
+        np.add.at(sums, np.cumsum(first) - 1, np.float_power(np.hypot(amps.real, amps.imag), 2))
+    return rows, amps, np.flatnonzero(first), sums
 
 
 def _read_rows(state: FockState, patterns: Sequence[DetectionPattern],
                groups: Mapping[tuple[int, ...], Sequence[int]]) -> tuple[list[float], list[FockState | None]]:
-    """``_read_terms`` on the state's occupation rows: one sort into
-    ``terms()`` order, one ``_row_keys`` pass per group, and each term's
-    probability ``np.float_power(np.hypot(re, im), 2)`` (Python's
-    ``abs(a) ** 2``, bit for bit) added by ``np.add.at`` in that order. A
-    pattern that keeps no term gets None."""
-    rows, amps = state._sorted_arrays()
-    term_probs = np.float_power(np.hypot(amps.real, amps.imag), 2)
-    tops = rows.max(axis=0, initial=0).tolist()
-    probs = np.zeros(len(patterns))
+    """``_read_terms`` on the state's occupation rows: ``_runs`` once per
+    group, and each pattern's run looked up by its counts. The run's sum is
+    the pattern's probability and its terms are the kept ones; a pattern
+    that matches no run keeps nothing and gets None."""
+    probs = [0.0] * len(patterns)
     kept: list[FockState | None] = [None] * len(patterns)
     for modes, members in groups.items():
         survivors = patterns[members[0]].survivors(state.num_modes)   # the members share them
-        # a pattern above some count the state shows keeps nothing, and its
-        # counts need not fit an int64
-        live = [i for i in members if all(c <= tops[m] for m, c in patterns[i].constraints)]
-        if not live:
-            continue
-        wanted = np.array([[c for _, c in patterns[i].constraints] for i in live])
-        keys, wanted = _row_keys(rows[:, modes], wanted)
-        order = np.argsort(wanted)
-        wanted = wanted[order]
-        rank = np.minimum(np.searchsorted(wanted, keys), len(live) - 1)
-        taken = np.flatnonzero(wanted[rank] == keys)           # the kept terms, in terms() order
-        rank = rank[taken]                                     # each one's pattern, by key rank
-        owners = np.array(live)[order]
-        np.add.at(probs, owners[rank], term_probs[taken])
-        taken = taken[np.argsort(rank, kind="stable")]         # each pattern's terms, in order
-        ends = np.cumsum(np.bincount(rank, minlength=len(live))).tolist()
-        left = rows[:, survivors]
-        for i, lo, hi in zip(owners.tolist(), [0] + ends, ends):
-            if hi > lo:
-                at = taken[lo:hi]
-                kept[i] = FockState._of_rows(len(survivors), left[at], amps[at])
-    return probs.tolist(), kept
+        rows, amps, starts, sums = _runs(state, modes)
+        run_of = {counts: k for k, counts in enumerate(map(tuple, rows[starts][:, modes].tolist()))}
+        bounds, sums = starts.tolist() + [len(rows)], sums.tolist()
+        for i in members:
+            k = run_of.get(tuple(c for _, c in patterns[i].constraints))
+            if k is not None:
+                lo, hi = bounds[k], bounds[k + 1]
+                probs[i] = sums[k]
+                kept[i] = FockState._of_rows(len(survivors), rows[lo:hi, survivors], amps[lo:hi])
+    return probs, kept
 
 
 #: Costs of ``transition_amplitudes`` in units of one full-basis output
@@ -396,42 +396,30 @@ def evolve_for_branches(
 
 def _distribution(state: FockState, modes: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
     """``outcome_distribution`` as arrays: the distinct count rows on
-    ``modes``, ascending, and the probability of each."""
+    ``modes``, ascending, and the probability of each (``_runs``)."""
     modes = list(_integers(modes, "outcome modes"))
     for m in modes:
         if not 0 <= m < state.num_modes:
             raise ValueError(f"mode {m} out of range for {state.num_modes} modes")
-    rows, amps = state._arrays()
-    counts = rows[:, modes]
-    others = sorted(set(range(state.num_modes)).difference(modes))
-    # lexsort's last key decides first: the counts on modes, then on the others
-    order = np.lexsort(np.concatenate([counts, rows[:, others]], axis=1).T[::-1])
-    counts, amps = counts[order], amps[order]
-    first = np.ones(len(counts), dtype=bool)   # the first term of each key
-    first[1:] = (counts[1:] != counts[:-1]).any(axis=1)
-    sums = np.zeros(np.count_nonzero(first))
-    np.add.at(sums, np.cumsum(first) - 1, np.float_power(np.hypot(amps.real, amps.imag), 2))
-    return counts[first], sums
+    rows, _, starts, sums = _runs(state, modes)
+    if np.isinf(sums).any():
+        raise _overflow_error()
+    return rows[starts][:, modes], sums
 
 
 def outcome_distribution(state: FockState, modes: Sequence[int]) -> dict[tuple[int, ...], float]:
     """Probability of every photon-count combination on the given modes.
 
     The keys are the count tuples on ``modes`` (in the order given; a mode
-    may repeat) that some term of ``state`` shows, in ascending order. A
-    term's probability is ``np.float_power(np.hypot(re, im), 2)``, which
-    equals Python's ``abs(a) ** 2`` bit for bit (``np.abs(a) ** 2`` does
-    not: numpy squares by one multiplication). One sort by the counts on
-    ``modes`` and then by those on the other modes brings each key's terms
-    together in the order of ``state.terms()`` (terms with one key agree on
-    ``modes``, so the other modes decide their occupation order);
-    ``np.add.at`` adds their probabilities one after another from 0.0 in
-    that order (``np.sum`` would add pairwise). The work runs on the
-    state's occupation rows (``FockState._arrays``), so an ``evolve``
-    output never builds its occupation map here; ``_distribution`` returns
-    the keys and sums as arrays, and the map's keys are built a column at
-    a time, with no list per row. Unlike ``postselect_branches`` it has no
-    per-term route below ``ARRAY_ROUTE_TERMS``: every state takes the rows.
+    may repeat) that some term of ``state`` shows, in ascending order; each
+    value is the sum of its run in ``_runs``, which states the order of the
+    sum. The work runs on the state's occupation rows
+    (``FockState._arrays``), so an ``evolve`` output never builds its
+    occupation map here; ``_distribution`` returns the keys and sums as
+    arrays, and the map's keys are built a column at a time, with no list
+    per row. Unlike ``postselect_branches`` it has no per-term route below
+    ``ARRAY_ROUTE_TERMS``: every state takes the rows. A probability that
+    overflows a float raises ``ValueError``.
     """
     counts, sums = _distribution(state, modes)
     keys = zip(*counts.T.tolist()) if counts.shape[1] else [()] * len(sums)

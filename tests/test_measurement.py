@@ -262,6 +262,7 @@ def test_both_postselection_routes_match_the_per_branch_loop(modes, photons, mon
     families += [_exclusive_branches(rng, modes, photons, corrected) for corrected in (False, True)]
     families.append([OutcomeBranch(DetectionPattern({0: photons + 1})),    # keeps nothing
                      OutcomeBranch(DetectionPattern({0: 10 ** 30, 1: 0}))])
+    families.append([OutcomeBranch(DetectionPattern({}))])                  # keeps every term
     for branches in families:
         want = _per_branch_reference(state, branches)
         for crossover in (measurement.ARRAY_ROUTE_TERMS, state.num_terms() + 1):
@@ -273,15 +274,15 @@ def test_both_postselection_routes_match_the_per_branch_loop(modes, photons, mon
     assert len({b.pattern.modes for b in families[0]}) == 3
 
 
-def test_the_row_route_takes_one_key_pass_per_port_set(monkeypatch):
+def test_the_row_route_sorts_once_per_port_set(monkeypatch):
     passes = []
-    row_keys = measurement._row_keys
+    runs = measurement._runs
 
-    def counted(counts, wanted):
-        passes.append(counts.shape[1])
-        return row_keys(counts, wanted)
+    def counted(state, modes):
+        passes.append(len(modes))
+        return runs(state, modes)
 
-    monkeypatch.setattr(measurement, "_row_keys", counted)
+    monkeypatch.setattr(measurement, "_runs", counted)
     rng = np.random.default_rng(8)
     state = evolve(FockState.from_occupation((2, 1, 0, 1, 0, 0, 0, 1)), ModeTransform(random_unitary(rng, 8)))
     assert state.num_terms() == 792 >= measurement.ARRAY_ROUTE_TERMS
@@ -291,22 +292,8 @@ def test_the_row_route_takes_one_key_pass_per_port_set(monkeypatch):
     assert sorted(passes) == [1, 2, 3]
 
 
-def test_row_keys_are_equal_exactly_when_the_rows_are():
-    # 64 columns of counts up to 39: the keys so far are ranked whenever the
-    # next column would take them past 2^62
-    rng = np.random.default_rng(64)
-    counts = rng.integers(0, 40, size=(300, 64))
-    counts[150:] = counts[rng.integers(0, 150, size=150)]     # repeated rows
-    wanted = np.concatenate([counts[rng.integers(0, 300, size=20)], rng.integers(0, 40, size=(20, 64))])
-    keys, wanted_keys = measurement._row_keys(counts, wanted)
-    both = np.concatenate([counts, wanted])
-    all_keys = np.concatenate([keys, wanted_keys])
-    same_rows = (both[:, None, :] == both[None, :, :]).all(axis=2)
-    assert (same_rows == (all_keys[:, None] == all_keys[None, :])).all()
-
-
 def test_the_row_route_on_many_measured_modes():
-    # patterns on 44 of 45 modes: their keys pass 2^62 and are ranked
+    # patterns on 44 of 45 modes
     rng = np.random.default_rng(45)
     state = evolve(FockState.from_occupation([1, 1] + [0] * 43), ModeTransform(random_unitary(rng, 45)))
     assert state.num_terms() == 1035
@@ -317,6 +304,30 @@ def test_the_row_route_on_many_measured_modes():
     for (_, res), (prob, cond) in zip(got, _per_branch_reference(state, branches)):
         assert res.probability.hex() == prob.hex()
         assert _bits(res.conditional_state) == _bits(cond)
+
+
+def test_an_overflowing_probability_is_one_error_on_every_route(monkeypatch):
+    # a valid state whose squared amplitudes overflow a float
+    rng = np.random.default_rng(330)
+    state = evolve(FockState.from_occupation((1, 1, 1, 1, 0, 0, 0, 0)), ModeTransform(random_unitary(rng, 8)))
+    assert state.num_terms() == 330
+    big = state.scaled(1e200)
+    lopsided = FockState(2, {(0, 1): 1e200, (1, 0): 0.6})
+    for crossover in (0, big.num_terms() + 1):   # every state as rows, then term by term
+        monkeypatch.setattr(measurement, "ARRAY_ROUTE_TERMS", crossover)
+        with pytest.raises(ValueError, match="overflow"):
+            postselect_branches(big, [OutcomeBranch(DetectionPattern({0: 1}))])
+        # only an outcome that no branch selects overflows: both routes return the rest
+        [(_, res)] = postselect_branches(lopsided, [OutcomeBranch(DetectionPattern({0: 1}))])
+        assert res.probability == abs(0.6) ** 2
+        assert res.conditional_state.amplitude([0]) == 1.0
+    with pytest.raises(ValueError, match="overflow"):
+        outcome_distribution(big, [0])
+    for call in (big.norm, big.normalized):
+        with pytest.raises(ValueError, match="overflow"):
+            call()
+    # scaled back down, the same terms measure again
+    assert big.scaled(1e-200).norm() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_postselection_reads_the_terms_once_per_port_set(monkeypatch):

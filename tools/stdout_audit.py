@@ -17,8 +17,8 @@ skipped rounding):
 grid and at ``--grid-step 0.3``; ``selftest`` with seeds 0 and 7;
 ``simulate`` on the circuit files the benchmark's ``circuits_full``
 workload writes for seeds 0 and 7 (``perfbench/workloads.write_circuits``,
-imported read-only) and on two files of ``PORT_SET_CIRCUITS``, whose
-branches measure several port sets; ``--pretty`` on ``verify-gate cs`` and
+imported read-only) and on the three files of ``PORT_SET_CIRCUITS``,
+whose branches measure several port sets; ``--pretty`` on ``verify-gate cs`` and
 one ``simulate``. The library is imported from this checkout's ``src/``.
 """
 
@@ -43,20 +43,26 @@ import workloads  # noqa: E402
 DIGITS = (None, "3", "17")
 SEEDS = (0, 7)
 
-#: (name, modes, input occupation, correction lines, detect-line suffix):
-#: outputs of 792 and 715 terms, whose detect lines measure three port sets
-#: (1; 1, 2; 1, 2, 3), the second file's through a correction.
+_NESTED = ("1=1", "1=2", "1=0 2=0", "1=0 2=1", "1=0 2=2 3=0", "1=0 2=2 3=1")
+
+#: (name, modes, input occupation, correction lines, detect lines): outputs
+#: of 792, 715 and 5,005 terms. The first two files' detect lines measure
+#: three port sets (1; 1, 2; 1, 2, 3), the second's through a correction;
+#: each of the third's measures its own port set, and its last keeps nothing.
 PORT_SET_CIRCUITS = (
-    ("ports8n5", 8, (1, 1, 1, 1, 1, 0, 0, 0), [], ""),
+    ("ports8n5", 8, (1, 1, 1, 1, 1, 0, 0, 0), [], [f"detect {c}" for c in _NESTED]),
     ("ports10n4", 10, (0, 1, 0, 1, 0, 1, 0, 1, 0, 0),
-     ["correction fix bs 1 2 eta=0.3", "correction fix ps 2 delta=0.7"], " correct fix"),
+     ["correction fix bs 1 2 eta=0.3", "correction fix ps 2 delta=0.7"],
+     [f"detect {c} correct fix" for c in _NESTED]),
+    ("ports10n6", 10, (1, 1, 1, 1, 1, 1, 0, 0, 0, 0), [],
+     ["detect 1=1 2=0", "detect 1=2 3=0", "detect 1=3 4=1", "detect 1=0 5=2", "detect 1=4 6=7"]),
 )
 
 
 def _port_set_circuit(modes: int, occupation: tuple[int, ...], corrections: list[str],
-                      suffix: str) -> str:
+                      detects: list[str]) -> str:
     """A brickwork of splitters and phases with fixed parameters, one
-    ``gen3``, and six mutually exclusive detect lines on three port sets."""
+    ``gen3``, the corrections and the detect lines."""
     lines = [f"modes {modes}", "input fock " + " ".join(map(str, occupation))]
     for layer in range(modes):
         for i in range(layer % 2, modes - 1, 2):
@@ -64,10 +70,7 @@ def _port_set_circuit(modes: int, occupation: tuple[int, ...], corrections: list
         lines.append(f"ps {layer + 1} delta={0.3 * layer - 1.1:.2f}")
         if layer == 2:
             lines.append("gen3 1 4 7 t1=0.4 t2=1.1 t3=2.3")
-    lines += corrections
-    for counts in ("1=1", "1=2", "1=0 2=0", "1=0 2=1", "1=0 2=2 3=0", "1=0 2=2 3=1"):
-        lines.append(f"detect {counts}{suffix}")
-    return "\n".join(lines) + "\n"
+    return "\n".join(lines + corrections + detects) + "\n"
 
 
 def _invocations(circuits: Path) -> list[tuple[str, list[str]]]:
