@@ -14,12 +14,21 @@ The gallery:
                      success 1/9 on coincidence detection.
 
 A ``GateCircuit`` is an immutable description (ancilla preparation,
-element list, outcome branches, computational modes); evaluation is pure.
-``GateCircuit.run`` evolves the input with
-``measurement.evolve_for_branches``, which picks the route, and returns
-each branch's ``PostselectionResult`` in branch order, straight from
-``postselect_branches``. Everything that evaluates a circuit calls
-``run``:
+element list, outcome branches, computational modes): a frozen dataclass
+whose fields cannot be reassigned. ``GateCircuit.run`` evolves the input
+as ``measurement.evolve_for_branches`` does, picking the route by the same
+rule, and returns each branch's ``PostselectionResult`` in branch order,
+straight from ``postselect_branches``. On the heralded route a gate is a
+fixed linear map of its input, so the circuit keeps one evaluation
+(``measurement._BranchEvolution``) next to its composed ``transform``: the
+heralded outputs of each photon number and each input occupation's Ryser
+column. A first run computes all of its missing columns in one grouped
+Ryser pass; a warm run only multiplies in the amplitudes and adds, to the
+bits of an uncached run. The cache holds at most
+``measurement.COLUMN_CACHE_BUDGET`` Ryser sums; runs on the ``evolve``
+route are not cached. ``dataclasses.replace`` builds a circuit with an
+empty cache. Results never depend on what the cache holds. Everything
+that evaluates a circuit calls ``run``:
 
 * ``evaluate_gate`` is one loop over a gate's inputs with a prepare/read
   pair per gate: a one-mode qutrit for ``ns``, ``encode``/``decode`` for
@@ -46,7 +55,7 @@ from .measurement import (
     DetectionPattern,
     OutcomeBranch,
     PostselectionResult,
-    evolve_for_branches,
+    _BranchEvolution,
     postselect_branches,
     with_ancilla,
 )
@@ -58,12 +67,15 @@ from .multiport import (
     ns_matrix,
 )
 
-@dataclass
+@dataclass(frozen=True)
 class GateCircuit:
     """A postselected gate: network, ancilla preparation and branches.
 
     ``computational_modes`` must be the modes the ancilla leaves free, in
-    ascending order: ``with_ancilla`` places the input there.
+    ascending order: ``with_ancilla`` places the input there. The fields
+    cannot be reassigned, so the composed ``transform`` and the Ryser
+    columns that ``run`` keeps stay valid; ``dataclasses.replace`` builds
+    a new circuit, which starts with neither.
     """
 
     name: str
@@ -87,10 +99,14 @@ class GateCircuit:
     def transform(self) -> ModeTransform:
         return compose_elements(self.elements, self.num_modes)
 
+    @cached_property
+    def _evolution(self) -> _BranchEvolution:
+        return _BranchEvolution(self.transform, self.branches)
+
     def run(self, comp_state: FockState) -> list[PostselectionResult]:
         """Evolve a computational-mode input; one result per branch, in branch order."""
         full = with_ancilla(comp_state, self.ancilla, self.num_modes)
-        out = evolve_for_branches(full, self.transform, self.branches)
+        out = self._evolution(full)
         return [res for _, res in postselect_branches(out, self.branches)]
 
 

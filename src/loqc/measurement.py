@@ -28,8 +28,17 @@ gate run evolves its input. Most of a low-success gate's output is
 thrown away, so it may compute only the outputs the branches can keep,
 by the Ryser permanents of ``multiport.transition_amplitudes``, instead
 of the full ``evolve``; its docstring gives the measured cost rule that
-decides. Circuit files keep the full ``evolve`` because their report
-lists the whole outcome distribution.
+decides. It is ``_BranchEvolution``, an evaluation for one transform and
+one list of branches, built for one call. A gate keeps one such
+evaluation per circuit: on the heralded route it keeps each photon
+number's heralded outputs and each input occupation's column of Ryser
+sums, at most ``COLUMN_CACHE_BUDGET`` of them. A run with missing
+occupations computes them all in one grouped Ryser pass, and a warm run
+only multiplies in the amplitudes and adds, to the same bits. Runs on the
+``evolve`` route are not cached. Circuit files keep the full ``evolve``
+because their report lists the whole outcome distribution; ``simulate``
+hands its distribution's runs to the branches (``_postselect``) when
+they all measure the distribution's modes, so it sorts the output once.
 
 This module holds only these measurement primitives; what runs them on a
 gate lives in ``gates``. Everything here operates on pure states with
@@ -49,7 +58,18 @@ from operator import itemgetter
 import numpy as np
 
 from .fock import FockState, Occupation, _integers, _overflow_error
-from .multiport import MAX_RYSER_GRID, ModeTransform, evolve, transition_amplitudes
+from .multiport import (
+    MAX_RYSER_GRID,
+    ModeTransform,
+    _by_photons,
+    _on_outputs,
+    _output_roots,
+    _ryser_columns,
+    _ryser_root,
+    _summed,
+    evolve,
+    transition_amplitudes,
+)
 
 PROB_FLOOR = 1e-12
 
@@ -213,6 +233,19 @@ def postselect_branches(
     The result pairs each branch with its ``PostselectionResult``, in
     branch order (``perfbench/tracer.py`` reads the pairs).
     """
+    return _postselect(state, branches, None)
+
+
+def _postselect(state: FockState, branches: Sequence[OutcomeBranch],
+                known: tuple[Sequence[int], tuple] | None) -> list[tuple[OutcomeBranch, PostselectionResult]]:
+    """``postselect_branches``, given ``known``: None, or a list of modes
+    and ``_runs(state, modes)``. When every branch measures exactly those
+    modes, the row route reads the given runs instead of sorting the state
+    again: ``cli.simulate_report`` hands over those of its outcome
+    distribution (``_distribution``). A state of fewer than
+    ``ARRAY_ROUTE_TERMS`` terms is still read term by term: at 15-20 terms
+    the given runs took longer than the term-by-term read, and at 84-126
+    terms about as long."""
     if not branches:
         raise ValueError("at least one branch is required")
     patterns = [b.pattern for b in branches]
@@ -226,8 +259,11 @@ def postselect_branches(
             f"branch patterns overlap: '{a.label or a.pattern.describe()}' "
             f"and '{b.label or b.pattern.describe()}'"
         )
-    read = _read_terms if state.num_terms() < ARRAY_ROUTE_TERMS else _read_rows
-    probs, kept = read(state, patterns, groups)
+    if state.num_terms() < ARRAY_ROUTE_TERMS:
+        probs, kept = _read_terms(state, patterns, groups)
+    else:
+        runs = known[1] if known is not None and list(groups) == [tuple(known[0])] else None
+        probs, kept = _read_rows(state, patterns, groups, runs)
     if any(map(math.isinf, probs)):
         raise _overflow_error()
     results = []
@@ -291,16 +327,18 @@ def _runs(state: FockState, modes: Sequence[int]) -> tuple[np.ndarray, np.ndarra
 
 
 def _read_rows(state: FockState, patterns: Sequence[DetectionPattern],
-               groups: Mapping[tuple[int, ...], Sequence[int]]) -> tuple[list[float], list[FockState | None]]:
+               groups: Mapping[tuple[int, ...], Sequence[int]],
+               runs: tuple | None = None) -> tuple[list[float], list[FockState | None]]:
     """``_read_terms`` on the state's occupation rows: ``_runs`` once per
-    group, and each pattern's run looked up by its counts. The run's sum is
-    the pattern's probability and its terms are the kept ones; a pattern
-    that matches no run keeps nothing and gets None."""
+    group, unless the one group's ``runs`` are given, and each pattern's
+    run looked up by its counts. The run's sum is the pattern's probability
+    and its terms are the kept ones; a pattern that matches no run keeps
+    nothing and gets None."""
     probs = [0.0] * len(patterns)
     kept: list[FockState | None] = [None] * len(patterns)
     for modes, members in groups.items():
         survivors = patterns[members[0]].survivors(state.num_modes)   # the members share them
-        rows, amps, starts, sums = _runs(state, modes)
+        rows, amps, starts, sums = _runs(state, modes) if runs is None else runs
         run_of = {counts: k for k, counts in enumerate(map(tuple, rows[starts][:, modes].tolist()))}
         bounds, sums = starts.tolist() + [len(rows)], sums.tolist()
         for i in members:
@@ -373,38 +411,115 @@ def evolve_for_branches(
     to ``evolve`` when its s-grid outgrows the basis, as for one detector
     behind six singly occupied modes. ``postselect_branches`` gives the
     same results on either state.
+
+    This is ``_BranchEvolution`` built for one call; a gate keeps one per
+    circuit (``gates.GateCircuit.run``), so that its heralded runs reuse
+    the Ryser columns of the occupations they have met.
     """
-    m = transform.dim
-    survivors = [b.pattern.survivors(m) for b in branches]
-    held = [sum(c for _, c in b.pattern.constraints) for b in branches]
-    occs = [occ for occ, _ in state.terms()]
-    full = m * sum(math.comb(sum(occ) + m - 1, sum(occ)) for occ in occs)
-    products = 0
-    for occ in occs:   # H_n sums C(f + s - 1, f) over branches: f free photons on s survivors
-        n = sum(occ)
-        grid = math.prod(c + 1 for c in occ)
-        if grid > MAX_RYSER_GRID:
-            return evolve(state, transform)
-        h_n = sum(math.comb(n - h + len(s) - 1, n - h) for h, s in zip(held, survivors) if n >= h)
-        products += m * grid * h_n
-    if HERALDED_COST_PER_TERM * len(occs) + HERALDED_COST_PER_PRODUCT * products >= full:
-        return evolve(state, transform)
-    outputs = [occ for n in sorted({sum(occ) for occ in occs}) for b, s in zip(branches, survivors)
-               for occ in _heralded_outputs(b.pattern, s, m, n)]
-    return transition_amplitudes(state, transform, outputs)
+    return _BranchEvolution(transform, branches)(state)
 
 
-def _distribution(state: FockState, modes: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+#: Most Ryser sums, one per heralded output per input occupation, that a
+#: ``_BranchEvolution`` keeps (1 MiB of complex numbers); a run whose new
+#: columns would take it past this is evaluated without keeping them.
+COLUMN_CACHE_BUDGET = 1 << 16
+
+
+class _BranchEvolution:
+    """``evolve_for_branches`` for one transform and one list of branches.
+
+    A heralded run's amplitudes are a fixed linear map of its input:
+    ``multiport.transition_amplitudes`` is the sum, in term order, of each
+    term's amplitude times a column that depends only on the transform,
+    the heralded outputs and the term's occupation (``_ryser_columns``).
+    This object keeps, per photon number, the heralded output rows and,
+    per input occupation, its column over them. A run whose occupations
+    are all known only multiplies in the amplitudes and adds (``_summed``);
+    otherwise all of its missing occupations take one grouped Ryser pass,
+    and their columns are kept while the total stays within
+    ``COLUMN_CACHE_BUDGET`` (nothing is evicted). A run whose new columns
+    would not fit is ``transition_amplitudes`` itself, which holds at most
+    ``RYSER_BLOCK`` numbers at once. Either way the bits are those of
+    ``transition_amplitudes``. Runs that the rule sends to ``evolve`` are
+    not cached: each is one ``evolve`` call.
+    """
+
+    def __init__(self, transform: ModeTransform, branches: Sequence[OutcomeBranch]):
+        m = transform.dim
+        self.transform = transform
+        self.patterns = [b.pattern for b in branches]
+        self.survivors = [p.survivors(m) for p in self.patterns]
+        self.held = [sum(c for _, c in p.constraints) for p in self.patterns]
+        self.outputs: dict[int, tuple[np.ndarray, np.ndarray]] = {}     # photons -> (rows, roots)
+        self.columns: dict[Occupation, tuple[float, np.ndarray]] = {}   # occupation -> (root, column)
+        self.size = 0                                                    # Ryser sums kept
+
+    def _heralded(self, occs: Sequence[Occupation]) -> bool:
+        """The rule of ``evolve_for_branches``: True for the heralded route."""
+        m = self.transform.dim
+        photons = [sum(occ) for occ in occs]
+        grids = [math.prod(c + 1 for c in occ) for occ in occs]
+        if max(grids, default=0) > MAX_RYSER_GRID:
+            return False
+        # per photon number n: the basis size and H_n, which sums C(f + s - 1, f)
+        # over the branches, for f free photons on s survivors
+        sizes = {n: (math.comb(n + m - 1, n),
+                     sum(math.comb(n - h + len(s) - 1, n - h)
+                         for h, s in zip(self.held, self.survivors) if n >= h))
+                 for n in set(photons)}
+        full = m * sum(sizes[n][0] for n in photons)
+        products = m * sum(grid * sizes[n][1] for n, grid in zip(photons, grids))
+        return HERALDED_COST_PER_TERM * len(occs) + HERALDED_COST_PER_PRODUCT * products < full
+
+    def _outputs_at(self, n: int) -> tuple[np.ndarray, np.ndarray]:
+        """The distinct heralded output rows at ``n`` photons, branch by
+        branch, and their roots (``multiport._output_roots``)."""
+        kept = self.outputs.get(n)
+        if kept is not None:
+            return kept
+        m = self.transform.dim
+        keys = dict.fromkeys(occ for p, s in zip(self.patterns, self.survivors)
+                             for occ in _heralded_outputs(p, s, m, n))
+        rows = np.array(list(keys), dtype=np.int64).reshape(len(keys), m)
+        return rows, _output_roots(rows)
+
+    def __call__(self, state: FockState) -> FockState:
+        terms = list(state.terms())
+        if not self._heralded([occ for occ, _ in terms]):
+            return evolve(state, self.transform)
+        by_photons: dict[int, list[tuple[Occupation, complex]]] = {}
+        for term in terms:
+            by_photons.setdefault(sum(term[0]), []).append(term)
+        outs = {n: self._outputs_at(n) for n in sorted(by_photons)}
+        rows, roots = (np.concatenate(part) for part in zip(*outs.values()))
+        missing = _by_photons(term for term in terms if term[0] not in self.columns)
+        grow = sum(len(outs[n][0]) * len(new) for n, new in missing.items())
+        if self.size + grow > COLUMN_CACHE_BUDGET:
+            return transition_amplitudes(state, self.transform, map(tuple, rows.tolist()))
+        for n, new in missing.items():   # one grouped Ryser pass per photon number
+            occs = [occ for occ, _ in new]
+            columns = _ryser_columns(self.transform.matrix, occs, outs[n][0])
+            self.columns.update(zip(occs, zip(map(_ryser_root, occs), columns)))
+            self.outputs[n] = outs[n]
+        self.size += grow
+        sums = [_summed(((amp, *self.columns[occ]) for occ, amp in by_photons[n]), len(outs[n][0]))
+                for n in outs]
+        return _on_outputs(rows, roots, np.concatenate(sums))
+
+
+def _distribution(state: FockState, modes: Sequence[int]) -> tuple[np.ndarray, np.ndarray, tuple]:
     """``outcome_distribution`` as arrays: the distinct count rows on
-    ``modes``, ascending, and the probability of each (``_runs``)."""
+    ``modes``, ascending, the probability of each, and the ``_runs`` they
+    come from, which ``_postselect`` can read again."""
     modes = list(_integers(modes, "outcome modes"))
     for m in modes:
         if not 0 <= m < state.num_modes:
             raise ValueError(f"mode {m} out of range for {state.num_modes} modes")
-    rows, _, starts, sums = _runs(state, modes)
+    runs = _runs(state, modes)
+    rows, _, starts, sums = runs
     if np.isinf(sums).any():
         raise _overflow_error()
-    return rows[starts][:, modes], sums
+    return rows[starts][:, modes], sums, runs
 
 
 def outcome_distribution(state: FockState, modes: Sequence[int]) -> dict[tuple[int, ...], float]:
@@ -421,7 +536,7 @@ def outcome_distribution(state: FockState, modes: Sequence[int]) -> dict[tuple[i
     ``ARRAY_ROUTE_TERMS``: every state takes the rows. A probability that
     overflows a float raises ``ValueError``.
     """
-    counts, sums = _distribution(state, modes)
+    counts, sums = _distribution(state, modes)[:2]   # the sorted rows are not kept
     keys = zip(*counts.T.tolist()) if counts.shape[1] else [()] * len(sums)
     return dict(zip(keys, sums.tolist()))
 

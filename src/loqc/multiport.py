@@ -17,9 +17,14 @@ guided by an index table per (modes, photons) from a bounded cache; the
 ``evolve`` docstring gives the order in which it sums.
 ``transition_amplitudes`` computes <out|U|in> for a given list of output
 occupations only, by Ryser's formula over repeated rows and columns, in
-one numpy pass per group of input terms that share an s-grid; a
-heralded evaluation gets one or the other from
-``measurement.evolve_for_branches``, whose docstring gives the rule. The
+one numpy pass per group of input terms that share an s-grid. It works
+in two steps: the columns of unscaled Ryser sums, which depend only on
+the transform, the input occupations and the outputs
+(``_ryser_columns``), then the amplitudes, each term's times its column,
+added in term order (``_summed``). A heralded evaluation gets one route
+or the other from ``measurement.evolve_for_branches``, whose docstring
+gives the rule; a gate keeps the columns of its input occupations and
+repeats only the second step (``measurement._BranchEvolution``). The
 n!-sum ``permanent_amplitude`` computes single amplitudes by a third
 route and exists purely to cross-check the other two.
 
@@ -486,40 +491,104 @@ def _ryser_grid(counts: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, float]
     return s, weights, math.sqrt(math.prod(math.factorial(c) for c in counts))
 
 
-def _ryser_sums(matrix: np.ndarray, terms: list[tuple[Occupation, complex]],
+def _ryser_sums(matrix: np.ndarray, occs: list[Occupation],
                 grid: tuple[np.ndarray, np.ndarray, float], outs: np.ndarray) -> np.ndarray:
-    """Each term's scaled sum on each output row of ``outs``, as (term,
-    output), for ``terms`` that share ``grid`` (see ``_ryser_grid`` and
-    ``transition_amplitudes``).
+    """Each occupation's unscaled sum on each output row of ``outs``, as
+    (occupation, output), for occupations that share ``grid`` (see
+    ``_ryser_grid`` and ``transition_amplitudes``).
 
     Only the modes and the powers that some output uses are formed. numpy's
     complex multiply may fuse its products, depending on the operands'
     strides, so each product keeps the operand layout of a pass over one
-    term: the results do not depend on how many terms share the pass.
+    occupation: the results do not depend on how many share the pass.
     """
-    s, weights, root = grid
+    s, weights, _ = grid
     used = np.flatnonzero(outs.any(axis=0))
-    cols = np.array([[k for k, c in enumerate(occ) if c] for occ, _ in terms], dtype=int)
+    cols = np.array([[k for k, c in enumerate(occ) if c] for occ in occs], dtype=int)
     # no matmul here or below: on these small shapes, BLAS threads cost
     # more than they save
-    entries = matrix[used[:, None, None], cols]                         # U[l, k_j] as (modes, terms, j)
-    r = np.zeros((len(used), len(terms), len(weights)), dtype=complex)  # (modes, terms, s-grid)
+    entries = matrix[used[:, None, None], cols]                        # U[l, k_j] as (modes, occs, j)
+    r = np.zeros((len(used), len(occs), len(weights)), dtype=complex)  # (modes, occs, s-grid)
     for j, s_j in enumerate(s):
         r += entries[:, :, j, None] * s_j
     top = int(outs.max(initial=0))
-    powers = np.ones((len(used), len(terms), top + 1, len(weights)), dtype=complex)   # r ** e
+    powers = np.ones((len(used), len(occs), top + 1, len(weights)), dtype=complex)   # r ** e
     for e in range(1, top + 1):
         powers[:, :, e] = powers[:, :, e - 1] * r
-    scales = np.array([amp / root for _, amp in terms])[:, None]
-    sums = np.empty((len(terms), len(outs)), dtype=complex)
-    width = max(1, RYSER_BLOCK // (len(terms) * len(weights)))
+    sums = np.empty((len(occs), len(outs)), dtype=complex)
+    width = max(1, RYSER_BLOCK // (len(occs) * len(weights)))
     for lo in range(0, len(outs), width):
         sub = outs[lo:lo + width, used]
-        prods = np.tile(weights, (len(terms), len(sub), 1))            # (terms, outputs, s-grid)
+        prods = np.tile(weights, (len(occs), len(sub), 1))             # (occs, outputs, s-grid)
         for i in np.flatnonzero(sub.any(axis=0)):
             prods *= powers[i][:, sub[:, i]]
-        sums[:, lo:lo + width] = scales * prods.sum(axis=2)
+        sums[:, lo:lo + width] = prods.sum(axis=2)
     return sums
+
+
+def _ryser_columns(matrix: np.ndarray, occs: list[Occupation], outs: np.ndarray) -> np.ndarray:
+    """Each occupation's unscaled Ryser sum on each output row of ``outs``,
+    as (occupation, output): the part of ``transition_amplitudes`` that
+    does not depend on the amplitudes. The occupations share one photon
+    number, which every output holds; each group of them that shares an
+    s-grid takes one ``_ryser_sums`` pass, in chunks that keep its powers
+    table within ``RYSER_BLOCK``."""
+    n = sum(occs[0])
+    groups: dict[tuple[int, ...], list[int]] = {}
+    for i, occ in enumerate(occs):
+        groups.setdefault(tuple(c for c in occ if c), []).append(i)
+    columns = np.empty((len(occs), len(outs)), dtype=complex)
+    for counts, rows in groups.items():
+        grid = _ryser_grid(counts)
+        chunk = max(1, RYSER_BLOCK // (matrix.shape[0] * (n + 1) * len(grid[1])))
+        for first in range(0, len(rows), chunk):
+            sel = rows[first:first + chunk]
+            columns[sel] = _ryser_sums(matrix, [occs[i] for i in sel], grid, outs)
+    return columns
+
+
+def _ryser_root(occ: Occupation) -> float:
+    """sqrt(prod n_k!) of an input occupation, the root its amplitude is divided by."""
+    return _ryser_grid(tuple(c for c in occ if c))[2]
+
+
+def _summed(terms: Iterable[tuple[complex, float, np.ndarray]], width: int) -> np.ndarray:
+    """The sum over (amplitude, root, column) triples of (amplitude / root)
+    times the column, added from zero in the order given."""
+    total = np.zeros(width, dtype=complex)
+    for amp, root, column in terms:
+        total += (amp / root) * column
+    return total
+
+
+def _output_roots(outs: np.ndarray) -> np.ndarray:
+    """sqrt(prod o_l!) of each output row, the root its amplitude is divided by."""
+    factorials = np.array([math.factorial(k) for k in range(int(outs.max(initial=0)) + 1)], dtype=float)
+    return np.sqrt(factorials[outs].prod(axis=1))
+
+
+def _on_outputs(outs: np.ndarray, roots: np.ndarray, sums: np.ndarray) -> FockState:
+    """The state with ``sums`` / ``roots`` (``_output_roots``) on the output
+    rows ``outs``, pruned at ``PRUNE_TOL`` as ``evolve`` prunes."""
+    amps = sums / roots
+    keep = np.abs(amps) >= PRUNE_TOL
+    # sums of products added to zeros, over a positive root: no part is -0.0
+    return FockState._of_rows(outs.shape[1], outs[keep], amps[keep])
+
+
+def _by_photons(terms: Iterable[tuple[Occupation, complex]]) -> dict[int, list[tuple[Occupation, complex]]]:
+    """Input terms grouped by photon number, each group in the order
+    given; each term is checked against ``MAX_PHOTONS`` and its s-grid
+    against ``MAX_RYSER_GRID`` before any grid is built."""
+    by_photons: dict[int, list[tuple[Occupation, complex]]] = {}
+    for occ, amp in terms:
+        check_term_budget(sum(occ))
+        points = math.prod(c + 1 for c in occ)
+        if points > MAX_RYSER_GRID:
+            raise ValueError(f"a term's s-grid holds {points} points; at most "
+                             f"MAX_RYSER_GRID = {MAX_RYSER_GRID} are supported")
+        by_photons.setdefault(sum(occ), []).append((occ, amp))
+    return by_photons
 
 
 def transition_amplitudes(
@@ -535,17 +604,21 @@ def transition_amplitudes(
 
     (H. J. Ryser, Combinatorial Mathematics, 1963), prod(n_k + 1) <= 2^n
     products per output and mode instead of the n! of ``matrix_permanent``.
-    Input terms with the same photon number and the same nonzero counts in
-    mode order share the s-grid and its weights, and each such group takes
-    one numpy pass: r = sum_k s_k U[:, k] and its powers, with a term axis,
-    at most (modes, terms, n + 1, s-grid), then a running product over
-    (terms, outputs, s-grid), multiplied over the modes in ascending order
-    and summed over the s-grid. Each term's scaled sum is added into its
+    The work splits in two. The columns (``_ryser_columns``) depend only on
+    the transform, the input occupations and the outputs: input terms with
+    the same photon number and the same nonzero counts in mode order share
+    the s-grid and its weights, and each such group takes one numpy pass:
+    r = sum_k s_k U[:, k] and its powers, with a term axis, at most
+    (modes, terms, n + 1, s-grid), then a running product over (terms,
+    outputs, s-grid), multiplied over the modes in ascending order and
+    summed over the s-grid. The amplitudes then come in (``_summed``): each
+    term's amplitude over sqrt(prod n_k!) times its column, added into its
     outputs from zero in the input's term order, so neither the groups nor
     the blocks of terms and outputs (see ``RYSER_BLOCK``) change a bit.
-    Outputs with another photon number than every input term get no
-    amplitude; the result is pruned at ``PRUNE_TOL`` exactly as ``evolve``
-    prunes.
+    ``measurement.evolve_for_branches`` keeps the columns of a gate's
+    input occupations and repeats only the second step. Outputs with
+    another photon number than every input term get no amplitude; the
+    result is pruned at ``PRUNE_TOL`` exactly as ``evolve`` prunes.
 
     Every input term is checked against ``MAX_PHOTONS`` and its s-grid
     against ``MAX_RYSER_GRID`` before any grid is built.
@@ -559,41 +632,21 @@ def transition_amplitudes(
         raise ValueError(f"outputs must be non-negative integer occupations of {dim} modes")
     for occ in keys:
         check_term_budget(sum(occ))
-    by_photons: dict[int, list[tuple[Occupation, complex]]] = {}   # each in term order
-    for occ, amp in state.terms():
-        check_term_budget(sum(occ))
-        points = math.prod(c + 1 for c in occ)
-        if points > MAX_RYSER_GRID:
-            raise ValueError(f"a term's s-grid holds {points} points; at most "
-                             f"MAX_RYSER_GRID = {MAX_RYSER_GRID} are supported")
-        by_photons.setdefault(sum(occ), []).append((occ, amp))
+    by_photons = _by_photons(state.terms())
     photons = outs.sum(axis=1)
     sums = np.zeros(len(outs), dtype=complex)
     for n, terms in by_photons.items():
         idx = np.flatnonzero(photons == n)
         if not len(idx):
             continue
-        groups: dict[tuple[int, ...], list[int]] = {}
-        for i, (occ, _) in enumerate(terms):
-            groups.setdefault(tuple(c for c in occ if c), []).append(i)
+        occs = [occ for occ, _ in terms]
+        roots = [_ryser_root(occ) for occ in occs]
         step = max(1, RYSER_BLOCK // len(terms))
         for lo in range(0, len(idx), step):
             block = idx[lo:lo + step]
-            part = np.empty((len(terms), len(block)), dtype=complex)    # (term, output)
-            for counts, rows in groups.items():
-                grid = _ryser_grid(counts)
-                chunk = max(1, RYSER_BLOCK // (dim * (n + 1) * len(grid[1])))
-                for first in range(0, len(rows), chunk):
-                    sel = rows[first:first + chunk]
-                    part[sel] = _ryser_sums(transform.matrix, [terms[i] for i in sel], grid, outs[block])
-            for row in part:   # in term order
-                sums[block] += row
-    top = int(photons.max(initial=0))
-    factorials = np.array([math.factorial(k) for k in range(top + 1)], dtype=float)
-    amps = sums / np.sqrt(factorials[outs].prod(axis=1))
-    keep = np.abs(amps) >= PRUNE_TOL
-    # sums of products added to zeros, over a positive root: no part is -0.0
-    return FockState._of_rows(dim, outs[keep], amps[keep])
+            columns = _ryser_columns(transform.matrix, occs, outs[block])
+            sums[block] = _summed(zip([amp for _, amp in terms], roots, columns), len(block))
+    return _on_outputs(outs, _output_roots(outs), sums)
 
 
 def matrix_permanent(m: np.ndarray) -> complex:

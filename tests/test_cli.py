@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from loqc import ElementSpec, cli, compose_elements, search
+from loqc import ElementSpec, cli, compose_elements, measurement, search
 from loqc.cli import MAX_CIRCUIT_BYTES, ParseError, main, parse_circuit
 from loqc.multiport import MAX_MODES
 
@@ -211,6 +211,9 @@ PARSE_DIAGNOSTICS = [
     ("modes 3\ndetect 1=0 1=1\n", 2, 1, "detect ports must be distinct"),
     ("modes 2\ndetect 1=0 2=0\n", 2, 1, "detect must leave at least one surviving port"),
     ("modes 3\ndetect 2=1 correct nope\n", 2, 1, "unknown correction 'nope'"),
+    # ports 1..8: port 1 and the set bits of i on ports 2..8, one port set per line
+    ("modes 9\n" + "".join("detect 1=%d" % i + "".join(f" {k + 2}=0" for k in range(7) if i >> k & 1) + "\n"
+                           for i in range(65)), 66, 1, "MAX_PORT_SETS = 64"),
     ("modes 2\nsqueeze 1\n", 2, 1, "unknown directive 'squeeze'"),
     ("# no modes line\n", 1, 1, "missing modes declaration"),
     ("modes 3\ncorrection fix ps 3 delta=1.0\ndetect 2=1 3=0 correct fix\n", 2, 19,
@@ -280,6 +283,59 @@ def test_mode_budget_is_checked_before_compose(tmp_path, capsys, monkeypatch):
     with pytest.raises(ParseError) as info:
         parse_circuit(f"modes {MAX_MODES + 1}\n")
     assert (info.value.line, info.value.column) == (1, 7)
+
+
+def _port_set_file(port_sets: int, lines_per_set: int = 1) -> str:
+    """Nine modes, one photon; each detect line measures port 1, at a count
+    of its own, and the ports 2..8 of the set bits of its port set's index,
+    so no two lines overlap."""
+    lines = ["modes 9", "input fock 0 0 0 0 0 0 0 0 1", "bs 8 9 eta=0.5"]
+    for j in range(lines_per_set):
+        for i in range(port_sets):
+            lines.append(f"detect 1={j * port_sets + i}" + "".join(f" {k + 2}=0" for k in range(7) if i >> k & 1))
+    return "\n".join(lines) + "\n"
+
+
+def test_port_set_budget_is_checked_before_evolve(tmp_path, capsys, monkeypatch):
+    def no_evolve(*args, **kwargs):
+        raise AssertionError("evolve ran")
+
+    path = tmp_path / "ports.circ"
+    path.write_text(_port_set_file(cli.MAX_PORT_SETS, lines_per_set=2))
+    code, out, _ = run_cli(capsys, "simulate", str(path))
+    assert code == 0   # the budget counts port sets, not lines
+    assert len(json.loads(out)["branches"]) == 2 * cli.MAX_PORT_SETS
+    monkeypatch.setattr("loqc.cli.evolve", no_evolve)
+    path.write_text(_port_set_file(cli.MAX_PORT_SETS + 1))
+    code, out, err = run_cli(capsys, "simulate", str(path))
+    assert (code, out) == (1, "")
+    # the 65th port set is on the 65th detect line, file line 68
+    assert err == (f"loqc: error: {path}:68:1: detect lines measure more than "
+                   f"MAX_PORT_SETS = 64 distinct port sets\n")
+
+
+@pytest.mark.parametrize("photons,detects,sorts", [
+    (5, ["detect 1=0", "detect 1=1", "detect 1=2"], [(0,)]),                  # 2,814 terms
+    (2, ["detect 1=0 3=1", "detect 1=1 3=0"], [(0, 2)]),                   # 66 terms
+    (5, ["detect 1=0", "detect 1=1 3=0"], [(0, 2), (0,), (0, 2)]),        # two port sets
+])
+def test_simulate_sorts_once_for_one_port_set(photons, detects, sorts, tmp_path, capsys, monkeypatch):
+    # the outcome distribution's runs serve the branches when they measure its modes
+    calls = []
+    runs = measurement._runs
+
+    def counted(state, modes):
+        calls.append(tuple(modes))
+        return runs(state, modes)
+
+    monkeypatch.setattr(measurement, "_runs", counted)
+    path = tmp_path / "one.circ"
+    lines = ["modes 11", "input fock " + " ".join(["1"] * photons + ["0"] * (11 - photons))]
+    lines += [f"bs {i} {i + 1} eta=0.4" for i in range(1, 11)] + detects
+    path.write_text("\n".join(lines) + "\n")
+    code, out, _ = run_cli(capsys, "simulate", str(path))
+    assert code == 0 and len(json.loads(out)["branches"]) == len(detects)
+    assert calls == sorts
 
 
 def test_parser_never_crashes_on_garbage():

@@ -1,11 +1,11 @@
 import math
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
 
 from loqc import (
     DetectionPattern,
-    ElementSpec,
     Encoding,
     FockState,
     GateCircuit,
@@ -19,14 +19,16 @@ from loqc import (
     evolve,
     logical_fidelity,
     ns_gate,
-    ns_matrix,
     postselect_branches,
     qubit_gate,
     two_photon_cnot,
     two_photon_cnot_matrix,
     with_ancilla,
 )
-from loqc import measurement
+from loqc.measurement import evolve_for_branches
+from loqc import measurement, multiport
+
+from helpers import cs_cascade
 
 SQ2 = math.sqrt(2)
 
@@ -238,28 +240,6 @@ def test_computational_modes_must_be_the_free_modes(computational_modes):
 
 # -- two cs stages in series -------------------------------------------------
 
-_CASCADE_ANCILLA = {4: 1, 5: 0, 6: 1, 7: 0, 8: 1, 9: 0, 10: 1, 11: 0}
-
-
-def cs_cascade() -> GateCircuit:
-    """Two conditional sign flips in series on 12 modes, four cores heralded."""
-    ns = ns_matrix().matrix
-
-    def stage(a, b):
-        return [ElementSpec.bs(1, 3, 0.5), ElementSpec.raw((1, a, a + 1), ns),
-                ElementSpec.raw((3, b, b + 1), ns), ElementSpec.bs(1, 3, 0.5)]
-
-    return GateCircuit(
-        name="cs_cascade",
-        num_modes=12,
-        ancilla=dict(_CASCADE_ANCILLA),
-        elements=stage(4, 6) + stage(8, 10),
-        branches=[OutcomeBranch(DetectionPattern(_CASCADE_ANCILLA), label="all four cores fire")],
-        computational_modes=[0, 1, 2, 3],
-        encoding=Encoding("dual_rail", 2),
-    )
-
-
 def test_cs_cascade_is_the_identity():
     # CZ . CZ = I, heralded with probability (1/16)^2
     gate = cs_cascade()
@@ -315,3 +295,113 @@ def test_heralded_route_keeps_the_terms_evolve_keeps(build):
         assert len(got_terms) == 4
         for occ, amp in want.conditional_state.terms():
             assert abs(got_terms[occ] - amp) < 1e-12
+
+
+# -- cached heralded runs ------------------------------------------------------
+
+def _gate_inputs(gate, rng, count=6):
+    """The gate's basis inputs and ``count`` Haar-random ones, as states on
+    its computational modes."""
+    dim = 3 if gate.encoding is None else gate.encoding.dim
+    vecs = list(np.eye(dim, dtype=complex))
+    for _ in range(count):
+        v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+        vecs.append(v / np.linalg.norm(v))
+    if gate.encoding is None:
+        return [FockState(1, {(k,): a for k, a in enumerate(v) if a != 0}) for v in vecs]
+    return [encode(v, gate.encoding) for v in vecs]
+
+
+def _bits(results):
+    """Every probability and conditional amplitude of a run, as hex."""
+    out = []
+    for res in results:
+        out.append(res.probability.hex())
+        if res.conditional_state is not None:
+            out += [(occ, a.real.hex(), a.imag.hex()) for occ, a in res.conditional_state.terms()]
+    return out
+
+
+def _uncached(gate, comp):
+    """``evolve_for_branches`` and ``postselect_branches`` on a fresh evaluation."""
+    full = with_ancilla(comp, gate.ancilla, gate.num_modes)
+    out = evolve_for_branches(full, gate.transform, gate.branches)
+    return [res for _, res in postselect_branches(out, gate.branches)]
+
+
+@pytest.mark.parametrize("build", [ns_gate, cs_gate, cnot_from_cs, two_photon_cnot, cs_cascade])
+def test_cached_runs_repeat_the_uncached_bits(build):
+    gate = build()
+    copy = replace(gate, name=gate.name + " copy")
+    inputs = _gate_inputs(gate, np.random.default_rng(46))
+    for circuit in (gate, copy):
+        for _ in range(2):   # the first run fills the cache, the second reads it
+            for comp in inputs:
+                assert _bits(circuit.run(comp)) == _bits(_uncached(gate, comp))
+    assert copy.__dict__.keys() >= {"transform", "_evolution"}
+    assert copy._evolution is not gate._evolution
+
+
+def test_replace_starts_with_an_empty_cache():
+    gate = cs_gate()
+    gate.run(encode(np.eye(4, dtype=complex)[3], gate.encoding))
+    assert gate._evolution.size > 0
+    copy = replace(gate)
+    assert "_evolution" not in copy.__dict__ and "transform" not in copy.__dict__
+    assert copy._evolution.size == 0
+
+
+def test_gate_circuit_fields_cannot_be_reassigned():
+    gate = cs_gate()
+    with pytest.raises(FrozenInstanceError):
+        gate.elements = []
+    with pytest.raises(FrozenInstanceError):
+        gate.branches = gate.branches[:1]
+
+
+@pytest.mark.parametrize("budget", [0, 25, 40])
+def test_the_column_cache_stays_within_its_budget(budget, monkeypatch):
+    # cs and the cascade keep 10 outputs per occupation: a budget of 25 holds
+    # two of the four dual-rail words, 40 holds all four
+    uncached = []
+    ryser = measurement.transition_amplitudes
+
+    def counted(*args):
+        uncached.append(args)
+        return ryser(*args)
+
+    monkeypatch.setattr(measurement, "COLUMN_CACHE_BUDGET", budget)
+    rng = np.random.default_rng(47)
+    for build in (cs_gate, cs_cascade):
+        gate = build()
+        inputs = _gate_inputs(gate, rng, count=3)
+        want = [_bits(_uncached(gate, comp)) for comp in inputs]
+        monkeypatch.setattr(measurement, "transition_amplitudes", counted)
+        for _ in range(2):
+            for comp, bits in zip(inputs, want):
+                assert _bits(gate.run(comp)) == bits
+                cache = gate._evolution
+                assert cache.size == sum(column.size for _, column in cache.columns.values())
+                assert cache.size <= budget
+        monkeypatch.setattr(measurement, "transition_amplitudes", ryser)
+        assert cache.size == min(budget // 10, 4) * 10
+    assert bool(uncached) == (budget < 40)
+
+
+def test_a_first_run_takes_one_ryser_pass_for_all_its_occupations(monkeypatch):
+    calls = []
+    sums = multiport._ryser_sums
+
+    def counted(matrix, occs, grid, outs):
+        calls.append(len(occs))
+        return sums(matrix, occs, grid, outs)
+
+    monkeypatch.setattr(multiport, "_ryser_sums", counted)
+    gate = cs_gate()
+    v = np.array([1, 1j, -1, 0.5]) / math.sqrt(3.25)
+    comp = encode(v, gate.encoding)
+    assert comp.num_terms() == 4
+    gate.run(comp)
+    assert calls == [4]   # one pass over the four dual-rail words, not four passes
+    gate.run(encode(v[::-1], gate.encoding))
+    assert calls == [4]   # a warm run computes no permanent

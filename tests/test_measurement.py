@@ -233,6 +233,28 @@ def test_grouped_postselection_matches_the_per_branch_loop():
     assert {1, 2, 3} <= groups_seen
 
 
+def test_postselection_reads_given_runs_to_the_same_bits():
+    # the runs of an outcome distribution on the branches' one port set, at
+    # sizes on both sides of ARRAY_ROUTE_TERMS; and branches on another port set
+    rng = np.random.default_rng(19)
+    for m, photons in ((4, 2), (5, 3), (7, 4), (8, 5)):
+        state = evolve(FockState.from_occupation([photons] + [0] * (m - 1)),
+                       ModeTransform(random_unitary(rng, m)))
+        modes = sorted(int(k) for k in rng.choice(m, size=2, replace=False))
+        keys = list(outcome_distribution(state, modes))
+        branches = [OutcomeBranch(DetectionPattern(dict(zip(modes, key))),
+                                  ModeTransform(random_unitary(rng, m - 2)) if k % 2 else None)
+                    for k, key in enumerate(keys)]
+        other = [OutcomeBranch(DetectionPattern({modes[0]: c})) for c in range(photons + 1)]
+        for family in (branches, other):
+            want = _per_branch_reference(state, family)
+            got = measurement._postselect(state, family, (modes, measurement._runs(state, modes)))
+            assert [b for b, _ in got] == family
+            for (_, res), (prob, cond) in zip(got, want):
+                assert res.probability.hex() == prob.hex()
+                assert _bits(res.conditional_state) == _bits(cond)
+
+
 def _nested_branches(rng, num_modes, photons, corrected):
     """Patterns on three nested port sets (a; a, b; a, b, c) that together
     keep every term: a = 1..photons, then a = 0 with b = 1..photons, then
@@ -561,20 +583,22 @@ def test_ancilla_interleaving():
 
 def _both_routes(monkeypatch, state, transform, branches):
     """postselect_branches after evolve_for_branches, forced onto each route."""
-    taken = []
-    ryser = measurement.transition_amplitudes
+    passes = []
+    ryser = measurement._ryser_columns
 
     def counted(*args, **kwargs):
-        taken.append("heralded")
+        passes.append(args)
         return ryser(*args, **kwargs)
 
-    monkeypatch.setattr(measurement, "transition_amplitudes", counted)
-    results = []
+    monkeypatch.setattr(measurement, "_ryser_columns", counted)
+    results, taken = [], []
     for cost in (math.inf, -math.inf):  # never / always worth the heralded route
         monkeypatch.setattr(measurement, "HERALDED_COST_PER_TERM", cost)
+        before = len(passes)
         out = evolve_for_branches(state, transform, branches)
+        taken.append("heralded" if len(passes) > before else "evolve")
         results.append(postselect_branches(out, branches))
-    assert taken == ["heralded"]
+    assert taken == ["evolve", "heralded"]
     return results
 
 

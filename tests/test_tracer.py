@@ -11,7 +11,9 @@ from pathlib import Path
 import numpy as np
 
 import loqc.cli  # noqa: F401  the tracer wraps bindings in every loqc module
-from loqc import NS_ANGLES, FockState, build_gate, search
+from loqc import GATE_NAMES, NS_ANGLES, FockState, build_gate, encode, search
+
+from helpers import cs_cascade
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
@@ -63,3 +65,36 @@ def test_uninstall_restores_the_library():
     finally:
         tracer.uninstall()
     assert search.two_bs_corrected is kernel
+
+
+def test_traced_gate_runs_keep_the_benchmark_pins():
+    # ``perfbench/run.py`` checks these counts on every traced gates_heralded pass
+    rng = np.random.default_rng(48)
+    gates = [build_gate(name) for name in GATE_NAMES] + [cs_cascade()]
+    tracer = _load_tracer().Tracer()
+    try:
+        leaks = tracer.install()
+        for gate in gates:
+            dim = 3 if gate.encoding is None else gate.encoding.dim
+            v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+            v /= np.linalg.norm(v)
+            comp = (FockState(1, {(k,): a for k, a in enumerate(v)}) if gate.encoding is None
+                    else encode(v, gate.encoding))
+            for _ in range(2):   # a first and a warm run
+                gate.run(comp)
+    finally:
+        tracer.uninstall()
+    assert leaks == []
+
+    spans = tracer.spans
+    runs = [i for i, s in enumerate(spans) if s[0] == "gates.run"]
+    assert [spans[i][6]["gate"] for i in runs] == [g.name for g in gates for _ in range(2)]
+    children = {i: [s[0] for s in spans if s[3] == i] for i in runs}
+    for i in runs:
+        kids = children[i]
+        assert kids.count("measurement.postselect_branches") == 1
+        if spans[i][6]["gate"] == "ns":
+            assert kids.count("multiport.evolve") == 1
+    cascade = [s[6] for s in spans if s[0] == "measurement.postselect_branches"
+               and spans[s[3]][6]["gate"] == "cs_cascade"]
+    assert [attrs["kept"] for attrs in cascade] == [4, 4]
