@@ -385,11 +385,72 @@ def _report_header(command: str, digested: str, **details) -> dict:
     }
 
 
-def _count_keys(rows: np.ndarray) -> list[str]:
-    """Each row of photon counts as comma-separated counts ("1,0,2"),
-    formatted for all rows at once."""
-    row = ",".join(["%d"] * rows.shape[1]) + " "
-    return ((row * len(rows)) % tuple(rows.ravel().tolist())).split()
+@dataclass(frozen=True)
+class _JsonText:
+    """A top-level report value already written as compact JSON;
+    ``render_report`` writes it as it stands."""
+
+    text: str
+
+
+#: ``json.dumps`` with the compact separators every report is written with.
+_dumps = json.JSONEncoder(separators=(",", ":")).encode
+
+
+def _count_keys(rows: np.ndarray, entry: str) -> str:
+    """A ``%`` template with one JSON member per row of photon counts: the
+    counts, comma-separated, as its key ("1,0,2"), then ``entry``. Written
+    for all rows at once as bytes, one digit place of every count at a
+    time; a zero ahead of a count's first digit is dropped."""
+    n, m = rows.shape
+    width = len(str(int(rows.max()))) if rows.size else 1
+    step = width + 1   # a count's places and the comma after it
+    buf = np.zeros((n, m * step + 2 + len(entry)), np.uint8)
+    buf[:, 0] = ord('"')
+    buf[:, step:m * step:step] = ord(",")
+    buf[:, m * step:] = np.frombuffer(('":' + entry).encode(), np.uint8)
+    place = 1
+    for k in range(width, 0, -1):
+        ahead = rows // place
+        cells = (ahead % 10 + ord("0")).astype(np.uint8)
+        if place > 1:
+            cells[ahead == 0] = 0
+        buf[:, k:m * step:step] = cells
+        place *= 10
+    flat = buf.ravel()
+    return (flat[flat != 0] if width > 1 else flat).tobytes().decode()
+
+
+def _json_map(rows: np.ndarray, values: np.ndarray, digits: int) -> str:
+    """The JSON object that maps each row of counts (``_count_keys``) to its
+    value rounded to ``digits`` significant digits: a number for a value
+    array of shape (n,), a ``[re, im]`` pair for shape (n, 2). Every number
+    is written as ``json.dumps(float(format(x, f".{digits}g")))``.
+
+    Checked domain: for ``digits`` <= 15 and a value that is zero or normal
+    with ``|x|`` <= 1, that text is the ``%.{digits}g`` text itself, with
+    ".0" appended when it has no "." and no "e" (only 0 and 1 are written
+    so). A map whose values all lie there is written in one ``%`` pass over
+    the ``_count_keys`` template, with no float parsed back.
+
+    The one guard: a map with any value outside it (a nonzero ``|x|`` below
+    ``sys.float_info.min``, ``|x|`` > 1, or ``digits`` >= 16) takes the
+    float round trip, ``_rounded`` and then ``json.dumps`` of each float.
+    There the ``%g`` text can differ: ``%.1g`` of 9.6 is "1e+01", the JSON
+    of its float "10.0"."""
+    def entry(spec: str) -> str:
+        return f"[{spec},{spec}]," if values.ndim == 2 else spec + ","
+
+    mag = np.abs(values)
+    if digits >= 16 or ((mag > 1.0) | ((mag < sys.float_info.min) & (mag != 0))).any():
+        text = _count_keys(rows, entry("%s")) % tuple(map(_dumps, _rounded(values.ravel(), digits)))
+        return "{" + text[:-1] + "}"
+    text = _count_keys(rows, entry(f"%.{digits}g")) % tuple(values.ravel().tolist())
+    if ((mag == 0) | (mag > 0.5)).any():   # only these can be written as 0 or ±1
+        for before, after in (("[", ","), (",", "]")) if values.ndim == 2 else ((":", ","),):
+            for bare in ("0", "-0", "1", "-1"):
+                text = text.replace(before + bare + after, before + bare + ".0" + after)
+    return "{" + text[:-1] + "}"
 
 
 def _rounded(values: np.ndarray, digits: int) -> list[float]:
@@ -400,9 +461,9 @@ def _rounded(values: np.ndarray, digits: int) -> list[float]:
 
 def simulate_report(circ: Circuit, source_text: str, digits: int) -> dict:
     """The ``simulate`` report; each float is rounded to ``digits``
-    significant digits as it is written. Each map of the report (outcomes,
-    a branch's conditional) is formatted from the state's arrays with one
-    ``%`` for its keys and one for its values."""
+    significant digits as it is written. Its ``outcomes`` and ``branches``
+    are JSON text (``_JsonText``): the outcome map and each branch's
+    conditional map are written from the state's arrays (``_json_map``)."""
     if circ.state is None:
         raise CliError("circuit file has no input declaration")
     spec = f".{digits}g"
@@ -418,13 +479,13 @@ def simulate_report(circ: Circuit, source_text: str, digits: int) -> dict:
             evaluated = _postselect(out, [b for _, b in circ.branches], (measured, runs))
         except ValueError as exc:
             raise CliError(str(exc)) from None
-    del runs   # the sorted output is not held while the report's maps are formatted
+    del runs   # the sorted output is not held while the report's maps are written
 
     report = {
         **_report_header("simulate", source_text, modes=circ.modes,
                          mode_order="ports 1..N left to right; internal indices are ports minus 1"),
         "measured_ports": [m + 1 for m in measured],
-        "outcomes": dict(zip(_count_keys(counts), _rounded(probs, digits))),
+        "outcomes": _JsonText(_json_map(counts, probs, digits)),
     }
 
     if circ.branches:
@@ -432,19 +493,18 @@ def simulate_report(circ: Circuit, source_text: str, digits: int) -> dict:
         total = 0.0
         for (name, branch), (_, res) in zip(circ.branches, evaluated):
             total += res.probability
-            conditional = {}
+            conditional = "{}"
             if res.conditional_state is not None:
                 occs, amps = res.conditional_state._sorted_arrays()
-                parts = iter(_rounded(np.stack([amps.real, amps.imag], axis=1).ravel(), digits))
-                conditional = dict(zip(_count_keys(occs), map(list, zip(parts, parts))))
-            rows.append({
+                conditional = _json_map(occs, np.stack([amps.real, amps.imag], axis=1), digits)
+            head = _dumps({
                 "pattern": branch.label,
                 "correction": name,
                 "probability": float(format(res.probability, spec)),
                 "surviving_ports": [m + 1 for m in branch.pattern.survivors(circ.modes)],
-                "conditional": conditional,
             })
-        report["branches"] = rows
+            rows.append(head[:-1] + ',"conditional":' + conditional + "}")   # the head's last member
+        report["branches"] = _JsonText("[" + ",".join(rows) + "]")
         report["success_probability"] = float(format(total, spec))
     return report
 
@@ -594,10 +654,13 @@ def _quantize(obj, digits: int):
 
 
 def render_report(report: dict, pretty: bool = False) -> str:
-    """Serialize a report whose floats are already rounded."""
-    if not pretty:
-        return json.dumps(report, separators=(",", ":"))
-    return _render_pretty(report)
+    """The report as printed: compact JSON, or the ``--pretty`` listing.
+    Its floats are already rounded; the compact text is each top-level
+    value's ``json.dumps`` or, for a ``_JsonText``, its text, in key order."""
+    if pretty:
+        return _render_pretty(report)
+    return "{" + ",".join([_dumps(k) + ":" + (v.text if isinstance(v, _JsonText) else _dumps(v))
+                           for k, v in report.items()]) + "}"
 
 
 def _render_pretty(report: dict) -> str:
@@ -605,6 +668,8 @@ def _render_pretty(report: dict) -> str:
 
     def walk(obj, indent: int, label: str | None = None):
         pad = "  " * indent
+        if isinstance(obj, _JsonText):   # each number as its text, which is str() of its float
+            obj = json.loads(obj.text, parse_float=str)
         if isinstance(obj, dict):
             if label:
                 lines.append(f"{pad}{label}:")

@@ -151,16 +151,17 @@ class FockState:
         rows = np.array(list(self._map), dtype=np.int64).reshape(len(self._map), self.num_modes)
         return rows, np.array(list(self._map.values()), dtype=complex)
 
-    def _sorted_arrays(self, first: Sequence[int] = ()) -> tuple[np.ndarray, np.ndarray]:
+    def _sorted_arrays(self, first: Sequence[int] = (), *also: np.ndarray) -> tuple[np.ndarray, ...]:
         """Occupation rows and amplitudes sorted by the counts on the modes
         ``first``, in the order given, then by those on the other modes,
         ascending: with no ``first``, the order of ``terms()``. Terms that
         agree on ``first`` keep their ``terms()`` order. One lexsort, whose
-        last key decides first."""
+        last key decides first. Each array in ``also``, one entry per term
+        in ``_arrays`` order, is sorted with them and returned after them."""
         rows, values = self._arrays()
         columns = list(first) + [m for m in range(self.num_modes) if m not in first]
         order = np.lexsort(rows[:, columns].T[::-1])
-        return rows[order], values[order]
+        return tuple(a[order] for a in (rows, values, *also))
 
     # -- inspection ---------------------------------------------------
 

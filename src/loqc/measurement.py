@@ -239,9 +239,9 @@ def postselect_branches(
 def _postselect(state: FockState, branches: Sequence[OutcomeBranch],
                 known: tuple[Sequence[int], tuple] | None) -> list[tuple[OutcomeBranch, PostselectionResult]]:
     """``postselect_branches``, given ``known``: None, or a list of modes
-    and ``_runs(state, modes)``. When every branch measures exactly those
-    modes, the row route reads the given runs instead of sorting the state
-    again: ``cli.simulate_report`` hands over those of its outcome
+    and the state's ``_runs`` on them. When every branch measures exactly
+    those modes, the row route reads the given runs instead of sorting the
+    state again: ``cli.simulate_report`` hands over those of its outcome
     distribution (``_distribution``). A state of fewer than
     ``ARRAY_ROUTE_TERMS`` terms is still read term by term: at 15-20 terms
     the given runs took longer than the term-by-term read, and at 84-126
@@ -302,27 +302,39 @@ def _read_terms(state: FockState, patterns: Sequence[DetectionPattern],
                    for p, amps in zip(patterns, kept)]
 
 
-def _runs(state: FockState, modes: Sequence[int]) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _squares(state: FockState) -> np.ndarray:
+    """Each term's probability, in ``FockState._arrays`` order:
+    ``np.float_power(np.hypot(re, im), 2)``, which equals Python's
+    ``abs(a) ** 2`` bit for bit (``np.abs(a) ** 2`` does not: numpy squares
+    by one multiplication). One that overflows is ``inf``, without a
+    warning."""
+    amps = state._arrays()[1]
+    with np.errstate(over="ignore"):
+        return np.float_power(np.hypot(amps.real, amps.imag), 2)
+
+
+def _runs(state: FockState, modes: Sequence[int],
+          squares: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The state's occupation rows and amplitudes sorted by their counts on
     ``modes`` (``FockState._sorted_arrays``), the index at which each run
-    of equal counts begins, and each run's probability.
+    of equal counts begins, and each run's probability. ``squares`` is
+    ``_squares(state)``, which a caller that sorts one state on several
+    port sets takes once.
 
     The terms of one run agree on ``modes``, so they stand in ``terms()``
-    order. A term's probability is ``np.float_power(np.hypot(re, im), 2)``,
-    which equals Python's ``abs(a) ** 2`` bit for bit (``np.abs(a) ** 2``
-    does not: numpy squares by one multiplication), and ``np.add.at`` adds
-    a run's probabilities one after another from 0.0 (``np.sum`` would add
-    pairwise). So each sum has the bits of ``+= abs(a) ** 2`` over the
-    run's terms in ``terms()`` order. A sum that overflows is ``inf``,
-    without a warning; the callers reject it where they return it.
+    order, and ``np.add.at`` adds a run's ``squares`` one after another
+    from 0.0 (``np.sum`` would add pairwise). So each sum has the bits of
+    ``+= abs(a) ** 2`` over the run's terms in ``terms()`` order. A sum
+    that overflows is ``inf``, without a warning; the callers reject it
+    where they return it.
     """
-    rows, amps = state._sorted_arrays(modes)
+    rows, amps, squares = state._sorted_arrays(modes, squares)
     counts = rows[:, modes]
     first = np.ones(len(rows), dtype=bool)   # the first term of each run
     first[1:] = (counts[1:] != counts[:-1]).any(axis=1)
     sums = np.zeros(np.count_nonzero(first))
     with np.errstate(over="ignore"):
-        np.add.at(sums, np.cumsum(first) - 1, np.float_power(np.hypot(amps.real, amps.imag), 2))
+        np.add.at(sums, np.cumsum(first) - 1, squares)
     return rows, amps, np.flatnonzero(first), sums
 
 
@@ -330,15 +342,16 @@ def _read_rows(state: FockState, patterns: Sequence[DetectionPattern],
                groups: Mapping[tuple[int, ...], Sequence[int]],
                runs: tuple | None = None) -> tuple[list[float], list[FockState | None]]:
     """``_read_terms`` on the state's occupation rows: ``_runs`` once per
-    group, unless the one group's ``runs`` are given, and each pattern's
-    run looked up by its counts. The run's sum is the pattern's probability
-    and its terms are the kept ones; a pattern that matches no run keeps
-    nothing and gets None."""
+    group, on ``_squares`` taken once, unless the one group's ``runs`` are
+    given, and each pattern's run looked up by its counts. The run's sum is
+    the pattern's probability and its terms are the kept ones; a pattern
+    that matches no run keeps nothing and gets None."""
     probs = [0.0] * len(patterns)
     kept: list[FockState | None] = [None] * len(patterns)
+    squares = _squares(state) if runs is None else None   # once for every group
     for modes, members in groups.items():
         survivors = patterns[members[0]].survivors(state.num_modes)   # the members share them
-        rows, amps, starts, sums = _runs(state, modes) if runs is None else runs
+        rows, amps, starts, sums = _runs(state, modes, squares) if runs is None else runs
         run_of = {counts: k for k, counts in enumerate(map(tuple, rows[starts][:, modes].tolist()))}
         bounds, sums = starts.tolist() + [len(rows)], sums.tolist()
         for i in members:
@@ -515,7 +528,7 @@ def _distribution(state: FockState, modes: Sequence[int]) -> tuple[np.ndarray, n
     for m in modes:
         if not 0 <= m < state.num_modes:
             raise ValueError(f"mode {m} out of range for {state.num_modes} modes")
-    runs = _runs(state, modes)
+    runs = _runs(state, modes, _squares(state))
     rows, _, starts, sums = runs
     if np.isinf(sums).any():
         raise _overflow_error()

@@ -9,7 +9,12 @@ from loqc import (
     FockState,
     GateCircuit,
     OutcomeBranch,
+    cli,
+    compose_elements,
+    evolve,
     ns_matrix,
+    outcome_distribution,
+    postselect_branches,
 )
 
 
@@ -53,3 +58,45 @@ def cs_cascade() -> GateCircuit:
         computational_modes=[0, 1, 2, 3],
         encoding=Encoding("dual_rail", 2),
     )
+
+
+def reference_simulate_report(text: str, digits: int) -> dict:
+    """The ``simulate`` report of a circuit file as a tree of floats, each
+    ``float(format(x, f".{digits}g"))``, built through the public API: the
+    float round trip that ``cli.simulate_report``'s JSON text must match once
+    both are rendered by ``cli.render_report``."""
+    circ = cli.parse_circuit(text)
+    spec = f".{digits}g"
+    out = evolve(circ.state, compose_elements(circ.elements, circ.modes))
+    if circ.branches:
+        measured = sorted({m for _, b in circ.branches for m in b.pattern.modes})
+    else:
+        measured = list(range(circ.modes))
+
+    def key(counts) -> str:
+        return ",".join(map(str, counts))
+
+    report = {
+        **cli._report_header("simulate", text, modes=circ.modes,
+                             mode_order="ports 1..N left to right; internal indices are ports minus 1"),
+        "measured_ports": [m + 1 for m in measured],
+        "outcomes": {key(k): float(format(p, spec)) for k, p in outcome_distribution(out, measured).items()},
+    }
+    if circ.branches:
+        rows = []
+        total = 0.0
+        for (name, branch), (_, res) in zip(circ.branches, postselect_branches(out, [b for _, b in circ.branches])):
+            total += res.probability
+            cond = res.conditional_state
+            rows.append({
+                "pattern": branch.label,
+                "correction": name,
+                "probability": float(format(res.probability, spec)),
+                "surviving_ports": [m + 1 for m in branch.pattern.survivors(circ.modes)],
+                "conditional": {} if cond is None else {
+                    key(occ): [float(format(a.real, spec)), float(format(a.imag, spec))]
+                    for occ, a in cond.terms()},
+            })
+        report["branches"] = rows
+        report["success_probability"] = float(format(total, spec))
+    return report

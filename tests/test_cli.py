@@ -14,6 +14,8 @@ from loqc import ElementSpec, cli, compose_elements, measurement, search
 from loqc.cli import MAX_CIRCUIT_BYTES, ParseError, main, parse_circuit
 from loqc.multiport import MAX_MODES
 
+from helpers import reference_simulate_report
+
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 REFERENCE_DIGESTS = PERFBENCH / "reference.json"
 
@@ -324,9 +326,9 @@ def test_simulate_sorts_once_for_one_port_set(photons, detects, sorts, tmp_path,
     calls = []
     runs = measurement._runs
 
-    def counted(state, modes):
+    def counted(state, modes, squares):
         calls.append(tuple(modes))
-        return runs(state, modes)
+        return runs(state, modes, squares)
 
     monkeypatch.setattr(measurement, "_runs", counted)
     path = tmp_path / "one.circ"
@@ -542,28 +544,79 @@ def test_every_printed_float_is_rounded(argv, tmp_path, capsys, monkeypatch):
     assert [x for x in floats if float(f"{x:.3g}") != x] == []
 
 
+#: One file per shape of the ``simulate`` report: no branches (one outcome
+#: near 0.99, written "1.0" at one digit), detect lines on two port sets
+#: (real amplitudes with zero imaginary parts, one branch that keeps
+#: nothing), and a correction whose name holds '"', '\\' and U+0000.
+REPORT_SHAPES = {
+    "no_branches": "modes 4\ninput fock 1 0 1 0\nbs 1 2 eta=0.999\nbs 3 4 eta=0.99\n"
+                   "ps 2 delta=0.3\ngen3 2 3 4 t1=0.1 t2=0.02 t3=0.05\n",
+    "detect": "modes 5\ninput fock 1 1 1 0 0\nbs 1 2 eta=0.3\nbs 2 3 eta=0.6\nbs 3 4 eta=0.5\n"
+              "bs 4 5 eta=0.2\nbs 1 2 eta=0.7\ndetect 5=0\ndetect 5=1\ndetect 4=0 5=3\n"
+              "detect 4=1 5=2\ndetect 4=3 5=2\n",
+    "escaped_name": 'modes 4\ninput fock 1 0 1 0\nbs 1 2 eta=0.5\nbs 3 4 eta=0.4\n'
+                    'correction a"b\\c\x00d ps 1 delta=3.0\ndetect 1=1 correct a"b\\c\x00d\n'
+                    'detect 1=0\n',
+}
+
+
+@pytest.mark.parametrize("shape", REPORT_SHAPES)
+def test_simulate_stdout_equals_the_float_round_trip(shape, tmp_path, capsys, monkeypatch):
+    text = REPORT_SHAPES[shape]
+    path = tmp_path / "shape.circ"
+    path.write_text(text, encoding="utf-8")
+    for digits in range(1, 18):
+        monkeypatch.setenv("LOQC_REPORT_DIGITS", str(digits))
+        tree = reference_simulate_report(text, digits)
+        for pretty in (False, True):
+            code, out, err = run_cli(capsys, *["--pretty"] * pretty, "simulate", str(path))
+            assert (code, err) == (0, "")
+            assert out == cli.render_report(tree, pretty=pretty) + "\n", (digits, pretty)
+
+
 def test_bulk_rounding_equals_rounding_each_float():
     rng = np.random.default_rng(3)
-    special = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1.0, 0.5, 9.99999999995e-05,
-               1 - 2 ** -53, 123456789.0, -1e300, 1.7976931348623157e308]
+    special = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1.0, -1.0, 0.5, 9.99999999995e-05,
+               0.96, 0.99999999999, 1 - 2 ** -53, 1 + 2 ** -52, 9.6, 1234.0,
+               123456789.0, -1e300, 1.7976931348623157e308]
     values = np.array(special + rng.normal(size=200).tolist() + (rng.random(200) ** 40).tolist()
                       + (rng.normal(size=100) * 10.0 ** rng.integers(-300, 300, size=100)).tolist())
+    mag = np.abs(values)
+    checked = values[(mag <= 1) & ((mag >= sys.float_info.min) | (mag == 0))]   # the %g text's domain
+
+    def map_text(vals, digits):
+        """``_json_map`` against the float round trip, ``json.dumps`` of each
+        ``float(format(x, f".{digits}g"))``, for numbers and for [re, im] pairs."""
+        rounded = [float(format(x, f".{digits}g")) for x in vals.tolist()]
+        want = json.dumps({str(i): x for i, x in enumerate(rounded)}, separators=(",", ":"))
+        assert cli._json_map(np.arange(len(vals))[:, None], vals, digits) == want
+        pairs = vals[:len(vals) // 2 * 2].reshape(-1, 2)
+        want = json.dumps({str(i): rounded[2 * i:2 * i + 2] for i in range(len(pairs))},
+                          separators=(",", ":"))
+        assert cli._json_map(np.arange(len(pairs))[:, None], pairs, digits) == want
+
     for digits in range(1, 18):
         want = [float(format(x, f".{digits}g")) for x in values.tolist()]
         got = cli._rounded(values, digits)
         assert [x.hex() for x in got] == [x.hex() for x in want]
+        map_text(values, digits)     # the guard's float round trip
+        map_text(checked, digits)    # the %g text itself up to 15 digits
+        for x in special:            # each value alone, so each takes its own route
+            map_text(np.array([x, x]), digits)
     assert cli._rounded(np.zeros(0), 10) == []
 
 
 def test_bulk_keys_equal_joined_counts():
     rng = np.random.default_rng(4)
     for modes in (1, 2, 7):
-        rows = rng.integers(0, 40, size=(300, modes))
-        rows[0] = 39
-        for dtype in (np.int8, np.int64):
-            got = cli._count_keys(rows.astype(dtype))
-            assert got == [",".join(map(str, row)) for row in rows.tolist()]
-    assert cli._count_keys(np.zeros((0, 3), dtype=np.int8)) == []
+        for top in (10, 40, 120):
+            rows = rng.integers(0, top, size=(300, modes))
+            rows[0] = top - 1
+            rows[1] = [100 if top > 100 else 10] + [0] * (modes - 1)
+            for dtype in (np.int8, np.int64):
+                got = cli._count_keys(rows.astype(dtype), "%s,")
+                assert got == "".join('"' + ",".join(map(str, row)) + '":%s,' for row in rows.tolist())
+    assert cli._count_keys(np.zeros((0, 3), dtype=np.int8), "%s,") == ""
 
 
 # -- verify-gate and search ------------------------------------------------------

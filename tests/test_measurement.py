@@ -248,7 +248,8 @@ def test_postselection_reads_given_runs_to_the_same_bits():
         other = [OutcomeBranch(DetectionPattern({modes[0]: c})) for c in range(photons + 1)]
         for family in (branches, other):
             want = _per_branch_reference(state, family)
-            got = measurement._postselect(state, family, (modes, measurement._runs(state, modes)))
+            runs = measurement._runs(state, modes, measurement._squares(state))
+            got = measurement._postselect(state, family, (modes, runs))
             assert [b for b, _ in got] == family
             for (_, res), (prob, cond) in zip(got, want):
                 assert res.probability.hex() == prob.hex()
@@ -297,14 +298,19 @@ def test_both_postselection_routes_match_the_per_branch_loop(modes, photons, mon
 
 
 def test_the_row_route_sorts_once_per_port_set(monkeypatch):
-    passes = []
-    runs = measurement._runs
+    passes, squared = [], []
+    runs, squares = measurement._runs, measurement._squares
 
-    def counted(state, modes):
+    def counted(state, modes, squared_terms):
         passes.append(len(modes))
-        return runs(state, modes)
+        return runs(state, modes, squared_terms)
+
+    def counted_squares(state):
+        squared.append(state.num_terms())
+        return squares(state)
 
     monkeypatch.setattr(measurement, "_runs", counted)
+    monkeypatch.setattr(measurement, "_squares", counted_squares)
     rng = np.random.default_rng(8)
     state = evolve(FockState.from_occupation((2, 1, 0, 1, 0, 0, 0, 1)), ModeTransform(random_unitary(rng, 8)))
     assert state.num_terms() == 792 >= measurement.ARRAY_ROUTE_TERMS
@@ -312,6 +318,7 @@ def test_the_row_route_sorts_once_per_port_set(monkeypatch):
     results = postselect_branches(state, branches)
     assert sum(r.probability for _, r in results) == pytest.approx(1.0, abs=1e-12)
     assert sorted(passes) == [1, 2, 3]
+    assert squared == [792]   # the magnitudes are squared once per call
 
 
 def test_the_row_route_on_many_measured_modes():

@@ -10,9 +10,10 @@ invocations whose entries differ (or that only one file has) and exits 1
 if there are any. A change meant to leave reports byte-identical runs the
 first form at the parent commit and at the change, then compares.
 
-The set, each at default digits and at ``LOQC_REPORT_DIGITS`` 3 and 17
-(17 digits round no double, so only a shorter setting shows a float that
-skipped rounding):
+The set, each at default digits and at ``LOQC_REPORT_DIGITS`` 3, 15, 16
+and 17 (17 digits round no double, so only a shorter setting shows a float
+that skipped rounding; ``simulate`` writes its maps from the ``%g`` text up
+to 15 digits and takes the float round trip from 16):
 ``verify-gate`` on every gallery gate; the five searches at their default
 grid and at ``--grid-step 0.3``; ``selftest`` with seeds 0 and 7;
 ``simulate`` on the circuit files the benchmark's ``circuits_full``
@@ -40,7 +41,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 import loqc.cli  # noqa: E402
 import workloads  # noqa: E402
 
-DIGITS = (None, "3", "17")
+DIGITS = (None, "3", "15", "16", "17")
 SEEDS = (0, 7)
 
 _NESTED = ("1=1", "1=2", "1=0 2=0", "1=0 2=1", "1=0 2=2 3=0", "1=0 2=2 3=1")
