@@ -4,9 +4,10 @@ States are immutable value objects: every operation returns a new
 ``FockState``. A state lists only its nonzero terms, as a map keyed by
 occupation tuples (photons per mode), which is exact and cheap at the
 photon numbers this package targets (a handful of photons over at most a
-few modes). A state that ``evolve`` or ``transition_amplitudes`` built
-holds the occupation rows and amplitude array they computed instead, and
-derives the map from them the first time a method needs it, so a caller
+few modes). A state that ``evolve`` or the heralded evaluator
+(``multiport._HeraldedEvolution``) built holds the occupation rows and
+amplitude array they computed instead, and derives the map from them the
+first time a method needs it, so a caller
 that reads the arrays (``measurement.outcome_distribution``, the row route
 of ``measurement.postselect_branches``, the ``simulate`` report) never
 builds the map of a large output; ``scaled`` by a real factor keeps a

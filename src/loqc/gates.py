@@ -16,18 +16,12 @@ The gallery:
 A ``GateCircuit`` is an immutable description (ancilla preparation,
 element list, outcome branches, computational modes): a frozen dataclass
 whose fields cannot be reassigned. ``GateCircuit.run`` evolves the input
-as ``measurement.evolve_for_branches`` does, picking the route by the same
-rule, and returns each branch's ``PostselectionResult`` in branch order,
-straight from ``postselect_branches``. On the heralded route a gate is a
-fixed linear map of its input, so the circuit keeps one evaluation
-(``measurement._BranchEvolution``) next to its composed ``transform``: the
-heralded outputs of each photon number and each input occupation's Ryser
-column. A first run computes all of its missing columns in one grouped
-Ryser pass; a warm run only multiplies in the amplitudes and adds, to the
-bits of an uncached run. The cache holds at most
-``measurement.COLUMN_CACHE_BUDGET`` Ryser sums; runs on the ``evolve``
-route are not cached. ``dataclasses.replace`` builds a circuit with an
-empty cache. Results never depend on what the cache holds. Everything
+by the heralded evaluator that the circuit keeps next to its composed
+``transform`` (``multiport._HeraldedEvolution``, whose docstring gives the
+route rule and the cache) and returns each branch's
+``PostselectionResult`` in branch order, straight from
+``postselect_branches``. ``dataclasses.replace`` builds a circuit with an
+empty cache; results never depend on what the cache holds. Everything
 that evaluates a circuit calls ``run``:
 
 * ``evaluate_gate`` is one loop over a gate's inputs with a prepare/read
@@ -55,7 +49,6 @@ from .measurement import (
     DetectionPattern,
     OutcomeBranch,
     PostselectionResult,
-    _BranchEvolution,
     postselect_branches,
     with_ancilla,
 )
@@ -63,6 +56,7 @@ from .multiport import (
     ElementSpec,
     ModeTransform,
     SQRT2,
+    _HeraldedEvolution,
     compose_elements,
     ns_matrix,
 )
@@ -100,8 +94,8 @@ class GateCircuit:
         return compose_elements(self.elements, self.num_modes)
 
     @cached_property
-    def _evolution(self) -> _BranchEvolution:
-        return _BranchEvolution(self.transform, self.branches)
+    def _evolution(self) -> _HeraldedEvolution:
+        return _HeraldedEvolution(self.transform, [b.pattern for b in self.branches])
 
     def run(self, comp_state: FockState) -> list[PostselectionResult]:
         """Evolve a computational-mode input; one result per branch, in branch order."""

@@ -23,22 +23,12 @@ counts. Both routes give the same bits; the crossover was measured on both
 (see ``postselect_branches``). A probability that overflows a float is a
 ``ValueError`` on either route.
 
-Before that, ``evolve_for_branches`` is the one place that picks how a
-gate run evolves its input. Most of a low-success gate's output is
-thrown away, so it may compute only the outputs the branches can keep,
-by the Ryser permanents of ``multiport.transition_amplitudes``, instead
-of the full ``evolve``; its docstring gives the measured cost rule that
-decides. It is ``_BranchEvolution``, an evaluation for one transform and
-one list of branches, built for one call. A gate keeps one such
-evaluation per circuit: on the heralded route it keeps each photon
-number's heralded outputs and each input occupation's column of Ryser
-sums, at most ``COLUMN_CACHE_BUDGET`` of them. A run with missing
-occupations computes them all in one grouped Ryser pass, and a warm run
-only multiplies in the amplitudes and adds, to the same bits. Runs on the
-``evolve`` route are not cached. Circuit files keep the full ``evolve``
-because their report lists the whole outcome distribution; ``simulate``
-hands its distribution's runs to the branches (``_postselect``) when
-they all measure the distribution's modes, so it sorts the output once.
+A gate run evolves its input only as far as its branches' patterns can
+see it, by ``multiport._HeraldedEvolution``, whose docstring gives the
+route rule and the cache. Circuit files keep the full ``evolve`` because
+their report lists the whole outcome distribution; ``simulate`` hands its
+distribution's runs to the branches (``_postselect``) when they all
+measure the distribution's modes, so it sorts the output once.
 
 This module holds only these measurement primitives; what runs them on a
 gate lives in ``gates``. Everything here operates on pure states with
@@ -50,26 +40,14 @@ independent oracle in the test suite.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Iterator, Mapping, Sequence
+from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
 from operator import itemgetter
 
 import numpy as np
 
 from .fock import FockState, Occupation, _integers, _overflow_error
-from .multiport import (
-    MAX_RYSER_GRID,
-    ModeTransform,
-    _by_photons,
-    _on_outputs,
-    _output_roots,
-    _ryser_columns,
-    _ryser_root,
-    _summed,
-    evolve,
-    transition_amplitudes,
-)
+from .multiport import ModeTransform, evolve
 
 PROB_FLOOR = 1e-12
 
@@ -361,163 +339,6 @@ def _read_rows(state: FockState, patterns: Sequence[DetectionPattern],
                 probs[i] = sums[k]
                 kept[i] = FockState._of_rows(len(survivors), rows[lo:hi, survivors], amps[lo:hi])
     return probs, kept
-
-
-#: Costs of ``transition_amplitudes`` in units of one full-basis output
-#: term per mode of ``evolve``: a fixed part per input term and a part per
-#: product of its running product (see ``evolve_for_branches``).
-HERALDED_COST_PER_TERM = 256
-HERALDED_COST_PER_PRODUCT = 1 / 16
-
-
-def _heralded_outputs(pattern: DetectionPattern, survivors: Sequence[int], num_modes: int,
-                      photons: int) -> Iterator[Occupation]:
-    """Every occupation with ``photons`` photons that ``pattern`` keeps.
-
-    ``survivors`` is ``pattern.survivors(num_modes)``. The outputs are
-    enumerated by ``combinations_with_replacement`` rather than from
-    ``multiport._fock_basis``: on the few outputs a gate's branch keeps,
-    the array version costs more than it saves.
-    """
-    free = photons - sum(c for _, c in pattern.constraints)
-    if free < 0:
-        return
-    fixed = [0] * num_modes
-    for m, c in pattern.constraints:
-        fixed[m] = c
-    for placed in combinations_with_replacement(survivors, free):
-        occ = list(fixed)
-        for m in placed:
-            occ[m] += 1
-        yield tuple(occ)
-
-
-def evolve_for_branches(
-    state: FockState, transform: ModeTransform, branches: Sequence[OutcomeBranch]
-) -> FockState:
-    """``evolve(state, transform)`` as far as ``branches`` can see it.
-
-    The outputs a branch can keep are its pattern's counts times every
-    occupation of the surviving modes, at each photon number of the
-    input. The result is ``transition_amplitudes`` over just those when
-    that is cheaper by the measured costs, else the full ``evolve``. For
-    an input term with n photons, n_k in mode k, on m modes, with H_n
-    heralded outputs over all branches at n photons:
-
-    * ``evolve`` costs m * C(n+m-1, n): every output term, once per mode;
-    * ``transition_amplitudes`` costs ``HERALDED_COST_PER_TERM`` plus
-      ``HERALDED_COST_PER_PRODUCT`` * m * prod(n_k + 1) * H_n: its running
-      product multiplies the s-grid of every output once per mode.
-
-    The heralded route is taken when its cost, summed over the input
-    terms, is below that of ``evolve`` and no term's s-grid,
-    prod(n_k + 1), exceeds ``multiport.MAX_RYSER_GRID``. The rule reads
-    only the input's occupations, the mode count and the patterns. Both
-    constants were fitted to both routes timed on the gate gallery, the
-    two-stage cs cascade, Haar networks and singly occupied inputs with
-    one to three detectors; the fit and its quality are recorded in
-    ``BENCH_7.json``, and the gallery picks were re-timed when the Ryser
-    pass began to take a group of terms at once (``BENCH_16.json``). The
-    fixed part keeps small inputs on ``evolve``: on the gallery, ``ns``
-    and ``cnot_2photon`` take ``evolve``, ``cs``, ``cnot_klm`` and the
-    cascade the heralded route. The per-product part sends an input back
-    to ``evolve`` when its s-grid outgrows the basis, as for one detector
-    behind six singly occupied modes. ``postselect_branches`` gives the
-    same results on either state.
-
-    This is ``_BranchEvolution`` built for one call; a gate keeps one per
-    circuit (``gates.GateCircuit.run``), so that its heralded runs reuse
-    the Ryser columns of the occupations they have met.
-    """
-    return _BranchEvolution(transform, branches)(state)
-
-
-#: Most Ryser sums, one per heralded output per input occupation, that a
-#: ``_BranchEvolution`` keeps (1 MiB of complex numbers); a run whose new
-#: columns would take it past this is evaluated without keeping them.
-COLUMN_CACHE_BUDGET = 1 << 16
-
-
-class _BranchEvolution:
-    """``evolve_for_branches`` for one transform and one list of branches.
-
-    A heralded run's amplitudes are a fixed linear map of its input:
-    ``multiport.transition_amplitudes`` is the sum, in term order, of each
-    term's amplitude times a column that depends only on the transform,
-    the heralded outputs and the term's occupation (``_ryser_columns``).
-    This object keeps, per photon number, the heralded output rows and,
-    per input occupation, its column over them. A run whose occupations
-    are all known only multiplies in the amplitudes and adds (``_summed``);
-    otherwise all of its missing occupations take one grouped Ryser pass,
-    and their columns are kept while the total stays within
-    ``COLUMN_CACHE_BUDGET`` (nothing is evicted). A run whose new columns
-    would not fit is ``transition_amplitudes`` itself, which holds at most
-    ``RYSER_BLOCK`` numbers at once. Either way the bits are those of
-    ``transition_amplitudes``. Runs that the rule sends to ``evolve`` are
-    not cached: each is one ``evolve`` call.
-    """
-
-    def __init__(self, transform: ModeTransform, branches: Sequence[OutcomeBranch]):
-        m = transform.dim
-        self.transform = transform
-        self.patterns = [b.pattern for b in branches]
-        self.survivors = [p.survivors(m) for p in self.patterns]
-        self.held = [sum(c for _, c in p.constraints) for p in self.patterns]
-        self.outputs: dict[int, tuple[np.ndarray, np.ndarray]] = {}     # photons -> (rows, roots)
-        self.columns: dict[Occupation, tuple[float, np.ndarray]] = {}   # occupation -> (root, column)
-        self.size = 0                                                    # Ryser sums kept
-
-    def _heralded(self, occs: Sequence[Occupation]) -> bool:
-        """The rule of ``evolve_for_branches``: True for the heralded route."""
-        m = self.transform.dim
-        photons = [sum(occ) for occ in occs]
-        grids = [math.prod(c + 1 for c in occ) for occ in occs]
-        if max(grids, default=0) > MAX_RYSER_GRID:
-            return False
-        # per photon number n: the basis size and H_n, which sums C(f + s - 1, f)
-        # over the branches, for f free photons on s survivors
-        sizes = {n: (math.comb(n + m - 1, n),
-                     sum(math.comb(n - h + len(s) - 1, n - h)
-                         for h, s in zip(self.held, self.survivors) if n >= h))
-                 for n in set(photons)}
-        full = m * sum(sizes[n][0] for n in photons)
-        products = m * sum(grid * sizes[n][1] for n, grid in zip(photons, grids))
-        return HERALDED_COST_PER_TERM * len(occs) + HERALDED_COST_PER_PRODUCT * products < full
-
-    def _outputs_at(self, n: int) -> tuple[np.ndarray, np.ndarray]:
-        """The distinct heralded output rows at ``n`` photons, branch by
-        branch, and their roots (``multiport._output_roots``)."""
-        kept = self.outputs.get(n)
-        if kept is not None:
-            return kept
-        m = self.transform.dim
-        keys = dict.fromkeys(occ for p, s in zip(self.patterns, self.survivors)
-                             for occ in _heralded_outputs(p, s, m, n))
-        rows = np.array(list(keys), dtype=np.int64).reshape(len(keys), m)
-        return rows, _output_roots(rows)
-
-    def __call__(self, state: FockState) -> FockState:
-        terms = list(state.terms())
-        if not self._heralded([occ for occ, _ in terms]):
-            return evolve(state, self.transform)
-        by_photons: dict[int, list[tuple[Occupation, complex]]] = {}
-        for term in terms:
-            by_photons.setdefault(sum(term[0]), []).append(term)
-        outs = {n: self._outputs_at(n) for n in sorted(by_photons)}
-        rows, roots = (np.concatenate(part) for part in zip(*outs.values()))
-        missing = _by_photons(term for term in terms if term[0] not in self.columns)
-        grow = sum(len(outs[n][0]) * len(new) for n, new in missing.items())
-        if self.size + grow > COLUMN_CACHE_BUDGET:
-            return transition_amplitudes(state, self.transform, map(tuple, rows.tolist()))
-        for n, new in missing.items():   # one grouped Ryser pass per photon number
-            occs = [occ for occ, _ in new]
-            columns = _ryser_columns(self.transform.matrix, occs, outs[n][0])
-            self.columns.update(zip(occs, zip(map(_ryser_root, occs), columns)))
-            self.outputs[n] = outs[n]
-        self.size += grow
-        sums = [_summed(((amp, *self.columns[occ]) for occ, amp in by_photons[n]), len(outs[n][0]))
-                for n in outs]
-        return _on_outputs(rows, roots, np.concatenate(sums))
 
 
 def _distribution(state: FockState, modes: Sequence[int]) -> tuple[np.ndarray, np.ndarray, tuple]:

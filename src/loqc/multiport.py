@@ -15,31 +15,25 @@ both e_k, keeps its photons and passes through. The expansion runs as
 numpy passes over the Fock basis of the other modes, one per photon,
 guided by an index table per (modes, photons) from a bounded cache; the
 ``evolve`` docstring gives the order in which it sums.
-``transition_amplitudes`` computes <out|U|in> for a given list of output
-occupations only, by Ryser's formula over repeated rows and columns, in
-one numpy pass per group of input terms that share an s-grid. It works
-in two steps: the columns of unscaled Ryser sums, which depend only on
-the transform, the input occupations and the outputs
-(``_ryser_columns``), then the amplitudes, each term's times its column,
-added in term order (``_summed``). A heralded evaluation gets one route
-or the other from ``measurement.evolve_for_branches``, whose docstring
-gives the rule; a gate keeps the columns of its input occupations and
-repeats only the second step (``measurement._BranchEvolution``). The
-n!-sum ``permanent_amplitude`` computes single amplitudes by a third
-route and exists purely to cross-check the other two.
+``_HeraldedEvolution`` is the one heralded evaluator: it computes the
+outputs some detection patterns keep, by Ryser's formula over repeated
+rows and columns (``_ryser_columns``), or runs the full ``evolve``, and
+keeps what a gate can reuse; its docstring gives the route rule and the
+cache. The n!-sum ``permanent_amplitude`` computes single amplitudes by
+a third route and exists purely to cross-check the other two.
 
 Budgets: a Fock term may carry at most ``MAX_PHOTONS`` photons (all three
 routes check), an input term may span at most ``MAX_FOCK_TERMS`` basis
 terms (``evolve`` checks before it builds a table; the command-line
 parser checks a circuit file's input first), and ``check_term_budget``
-is the one place that raises ``ValueError`` for both. An input term of
-``transition_amplitudes`` may have an s-grid of at most ``MAX_RYSER_GRID``
-points, prod(n_k + 1) over its modes; it raises ``ValueError`` naming the
-budget before it builds any grid. A circuit file may declare, and an
-``Encoding`` span, at most ``MAX_MODES`` modes. ``evolve`` and
-``transition_amplitudes`` hold at most ``RYSER_BLOCK`` numbers in one
-working array, or one input term's share of it when that is more: its
-products with one column, or its powers table.
+is the one place that raises ``ValueError`` for both. The heralded
+route has two bounds of its own, on the s-grid (``MAX_RYSER_GRID``) and
+on the heralded outputs; ``_HeraldedEvolution`` states them with its
+rule. A circuit file may declare, and an ``Encoding`` span, at most
+``MAX_MODES`` modes. ``evolve`` and the Ryser pass hold at most
+``RYSER_BLOCK`` numbers in one working array, or one input term's share
+of it when that is more: its products with one column, or its powers
+table.
 
 All functions are pure; amplitude accumulation runs in a fixed order, so
 results are deterministic.
@@ -49,9 +43,9 @@ from __future__ import annotations
 
 import functools
 import math
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
-from itertools import accumulate, permutations
+from itertools import accumulate, combinations_with_replacement, permutations
 
 import numpy as np
 
@@ -74,17 +68,19 @@ MAX_FOCK_TERMS = 10**5
 #: composition as N^3.
 MAX_MODES = 64
 
-#: Most complex numbers ``transition_amplitudes`` holds at once in one
-#: group's powers table (input terms x modes x (n + 1) x s-grid), its
-#: running product (input terms x outputs x s-grid) and its sums (input
-#: terms x outputs), and ``evolve`` forms at once in one photon's pass
-#: (input terms x modes x basis); bounds their working memory.
+#: Most complex numbers the Ryser pass (``_ryser_columns``) holds at once
+#: in one group's powers table (input terms x modes x (n + 1) x s-grid),
+#: its running product (input terms x outputs x s-grid) and, on a run that
+#: keeps no columns, its sums (input terms x outputs), and ``evolve`` forms
+#: at once in one photon's pass (input terms x modes x basis); bounds their
+#: working memory.
 RYSER_BLOCK = 1 << 15
 
 #: Most points, prod(n_k + 1) over the modes of one input term, that an
-#: s-grid of ``transition_amplitudes`` may hold: 12 singly occupied
-#: photons. A term's powers table holds modes x (n + 1) x grid complex
-#: numbers, which doubles with every further singly occupied photon.
+#: s-grid of the heralded route may hold: 12 singly occupied photons; a
+#: term with more takes ``evolve``. A term's powers table holds
+#: modes x (n + 1) x grid complex numbers, which doubles with every
+#: further singly occupied photon.
 MAX_RYSER_GRID = 1 << 12
 
 _FACT = [math.factorial(n) for n in range(MAX_PHOTONS + 1)]
@@ -495,7 +491,7 @@ def _ryser_sums(matrix: np.ndarray, occs: list[Occupation],
                 grid: tuple[np.ndarray, np.ndarray, float], outs: np.ndarray) -> np.ndarray:
     """Each occupation's unscaled sum on each output row of ``outs``, as
     (occupation, output), for occupations that share ``grid`` (see
-    ``_ryser_grid`` and ``transition_amplitudes``).
+    ``_ryser_grid`` and ``_ryser_columns``).
 
     Only the modes and the powers that some output uses are formed. numpy's
     complex multiply may fuse its products, depending on the operands'
@@ -528,11 +524,26 @@ def _ryser_sums(matrix: np.ndarray, occs: list[Occupation],
 
 def _ryser_columns(matrix: np.ndarray, occs: list[Occupation], outs: np.ndarray) -> np.ndarray:
     """Each occupation's unscaled Ryser sum on each output row of ``outs``,
-    as (occupation, output): the part of ``transition_amplitudes`` that
-    does not depend on the amplitudes. The occupations share one photon
-    number, which every output holds; each group of them that shares an
-    s-grid takes one ``_ryser_sums`` pass, in chunks that keep its powers
-    table within ``RYSER_BLOCK``."""
+    as (occupation, output).
+
+    For an input term with n_k photons in mode k and an output occupation
+    (o_l), Ryser's formula over repeated rows and columns gives
+
+        <o|U|n> = sum_{0 <= s_k <= n_k} (-1)^(n - |s|) prod_k C(n_k, s_k)
+                  prod_l (sum_k s_k U[l, k])^(o_l) / sqrt(prod n_k! prod o_l!)
+
+    (H. J. Ryser, Combinatorial Mathematics, 1963), prod(n_k + 1) <= 2^n
+    products per output and mode instead of the n! of ``matrix_permanent``.
+    The sums here are the part before either root, which depends only on
+    the transform, the occupation and the outputs. The occupations share
+    one photon number, which every output holds. Those with the same
+    nonzero counts in mode order share the s-grid and its weights, and
+    each such group takes one ``_ryser_sums`` pass: r = sum_k s_k U[:, k]
+    and its powers, with an occupation axis, at most (modes, occupations,
+    n + 1, s-grid), in chunks that keep that table within ``RYSER_BLOCK``,
+    then a running product over (occupations, outputs, s-grid), multiplied
+    over the modes in ascending order and summed over the s-grid.
+    """
     n = sum(occs[0])
     groups: dict[tuple[int, ...], list[int]] = {}
     for i, occ in enumerate(occs):
@@ -561,92 +572,168 @@ def _summed(terms: Iterable[tuple[complex, float, np.ndarray]], width: int) -> n
     return total
 
 
-def _output_roots(outs: np.ndarray) -> np.ndarray:
-    """sqrt(prod o_l!) of each output row, the root its amplitude is divided by."""
-    factorials = np.array([math.factorial(k) for k in range(int(outs.max(initial=0)) + 1)], dtype=float)
-    return np.sqrt(factorials[outs].prod(axis=1))
+#: Costs of the heralded route in units of one full-basis output term per
+#: mode of ``evolve``: a fixed part per input term and a part per product
+#: of its running product (see ``_HeraldedEvolution``).
+HERALDED_COST_PER_TERM = 256
+HERALDED_COST_PER_PRODUCT = 1 / 16
+
+#: Most Ryser sums, one per heralded output per input occupation, that a
+#: ``_HeraldedEvolution`` keeps (1 MiB of complex numbers).
+COLUMN_CACHE_BUDGET = 1 << 16
 
 
-def _on_outputs(outs: np.ndarray, roots: np.ndarray, sums: np.ndarray) -> FockState:
-    """The state with ``sums`` / ``roots`` (``_output_roots``) on the output
-    rows ``outs``, pruned at ``PRUNE_TOL`` as ``evolve`` prunes."""
-    amps = sums / roots
-    keep = np.abs(amps) >= PRUNE_TOL
-    # sums of products added to zeros, over a positive root: no part is -0.0
-    return FockState._of_rows(outs.shape[1], outs[keep], amps[keep])
+def _heralded_outputs(pattern, survivors: Sequence[int], num_modes: int, photons: int) -> Iterator[Occupation]:
+    """Every occupation with ``photons`` photons that ``pattern``, a
+    ``measurement.DetectionPattern``, keeps.
 
-
-def _by_photons(terms: Iterable[tuple[Occupation, complex]]) -> dict[int, list[tuple[Occupation, complex]]]:
-    """Input terms grouped by photon number, each group in the order
-    given; each term is checked against ``MAX_PHOTONS`` and its s-grid
-    against ``MAX_RYSER_GRID`` before any grid is built."""
-    by_photons: dict[int, list[tuple[Occupation, complex]]] = {}
-    for occ, amp in terms:
-        check_term_budget(sum(occ))
-        points = math.prod(c + 1 for c in occ)
-        if points > MAX_RYSER_GRID:
-            raise ValueError(f"a term's s-grid holds {points} points; at most "
-                             f"MAX_RYSER_GRID = {MAX_RYSER_GRID} are supported")
-        by_photons.setdefault(sum(occ), []).append((occ, amp))
-    return by_photons
-
-
-def transition_amplitudes(
-    state: FockState, transform: ModeTransform, outputs: Iterable[Occupation]
-) -> FockState:
-    """The part of ``evolve(state, transform)`` on the given output occupations.
-
-    For an input term with n_k photons in mode k and an output occupation
-    (o_l), Ryser's formula over repeated rows and columns gives
-
-        <o|U|n> = sum_{0 <= s_k <= n_k} (-1)^(n - |s|) prod_k C(n_k, s_k)
-                  prod_l (sum_k s_k U[l, k])^(o_l) / sqrt(prod n_k! prod o_l!)
-
-    (H. J. Ryser, Combinatorial Mathematics, 1963), prod(n_k + 1) <= 2^n
-    products per output and mode instead of the n! of ``matrix_permanent``.
-    The work splits in two. The columns (``_ryser_columns``) depend only on
-    the transform, the input occupations and the outputs: input terms with
-    the same photon number and the same nonzero counts in mode order share
-    the s-grid and its weights, and each such group takes one numpy pass:
-    r = sum_k s_k U[:, k] and its powers, with a term axis, at most
-    (modes, terms, n + 1, s-grid), then a running product over (terms,
-    outputs, s-grid), multiplied over the modes in ascending order and
-    summed over the s-grid. The amplitudes then come in (``_summed``): each
-    term's amplitude over sqrt(prod n_k!) times its column, added into its
-    outputs from zero in the input's term order, so neither the groups nor
-    the blocks of terms and outputs (see ``RYSER_BLOCK``) change a bit.
-    ``measurement.evolve_for_branches`` keeps the columns of a gate's
-    input occupations and repeats only the second step. Outputs with
-    another photon number than every input term get no amplitude; the
-    result is pruned at ``PRUNE_TOL`` exactly as ``evolve`` prunes.
-
-    Every input term is checked against ``MAX_PHOTONS`` and its s-grid
-    against ``MAX_RYSER_GRID`` before any grid is built.
+    ``survivors`` is ``pattern.survivors(num_modes)``. The outputs are
+    enumerated by ``combinations_with_replacement`` rather than from
+    ``_fock_basis``: on the few outputs a gate's branch keeps, the array
+    version costs more than it saves.
     """
-    if state.num_modes != transform.dim:
-        raise ValueError(f"state has {state.num_modes} modes, transform {transform.dim}")
-    dim = transform.dim
-    keys = list(dict.fromkeys(map(tuple, outputs)))
-    outs = np.array(keys).reshape(len(keys), -1) if keys else np.zeros((0, dim), int)
-    if outs.dtype.kind not in "iu" or outs.shape[1] != dim or (outs < 0).any():
-        raise ValueError(f"outputs must be non-negative integer occupations of {dim} modes")
-    for occ in keys:
-        check_term_budget(sum(occ))
-    by_photons = _by_photons(state.terms())
-    photons = outs.sum(axis=1)
-    sums = np.zeros(len(outs), dtype=complex)
-    for n, terms in by_photons.items():
-        idx = np.flatnonzero(photons == n)
-        if not len(idx):
-            continue
-        occs = [occ for occ, _ in terms]
-        roots = [_ryser_root(occ) for occ in occs]
-        step = max(1, RYSER_BLOCK // len(terms))
-        for lo in range(0, len(idx), step):
-            block = idx[lo:lo + step]
-            columns = _ryser_columns(transform.matrix, occs, outs[block])
-            sums[block] = _summed(zip([amp for _, amp in terms], roots, columns), len(block))
-    return _on_outputs(outs, _output_roots(outs), sums)
+    free = photons - sum(c for _, c in pattern.constraints)
+    if free < 0:
+        return
+    fixed = [0] * num_modes
+    for m, c in pattern.constraints:
+        fixed[m] = c
+    for placed in combinations_with_replacement(survivors, free):
+        occ = list(fixed)
+        for m in placed:
+            occ[m] += 1
+        yield tuple(occ)
+
+
+class _HeraldedEvolution:
+    """``evolve`` through one transform as far as some detection patterns
+    can see it; a gate keeps one per circuit (``gates.GateCircuit``).
+
+    The patterns are ``measurement.DetectionPattern`` values, of which
+    only ``constraints`` and ``survivors`` are read. The outputs a pattern
+    keeps are its counts times every occupation of its surviving modes, at
+    each photon number of the input. Called on a state, this gives its
+    amplitudes on just those outputs (the heralded route) when that is
+    cheaper by the measured costs, else the full ``evolve``, called
+    through this module's global. For an input term with n photons, n_k in
+    mode k, on m modes, with H_n heralded outputs over all patterns at n
+    photons (the sum of C(f + s - 1, f) over the patterns, for f free
+    photons on s survivors):
+
+    * ``evolve`` costs m * C(n+m-1, n): every output term, once per mode;
+    * the heralded route costs ``HERALDED_COST_PER_TERM`` plus
+      ``HERALDED_COST_PER_PRODUCT`` * m * prod(n_k + 1) * H_n: its running
+      product multiplies the s-grid of every output once per mode.
+
+    The heralded route is taken when its cost, summed over the input
+    terms, is below that of ``evolve``, no term's s-grid, prod(n_k + 1),
+    exceeds ``MAX_RYSER_GRID`` and no H_n exceeds ``MAX_FOCK_TERMS``; an
+    input over either budget goes to ``evolve``, which raises its own
+    budget error when the basis is too large (H_n is at most the basis
+    size for patterns that conflict pairwise). Every term is checked
+    against ``MAX_PHOTONS`` first. The rule reads only the input's
+    occupations, the mode count and the patterns. Both constants were
+    fitted to both routes timed on the gate gallery, the two-stage cs
+    cascade, Haar networks and singly occupied inputs with one to three
+    detectors; the fit and its quality are recorded in ``BENCH_7.json``,
+    and the gallery picks were re-timed when the Ryser pass began to take
+    a group of terms at once (``BENCH_16.json``). The fixed part keeps
+    small inputs on ``evolve``: on the gallery, ``ns`` and
+    ``cnot_2photon`` take ``evolve``, ``cs``, ``cnot_klm`` and the cascade
+    the heralded route. The per-product part sends an input back to
+    ``evolve`` when its s-grid outgrows the basis, as for one detector
+    behind six singly occupied modes.
+
+    A heralded run's amplitudes are a fixed linear map of its input: the
+    sum, in term order, of each term's amplitude over sqrt(prod n_k!)
+    times a column of Ryser sums that depends only on the transform, the
+    heralded outputs and the term's occupation (``_ryser_columns``,
+    ``_summed``); each output is then divided by sqrt(prod o_l!) and
+    pruned at ``PRUNE_TOL`` as ``evolve`` prunes. This object keeps, per
+    photon number, the heralded output rows and their roots and, per input
+    occupation, its column over them. A run whose occupations are all
+    known only multiplies in the amplitudes and adds; otherwise all of its
+    missing occupations take one grouped Ryser pass per photon number, and
+    their columns are kept while the total stays within
+    ``COLUMN_CACHE_BUDGET`` (nothing is evicted). A run whose new columns
+    would not fit takes the same pass over all of its terms without
+    keeping them, in blocks of ``RYSER_BLOCK`` // terms outputs. Neither
+    the cache nor the blocks change a bit. Runs on the ``evolve`` route
+    are not cached. ``measurement.postselect_branches`` gives the same
+    results on either route.
+    """
+
+    def __init__(self, transform: ModeTransform, patterns: Sequence) -> None:
+        m = transform.dim
+        self.transform = transform
+        self.patterns = list(patterns)
+        self.survivors = [p.survivors(m) for p in self.patterns]
+        self.held = [sum(c for _, c in p.constraints) for p in self.patterns]
+        self.outputs: dict[int, tuple[np.ndarray, np.ndarray]] = {}     # photons -> (rows, roots)
+        self.columns: dict[Occupation, tuple[float, np.ndarray]] = {}   # occupation -> (root, column)
+        self.size = 0                                                    # Ryser sums kept
+
+    def _heralded(self, by_photons: dict[int, list[tuple[Occupation, complex]]]) -> bool:
+        """The route rule: True for the heralded route."""
+        m = self.transform.dim
+        full = products = 0
+        for n, terms in by_photons.items():
+            check_term_budget(n)
+            heralded = sum(math.comb(n - h + len(s) - 1, n - h)
+                           for h, s in zip(self.held, self.survivors) if n >= h)
+            grids = [math.prod(c + 1 for c in occ) for occ, _ in terms]
+            if heralded > MAX_FOCK_TERMS or max(grids) > MAX_RYSER_GRID:
+                return False
+            full += math.comb(n + m - 1, n) * len(terms)
+            products += heralded * sum(grids)
+        count = sum(map(len, by_photons.values()))
+        return HERALDED_COST_PER_TERM * count + HERALDED_COST_PER_PRODUCT * (m * products) < m * full
+
+    def _outputs_at(self, n: int) -> tuple[np.ndarray, np.ndarray]:
+        """The distinct heralded output rows at ``n`` photons, pattern by
+        pattern, and their roots sqrt(prod o_l!); kept once built."""
+        kept = self.outputs.get(n)
+        if kept is None:
+            m = self.transform.dim
+            keys = dict.fromkeys(occ for p, s in zip(self.patterns, self.survivors)
+                                 for occ in _heralded_outputs(p, s, m, n))
+            rows = np.array(list(keys), dtype=np.int64).reshape(len(keys), m)
+            factorials = np.array([math.factorial(k) for k in range(n + 1)], dtype=float)
+            kept = self.outputs[n] = rows, np.sqrt(factorials[rows].prod(axis=1))
+        return kept
+
+    def __call__(self, state: FockState) -> FockState:
+        by_photons: dict[int, list[tuple[Occupation, complex]]] = {}
+        for term in state.terms():
+            by_photons.setdefault(sum(term[0]), []).append(term)
+        if not self._heralded(by_photons):
+            return evolve(state, self.transform)
+        outs = {n: self._outputs_at(n) for n in sorted(by_photons)}
+        missing = {n: new for n, terms in by_photons.items()
+                   if (new := [occ for occ, _ in terms if occ not in self.columns])}
+        grow = sum(len(outs[n][0]) * len(new) for n, new in missing.items())
+        keep = self.size + grow <= COLUMN_CACHE_BUDGET
+        self.size += grow if keep else 0
+        matrix, sums = self.transform.matrix, []
+        for n, (rows, _) in outs.items():
+            terms = by_photons[n]
+            if keep:
+                new = missing.get(n)
+                if new:   # one grouped Ryser pass per photon number
+                    self.columns.update(zip(new, zip(map(_ryser_root, new), _ryser_columns(matrix, new, rows))))
+                sums.append(_summed(((amp, *self.columns[occ]) for occ, amp in terms), len(rows)))
+                continue
+            occs = [occ for occ, _ in terms]
+            roots = list(map(_ryser_root, occs))
+            step = max(1, RYSER_BLOCK // len(terms))
+            for lo in range(0, len(rows), step):
+                columns = _ryser_columns(matrix, occs, rows[lo:lo + step])
+                sums.append(_summed(zip([amp for _, amp in terms], roots, columns), columns.shape[1]))
+        rows, roots = (np.concatenate(part) for part in zip(*outs.values()))
+        amps = np.concatenate(sums) / roots
+        kept = np.abs(amps) >= PRUNE_TOL
+        # sums of products added to zeros, over a positive root: no part is -0.0
+        return FockState._of_rows(self.transform.dim, rows[kept], amps[kept])
 
 
 def matrix_permanent(m: np.ndarray) -> complex:

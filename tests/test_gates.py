@@ -25,8 +25,7 @@ from loqc import (
     two_photon_cnot_matrix,
     with_ancilla,
 )
-from loqc.measurement import evolve_for_branches
-from loqc import measurement, multiport
+from loqc import multiport
 
 from helpers import cs_cascade
 
@@ -265,13 +264,13 @@ def test_heralded_runs_pick_their_route_by_size(gate, evolve_calls, monkeypatch)
     # the full output; the cs gate (330) and the cascade (12,376) compute only
     # the outputs their detectors keep
     calls = []
-    full = measurement.evolve
+    full = multiport.evolve
 
     def counted(*args, **kwargs):
         calls.append(args)
         return full(*args, **kwargs)
 
-    monkeypatch.setattr(measurement, "evolve", counted)
+    monkeypatch.setattr(multiport, "evolve", counted)
     comp = FockState.from_occupation([1] if gate.encoding is None else [0, 1, 0, 1])
     gate.run(comp)
     assert len(calls) == evolve_calls
@@ -323,9 +322,9 @@ def _bits(results):
 
 
 def _uncached(gate, comp):
-    """``evolve_for_branches`` and ``postselect_branches`` on a fresh evaluation."""
+    """The heralded evaluator and ``postselect_branches`` on a fresh evaluation."""
     full = with_ancilla(comp, gate.ancilla, gate.num_modes)
-    out = evolve_for_branches(full, gate.transform, gate.branches)
+    out = multiport._HeraldedEvolution(gate.transform, [b.pattern for b in gate.branches])(full)
     return [res for _, res in postselect_branches(out, gate.branches)]
 
 
@@ -362,28 +361,32 @@ def test_gate_circuit_fields_cannot_be_reassigned():
 @pytest.mark.parametrize("budget", [0, 25, 40])
 def test_the_column_cache_stays_within_its_budget(budget, monkeypatch):
     # cs and the cascade keep 10 outputs per occupation: a budget of 25 holds
-    # two of the four dual-rail words, 40 holds all four
-    uncached = []
-    ryser = measurement.transition_amplitudes
+    # two of the four dual-rail words, 40 holds all four; an occupation that a
+    # Ryser pass took and the cache does not hold went through the uncached pass
+    passed = []
+    ryser = multiport._ryser_columns
 
-    def counted(*args):
-        uncached.append(args)
-        return ryser(*args)
+    def counted(matrix, occs, outs):
+        passed.extend(occs)
+        return ryser(matrix, occs, outs)
 
-    monkeypatch.setattr(measurement, "COLUMN_CACHE_BUDGET", budget)
+    monkeypatch.setattr(multiport, "COLUMN_CACHE_BUDGET", budget)
     rng = np.random.default_rng(47)
+    uncached = []
     for build in (cs_gate, cs_cascade):
         gate = build()
         inputs = _gate_inputs(gate, rng, count=3)
         want = [_bits(_uncached(gate, comp)) for comp in inputs]
-        monkeypatch.setattr(measurement, "transition_amplitudes", counted)
+        monkeypatch.setattr(multiport, "_ryser_columns", counted)
         for _ in range(2):
             for comp, bits in zip(inputs, want):
                 assert _bits(gate.run(comp)) == bits
                 cache = gate._evolution
+                uncached += [occ for occ in passed if occ not in cache.columns]
+                passed.clear()
                 assert cache.size == sum(column.size for _, column in cache.columns.values())
                 assert cache.size <= budget
-        monkeypatch.setattr(measurement, "transition_amplitudes", ryser)
+        monkeypatch.setattr(multiport, "_ryser_columns", ryser)
         assert cache.size == min(budget // 10, 4) * 10
     assert bool(uncached) == (budget < 40)
 

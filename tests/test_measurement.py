@@ -20,9 +20,8 @@ from loqc import (
     postselect_branches,
     with_ancilla,
 )
-from loqc import measurement
+from loqc import measurement, multiport
 from loqc.fock import NORM_ATOL
-from loqc.measurement import evolve_for_branches
 
 from helpers import random_state, random_unitary, state_distance
 
@@ -588,21 +587,26 @@ def test_ancilla_interleaving():
 
 # -- heralded route vs full evolve -------------------------------------------
 
+def _evolved(state, transform, branches):
+    """``state`` through the heralded evaluator of the branches' patterns."""
+    return multiport._HeraldedEvolution(transform, [b.pattern for b in branches])(state)
+
+
 def _both_routes(monkeypatch, state, transform, branches):
-    """postselect_branches after evolve_for_branches, forced onto each route."""
+    """postselect_branches after the heralded evaluator, forced onto each route."""
     passes = []
-    ryser = measurement._ryser_columns
+    ryser = multiport._ryser_columns
 
     def counted(*args, **kwargs):
         passes.append(args)
         return ryser(*args, **kwargs)
 
-    monkeypatch.setattr(measurement, "_ryser_columns", counted)
+    monkeypatch.setattr(multiport, "_ryser_columns", counted)
     results, taken = [], []
     for cost in (math.inf, -math.inf):  # never / always worth the heralded route
-        monkeypatch.setattr(measurement, "HERALDED_COST_PER_TERM", cost)
+        monkeypatch.setattr(multiport, "HERALDED_COST_PER_TERM", cost)
         before = len(passes)
-        out = evolve_for_branches(state, transform, branches)
+        out = _evolved(state, transform, branches)
         taken.append("heralded" if len(passes) > before else "evolve")
         results.append(postselect_branches(out, branches))
     assert taken == ["evolve", "heralded"]
@@ -658,9 +662,8 @@ def test_heralded_amplitudes_match_permanent_oracle(monkeypatch):
     rng = np.random.default_rng(61)
     transform = ModeTransform(random_unitary(rng, 5))
     inp = (2, 1, 0, 1, 0)
-    monkeypatch.setattr(measurement, "HERALDED_COST_PER_TERM", -math.inf)
-    out = evolve_for_branches(FockState.from_occupation(inp), transform,
-                              [OutcomeBranch(DetectionPattern({3: 1, 4: 0}))])
+    monkeypatch.setattr(multiport, "HERALDED_COST_PER_TERM", -math.inf)
+    out = _evolved(FockState.from_occupation(inp), transform, [OutcomeBranch(DetectionPattern({3: 1, 4: 0}))])
     assert out.num_terms() == math.comb(3 + 2, 2)   # 3 photons over 3 survivors
     for occ, amp in out.terms():
         assert occ[3:] == (1, 0)
@@ -673,7 +676,7 @@ def test_independence_check_is_route_independent(monkeypatch):
                                            OutcomeBranch(DetectionPattern({1: 0, 2: 1}))])
     reports = []
     for cost in (math.inf, -math.inf):
-        monkeypatch.setattr(measurement, "HERALDED_COST_PER_TERM", cost)
+        monkeypatch.setattr(multiport, "HERALDED_COST_PER_TERM", cost)
         reports.append(input_independence_check(circuit, probes))
     full, heralded = reports
     assert np.abs(np.array(full.probabilities) - np.array(heralded.probabilities)).max() < 1e-12
@@ -681,24 +684,27 @@ def test_independence_check_is_route_independent(monkeypatch):
     assert full.operationally_unitary == heralded.operationally_unitary
 
 
-@pytest.mark.parametrize("photons,modes,per_product,route", [
+@pytest.mark.parametrize("photons,modes,per_product,fixed,route", [
     # 50,388 heralded outputs of 77,520, each over a 128-point s-grid
-    pytest.param(7, 14, None, "evolve", id="7-14-evolve"),
+    pytest.param(7, 14, None, 0, "evolve", id="7-14-evolve"),
     # a 4,096-point s-grid per output outgrows the basis
-    pytest.param(12, 12, None, "evolve", id="12-12-evolve"),
+    pytest.param(12, 12, None, 0, "evolve", id="12-12-evolve"),
     # tiny inputs: the fixed cost of the heralded route dominates
-    pytest.param(1, 3, None, "evolve", id="1-3-evolve"),
-    # the s-grid free of charge, so heralded outputs cost 256 against 14 x C(26, 13):
-    # only MAX_RYSER_GRID keeps an 8,192-point s-grid off the heralded route
-    pytest.param(13, 14, 0, "evolve", id="13-14-over-MAX_RYSER_GRID-evolve"),
+    pytest.param(1, 3, None, 0, "evolve", id="1-3-evolve"),
+    # the s-grid free of charge and 12 more detectors, so one heralded output
+    # costs 256 against 14 x C(26, 13): only MAX_RYSER_GRID keeps an
+    # 8,192-point s-grid off the heralded route
+    pytest.param(13, 14, 0, 12, "evolve", id="13-14-over-MAX_RYSER_GRID-evolve"),
 ])
-def test_one_detector_route_weighs_the_s_grid(photons, modes, per_product, route, monkeypatch):
+def test_one_detector_route_weighs_the_s_grid(photons, modes, per_product, fixed, route, monkeypatch):
+    # detectors on the last mode (no photon) and on the first ``fixed`` modes (one each)
     taken = []
-    monkeypatch.setattr(measurement, "evolve", lambda *a: taken.append("evolve"))
-    monkeypatch.setattr(measurement, "transition_amplitudes", lambda *a: taken.append("heralded"))
+    monkeypatch.setattr(multiport, "evolve", lambda *a: taken.append("evolve"))
+    monkeypatch.setattr(multiport, "_heralded_outputs", lambda *a: taken.append("heralded") or iter(()))
     if per_product is not None:
-        monkeypatch.setattr(measurement, "HERALDED_COST_PER_PRODUCT", per_product)
+        monkeypatch.setattr(multiport, "HERALDED_COST_PER_PRODUCT", per_product)
     state = FockState.from_occupation([1] * photons + [0] * (modes - photons))
     transform = ModeTransform(np.eye(modes))
-    evolve_for_branches(state, transform, [OutcomeBranch(DetectionPattern({modes - 1: 0}))])
+    pattern = DetectionPattern({modes - 1: 0, **{k: 1 for k in range(fixed)}})
+    _evolved(state, transform, [OutcomeBranch(pattern)])
     assert taken == [route]

@@ -9,8 +9,10 @@ from loqc import (
     DetectionPattern,
     ElementSpec,
     FockState,
+    GateCircuit,
     ModeTransform,
     NS_ANGLES,
+    OutcomeBranch,
     beam_splitter,
     compose_elements,
     embed,
@@ -24,7 +26,7 @@ from loqc import (
 )
 from loqc import multiport
 from loqc.fock import PRUNE_TOL
-from loqc.multiport import MAX_PHOTONS, transition_amplitudes
+from loqc.multiport import MAX_PHOTONS
 
 from helpers import random_state, random_unitary, state_distance
 
@@ -424,12 +426,12 @@ def test_evolve_memory_stays_under_8_mb():
     assert peak < 8 * 2**20
 
 
-def test_library_states_store_zero_parts_as_positive_zero():
+def test_library_states_store_zero_parts_as_positive_zero(heralded):
     # the public constructor adds every amplitude to 0j; the states the library
     # builds without it must store the same bits (a real network, negative entries)
     out = evolve(FockState.from_occupation([2, 1, 0]), ns_matrix())
     states = [out, out.scaled(-1.0), postselect(out, DetectionPattern({1: 1, 2: 0})).conditional_state,
-              transition_amplitudes(FockState.from_occupation([2, 1, 0]), ns_matrix(), [occ for occ, _ in out.terms()])]
+              heralded(FockState.from_occupation([2, 1, 0]), ns_matrix())]
     for state in states:
         assert state.num_terms() > 0
         for _, a in state.terms():
@@ -438,54 +440,85 @@ def test_library_states_store_zero_parts_as_positive_zero():
 
 # -- heralded-subspace amplitudes (Ryser) ------------------------------------
 
-def test_transition_amplitudes_match_permanent_oracle():
+def _no_evolve(*args):
+    pytest.fail("the heralded route fell back to evolve")
+
+
+@pytest.fixture
+def heralded(monkeypatch):
+    """Run a state through the heralded evaluator, its route forced, for
+    the patterns of the given constraints ({} keeps every output): once
+    keeping its columns and once keeping none, which must give the same
+    bits. Returns the result."""
+    budget = multiport.COLUMN_CACHE_BUDGET
+    monkeypatch.setattr(multiport, "HERALDED_COST_PER_TERM", -math.inf)
+    monkeypatch.setattr(multiport, "evolve", _no_evolve)
+
+    def run(state, transform, *constraints):
+        patterns = [DetectionPattern(c) for c in constraints or ({},)]
+        outs = []
+        for limit in (budget, 0):
+            monkeypatch.setattr(multiport, "COLUMN_CACHE_BUDGET", limit)
+            outs.append(multiport._HeraldedEvolution(transform, patterns)(state))
+        (rows, amps), (rows_0, amps_0) = (out._arrays() for out in outs)
+        assert np.array_equal(rows, rows_0) and amps.tobytes() == amps_0.tobytes()
+        return outs[0]
+
+    return run
+
+
+def _basis(modes, photons):
+    return [tuple(np.bincount(c, minlength=modes)) for c in combinations_with_replacement(range(modes), photons)]
+
+
+def test_transition_amplitudes_match_permanent_oracle(heralded):
     rng = np.random.default_rng(12)
     inputs = [(2, 1, 0, 0), (1, 1, 1, 0), (3, 0, 0, 1), (0, 0, 0, 2)]
-    outputs = [(1, 1, 1, 0), (0, 3, 0, 0), (2, 0, 0, 1), (1, 0, 2, 1), (0, 0, 1, 1), (1, 1, 0, 0)]
     for _ in range(5):
         t = ModeTransform(random_unitary(rng, 4))
         for inp in inputs:
-            got = transition_amplitudes(FockState.from_occupation(inp), t, outputs)
+            got = heralded(FockState.from_occupation(inp), t)   # every output
+            outputs = _basis(4, sum(inp))
+            assert {occ for occ, _ in got.terms()} <= set(outputs)
             for outp in outputs:
                 want = permanent_amplitude(inp, outp, t)   # a pruned output reads 0
                 assert abs(got.amplitude(outp) - want) < PRUNE_TOL + 1e-12
 
 
-def test_transition_amplitudes_restrict_evolve():
+def test_transition_amplitudes_restrict_evolve(heralded):
     rng = np.random.default_rng(13)
     for m in range(2, 6):
         t = ModeTransform(random_unitary(rng, m))
         state = random_state(rng, m, 2, terms=3)
         full = evolve(state, t)
-        outputs = [occ for occ, _ in full.terms()][::2] + [(5,) + (0,) * (m - 1)]
-        part = transition_amplitudes(state, t, outputs)
-        assert {occ for occ, _ in part.terms()} <= set(outputs)
-        for occ in outputs:
-            assert abs(part.amplitude(occ) - full.amplitude(occ)) < 1e-12
+        part = heralded(state, t, {0: 1}, {0: 2})   # one or two photons in mode 0
+        assert all(occ[0] in (1, 2) for occ, _ in part.terms())
+        for occ in {occ for occ, _ in full.terms()} | {occ for occ, _ in part.terms()}:
+            want = full.amplitude(occ) if occ[0] in (1, 2) else 0
+            assert abs(part.amplitude(occ) - want) < 1e-12
 
 
-def test_transition_amplitudes_blocks_agree(monkeypatch):
+def test_transition_amplitudes_blocks_agree(heralded, monkeypatch):
     # a block of 5 numbers splits the outputs of every s-grid into many blocks
     rng = np.random.default_rng(14)
     t = ModeTransform(random_unitary(rng, 5))
     state = random_state(rng, 5, 3, terms=4)
-    outputs = [occ for occ, _ in evolve(state, t).terms()]
-    whole = transition_amplitudes(state, t, outputs)
+    whole = heralded(state, t)
     monkeypatch.setattr(multiport, "RYSER_BLOCK", 5)
-    blocked = transition_amplitudes(state, t, outputs)
+    blocked = heralded(state, t)
     assert dict(blocked.terms()).keys() == dict(whole.terms()).keys()
     assert state_distance(blocked, whole) < 1e-13
 
 
-def test_transition_amplitudes_memory_is_bounded_by_the_block():
+def test_transition_amplitudes_memory_is_bounded_by_the_block(heralded):
     # 3,432 outputs x a 128-point s-grid would take 7 MB per array unblocked
     t = ModeTransform(random_unitary(np.random.default_rng(15), 9))
     outputs = [tuple(np.bincount(c, minlength=9)) for c in combinations_with_replacement(range(8), 7)]
     state = FockState.from_occupation([1] * 7 + [0, 0])
-    transition_amplitudes(state, t, outputs[:1])   # warm up imports and caches
+    heralded(state, t, {k: 0 for k in range(1, 9)})   # one output: warm up imports and caches
     tracemalloc.start()
     try:
-        out = transition_amplitudes(state, t, outputs)
+        out = heralded(state, t, {8: 0})   # the outputs above
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -496,21 +529,20 @@ def test_transition_amplitudes_memory_is_bounded_by_the_block():
 def _interleaved_groups():
     """A 4-mode input whose s-grid groups interleave in term order: at two
     photons (1,1), (2,), (1,1), (1,1), (2,); at three (1,2), (1,1,1); and
-    one photon, which no output below holds."""
+    one photon. Returns it with a transform and its outputs at two and
+    three photons."""
     rng = np.random.default_rng(18)
     occs = [(0, 0, 0, 1), (0, 0, 1, 1), (0, 0, 2, 0), (0, 1, 0, 1), (0, 1, 2, 0),
             (1, 1, 0, 0), (1, 1, 1, 0), (2, 0, 0, 0)]
     state = FockState(4, {o: complex(rng.normal(), rng.normal()) for o in occs}).normalized()[0]
-    outputs = [tuple(np.bincount(c, minlength=4)) for n in (2, 3) for c in combinations_with_replacement(range(4), n)]
-    return state, ModeTransform(random_unitary(rng, 4)), outputs + [(0, 4, 0, 0)]
+    return state, ModeTransform(random_unitary(rng, 4)), _basis(4, 2) + _basis(4, 3)
 
 
-def test_transition_amplitudes_sum_groups_in_term_order():
+def test_transition_amplitudes_sum_groups_in_term_order(heralded):
     state, t, outputs = _interleaved_groups()
-    got = transition_amplitudes(state, t, outputs)
-    singles = [transition_amplitudes(FockState(4, {occ: amp}), t, outputs) for occ, amp in state.terms()]
-    assert got.amplitude((0, 4, 0, 0)) == 0
-    for outp in outputs[:-1]:
+    got = heralded(state, t)
+    singles = [heralded(FockState(4, {occ: amp}), t) for occ, amp in state.terms()]
+    for outp in outputs:
         want = sum(amp * permanent_amplitude(occ, outp, t) for occ, amp in state.terms())
         assert abs(got.amplitude(outp)) > 0.01
         assert abs(got.amplitude(outp) - want) < 1e-15
@@ -522,7 +554,7 @@ def _ryser_term_by_term(state, transform, outputs):
     added in term order; unpruned, in the order of ``outputs``. The grouped
     pass must repeat it bit for bit."""
     dim = transform.dim
-    outs = np.array(outputs).reshape(len(outputs), dim)
+    outs = np.array(outputs, dtype=int).reshape(len(outputs), dim)
     photons = outs.sum(axis=1)
     sums = np.zeros(len(outs), dtype=complex)
     for occ, amp in state.terms():
@@ -551,93 +583,97 @@ def _ryser_term_by_term(state, transform, outputs):
     return sums / np.sqrt(factorials[outs].prod(axis=1))
 
 
+def _heralded_rows(state, constraints):
+    """The heralded evaluator's output rows for ``state``, unpruned, in
+    its order: by photon number, then pattern by pattern."""
+    m = state.num_modes
+    patterns = [DetectionPattern(c) for c in constraints]
+    photons = sorted({sum(occ) for occ, _ in state.terms()})
+    return list(dict.fromkeys(occ for n in photons for p in patterns
+                              for occ in multiport._heralded_outputs(p, p.survivors(m), m, n)))
+
+
 @pytest.mark.parametrize("block", [multiport.RYSER_BLOCK, 64, 5])
-def test_transition_amplitudes_repeat_the_term_by_term_pass_bit_for_bit(block, monkeypatch):
+def test_transition_amplitudes_repeat_the_term_by_term_pass_bit_for_bit(block, heralded, monkeypatch):
     # numpy's complex multiply may fuse its products, depending on the
     # operands' strides, so this pins the layout of every product too
     rng = np.random.default_rng(21)
-    cases = [_interleaved_groups()]
+    state, t, _ = _interleaved_groups()
+    cases = [(state, t, [{}])]
     for _ in range(40):
         m = int(rng.integers(2, 7))
         occs = {tuple(np.bincount(rng.integers(0, m, int(rng.integers(0, 5))), minlength=m).tolist())
                 for _ in range(int(rng.integers(1, 7)))}
         state = FockState(m, {o: complex(rng.normal(), rng.normal()) for o in occs})
-        outputs = sorted({tuple(np.bincount(rng.integers(0, m, int(rng.integers(0, 5))), minlength=m).tolist())
-                          for _ in range(int(rng.integers(1, 30)))})
-        cases.append((state, ModeTransform(random_unitary(rng, m)), outputs))
+        # one to three patterns, each fixing up to m - 1 modes at 0 to 2 photons
+        constraints = [{int(k): int(rng.integers(0, 3)) for k in rng.permutation(m)[:int(rng.integers(0, m))]}
+                       for _ in range(int(rng.integers(1, 4)))]
+        cases.append((state, ModeTransform(random_unitary(rng, m)), constraints))
     monkeypatch.setattr(multiport, "RYSER_BLOCK", block)
-    for state, t, outputs in cases:
+    for state, t, constraints in cases:
+        outputs = _heralded_rows(state, constraints)
         want = _ryser_term_by_term(state, t, outputs)
         keep = np.abs(want) >= PRUNE_TOL
-        rows, amps = transition_amplitudes(state, t, outputs)._arrays()
-        assert np.array_equal(rows, np.array(outputs)[keep])
+        rows, amps = heralded(state, t, *constraints)._arrays()
+        assert np.array_equal(rows, np.array(outputs, dtype=int).reshape(len(outputs), t.dim)[keep])
         assert amps.tobytes() == want[keep].tobytes()
 
 
-def test_transition_amplitudes_blocks_are_bit_identical(monkeypatch):
+def test_transition_amplitudes_blocks_are_bit_identical(heralded, monkeypatch):
     # a block of 5 numbers puts every term, output and term sum in a block of its own
-    state, t, outputs = _interleaved_groups()
-    whole = transition_amplitudes(state, t, outputs)._arrays()
+    state, t, _ = _interleaved_groups()
+    whole = heralded(state, t)._arrays()
     monkeypatch.setattr(multiport, "RYSER_BLOCK", 5)
-    blocked = transition_amplitudes(state, t, outputs)._arrays()
+    blocked = heralded(state, t)._arrays()
     assert np.array_equal(blocked[0], whole[0])
     assert blocked[1].tobytes() == whole[1].tobytes()
 
 
-def test_transition_amplitudes_memory_of_a_group_is_bounded_by_the_block():
+def test_transition_amplitudes_memory_of_a_group_is_bounded_by_the_block(heralded):
     # 4 terms x 3,432 outputs x a 128-point s-grid would take 28 MB per array in one pass
     rng = np.random.default_rng(19)
     t = ModeTransform(random_unitary(rng, 9))
-    outputs = [tuple(np.bincount(c, minlength=9)) for c in combinations_with_replacement(range(8), 7)]
     occs = [(1,) * 7 + (0, 0), (0, 0) + (1,) * 7, (1, 0) * 4 + (1,), (0,) + (1,) * 7 + (0,)]
     state = FockState(9, {o: complex(rng.normal(), rng.normal()) for o in occs})
-    transition_amplitudes(state, t, outputs[:1])   # warm up imports and caches
+    heralded(state, t, {k: 0 for k in range(1, 9)})   # one output: warm up imports and caches
     tracemalloc.start()
     try:
-        out = transition_amplitudes(state, t, outputs)
+        out = heralded(state, t, {8: 0})
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert out.num_terms() == 3432
+    assert out.num_terms() == 3432 + 792   # 7 photons and, for the third term, 5
     assert peak < 4 * 2**20
 
 
-def test_ryser_grid_budget_is_a_named_error_before_allocating():
+def test_ryser_grid_budget_is_a_named_error_before_allocating(monkeypatch):
     # 20 singly occupied photons: a 2^20-point s-grid, whose powers table alone
-    # would take 20 x 21 x 2^20 complex numbers (7 GB)
-    t = ModeTransform(np.eye(20))
-    state = FockState.from_occupation([1] * 20)
+    # would take 20 x 21 x 2^20 complex numbers (7 GB); even on the forced
+    # heralded route the input goes to evolve, which names its own budget
+    monkeypatch.setattr(multiport, "HERALDED_COST_PER_TERM", -math.inf)
+    evaluate = multiport._HeraldedEvolution(ModeTransform(np.eye(21)), [DetectionPattern({k: 1 for k in range(20)})])
+    state = FockState.from_occupation([1] * 20 + [0])
     tracemalloc.start()
     try:
-        with pytest.raises(ValueError, match="MAX_RYSER_GRID"):
-            transition_amplitudes(state, t, [(1,) * 20])
+        with pytest.raises(ValueError, match="MAX_FOCK_TERMS"):
+            evaluate(state)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 2**20
     # the budget itself is allowed: 12 singly occupied photons hold 4,096 points
     assert multiport.MAX_RYSER_GRID == 2**12
-    out = transition_amplitudes(FockState.from_occupation([1] * 12), ModeTransform(np.eye(12)), [(1,) * 12])
-    assert out.amplitude((1,) * 12) == pytest.approx(1.0)
+    monkeypatch.setattr(multiport, "evolve", _no_evolve)
+    evaluate = multiport._HeraldedEvolution(ModeTransform(np.eye(13)), [DetectionPattern({k: 1 for k in range(12)})])
+    out = evaluate(FockState.from_occupation([1] * 12 + [0]))
+    assert out.amplitude((1,) * 12 + (0,)) == pytest.approx(1.0)
 
 
-def test_transition_amplitudes_prune_like_evolve():
+def test_transition_amplitudes_prune_like_evolve(heralded):
     # two-photon interference: |1,1> has no coincidence amplitude
-    out = transition_amplitudes(FockState.from_occupation([1, 1]), beam_splitter(0.5),
-                                [(1, 1), (2, 0), (0, 2)])
+    out = heralded(FockState.from_occupation([1, 1]), beam_splitter(0.5))
     assert {occ for occ, _ in out.terms()} == {(2, 0), (0, 2)}
     assert out.amplitude([2, 0]) == pytest.approx(1 / SQ2)
-
-
-def test_transition_amplitudes_reject_bad_outputs():
-    t = beam_splitter(0.5)
-    with pytest.raises(ValueError, match="outputs"):
-        transition_amplitudes(FockState.from_occupation([1, 0]), t, [(1, 0, 0)])
-    with pytest.raises(ValueError, match="outputs"):
-        transition_amplitudes(FockState.from_occupation([1, 0]), t, [(2, -1)])
-    for outputs in ([(2.7, 0.2)], [(1.0, 1.0)]):
-        with pytest.raises(ValueError, match="outputs"):
-            transition_amplitudes(FockState.from_occupation([1, 1]), t, outputs)
 
 
 @pytest.mark.parametrize("route", ["evolve", "transition_amplitudes", "permanent_amplitude", "evolve_basis"])
@@ -645,10 +681,28 @@ def test_photon_budget_is_a_named_error(route):
     state, t = FockState.from_occupation([MAX_PHOTONS + 1]), ModeTransform(np.eye(1))
     calls = {
         "evolve": lambda: evolve(state, t),
-        "transition_amplitudes": lambda: transition_amplitudes(state, t, [(MAX_PHOTONS + 1,)]),
+        "transition_amplitudes": lambda: multiport._HeraldedEvolution(t, [DetectionPattern({})])(state),
         "permanent_amplitude": lambda: permanent_amplitude((MAX_PHOTONS + 1,), (MAX_PHOTONS + 1,), t),
         # 12 photons in 12 modes span 1,352,078 basis terms
         "evolve_basis": lambda: evolve(FockState.from_occupation([1] * 12), ModeTransform(np.eye(12))),
     }
     with pytest.raises(ValueError, match="MAX_FOCK_TERMS" if route == "evolve_basis" else "MAX_PHOTONS"):
         calls[route]()
+
+
+def test_heralded_output_budget_sends_the_input_to_evolve(monkeypatch):
+    # one detector behind 6 photons in mode 0 of 20 modes keeps C(24, 6) = 134,596
+    # outputs, more than MAX_FOCK_TERMS: the input goes to evolve, which rejects
+    # its 177,100 basis terms before any output is enumerated
+    def enumerated(*args):
+        pytest.fail("the heralded outputs were enumerated")
+
+    monkeypatch.setattr(multiport, "_heralded_outputs", enumerated)
+    t = ModeTransform(random_unitary(np.random.default_rng(62), 20))
+    detector = OutcomeBranch(DetectionPattern({19: 0}))
+    gate = GateCircuit("budget", 20, {19: 0}, [ElementSpec.raw(tuple(range(20)), t)], [detector], list(range(19)))
+    runs = [lambda: multiport._HeraldedEvolution(t, [detector.pattern])(FockState.from_occupation([6] + [0] * 19)),
+            lambda: gate.run(FockState.from_occupation([6] + [0] * 18))]
+    for run in runs:
+        with pytest.raises(ValueError, match="MAX_FOCK_TERMS"):
+            run()
