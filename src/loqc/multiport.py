@@ -17,10 +17,11 @@ guided by an index table per (modes, photons) from a bounded cache; the
 ``evolve`` docstring gives the order in which it sums.
 ``_HeraldedEvolution`` is the one heralded evaluator: it computes the
 outputs some detection patterns keep, by Ryser's formula over repeated
-rows and columns (``_ryser_columns``), or runs the full ``evolve``, and
-keeps what a gate can reuse; its docstring gives the route rule and the
-cache. The n!-sum ``permanent_amplitude`` computes single amplitudes by
-a third route and exists purely to cross-check the other two.
+rows and columns (``_ryser_column``, one input occupation at a time), or
+runs the full ``evolve``, and keeps what a gate can reuse; its docstring
+gives the route rule and the cache. The n!-sum ``permanent_amplitude``
+computes single amplitudes by a third route and exists purely to
+cross-check the other two.
 
 Budgets: a Fock term may carry at most ``MAX_PHOTONS`` photons (all three
 routes check), an input term may span at most ``MAX_FOCK_TERMS`` basis
@@ -43,7 +44,7 @@ from __future__ import annotations
 
 import functools
 import math
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from itertools import accumulate, combinations_with_replacement, permutations
 
@@ -68,12 +69,11 @@ MAX_FOCK_TERMS = 10**5
 #: composition as N^3.
 MAX_MODES = 64
 
-#: Most complex numbers the Ryser pass (``_ryser_columns``) holds at once
-#: in one group's powers table (input terms x modes x (n + 1) x s-grid),
-#: its running product (input terms x outputs x s-grid) and, on a run that
-#: keeps no columns, its sums (input terms x outputs), and ``evolve`` forms
-#: at once in one photon's pass (input terms x modes x basis); bounds their
-#: working memory.
+#: Most complex numbers the Ryser pass (``_ryser_column``) holds at once
+#: in its running product (outputs x s-grid), and ``evolve`` forms at once
+#: in one photon's pass (input terms x modes x basis); bounds their working
+#: memory. One occupation's powers table (modes x (n + 1) x s-grid) is
+#: bounded by ``MAX_RYSER_GRID`` instead.
 RYSER_BLOCK = 1 << 15
 
 #: Most points, prod(n_k + 1) over the modes of one input term, that an
@@ -487,44 +487,10 @@ def _ryser_grid(counts: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, float]
     return s, weights, math.sqrt(math.prod(math.factorial(c) for c in counts))
 
 
-def _ryser_sums(matrix: np.ndarray, occs: list[Occupation],
-                grid: tuple[np.ndarray, np.ndarray, float], outs: np.ndarray) -> np.ndarray:
-    """Each occupation's unscaled sum on each output row of ``outs``, as
-    (occupation, output), for occupations that share ``grid`` (see
-    ``_ryser_grid`` and ``_ryser_columns``).
-
-    Only the modes and the powers that some output uses are formed. numpy's
-    complex multiply may fuse its products, depending on the operands'
-    strides, so each product keeps the operand layout of a pass over one
-    occupation: the results do not depend on how many share the pass.
-    """
-    s, weights, _ = grid
-    used = np.flatnonzero(outs.any(axis=0))
-    cols = np.array([[k for k, c in enumerate(occ) if c] for occ in occs], dtype=int)
-    # no matmul here or below: on these small shapes, BLAS threads cost
-    # more than they save
-    entries = matrix[used[:, None, None], cols]                        # U[l, k_j] as (modes, occs, j)
-    r = np.zeros((len(used), len(occs), len(weights)), dtype=complex)  # (modes, occs, s-grid)
-    for j, s_j in enumerate(s):
-        r += entries[:, :, j, None] * s_j
-    top = int(outs.max(initial=0))
-    powers = np.ones((len(used), len(occs), top + 1, len(weights)), dtype=complex)   # r ** e
-    for e in range(1, top + 1):
-        powers[:, :, e] = powers[:, :, e - 1] * r
-    sums = np.empty((len(occs), len(outs)), dtype=complex)
-    width = max(1, RYSER_BLOCK // (len(occs) * len(weights)))
-    for lo in range(0, len(outs), width):
-        sub = outs[lo:lo + width, used]
-        prods = np.tile(weights, (len(occs), len(sub), 1))             # (occs, outputs, s-grid)
-        for i in np.flatnonzero(sub.any(axis=0)):
-            prods *= powers[i][:, sub[:, i]]
-        sums[:, lo:lo + width] = prods.sum(axis=2)
-    return sums
-
-
-def _ryser_columns(matrix: np.ndarray, occs: list[Occupation], outs: np.ndarray) -> np.ndarray:
-    """Each occupation's unscaled Ryser sum on each output row of ``outs``,
-    as (occupation, output).
+def _ryser_column(matrix: np.ndarray, occ: Occupation, outs: np.ndarray) -> tuple[float, np.ndarray]:
+    """One input occupation's unscaled Ryser sum on each output row of
+    ``outs``, with the root sqrt(prod n_k!) that its amplitude is divided
+    by: (root, sums).
 
     For an input term with n_k photons in mode k and an output occupation
     (o_l), Ryser's formula over repeated rows and columns gives
@@ -535,41 +501,37 @@ def _ryser_columns(matrix: np.ndarray, occs: list[Occupation], outs: np.ndarray)
     (H. J. Ryser, Combinatorial Mathematics, 1963), prod(n_k + 1) <= 2^n
     products per output and mode instead of the n! of ``matrix_permanent``.
     The sums here are the part before either root, which depends only on
-    the transform, the occupation and the outputs. The occupations share
-    one photon number, which every output holds. Those with the same
-    nonzero counts in mode order share the s-grid and its weights, and
-    each such group takes one ``_ryser_sums`` pass: r = sum_k s_k U[:, k]
-    and its powers, with an occupation axis, at most (modes, occupations,
-    n + 1, s-grid), in chunks that keep that table within ``RYSER_BLOCK``,
-    then a running product over (occupations, outputs, s-grid), multiplied
-    over the modes in ascending order and summed over the s-grid.
+    the transform, the occupation and the outputs; every output holds the
+    occupation's photon number. One pass forms r = sum_k s_k U[:, k] over
+    the s-grid of ``_ryser_grid`` and its powers, (modes, n + 1, s-grid),
+    for only the modes and the powers that some output uses, then a running
+    product over (outputs, s-grid), multiplied over the modes in ascending
+    order and summed over the s-grid, in blocks of ``RYSER_BLOCK`` // s-grid
+    outputs. numpy's complex multiply may fuse its products, depending on
+    the operands' strides, so the layout of every operand is part of the
+    result's bits.
     """
-    n = sum(occs[0])
-    groups: dict[tuple[int, ...], list[int]] = {}
-    for i, occ in enumerate(occs):
-        groups.setdefault(tuple(c for c in occ if c), []).append(i)
-    columns = np.empty((len(occs), len(outs)), dtype=complex)
-    for counts, rows in groups.items():
-        grid = _ryser_grid(counts)
-        chunk = max(1, RYSER_BLOCK // (matrix.shape[0] * (n + 1) * len(grid[1])))
-        for first in range(0, len(rows), chunk):
-            sel = rows[first:first + chunk]
-            columns[sel] = _ryser_sums(matrix, [occs[i] for i in sel], grid, outs)
-    return columns
-
-
-def _ryser_root(occ: Occupation) -> float:
-    """sqrt(prod n_k!) of an input occupation, the root its amplitude is divided by."""
-    return _ryser_grid(tuple(c for c in occ if c))[2]
-
-
-def _summed(terms: Iterable[tuple[complex, float, np.ndarray]], width: int) -> np.ndarray:
-    """The sum over (amplitude, root, column) triples of (amplitude / root)
-    times the column, added from zero in the order given."""
-    total = np.zeros(width, dtype=complex)
-    for amp, root, column in terms:
-        total += (amp / root) * column
-    return total
+    s, weights, root = _ryser_grid(tuple(c for c in occ if c))
+    used = np.flatnonzero(outs.any(axis=0))
+    # no matmul here or below: on these small shapes, BLAS threads cost
+    # more than they save
+    entries = matrix[used[:, None], [k for k, c in enumerate(occ) if c]]   # U[l, k_j] as (modes, j)
+    r = np.zeros((len(used), len(weights)), dtype=complex)                 # (modes, s-grid)
+    for j, s_j in enumerate(s):
+        r += entries[:, j, None] * s_j
+    top = int(outs.max(initial=0))
+    powers = np.ones((len(used), top + 1, len(weights)), dtype=complex)   # r ** e
+    for e in range(1, top + 1):
+        powers[:, e] = powers[:, e - 1] * r
+    sums = np.empty(len(outs), dtype=complex)
+    width = max(1, RYSER_BLOCK // len(weights))
+    for lo in range(0, len(outs), width):
+        sub = outs[lo:lo + width, used]
+        prods = np.tile(weights, (len(sub), 1))                            # (outputs, s-grid)
+        for i in np.flatnonzero(sub.any(axis=0)):
+            prods *= powers[i][sub[:, i]]
+        sums[lo:lo + width] = prods.sum(axis=1)
+    return root, sums
 
 
 #: Costs of the heralded route in units of one full-basis output term per
@@ -636,9 +598,8 @@ class _HeraldedEvolution:
     fitted to both routes timed on the gate gallery, the two-stage cs
     cascade, Haar networks and singly occupied inputs with one to three
     detectors; the fit and its quality are recorded in ``BENCH_7.json``,
-    and the gallery picks were re-timed when the Ryser pass began to take
-    a group of terms at once (``BENCH_16.json``). The fixed part keeps
-    small inputs on ``evolve``: on the gallery, ``ns`` and
+    and the gallery picks were re-timed in ``BENCH_16.json``. The fixed
+    part keeps small inputs on ``evolve``: on the gallery, ``ns`` and
     ``cnot_2photon`` take ``evolve``, ``cs``, ``cnot_klm`` and the cascade
     the heralded route. The per-product part sends an input back to
     ``evolve`` when its s-grid outgrows the basis, as for one detector
@@ -647,20 +608,20 @@ class _HeraldedEvolution:
     A heralded run's amplitudes are a fixed linear map of its input: the
     sum, in term order, of each term's amplitude over sqrt(prod n_k!)
     times a column of Ryser sums that depends only on the transform, the
-    heralded outputs and the term's occupation (``_ryser_columns``,
-    ``_summed``); each output is then divided by sqrt(prod o_l!) and
-    pruned at ``PRUNE_TOL`` as ``evolve`` prunes. This object keeps, per
-    photon number, the heralded output rows and their roots and, per input
-    occupation, its column over them. A run whose occupations are all
-    known only multiplies in the amplitudes and adds; otherwise all of its
-    missing occupations take one grouped Ryser pass per photon number, and
-    their columns are kept while the total stays within
-    ``COLUMN_CACHE_BUDGET`` (nothing is evicted). A run whose new columns
-    would not fit takes the same pass over all of its terms without
-    keeping them, in blocks of ``RYSER_BLOCK`` // terms outputs. Neither
-    the cache nor the blocks change a bit. Runs on the ``evolve`` route
-    are not cached. ``measurement.postselect_branches`` gives the same
-    results on either route.
+    heralded outputs and the term's occupation (``_ryser_column``), added
+    to zeros; each output is then divided by sqrt(prod o_l!) and pruned at
+    ``PRUNE_TOL`` as ``evolve`` prunes. This object keeps, per photon
+    number, the heralded output rows (int8, as ``_fock_basis`` keeps them)
+    and their roots and, per input occupation, its root and column over
+    those rows. A run takes its terms in order, one photon number at a
+    time: a known occupation's column is read from the cache, a new one is
+    computed by one Ryser pass and kept if the cache then holds at most
+    ``COLUMN_CACHE_BUDGET`` sums (nothing is evicted); one that would not
+    fit is used and dropped. A run whose occupations are all known only
+    multiplies in the amplitudes and adds. The cache does not change a
+    bit. Runs on the ``evolve`` route are not cached.
+    ``measurement.postselect_branches`` gives the same results on either
+    route.
     """
 
     def __init__(self, transform: ModeTransform, patterns: Sequence) -> None:
@@ -697,7 +658,7 @@ class _HeraldedEvolution:
             m = self.transform.dim
             keys = dict.fromkeys(occ for p, s in zip(self.patterns, self.survivors)
                                  for occ in _heralded_outputs(p, s, m, n))
-            rows = np.array(list(keys), dtype=np.int64).reshape(len(keys), m)
+            rows = np.array(list(keys), dtype=np.int8).reshape(len(keys), m)
             factorials = np.array([math.factorial(k) for k in range(n + 1)], dtype=float)
             kept = self.outputs[n] = rows, np.sqrt(factorials[rows].prod(axis=1))
         return kept
@@ -709,26 +670,19 @@ class _HeraldedEvolution:
         if not self._heralded(by_photons):
             return evolve(state, self.transform)
         outs = {n: self._outputs_at(n) for n in sorted(by_photons)}
-        missing = {n: new for n, terms in by_photons.items()
-                   if (new := [occ for occ, _ in terms if occ not in self.columns])}
-        grow = sum(len(outs[n][0]) * len(new) for n, new in missing.items())
-        keep = self.size + grow <= COLUMN_CACHE_BUDGET
-        self.size += grow if keep else 0
-        matrix, sums = self.transform.matrix, []
+        sums = []
         for n, (rows, _) in outs.items():
-            terms = by_photons[n]
-            if keep:
-                new = missing.get(n)
-                if new:   # one grouped Ryser pass per photon number
-                    self.columns.update(zip(new, zip(map(_ryser_root, new), _ryser_columns(matrix, new, rows))))
-                sums.append(_summed(((amp, *self.columns[occ]) for occ, amp in terms), len(rows)))
-                continue
-            occs = [occ for occ, _ in terms]
-            roots = list(map(_ryser_root, occs))
-            step = max(1, RYSER_BLOCK // len(terms))
-            for lo in range(0, len(rows), step):
-                columns = _ryser_columns(matrix, occs, rows[lo:lo + step])
-                sums.append(_summed(zip([amp for _, amp in terms], roots, columns), columns.shape[1]))
+            total = np.zeros(len(rows), dtype=complex)
+            for occ, amp in by_photons[n]:
+                entry = self.columns.get(occ)
+                if entry is None:
+                    entry = _ryser_column(self.transform.matrix, occ, rows)
+                    if self.size + len(rows) <= COLUMN_CACHE_BUDGET:
+                        self.columns[occ] = entry
+                        self.size += len(rows)
+                root, column = entry
+                total += (amp / root) * column
+            sums.append(total)
         rows, roots = (np.concatenate(part) for part in zip(*outs.values()))
         amps = np.concatenate(sums) / roots
         kept = np.abs(amps) >= PRUNE_TOL

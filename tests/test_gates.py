@@ -361,14 +361,14 @@ def test_gate_circuit_fields_cannot_be_reassigned():
 @pytest.mark.parametrize("budget", [0, 25, 40])
 def test_the_column_cache_stays_within_its_budget(budget, monkeypatch):
     # cs and the cascade keep 10 outputs per occupation: a budget of 25 holds
-    # two of the four dual-rail words, 40 holds all four; an occupation that a
-    # Ryser pass took and the cache does not hold went through the uncached pass
+    # two of the four dual-rail words, 40 holds all four; an occupation whose
+    # column was computed and that the cache does not hold was used and dropped
     passed = []
-    ryser = multiport._ryser_columns
+    ryser = multiport._ryser_column
 
-    def counted(matrix, occs, outs):
-        passed.extend(occs)
-        return ryser(matrix, occs, outs)
+    def counted(matrix, occ, outs):
+        passed.append(occ)
+        return ryser(matrix, occ, outs)
 
     monkeypatch.setattr(multiport, "COLUMN_CACHE_BUDGET", budget)
     rng = np.random.default_rng(47)
@@ -377,7 +377,7 @@ def test_the_column_cache_stays_within_its_budget(budget, monkeypatch):
         gate = build()
         inputs = _gate_inputs(gate, rng, count=3)
         want = [_bits(_uncached(gate, comp)) for comp in inputs]
-        monkeypatch.setattr(multiport, "_ryser_columns", counted)
+        monkeypatch.setattr(multiport, "_ryser_column", counted)
         for _ in range(2):
             for comp, bits in zip(inputs, want):
                 assert _bits(gate.run(comp)) == bits
@@ -386,25 +386,28 @@ def test_the_column_cache_stays_within_its_budget(budget, monkeypatch):
                 passed.clear()
                 assert cache.size == sum(column.size for _, column in cache.columns.values())
                 assert cache.size <= budget
-        monkeypatch.setattr(multiport, "_ryser_columns", ryser)
+        monkeypatch.setattr(multiport, "_ryser_column", ryser)
         assert cache.size == min(budget // 10, 4) * 10
     assert bool(uncached) == (budget < 40)
 
 
-def test_a_first_run_takes_one_ryser_pass_for_all_its_occupations(monkeypatch):
+def test_a_run_computes_one_column_per_new_occupation(monkeypatch):
     calls = []
-    sums = multiport._ryser_sums
+    ryser = multiport._ryser_column
 
-    def counted(matrix, occs, grid, outs):
-        calls.append(len(occs))
-        return sums(matrix, occs, grid, outs)
+    def counted(matrix, occ, outs):
+        calls.append(occ)
+        return ryser(matrix, occ, outs)
 
-    monkeypatch.setattr(multiport, "_ryser_sums", counted)
+    monkeypatch.setattr(multiport, "_ryser_column", counted)
     gate = cs_gate()
+    gate.run(encode(np.eye(4, dtype=complex)[0], gate.encoding))
+    assert len(calls) == 1
     v = np.array([1, 1j, -1, 0.5]) / math.sqrt(3.25)
     comp = encode(v, gate.encoding)
     assert comp.num_terms() == 4
     gate.run(comp)
-    assert calls == [4]   # one pass over the four dual-rail words, not four passes
+    assert len(calls) == len(set(calls)) == 4   # the three dual-rail words not seen yet
     gate.run(encode(v[::-1], gate.encoding))
-    assert calls == [4]   # a warm run computes no permanent
+    assert len(calls) == 4   # a warm run computes no permanent
+    assert set(calls) == {occ for occ, _ in with_ancilla(comp, gate.ancilla, gate.num_modes).terms()}

@@ -595,13 +595,13 @@ def _evolved(state, transform, branches):
 def _both_routes(monkeypatch, state, transform, branches):
     """postselect_branches after the heralded evaluator, forced onto each route."""
     passes = []
-    ryser = multiport._ryser_columns
+    ryser = multiport._ryser_column
 
     def counted(*args, **kwargs):
         passes.append(args)
         return ryser(*args, **kwargs)
 
-    monkeypatch.setattr(multiport, "_ryser_columns", counted)
+    monkeypatch.setattr(multiport, "_ryser_column", counted)
     results, taken = [], []
     for cost in (math.inf, -math.inf):  # never / always worth the heralded route
         monkeypatch.setattr(multiport, "HERALDED_COST_PER_TERM", cost)

@@ -551,8 +551,8 @@ def test_transition_amplitudes_sum_groups_in_term_order(heralded):
 
 def _ryser_term_by_term(state, transform, outputs):
     """Ryser's formula one input term at a time, each term's scaled sums
-    added in term order; unpruned, in the order of ``outputs``. The grouped
-    pass must repeat it bit for bit."""
+    added in term order; unpruned, in the order of ``outputs``. The heralded
+    evaluator must repeat it bit for bit."""
     dim = transform.dim
     outs = np.array(outputs, dtype=int).reshape(len(outputs), dim)
     photons = outs.sum(axis=1)
@@ -585,12 +585,18 @@ def _ryser_term_by_term(state, transform, outputs):
 
 def _heralded_rows(state, constraints):
     """The heralded evaluator's output rows for ``state``, unpruned, in
-    its order: by photon number, then pattern by pattern."""
+    its order: by photon number, then pattern by pattern, each pattern's
+    free photons placed on its unmeasured modes in the order of
+    ``combinations_with_replacement``; a row seen before is skipped."""
     m = state.num_modes
-    patterns = [DetectionPattern(c) for c in constraints]
-    photons = sorted({sum(occ) for occ, _ in state.terms()})
-    return list(dict.fromkeys(occ for n in photons for p in patterns
-                              for occ in multiport._heralded_outputs(p, p.survivors(m), m, n)))
+    rows = {}
+    for n in sorted({sum(occ) for occ, _ in state.terms()}):
+        for c in constraints:
+            free = n - sum(c.values())
+            survivors = [k for k in range(m) if k not in c]
+            for placed in combinations_with_replacement(survivors, free) if free >= 0 else ():
+                rows.setdefault(tuple(c.get(k, 0) + placed.count(k) for k in range(m)))
+    return list(rows)
 
 
 @pytest.mark.parametrize("block", [multiport.RYSER_BLOCK, 64, 5])
@@ -620,7 +626,7 @@ def test_transition_amplitudes_repeat_the_term_by_term_pass_bit_for_bit(block, h
 
 
 def test_transition_amplitudes_blocks_are_bit_identical(heralded, monkeypatch):
-    # a block of 5 numbers puts every term, output and term sum in a block of its own
+    # a block of 5 numbers puts every output in a block of its own
     state, t, _ = _interleaved_groups()
     whole = heralded(state, t)._arrays()
     monkeypatch.setattr(multiport, "RYSER_BLOCK", 5)
@@ -644,6 +650,24 @@ def test_transition_amplitudes_memory_of_a_group_is_bounded_by_the_block(heralde
         tracemalloc.stop()
     assert out.num_terms() == 3432 + 792   # 7 photons and, for the third term, 5
     assert peak < 4 * 2**20
+
+
+def test_heralded_rows_are_held_as_small_integers():
+    # 5 photons in mode 0 of 20 modes behind one detector keep C(23, 5) = 33,649
+    # outputs, each with a cached Ryser sum (0.5 MB); int64 rows would take
+    # 5.1 MB, ten times the sums they index
+    t = ModeTransform(random_unitary(np.random.default_rng(63), 20))
+    state = FockState.from_occupation([5] + [0] * 19)
+    multiport._HeraldedEvolution(t, [DetectionPattern({k: 0 for k in range(1, 20)})])(state)   # warm up
+    tracemalloc.start()
+    try:
+        evaluate = multiport._HeraldedEvolution(t, [DetectionPattern({19: 0})])
+        assert evaluate(state).num_terms() == 33649
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert evaluate.size == 33649
+    assert held < 2.5 * 2**20
 
 
 def test_ryser_grid_budget_is_a_named_error_before_allocating(monkeypatch):
