@@ -20,9 +20,12 @@ by the heralded evaluator that the circuit keeps next to its composed
 ``transform`` (``multiport._HeraldedEvolution``, whose docstring gives the
 route rule and the cache) and returns each branch's
 ``PostselectionResult`` in branch order, straight from
-``postselect_branches``. ``dataclasses.replace`` builds a circuit with an
-empty cache; results never depend on what the cache holds. Everything
-that evaluates a circuit calls ``run``:
+``postselect_branches``. On either route the evaluator keeps each input
+occupation's piece of the gate's linear map, a Ryser column or an
+``evolve`` expansion, so a repeat run on known occupations computes no
+permanent and expands no photon. ``dataclasses.replace`` builds a circuit
+with an empty cache; results never depend on what the cache holds.
+Everything that evaluates a circuit calls ``run``:
 
 * ``evaluate_gate`` is one loop over a gate's inputs with a prepare/read
   pair per gate: a one-mode qutrit for ``ns``, ``encode``/``decode`` for
@@ -68,8 +71,9 @@ class GateCircuit:
     ``computational_modes`` must be the modes the ancilla leaves free, in
     ascending order: ``with_ancilla`` places the input there. The fields
     cannot be reassigned, so the composed ``transform`` and the Ryser
-    columns that ``run`` keeps stay valid; ``dataclasses.replace`` builds
-    a new circuit, which starts with neither.
+    columns and ``evolve`` expansions that ``run`` keeps stay valid;
+    ``dataclasses.replace`` builds a new circuit, which starts with none
+    of them.
     """
 
     name: str

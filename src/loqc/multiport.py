@@ -11,17 +11,21 @@ creation operator of input mode k by the k-th *column* of the matrix:
 forms applied to the vacuum and collects the resulting monomials: the
 whole output, C(n+m-1, n) terms for n photons in m modes. Only the modes
 the network mixes take part: a spectator mode, whose row and column are
-both e_k, keeps its photons and passes through. The expansion runs as
-numpy passes over the Fock basis of the other modes, one per photon,
-guided by an index table per (modes, photons) from a bounded cache; the
-``evolve`` docstring gives the order in which it sums.
+both e_k, keeps its photons and passes through; a transform works out
+its active modes once (``ModeTransform._active_block``). The expansion
+runs as numpy passes over the Fock basis of the other modes, one per
+photon, guided by an index table per (modes, photons) from a bounded
+cache; the ``evolve`` docstring gives the order in which it sums.
 ``_HeraldedEvolution`` is the one heralded evaluator: it computes the
 outputs some detection patterns keep, by Ryser's formula over repeated
 rows and columns (``_ryser_column``, one input occupation at a time), or
-runs the full ``evolve``, and keeps what a gate can reuse; its docstring
-gives the route rule and the cache. The n!-sum ``permanent_amplitude``
-computes single amplitudes by a third route and exists purely to
-cross-check the other two.
+runs the full ``evolve``. Either way its output is a linear map of the
+input, and it keeps each input occupation's piece of that map, a Ryser
+column or an ``evolve`` expansion (``evolve``'s ``_cache``), so that a
+gate's repeat runs skip that work; its docstring gives the route rule
+and the cache. The n!-sum ``permanent_amplitude`` computes single
+amplitudes by a third route and exists purely to cross-check the other
+two.
 
 Budgets: a Fock term may carry at most ``MAX_PHOTONS`` photons (all three
 routes check), an input term may span at most ``MAX_FOCK_TERMS`` basis
@@ -36,17 +40,18 @@ rule. A circuit file may declare, and an ``Encoding`` span, at most
 of it when that is more: its products with one column, or its powers
 table.
 
-All functions are pure; amplitude accumulation runs in a fixed order, so
-results are deterministic.
+All functions are pure, apart from the caches they fill, which change no
+result; amplitude accumulation runs in a fixed order, so results are
+deterministic.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from collections.abc import Iterator, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import accumulate, combinations_with_replacement, permutations
+from itertools import accumulate, chain, combinations_with_replacement, permutations
 
 import numpy as np
 
@@ -106,7 +111,7 @@ def check_term_budget(photons: int, modes: int | None = None) -> None:
 class ModeTransform:
     """An N x N unitary matrix acting on mode operators."""
 
-    __slots__ = ("dim", "_m")
+    __slots__ = ("dim", "_m", "_block")
 
     def __init__(self, matrix: np.ndarray):
         m = np.array(matrix, dtype=complex)
@@ -116,8 +121,7 @@ class ModeTransform:
         if not np.isfinite(m).all() or dev > UNITARY_TOL:
             raise ValueError(f"matrix is not unitary (deviation {dev:.3e})")
         m.flags.writeable = False
-        self.dim = m.shape[0]
-        self._m = m
+        self.dim, self._m, self._block = m.shape[0], m, None
 
     @classmethod
     def _unitary(cls, matrix: np.ndarray) -> "ModeTransform":
@@ -126,7 +130,7 @@ class ModeTransform:
         m = np.array(matrix, dtype=complex)
         m.flags.writeable = False
         transform = object.__new__(cls)
-        transform.dim, transform._m = m.shape[0], m
+        transform.dim, transform._m, transform._block = m.shape[0], m, None
         return transform
 
     @property
@@ -135,6 +139,20 @@ class ModeTransform:
 
     def unitarity_deviation(self) -> float:
         return float(np.abs(self._m.conj().T @ self._m - np.eye(self.dim)).max())
+
+    def _active_block(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The spectator modes, whose row and column are both exactly e_k,
+        as a mask; the other, active modes as indices; and the columns of
+        the matrix on the active modes as (k, l, re/im), for ``evolve``,
+        which only reads them. Worked out on the first call: the matrix
+        cannot change."""
+        if self._block is None:
+            off = self._m != np.eye(self.dim)
+            mixed = (off | off.T).any(axis=1)
+            active = np.flatnonzero(mixed)
+            cols = self._m[active[:, None], active].T.copy().view(float).reshape(len(active), len(active), 2)
+            self._block = ~mixed, active, cols
+        return self._block
 
 
 @dataclass(eq=False)
@@ -373,7 +391,8 @@ def _expand(occupations: np.ndarray, photons: int, cols: np.ndarray) -> np.ndarr
     return coeff
 
 
-def evolve(state: FockState, transform: ModeTransform, prune_tol: float = PRUNE_TOL) -> FockState:
+def evolve(state: FockState, transform: ModeTransform, prune_tol: float = PRUNE_TOL, *,
+           _cache: _HeraldedEvolution | None = None) -> FockState:
     """Send a Fock state through a linear network.
 
     Each basis term |n1 n2 ...> is rewritten as the corresponding product
@@ -408,6 +427,18 @@ def evolve(state: FockState, transform: ModeTransform, prune_tol: float = PRUNE_
     not depend on the blocks. The index tables of the last 128
     (modes, photons) pairs stay cached.
 
+    A term's expansion and its output rows, relative to the basis of its
+    photon number, depend only on the transform and its occupation: they
+    are the term's piece of a linear map. ``_cache``, the evaluator
+    (``_HeraldedEvolution``) of this same transform, keeps these pieces
+    across calls in its ``expansions`` table, within its budget. A block
+    expands only the occupations the table lacks, in one ``_expand`` call
+    as before; then every term of the block, kept or new, is assembled
+    from its piece by the same products and the same ``np.add.at`` in the
+    same sorted term order, so the order of the sums is unchanged and the
+    table changes no bit. Without ``_cache`` the table is a local that
+    keeps nothing.
+
     Every input term is checked against ``MAX_PHOTONS`` and its basis,
     C(n+m-1, n) terms for n photons in all m modes, against
     ``MAX_FOCK_TERMS`` before any table is built.
@@ -422,11 +453,8 @@ def evolve(state: FockState, transform: ModeTransform, prune_tol: float = PRUNE_
         check_term_budget(n, m)
     if not terms:
         return FockState._wrap(m, {})
-    off = transform.matrix != np.eye(m)
-    mixed = (off | off.T).any(axis=1)                     # False: row and column k are e_k
-    active = np.flatnonzero(mixed)
+    spectators, active, cols = transform._active_block()
     a = len(active)
-    cols = np.ascontiguousarray(transform.matrix[active[:, None], active].T).view(float).reshape(a, a, 2)
     occs = np.array([occ for occ, _ in terms], dtype=np.int8)
     moving = occs[:, active].sum(axis=1)
     # terms with an output in common move as many photons; a stable sort keeps their order
@@ -440,21 +468,33 @@ def evolve(state: FockState, transform: ModeTransform, prune_tol: float = PRUNE_
     prefs = np.array([amp / math.sqrt(math.prod(map(_FACT.__getitem__, occ))) for occ, amp in terms])
     prefs = prefs.view(float).reshape(-1, 1, 2)
     cross = prefs[..., 1:] * _CROSS
+    kept = {} if _cache is None else _cache.expansions   # occupation -> (expansion, relative rows)
     total = np.zeros(len(scales), dtype=complex)
     ends = [i for i in range(1, len(terms)) if moving[i] != moving[i - 1]] + [len(terms)]
     for lo, hi in zip([0] + ends, ends):
         n = moving[lo]
         basis = _fock_basis(a, n)[0]
+        if a < m:   # each output puts back its term's spectator counts
+            lift = np.zeros((len(basis), m), dtype=np.int8)
+            lift[:, active] = basis
         block = max(1, RYSER_BLOCK // (a * math.comb(n + a - 2, n - 1) if n else 1))
         for at in range(lo, hi, block):
             sel = slice(at, min(at + block, hi))
-            coeff = _expand(occs[sel][:, active], n, cols)   # (terms, active basis row, re/im)
-            if a < m:   # each output puts back its term's spectator counts
-                lift = np.zeros((len(basis), m), dtype=np.int8)
-                lift[:, active] = basis
-                rows = _rank(occs[sel, None] * ~mixed + lift, max(counts))
-            else:       # the active basis is the full basis
-                rows = np.arange(len(basis))
+            pieces = [kept.get(occ) for occ, _ in terms[sel]]
+            new = [at + i for i, piece in enumerate(pieces) if piece is None]
+            if new:
+                lacking = occs[sel] if len(new) == len(pieces) else occs[new]
+                coeff = _expand(lacking[:, active], n, cols)   # (terms, active basis row, re/im)
+                if a < m:
+                    rows = _rank(lacking[:, None] * spectators + lift, max(counts))
+                else:   # the active basis is the full basis
+                    rows = np.arange(len(basis))[None].repeat(len(new), axis=0)
+                if _cache is not None:
+                    for i, piece in zip(new, zip(coeff, rows)):
+                        pieces[i - at] = piece
+                        _cache.keep(kept, terms[i][0], (piece[0].copy(), piece[1].copy()), len(basis))
+            if len(new) < len(pieces):   # some pieces were kept: assemble the block from them
+                coeff, rows = (np.array(part) for part in zip(*pieces))
             rows = rows + first[sel, None]
             part = coeff * prefs[sel, :, :1]
             part += coeff[..., ::-1] * cross[sel]
@@ -540,31 +580,34 @@ def _ryser_column(matrix: np.ndarray, occ: Occupation, outs: np.ndarray) -> tupl
 HERALDED_COST_PER_TERM = 256
 HERALDED_COST_PER_PRODUCT = 1 / 16
 
-#: Most Ryser sums, one per heralded output per input occupation, that a
-#: ``_HeraldedEvolution`` keeps (1 MiB of complex numbers).
+#: Most complex numbers that a ``_HeraldedEvolution`` keeps in all: Ryser
+#: sums, one per heralded output per input occupation, and ``evolve``
+#: coefficients, one per active basis row per input occupation (1 MiB).
 COLUMN_CACHE_BUDGET = 1 << 16
 
 
-def _heralded_outputs(pattern, survivors: Sequence[int], num_modes: int, photons: int) -> Iterator[Occupation]:
+def _heralded_outputs(pattern, survivors: Sequence[int], num_modes: int, photons: int) -> np.ndarray:
     """Every occupation with ``photons`` photons that ``pattern``, a
-    ``measurement.DetectionPattern``, keeps.
+    ``measurement.DetectionPattern``, keeps, as int8 rows.
 
-    ``survivors`` is ``pattern.survivors(num_modes)``. The outputs are
-    enumerated by ``combinations_with_replacement`` rather than from
-    ``_fock_basis``: on the few outputs a gate's branch keeps, the array
-    version costs more than it saves.
+    ``survivors`` is ``pattern.survivors(num_modes)``. Each row holds the
+    pattern's counts and one placement of the free photons on the
+    survivors, in the order of ``combinations_with_replacement``, which
+    is descending lexicographic order. The placements are read into an
+    array one at a time, so no Python tuple per output is held.
     """
     free = photons - sum(c for _, c in pattern.constraints)
-    if free < 0:
-        return
-    fixed = [0] * num_modes
+    count = math.comb(free + len(survivors) - 1, free) if free >= 0 else 0
+    rows = np.zeros((count, num_modes), dtype=np.int8)
     for m, c in pattern.constraints:
-        fixed[m] = c
-    for placed in combinations_with_replacement(survivors, free):
-        occ = list(fixed)
-        for m in placed:
-            occ[m] += 1
-        yield tuple(occ)
+        rows[:, m] = c
+    if count and free:
+        placed = np.fromiter(chain.from_iterable(combinations_with_replacement(survivors, free)),
+                             dtype=np.int8, count=count * free).reshape(count, free)
+        lines = np.arange(count)
+        for photon in placed.T:   # one photon of every row at a time
+            rows[lines, photon] += 1
+    return rows
 
 
 class _HeraldedEvolution:
@@ -605,21 +648,25 @@ class _HeraldedEvolution:
     ``evolve`` when its s-grid outgrows the basis, as for one detector
     behind six singly occupied modes.
 
-    A heralded run's amplitudes are a fixed linear map of its input: the
-    sum, in term order, of each term's amplitude over sqrt(prod n_k!)
-    times a column of Ryser sums that depends only on the transform, the
-    heralded outputs and the term's occupation (``_ryser_column``), added
-    to zeros; each output is then divided by sqrt(prod o_l!) and pruned at
-    ``PRUNE_TOL`` as ``evolve`` prunes. This object keeps, per photon
-    number, the heralded output rows (int8, as ``_fock_basis`` keeps them)
-    and their roots and, per input occupation, its root and column over
-    those rows. A run takes its terms in order, one photon number at a
-    time: a known occupation's column is read from the cache, a new one is
-    computed by one Ryser pass and kept if the cache then holds at most
-    ``COLUMN_CACHE_BUDGET`` sums (nothing is evicted); one that would not
-    fit is used and dropped. A run whose occupations are all known only
-    multiplies in the amplitudes and adds. The cache does not change a
-    bit. Runs on the ``evolve`` route are not cached.
+    Either route's output is a fixed linear map of its input: the sum, in
+    term order, of each term's amplitude times a piece that depends only
+    on the transform, the term's occupation and, on the heralded route,
+    the heralded outputs. This object keeps those pieces per input
+    occupation, ``columns`` for the heralded route and ``expansions`` for
+    ``evolve``, which it passes as ``evolve``'s ``_cache``; ``size``
+    counts the complex numbers both hold. A new piece is kept if both
+    then hold at most ``COLUMN_CACHE_BUDGET`` numbers (``keep``); nothing
+    is evicted, and a piece that would not fit is used and dropped. A run
+    whose occupations are all known computes no permanent and expands no
+    photon: it only multiplies in the amplitudes and adds. The cache does
+    not change a bit. On the heralded route a term's piece is its root
+    sqrt(prod n_k!) and its column of Ryser sums (``_ryser_column``) over
+    the heralded outputs; the terms' amplitudes over their roots times
+    their columns are added to zeros, one photon number at a time, each
+    output is then divided by sqrt(prod o_l!) and pruned at ``PRUNE_TOL``
+    as ``evolve`` prunes. This object also keeps, per photon number, the
+    heralded output rows (int8, as ``_fock_basis`` keeps them) and their
+    roots. ``evolve``'s docstring gives its piece.
     ``measurement.postselect_branches`` gives the same results on either
     route.
     """
@@ -632,7 +679,15 @@ class _HeraldedEvolution:
         self.held = [sum(c for _, c in p.constraints) for p in self.patterns]
         self.outputs: dict[int, tuple[np.ndarray, np.ndarray]] = {}     # photons -> (rows, roots)
         self.columns: dict[Occupation, tuple[float, np.ndarray]] = {}   # occupation -> (root, column)
-        self.size = 0                                                    # Ryser sums kept
+        self.expansions: dict[Occupation, tuple[np.ndarray, np.ndarray]] = {}   # see ``evolve``
+        self.size = 0   # Ryser sums and expansion coefficients kept
+
+    def keep(self, table: dict, occ: Occupation, piece: tuple, count: int) -> None:
+        """Keep an occupation's piece of ``count`` numbers in ``table`` if
+        both tables then hold at most ``COLUMN_CACHE_BUDGET``."""
+        if self.size + count <= COLUMN_CACHE_BUDGET:
+            table[occ] = piece
+            self.size += count
 
     def _heralded(self, by_photons: dict[int, list[tuple[Occupation, complex]]]) -> bool:
         """The route rule: True for the heralded route."""
@@ -652,15 +707,21 @@ class _HeraldedEvolution:
 
     def _outputs_at(self, n: int) -> tuple[np.ndarray, np.ndarray]:
         """The distinct heralded output rows at ``n`` photons, pattern by
-        pattern, and their roots sqrt(prod o_l!); kept once built."""
+        pattern, and their roots sqrt(prod o_l!); kept once built. The
+        factorials are multiplied along each row, ``RYSER_BLOCK`` numbers at
+        a time."""
         kept = self.outputs.get(n)
         if kept is None:
             m = self.transform.dim
-            keys = dict.fromkeys(occ for p, s in zip(self.patterns, self.survivors)
-                                 for occ in _heralded_outputs(p, s, m, n))
-            rows = np.array(list(keys), dtype=np.int8).reshape(len(keys), m)
+            rows = np.concatenate([_heralded_outputs(p, s, m, n) for p, s in zip(self.patterns, self.survivors)])
+            if len(self.patterns) > 1:   # the first of equal rows, in pattern order
+                rows = rows[np.sort(np.unique(rows, axis=0, return_index=True)[1])]
             factorials = np.array([math.factorial(k) for k in range(n + 1)], dtype=float)
-            kept = self.outputs[n] = rows, np.sqrt(factorials[rows].prod(axis=1))
+            roots = np.empty(len(rows))
+            step = max(1, RYSER_BLOCK // m)
+            for lo in range(0, len(rows), step):
+                roots[lo:lo + step] = np.sqrt(factorials[rows[lo:lo + step]].prod(axis=1))
+            kept = self.outputs[n] = rows, roots
         return kept
 
     def __call__(self, state: FockState) -> FockState:
@@ -668,7 +729,7 @@ class _HeraldedEvolution:
         for term in state.terms():
             by_photons.setdefault(sum(term[0]), []).append(term)
         if not self._heralded(by_photons):
-            return evolve(state, self.transform)
+            return evolve(state, self.transform, _cache=self)
         outs = {n: self._outputs_at(n) for n in sorted(by_photons)}
         sums = []
         for n, (rows, _) in outs.items():
@@ -677,9 +738,7 @@ class _HeraldedEvolution:
                 entry = self.columns.get(occ)
                 if entry is None:
                     entry = _ryser_column(self.transform.matrix, occ, rows)
-                    if self.size + len(rows) <= COLUMN_CACHE_BUDGET:
-                        self.columns[occ] = entry
-                        self.size += len(rows)
+                    self.keep(self.columns, occ, entry, len(rows))
                 root, column = entry
                 total += (amp / root) * column
             sums.append(total)

@@ -322,9 +322,14 @@ def _bits(results):
 
 
 def _uncached(gate, comp):
-    """The heralded evaluator and ``postselect_branches`` on a fresh evaluation."""
+    """The gate's route with nothing kept: plain ``evolve`` for ``ns`` and the
+    two-photon CNOT, a fresh heralded evaluator for the others; then
+    ``postselect_branches``."""
     full = with_ancilla(comp, gate.ancilla, gate.num_modes)
-    out = multiport._HeraldedEvolution(gate.transform, [b.pattern for b in gate.branches])(full)
+    if gate.name in ("ns", "cnot_2photon"):
+        out = evolve(full, gate.transform)
+    else:
+        out = multiport._HeraldedEvolution(gate.transform, [b.pattern for b in gate.branches])(full)
     return [res for _, res in postselect_branches(out, gate.branches)]
 
 
@@ -339,6 +344,8 @@ def test_cached_runs_repeat_the_uncached_bits(build):
                 assert _bits(circuit.run(comp)) == _bits(_uncached(gate, comp))
     assert copy.__dict__.keys() >= {"transform", "_evolution"}
     assert copy._evolution is not gate._evolution
+    on_evolve = gate.name in ("ns", "cnot_2photon")
+    assert bool(gate._evolution.expansions) == on_evolve and bool(gate._evolution.columns) != on_evolve
 
 
 def test_replace_starts_with_an_empty_cache():
@@ -358,37 +365,53 @@ def test_gate_circuit_fields_cannot_be_reassigned():
         gate.branches = gate.branches[:1]
 
 
-@pytest.mark.parametrize("budget", [0, 25, 40])
-def test_the_column_cache_stays_within_its_budget(budget, monkeypatch):
-    # cs and the cascade keep 10 outputs per occupation: a budget of 25 holds
-    # two of the four dual-rail words, 40 holds all four; an occupation whose
-    # column was computed and that the cache does not hold was used and dropped
-    passed = []
-    ryser = multiport._ryser_column
+#: Numbers each gate's cache holds at a budget: cs and the cascade keep 10
+#: Ryser sums per dual-rail word, ns 3, 6 and 10 expansion coefficients for
+#: 0, 1 and 2 signal photons, the two-photon CNOT 21 per logical word. The
+#: basis inputs come first, so a budget holds the first pieces that fit.
+_HELD = {  # budget -> (cs, cascade, ns, two-photon CNOT)
+    0: (0, 0, 0, 0), 12: (10, 10, 9, 0), 25: (20, 20, 19, 21), 40: (40, 40, 19, 21), 84: (40, 40, 19, 84),
+}
 
-    def counted(matrix, occ, outs):
-        passed.append(occ)
+
+@pytest.mark.parametrize("budget", sorted(_HELD))
+def test_the_column_cache_stays_within_its_budget(budget, monkeypatch):
+    # one budget for the Ryser columns and the evolve expansions; a piece that
+    # was computed and that the cache does not hold was used and dropped
+    computed = []
+    ryser, expand = multiport._ryser_column, multiport._expand
+
+    def counted_column(matrix, occ, outs):
+        computed.append(occ)
         return ryser(matrix, occ, outs)
+
+    def counted_expansion(occupations, photons, cols):
+        computed.extend(map(tuple, occupations.tolist()))   # every mode of ns and the CNOT is active
+        return expand(occupations, photons, cols)
 
     monkeypatch.setattr(multiport, "COLUMN_CACHE_BUDGET", budget)
     rng = np.random.default_rng(47)
-    uncached = []
-    for build in (cs_gate, cs_cascade):
+    builds = (cs_gate, cs_cascade, ns_gate, two_photon_cnot)
+    for build, held, full in zip(builds, _HELD[budget], _HELD[max(_HELD)]):
         gate = build()
         inputs = _gate_inputs(gate, rng, count=3)
         want = [_bits(_uncached(gate, comp)) for comp in inputs]
-        monkeypatch.setattr(multiport, "_ryser_column", counted)
+        monkeypatch.setattr(multiport, "_ryser_column", counted_column)
+        monkeypatch.setattr(multiport, "_expand", counted_expansion)
+        dropped = []
         for _ in range(2):
             for comp, bits in zip(inputs, want):
                 assert _bits(gate.run(comp)) == bits
                 cache = gate._evolution
-                uncached += [occ for occ in passed if occ not in cache.columns]
-                passed.clear()
-                assert cache.size == sum(column.size for _, column in cache.columns.values())
+                dropped += [occ for occ in computed if occ not in cache.columns and occ not in cache.expansions]
+                computed.clear()
+                assert cache.size == (sum(column.size for _, column in cache.columns.values())
+                                      + sum(len(coeff) for coeff, _ in cache.expansions.values()))
                 assert cache.size <= budget
         monkeypatch.setattr(multiport, "_ryser_column", ryser)
-        assert cache.size == min(budget // 10, 4) * 10
-    assert bool(uncached) == (budget < 40)
+        monkeypatch.setattr(multiport, "_expand", expand)
+        assert cache.size == held
+        assert bool(dropped) == (held < full)
 
 
 def test_a_run_computes_one_column_per_new_occupation(monkeypatch):
@@ -411,3 +434,29 @@ def test_a_run_computes_one_column_per_new_occupation(monkeypatch):
     gate.run(encode(v[::-1], gate.encoding))
     assert len(calls) == 4   # a warm run computes no permanent
     assert set(calls) == {occ for occ, _ in with_ancilla(comp, gate.ancilla, gate.num_modes).terms()}
+
+
+def test_a_warm_evolve_route_run_expands_no_photon(monkeypatch):
+    # ns takes evolve on every run, once per run, and expands only the
+    # occupations its evaluator has not seen
+    evolved, expanded = [], []
+    full, expand = multiport.evolve, multiport._expand
+
+    def counted_evolve(*args, **kwargs):
+        evolved.append(args)
+        return full(*args, **kwargs)
+
+    def counted_expansion(occupations, photons, cols):
+        expanded.extend(map(tuple, occupations.tolist()))
+        return expand(occupations, photons, cols)
+
+    monkeypatch.setattr(multiport, "evolve", counted_evolve)
+    monkeypatch.setattr(multiport, "_expand", counted_expansion)
+    gate = ns_gate()
+    gate.run(FockState.from_occupation([1]))
+    assert expanded == [(1, 1, 0)]
+    superposition = FockState(1, {(0,): 0.6, (1,): 0.6j, (2,): -math.sqrt(0.28)})
+    gate.run(superposition)
+    assert sorted(expanded) == [(0, 1, 0), (1, 1, 0), (2, 1, 0)]   # the two not seen yet
+    gate.run(superposition.scaled(1j))
+    assert len(expanded) == 3 and len(evolved) == 3

@@ -699,8 +699,9 @@ def test_independence_check_is_route_independent(monkeypatch):
 def test_one_detector_route_weighs_the_s_grid(photons, modes, per_product, fixed, route, monkeypatch):
     # detectors on the last mode (no photon) and on the first ``fixed`` modes (one each)
     taken = []
-    monkeypatch.setattr(multiport, "evolve", lambda *a: taken.append("evolve"))
-    monkeypatch.setattr(multiport, "_heralded_outputs", lambda *a: taken.append("heralded") or iter(()))
+    monkeypatch.setattr(multiport, "evolve", lambda *a, **kw: taken.append("evolve"))
+    monkeypatch.setattr(multiport, "_heralded_outputs",
+                        lambda *a: taken.append("heralded") or np.zeros((0, a[2]), dtype=np.int8))
     if per_product is not None:
         monkeypatch.setattr(multiport, "HERALDED_COST_PER_PRODUCT", per_product)
     state = FockState.from_occupation([1] * photons + [0] * (modes - photons))

@@ -411,6 +411,38 @@ def test_evolve_blocks_agree(monkeypatch):
         assert list(evolve(state, t)._amp.items()) == list(out._amp.items())
 
 
+def _occupations(rng, modes, photons, count):
+    """``count`` distinct occupations of 1 to ``photons`` photons in ``modes`` modes."""
+    pool = [tuple(placed.count(k) for k in range(modes))
+            for n in range(1, photons + 1) for placed in combinations_with_replacement(range(modes), n)]
+    return [pool[i] for i in rng.choice(len(pool), size=count, replace=False)]
+
+
+@pytest.mark.parametrize("block,budget", [(multiport.RYSER_BLOCK, multiport.COLUMN_CACHE_BUDGET),
+                                          (5, multiport.COLUMN_CACHE_BUDGET), (multiport.RYSER_BLOCK, 40)])
+def test_evolve_with_a_kept_table_repeats_plain_evolve_bit_for_bit(block, budget, monkeypatch):
+    # a table kept across calls, as a gate's evaluator keeps it, moves no bit:
+    # spectator modes put back their counts by rank, and terms of several photon
+    # numbers and moving-photon counts start at different row offsets. The second
+    # call mixes kept and new occupations in one block; a block of 5 numbers puts
+    # every term in a block of its own, and a budget of 40 keeps only some pieces
+    monkeypatch.setattr(multiport, "RYSER_BLOCK", block)
+    monkeypatch.setattr(multiport, "COLUMN_CACHE_BUDGET", budget)
+    rng = np.random.default_rng(64)
+    for modes, active in [(4, (0, 1, 2, 3)), (6, (1, 2, 4)), (7, (0, 3, 5, 6))]:
+        matrix = np.eye(modes, dtype=complex)
+        matrix[np.ix_(active, active)] = random_unitary(rng, len(active))
+        t = ModeTransform(matrix)
+        table = multiport._HeraldedEvolution(t, [DetectionPattern({})])
+        occs = _occupations(rng, modes, 3, 16)
+        for chosen in (occs[:10], occs[5:]):   # six of the second call's terms are kept
+            state = FockState(modes, {occ: complex(rng.normal(), rng.normal()) for occ in chosen})
+            got, want = evolve(state, t, _cache=table)._arrays(), evolve(state, t)._arrays()
+            assert np.array_equal(got[0], want[0]) and got[1].tobytes() == want[1].tobytes()
+        assert 0 < table.size <= budget
+        assert table.size == sum(len(coeff) for coeff, _ in table.expansions.values())
+
+
 def test_evolve_memory_stays_under_8_mb():
     # 6 photons in 12 modes: 12,376 output terms; the dict expansion peaked at 6.3 MB
     t = ModeTransform(random_unitary(np.random.default_rng(16), 12))
@@ -440,7 +472,7 @@ def test_library_states_store_zero_parts_as_positive_zero(heralded):
 
 # -- heralded-subspace amplitudes (Ryser) ------------------------------------
 
-def _no_evolve(*args):
+def _no_evolve(*args, **kwargs):
     pytest.fail("the heralded route fell back to evolve")
 
 
@@ -663,11 +695,31 @@ def test_heralded_rows_are_held_as_small_integers():
     try:
         evaluate = multiport._HeraldedEvolution(t, [DetectionPattern({19: 0})])
         assert evaluate(state).num_terms() == 33649
-        held = tracemalloc.get_traced_memory()[0]
+        held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert evaluate.size == 33649
     assert held < 2.5 * 2**20
+    # the rows are filled as arrays: a dict of output tuples peaked at 13.7 MB
+    assert peak < 5 * 2**20
+
+
+def test_heralded_rows_list_each_output_once_in_pattern_order():
+    # overlapping patterns: an output two patterns keep is listed where the first
+    # one lists it; each pattern's outputs come in combinations_with_replacement order
+    patterns = [DetectionPattern({0: 1}), DetectionPattern({3: 0}), DetectionPattern({0: 1, 3: 0}),
+                DetectionPattern({1: 2, 2: 0})]
+    evaluate = multiport._HeraldedEvolution(ModeTransform(np.eye(5)), patterns)
+    for n in range(5):
+        want = {}
+        for p in patterns:
+            fixed = dict(p.constraints)
+            free = n - sum(fixed.values())
+            for placed in combinations_with_replacement(p.survivors(5), free) if free >= 0 else ():
+                want.setdefault(tuple(fixed.get(k, 0) + placed.count(k) for k in range(5)), None)
+        rows, roots = evaluate._outputs_at(n)
+        assert rows.dtype == np.int8 and rows.tolist() == [list(occ) for occ in want]
+        assert roots.tolist() == [math.sqrt(math.prod(map(math.factorial, occ))) for occ in want]
 
 
 def test_ryser_grid_budget_is_a_named_error_before_allocating(monkeypatch):

@@ -12,7 +12,11 @@ conditional amplitudes for one run. Each gate runs its inputs twice (first
 and repeat runs) on the circuit as built and then twice on a
 ``dataclasses.replace`` copy, which starts with an empty cache; all of it
 at ``multiport.COLUMN_CACHE_BUDGET`` 2^16, 25 and 0, so that runs that
-keep every Ryser column, some and none are all covered. A change meant
+keep every piece, some and none are all covered. The budget covers both
+kinds of piece a gate keeps per input occupation: the Ryser columns of
+the heralded route (``cs``, ``cnot_klm`` and the cascade, 10 sums each)
+and the ``evolve`` expansions (``ns``, 3 + 6 + 10 coefficients, all
+kept at 25; ``cnot_2photon``, 21 each, one kept at 25). A change meant
 to leave gate results bit-identical runs this at the parent commit and at
 the change and compares the two lines. The library is imported from this
 checkout's ``src/``.
