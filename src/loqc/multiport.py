@@ -597,7 +597,9 @@ def _heralded_outputs(pattern, survivors: Sequence[int], num_modes: int, photons
     array one at a time, so no Python tuple per output is held.
     """
     free = photons - sum(c for _, c in pattern.constraints)
-    count = math.comb(free + len(survivors) - 1, free) if free >= 0 else 0
+    if free < 0:   # the pattern asks for more photons than there are
+        return np.zeros((0, num_modes), dtype=np.int8)
+    count = math.comb(free + len(survivors) - 1, free)
     rows = np.zeros((count, num_modes), dtype=np.int8)
     for m, c in pattern.constraints:
         rows[:, m] = c

@@ -45,8 +45,9 @@ admit with cost +inf. Per scheme:
 * ``optimize_ns``: t1, t2, t3 in [0, pi], clipped; window 10. The engine
   minimizes, so the score enters negated.
 
-All scans are deterministic: fixed grids, first-index argmin, and for
-``optimize_ns`` a Newton polish on its KKT system, each step moving no angle over 0.1 rad.
+All scans are deterministic: fixed grids and first-index argmin.
+``optimize_ns`` then moves to the nearest point of the proved maximizer
+set (``minimize``), where the worst-case branch probability is exactly 1/4.
 """
 
 from __future__ import annotations
@@ -85,15 +86,6 @@ MAX_SLAB_POINTS = 10**7
 #: Most grid points one whole scan may cover, coarse grid and refinement
 #: windows together; checked before the first kernel call.
 MAX_SCAN_POINTS = 10**9
-
-#: Newton polish of ``optimize_success``: most steps, the largest angle move
-#: per step (rad), the KKT residual norm that counts as converged, and the
-#: complex-step and central-difference steps.
-_NEWTON_MAXITER = 50
-_NEWTON_MAX_MOVE = 0.1
-_NEWTON_TOL = 1e-12
-_COMPLEX_STEP = 1e-20
-_CENTRAL_STEP = 1e-6
 
 TARGETS = {"sign_flip": (1.0, 1.0, -1.0), "restore": (1.0, 1.0, 1.0)}
 
@@ -517,9 +509,11 @@ class OptimizationResult:
 def optimize_success(grid_step: float = 0.05) -> OptimizationResult:
     """Maximize the worst-case heralded-branch probability of the
     parametrized sign-shift network subject to the sign-flip
-    proportionality constraint (penalty form on a refined grid, then the
-    Newton polish ``minimize`` from the incumbent, kept if it converges and
-    does not lower the score).
+    proportionality constraint: penalty form on a refined grid, then the
+    exact maximizer ``minimize`` nearest the incumbent, kept unless it
+    scores lower than the grid. On the constraint set the probability is
+    at most 1/4 by AM-GM, reached exactly at cos t2 = sqrt(2) - 1 with t1
+    and t3 both pi/8 or both 7 pi/8 (mod pi); ``minimize`` gives the proof.
 
     ``rounds`` holds the grid-only score of the coarse scan and of each
     refinement round; the polish is not part of it.
@@ -536,10 +530,9 @@ def optimize_success(grid_step: float = 0.05) -> OptimizationResult:
               for n, (step, (cost, _, aux)) in enumerate(history)]
 
     polish = minimize(angles)
-    if polish.success:
-        p_cost, p_prob, p_resid = kernel(*polish.x[:3])
-        if p_cost <= neg_score + 1e-12:
-            angles, prob, resid = polish.x[:3], p_prob, p_resid
+    p_cost, p_prob, p_resid = kernel(*polish.x)
+    if p_cost <= neg_score + 1e-12:
+        angles, prob, resid = polish.x, p_prob, p_resid
     return OptimizationResult(
         angles=tuple(float(a) for a in angles),
         probability=float(prob),
@@ -551,42 +544,31 @@ def optimize_success(grid_step: float = 0.05) -> OptimizationResult:
 
 @dataclass
 class PolishResult:
-    x: np.ndarray  # (t1, t2, t3, s)
+    x: tuple[float, float, float]
     nit: int
     nfev: int
     success: bool
 
 
-def _kkt_residual(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """KKT residual (grad f + J^T lam, g) at z = (t1, t2, t3, s, lam) for
-    f = -s^2 and g = (a0 - s, a1 - s, a2 + s), and J by complex step."""
-    th, s = z[:3], z[3]
-    a = np.array(sign_shift_branch_amplitudes(*(th[:, None] + 1j * _COMPLEX_STEP * np.eye(3))))
-    jac = np.hstack([a.imag / _COMPLEX_STEP, [[-1.0], [-1.0], [1.0]]])
-    return np.concatenate([(0.0, 0.0, 0.0, -2.0 * s) + jac.T @ z[4:], a.real[:, 0] + (-s, -s, s)]), jac
-
-
 def minimize(angles) -> PolishResult:
-    """Newton's method on the KKT system of: maximize s^2 subject to
-    a0 = a1 = s, a2 = -s, from the incumbent ``angles`` (Nocedal & Wright,
-    Numerical Optimization, ch. 18); on that manifold s^2 is the worst-case
-    branch probability. The KKT matrix comes by central differences. Steps
-    are scaled to move no angle over ``_NEWTON_MAX_MOVE``, as full steps from
-    t1 = 0, t3 = pi run off. A singular, non-finite or non-converged solve
-    returns ``success=False``."""
-    z = np.array([*angles, sign_shift_branch_amplitudes(*angles)[0], 0.0, 0.0, 0.0])
-    # least-squares multipliers: from lam = 0 the iteration falls into s = 0
-    z[4:] = np.linalg.lstsq(_kkt_residual(z)[1].T, (0.0, 0.0, 0.0, 2.0 * z[3]), rcond=None)[0]
-    f = _kkt_residual(z)[0]
-    nit, nfev = 0, 2
-    while nit < _NEWTON_MAXITER and np.all(np.isfinite(f)) and np.linalg.norm(f) >= _NEWTON_TOL:
-        kkt = np.column_stack([_kkt_residual(z + dz)[0] - _kkt_residual(z - dz)[0]
-                               for dz in _CENTRAL_STEP * np.eye(len(z))]) / (2 * _CENTRAL_STEP)
-        try:
-            step = np.linalg.solve(kkt, -f)
-        except np.linalg.LinAlgError:
-            break
-        z = z + step * (_NEWTON_MAX_MOVE / max(_NEWTON_MAX_MOVE, np.max(np.abs(step[:3]))))
-        f = _kkt_residual(z)[0]
-        nit, nfev = nit + 1, nfev + 2 * len(z) + 1
-    return PolishResult(z[:4], nit, nfev, bool(np.linalg.norm(f) < _NEWTON_TOL))
+    """The maximizer of ``optimize_success``'s problem nearest ``angles``.
+
+    With a = -cos t2 and k = (sqrt(2) - 1)^2, the sign flip forces
+    a = 1 - sqrt(2) and tan t1 tan t3 = k. There the worst-case branch
+    probability is p = sin^4 t2 cos^2 t1 cos^2 t3 / 2, and AM-GM gives
+    p <= 2k / (1 + k)^2 = 1/4, with equality exactly at cos t2 = sqrt(2) - 1
+    and t1, t3 both pi/8 or both 7 pi/8 (mod pi). Of the points
+    t2 = +-acos(sqrt(2) - 1) (mod 2 pi) with such t1, t3, the result is the
+    one nearest ``angles`` in Euclidean distance, ties going to pi/8 first,
+    then to +acos. ``success`` (True), ``nit`` and ``nfev`` (both 0) are
+    kept for the benchmark tracer only, which reads them.
+    """
+    def nearest(t, centre, period):
+        return centre + period * math.floor((t - centre) / period + 0.5)
+
+    t1, t2, t3 = angles
+    acos = math.acos(SQRT2 - 1.0)
+    best = min(((nearest(t1, c, math.pi), nearest(t2, s, 2 * math.pi), nearest(t3, c, math.pi))
+                for c in (math.pi / 8, 7 * math.pi / 8) for s in (acos, -acos)),
+               key=lambda x: math.dist(x, angles))
+    return PolishResult(best, 0, 0, True)

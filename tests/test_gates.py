@@ -348,6 +348,20 @@ def test_cached_runs_repeat_the_uncached_bits(build):
     assert bool(gate._evolution.expansions) == on_evolve and bool(gate._evolution.columns) != on_evolve
 
 
+@pytest.mark.parametrize("cost", [math.inf, -math.inf], ids=["evolve", "heralded"])
+def test_a_branch_that_cannot_fire_gets_probability_zero(cost, monkeypatch):
+    # 200 photons on one detector do not fit the int8 heralded rows; no
+    # input of the gate has them, so no row may be written for them
+    monkeypatch.setattr(multiport, "HERALDED_COST_PER_TERM", cost)
+    gate = cs_gate()
+    impossible = OutcomeBranch(DetectionPattern({4: 200, 5: 0, 6: 1, 7: 0}))
+    wider = replace(gate, branches=gate.branches + [impossible])
+    for comp in _gate_inputs(gate, np.random.default_rng(49), count=2):
+        *kept, last = wider.run(comp)
+        assert (last.probability, last.conditional_state) == (0.0, None)
+        assert _bits(kept) == _bits(gate.run(comp))
+
+
 def test_replace_starts_with_an_empty_cache():
     gate = cs_gate()
     gate.run(encode(np.eye(4, dtype=complex)[3], gate.encoding))
