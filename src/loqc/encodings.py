@@ -25,6 +25,7 @@ import cmath
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -74,6 +75,13 @@ class Encoding:
     def dim(self) -> int:
         return 2 ** self.num_qubits
 
+    @cached_property
+    def basis(self) -> tuple[tuple[int, ...], ...]:
+        """The occupation of each logical basis state, in index order: entry
+        i is ``basis_occupation`` of i as a ``num_qubits``-bit string. Built
+        on first use and kept, since a gate runs many times on one basis."""
+        return tuple(self.basis_occupation(format(i, f"0{self.num_qubits}b")) for i in range(self.dim))
+
     def basis_occupation(self, bits: str) -> tuple[int, ...]:
         """Occupation vector of a logical computational-basis state."""
         if len(bits) != self.num_qubits or any(b not in "01" for b in bits):
@@ -98,12 +106,7 @@ def encode(logical: str | Sequence[complex], encoding: Encoding) -> FockState:
         raise ValueError(f"amplitude vector must have length {encoding.dim}, got {vec.shape}")
     if abs(np.linalg.norm(vec) - 1.0) > NORM_ATOL:
         raise ValueError("amplitude vector is not normalized")
-    amp = {}
-    for index, a in enumerate(vec):
-        if a != 0:
-            bits = format(index, f"0{encoding.num_qubits}b")
-            amp[encoding.basis_occupation(bits)] = complex(a)
-    return FockState(encoding.num_modes, amp)
+    return FockState(encoding.num_modes, {occ: complex(a) for occ, a in zip(encoding.basis, vec) if a != 0})
 
 
 def decode(state: FockState, encoding: Encoding) -> tuple[np.ndarray, float]:
@@ -118,10 +121,7 @@ def decode(state: FockState, encoding: Encoding) -> tuple[np.ndarray, float]:
     total = state.norm() ** 2
     if total <= 0.0:
         raise ValueError("no logical support: zero state")
-    vec = np.zeros(encoding.dim, dtype=complex)
-    for index in range(encoding.dim):
-        bits = format(index, f"0{encoding.num_qubits}b")
-        vec[index] = state.amplitude(encoding.basis_occupation(bits))
+    vec = np.array([state.amplitude(occ) for occ in encoding.basis], dtype=complex)
     logical_mass = float(np.vdot(vec, vec).real)
     leakage = max(0.0, 1.0 - logical_mass / total)
     if logical_mass / total < 1e-12:

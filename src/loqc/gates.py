@@ -15,17 +15,18 @@ The gallery:
 
 A ``GateCircuit`` is an immutable description (ancilla preparation,
 element list, outcome branches, computational modes): a frozen dataclass
-whose fields cannot be reassigned. ``GateCircuit.run`` evolves the input
-by the heralded evaluator that the circuit keeps next to its composed
-``transform`` (``multiport._HeraldedEvolution``, whose docstring gives the
-route rule and the cache) and returns each branch's
-``PostselectionResult`` in branch order, straight from
-``postselect_branches``. On either route the evaluator keeps each input
-occupation's piece of the gate's linear map, a Ryser column or an
-``evolve`` expansion, so a repeat run on known occupations computes no
-permanent and expands no photon. ``dataclasses.replace`` builds a circuit
-with an empty cache; results never depend on what the cache holds.
-Everything that evaluates a circuit calls ``run``:
+whose fields can be neither reassigned nor edited in place.
+``GateCircuit.run`` evolves the input by the heralded evaluator that the
+circuit keeps next to its composed ``transform``
+(``multiport._HeraldedEvolution``, whose docstring gives the route rule
+and the cache) and returns each branch's ``PostselectionResult`` in
+branch order, straight from ``postselect_branches``. On either route
+the evaluator keeps each input occupation's piece of the gate's linear
+map, a Ryser column or an ``evolve`` expansion, so a repeat run on known
+occupations computes no permanent and expands no photon.
+``dataclasses.replace`` builds a circuit with an empty cache; results
+never depend on what the cache holds. Everything that evaluates a
+circuit calls ``run``:
 
 * ``evaluate_gate`` is one loop over a gate's inputs with a prepare/read
   pair per gate: a one-mode qutrit for ``ns``, ``encode``/``decode`` for
@@ -39,9 +40,10 @@ Everything that evaluates a circuit calls ``run``:
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, replace
 from functools import cached_property, partial
+from types import MappingProxyType
 
 import numpy as np
 
@@ -70,22 +72,27 @@ class GateCircuit:
 
     ``computational_modes`` must be the modes the ancilla leaves free, in
     ascending order: ``with_ancilla`` places the input there. The fields
-    cannot be reassigned, so the composed ``transform`` and the Ryser
-    columns and ``evolve`` expansions that ``run`` keeps stay valid;
-    ``dataclasses.replace`` builds a new circuit, which starts with none
-    of them.
+    cannot be reassigned, and construction keeps ``elements`` and
+    ``branches`` as tuples of frozen values and ``ancilla`` as a read-only
+    copy, so they cannot be edited in place either: the composed
+    ``transform`` and the Ryser columns and ``evolve`` expansions that
+    ``run`` keeps stay valid. ``dataclasses.replace`` builds a new
+    circuit, which starts with none of them.
     """
 
     name: str
     num_modes: int
-    ancilla: dict[int, int]
-    elements: list[ElementSpec]
-    branches: list[OutcomeBranch]
+    ancilla: Mapping[int, int]
+    elements: Sequence[ElementSpec]
+    branches: Sequence[OutcomeBranch]
     computational_modes: list[int]
     encoding: Encoding | None = None
     coincidence: bool = False
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "ancilla", MappingProxyType(dict(self.ancilla)))
+        object.__setattr__(self, "elements", tuple(self.elements))
+        object.__setattr__(self, "branches", tuple(self.branches))
         free = DetectionPattern(self.ancilla).survivors(self.num_modes)
         if list(self.computational_modes) != free:
             raise ValueError(f"computational modes {self.computational_modes} must be "

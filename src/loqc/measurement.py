@@ -110,7 +110,7 @@ class PostselectionResult:
     conditional_state: FockState | None
 
 
-@dataclass
+@dataclass(frozen=True)
 class OutcomeBranch:
     """A detection pattern with an optional correction on the survivors."""
 

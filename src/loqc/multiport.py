@@ -155,7 +155,7 @@ class ModeTransform:
         return self._block
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, frozen=True)
 class ElementSpec:
     """One optical element: its unitary block and the circuit modes it touches.
 
@@ -172,14 +172,14 @@ class ElementSpec:
     block: np.ndarray
 
     def __post_init__(self) -> None:
-        self.modes = _integers(self.modes, "element modes")
+        object.__setattr__(self, "modes", _integers(self.modes, "element modes"))
         if len(set(self.modes)) != len(self.modes):
             raise ValueError(f"element modes must be distinct: {self.modes}")
         block = self.block if isinstance(self.block, ModeTransform) else ModeTransform(self.block)
         if block.dim != len(self.modes):
             raise ValueError(f"a {block.dim}x{block.dim} block cannot act on "
                              f"{len(self.modes)} mode(s)")
-        self.block = block.matrix
+        object.__setattr__(self, "block", block.matrix)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ElementSpec):

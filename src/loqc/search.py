@@ -311,6 +311,17 @@ def single_bs_corrected(case: int, x):
     and exactly one photon must leave through it. Case 3 survivors carry
     0..2 photons; the splitter faces a port prepared with one photon that
     must come back out.
+
+    The splitter is the block [[cos x, sin x], [sin x, -cos x]] on the
+    survivor mode and the port. For x <= pi/2 that is
+    ``beam_splitter(cos(x)**2)``; for x in (pi/2, pi) it is diag(-1, 1)
+    ``beam_splitter(cos(x)**2)`` diag(1, -1), the splitter between two pi
+    phase shifts (the bare splitter there gives the case-3 triple times
+    (-1, 1, -1)). So the scan's ``infeasible`` verdict over (0, pi) covers
+    both the bare splitter and the splitter between pi shifts. A test
+    simulates this scheme: case 3 agrees with the triple up to one common
+    factor; case 1 does not, its simulated triple is this one times
+    (1, 1, sqrt 3).
     """
     s, c = np.sin(x), np.cos(x)
     if case == 1:

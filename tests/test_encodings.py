@@ -151,6 +151,69 @@ def test_decode_mode_count_mismatch():
         decode(FockState.from_occupation([1, 0]), Encoding("dual_rail", 2))
 
 
+# -- the logical-basis table ---------------------------------------------------
+
+_SCHEMES = ["single_rail", "dual_rail", "one_hot", "polarization"]
+
+
+def _bits_of(index, enc):
+    return format(index, f"0{enc.num_qubits}b")
+
+
+@pytest.mark.parametrize("scheme", _SCHEMES)
+@pytest.mark.parametrize("qubits", [1, 2, 3, 4])
+def test_basis_is_every_basis_occupation_in_index_order(scheme, qubits):
+    enc = Encoding(scheme, qubits)
+    assert enc.basis == tuple(enc.basis_occupation(_bits_of(i, enc)) for i in range(enc.dim))
+    assert enc.basis is enc.basis   # built once
+
+
+def _hex(z):
+    return complex(z).real.hex(), complex(z).imag.hex()
+
+
+def _encode_loop(vec, enc):
+    """The amplitude map of ``encode(vec, enc)``, one bitstring at a time."""
+    return {enc.basis_occupation(_bits_of(i, enc)): complex(a) for i, a in enumerate(vec) if a != 0}
+
+
+def _decode_loop(state, enc):
+    """``decode(state, enc)``, one bitstring at a time."""
+    vec = np.zeros(enc.dim, dtype=complex)
+    for index in range(enc.dim):
+        vec[index] = state.amplitude(enc.basis_occupation(_bits_of(index, enc)))
+    mass = float(np.vdot(vec, vec).real)
+    return vec / math.sqrt(mass), max(0.0, 1.0 - mass / state.norm() ** 2)
+
+
+@pytest.mark.parametrize("scheme", _SCHEMES)
+def test_encode_and_decode_match_a_per_bitstring_loop(scheme):
+    rng = np.random.default_rng(28)
+    for qubits in (1, 2, 3, 4):
+        enc = Encoding(scheme, qubits)
+        leak = (2,) + (0,) * (enc.num_modes - 1)   # no scheme puts two photons on a mode
+        for _ in range(4):
+            v = rng.normal(size=enc.dim) + 1j * rng.normal(size=enc.dim)
+            v[1:][rng.random(enc.dim - 1) < 0.3] = 0   # encode skips zero amplitudes
+            v /= np.linalg.norm(v)
+            state = encode(v, enc)
+            want = _encode_loop(v, enc)
+            assert [(occ, _hex(a)) for occ, a in state._amp.items()] == [
+                (occ, _hex(a)) for occ, a in want.items()]
+            leaky = FockState(enc.num_modes, {**want, leak: 0.5 * rng.normal()})
+            for probe in (state, leaky):
+                (got, got_leak), (vec, leakage) = decode(probe, enc), _decode_loop(probe, enc)
+                assert [_hex(a) for a in got] == [_hex(a) for a in vec]
+                assert got_leak.hex() == leakage.hex()
+
+
+def test_encoding_one_bitstring_builds_no_table():
+    enc = Encoding("dual_rail", 16)
+    state = encode("0" * 16, enc)
+    assert state.amplitude((1, 0) * 16) == 1.0
+    assert "basis" not in enc.__dict__
+
+
 # -- Z-Y decomposition --------------------------------------------------------
 
 def test_identity_decomposes_to_identity_product():

@@ -6,6 +6,7 @@ import pytest
 
 from loqc import (
     DetectionPattern,
+    ElementSpec,
     Encoding,
     FockState,
     GateCircuit,
@@ -355,7 +356,7 @@ def test_a_branch_that_cannot_fire_gets_probability_zero(cost, monkeypatch):
     monkeypatch.setattr(multiport, "HERALDED_COST_PER_TERM", cost)
     gate = cs_gate()
     impossible = OutcomeBranch(DetectionPattern({4: 200, 5: 0, 6: 1, 7: 0}))
-    wider = replace(gate, branches=gate.branches + [impossible])
+    wider = replace(gate, branches=[*gate.branches, impossible])
     for comp in _gate_inputs(gate, np.random.default_rng(49), count=2):
         *kept, last = wider.run(comp)
         assert (last.probability, last.conditional_state) == (0.0, None)
@@ -377,6 +378,28 @@ def test_gate_circuit_fields_cannot_be_reassigned():
         gate.elements = []
     with pytest.raises(FrozenInstanceError):
         gate.branches = gate.branches[:1]
+
+
+def test_gate_circuit_parts_cannot_be_edited_in_place():
+    # an edit in place would leave the cached transform and evaluator stale
+    gate = cs_gate()
+    comp = encode("11", gate.encoding)
+    [before] = gate.run(comp)
+    extra = OutcomeBranch(DetectionPattern({4: 0, 5: 1, 6: 1, 7: 0}))
+    with pytest.raises(AttributeError):
+        gate.branches.append(extra)
+    with pytest.raises(AttributeError):
+        gate.elements.append(ElementSpec.bs(0, 1, 0.5))
+    with pytest.raises(TypeError):
+        gate.ancilla[4] = 0
+    with pytest.raises(FrozenInstanceError):
+        gate.branches[0].label = "edited"
+    with pytest.raises(FrozenInstanceError):
+        gate.elements[0].modes = (0, 2)
+    assert _bits(gate.run(comp)) == _bits([before])
+    # the new branch is a new circuit, whose run sees it
+    *_, fresh = replace(gate, branches=[*gate.branches, extra]).run(comp)
+    assert fresh.probability == pytest.approx(0.015034290379138858, abs=1e-15)
 
 
 #: Numbers each gate's cache holds at a budget: cs and the cascade keep 10

@@ -8,17 +8,20 @@ benchmark's ``gates_heralded`` workload (``perfbench/workloads.cascade_circuit``
 imported read-only) on 64 Haar-random inputs and then on each basis
 input, and prints the number of result lines and one sha256 over them.
 A result line holds the hex bits of every branch's probability and
-conditional amplitudes for one run. Each gate runs its inputs twice (first
-and repeat runs) on the circuit as built and then twice on a
-``dataclasses.replace`` copy, which starts with an empty cache; all of it
-at ``multiport.COLUMN_CACHE_BUDGET`` 2^16, 25 and 0, so that runs that
-keep every piece, some and none are all covered. The budget covers both
-kinds of piece a gate keeps per input occupation: the Ryser columns of
-the heralded route (``cs``, ``cnot_klm`` and the cascade, 10 sums each)
-and the ``evolve`` expansions (``ns``, 3 + 6 + 10 coefficients, all
-kept at 25; ``cnot_2photon``, 21 each, one kept at 25). A change meant
-to leave gate results bit-identical runs this at the parent commit and at
-the change and compares the two lines. The library is imported from this
+conditional amplitudes for one run, and then what the run reads from
+them: for a gate with an encoding, ``decode``'s logical amplitudes and
+leakage; for ``ns``, the amplitudes of 0, 1 and 2 photons on its one
+mode. Each gate runs its inputs twice (first and repeat runs) on the
+circuit as built and then twice on a ``dataclasses.replace`` copy, which
+starts with an empty cache; all of it at ``multiport.COLUMN_CACHE_BUDGET``
+2^16, 25 and 0, so that runs that keep every piece, some and none are
+all covered. The budget covers both kinds of piece a gate keeps per
+input occupation: the Ryser columns of the heralded route (``cs``,
+``cnot_klm`` and the cascade, 10 sums each) and the ``evolve``
+expansions (``ns``, 3 + 6 + 10 coefficients, all kept at 25;
+``cnot_2photon``, 21 each, one kept at 25). A change meant to leave gate
+results bit-identical runs this at the parent commit and at the change
+and compares the two lines. The library is imported from this
 checkout's ``src/``.
 """
 
@@ -52,13 +55,26 @@ def _inputs(circuit, rng: np.random.Generator) -> list[loqc.FockState]:
     return [loqc.encode(v, circuit.encoding) for v in vecs]
 
 
-def _line(results) -> str:
+def _hex(amp: complex) -> str:
+    return f"{amp.real.hex()},{amp.imag.hex()}"
+
+
+def _read(state: loqc.FockState, encoding: loqc.Encoding | None) -> list[str]:
+    """The logical amplitudes and leakage a run reads from one conditional state."""
+    if encoding is None:   # ns: a one-mode qutrit
+        return [_hex(state.amplitude((k,))) for k in range(3)]
+    vec, leakage = loqc.decode(state, encoding)
+    return [_hex(a) for a in vec] + [f"leak:{leakage.hex()}"]
+
+
+def _line(results, encoding: loqc.Encoding | None) -> str:
     parts = []
     for res in results:
         parts.append(res.probability.hex())
         state = res.conditional_state
-        for occ, amp in [] if state is None else state.terms():
-            parts.append(f"{occ}:{amp.real.hex()},{amp.imag.hex()}")
+        if state is not None:
+            parts += [f"{occ}:{_hex(amp)}" for occ, amp in state.terms()]
+            parts += ["|", *_read(state, encoding)]
     return " ".join(parts)
 
 
@@ -73,7 +89,8 @@ def result_lines() -> list[str]:
             for copy, circuit in enumerate((gate, dataclasses.replace(gate))):
                 for repeat in range(2):
                     for i, state in enumerate(inputs):
-                        lines.append(f"{budget} {name} {copy} {repeat} {i} {_line(circuit.run(state))}")
+                        line = _line(circuit.run(state), circuit.encoding)
+                        lines.append(f"{budget} {name} {copy} {repeat} {i} {line}")
     return lines
 
 
