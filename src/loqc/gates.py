@@ -23,7 +23,10 @@ and the cache) and returns each branch's ``PostselectionResult`` in
 branch order, straight from ``postselect_branches``. On either route
 the evaluator keeps each input occupation's piece of the gate's linear
 map, a Ryser column or an ``evolve`` expansion, so a repeat run on known
-occupations computes no permanent and expands no photon.
+occupations computes no permanent and expands no photon, and each input
+support's plan, the route and the assembled map, so a run on a known
+support (any input with every logical amplitude nonzero, after the
+first) only makes the products and sums, in the same order.
 ``dataclasses.replace`` builds a circuit with an empty cache; results
 never depend on what the cache holds. Everything that evaluates a
 circuit calls ``run``:
@@ -73,10 +76,11 @@ class GateCircuit:
     ``computational_modes`` must be the modes the ancilla leaves free, in
     ascending order: ``with_ancilla`` places the input there. The fields
     cannot be reassigned, and construction keeps ``elements`` and
-    ``branches`` as tuples of frozen values and ``ancilla`` as a read-only
-    copy, so they cannot be edited in place either: the composed
-    ``transform`` and the Ryser columns and ``evolve`` expansions that
-    ``run`` keeps stay valid. ``dataclasses.replace`` builds a new
+    ``branches`` as tuples of frozen values, ``computational_modes`` as a
+    tuple and ``ancilla`` as a read-only copy, so they cannot be edited in
+    place either: the composed ``transform`` and the Ryser columns,
+    ``evolve`` expansions and per-support plans that ``run`` keeps stay
+    valid. ``dataclasses.replace`` builds a new
     circuit, which starts with none of them.
     """
 
@@ -85,7 +89,7 @@ class GateCircuit:
     ancilla: Mapping[int, int]
     elements: Sequence[ElementSpec]
     branches: Sequence[OutcomeBranch]
-    computational_modes: list[int]
+    computational_modes: Sequence[int]
     encoding: Encoding | None = None
     coincidence: bool = False
 
@@ -93,9 +97,10 @@ class GateCircuit:
         object.__setattr__(self, "ancilla", MappingProxyType(dict(self.ancilla)))
         object.__setattr__(self, "elements", tuple(self.elements))
         object.__setattr__(self, "branches", tuple(self.branches))
+        object.__setattr__(self, "computational_modes", tuple(self.computational_modes))
         free = DetectionPattern(self.ancilla).survivors(self.num_modes)
         if list(self.computational_modes) != free:
-            raise ValueError(f"computational modes {self.computational_modes} must be "
+            raise ValueError(f"computational modes {list(self.computational_modes)} must be "
                              f"the modes the ancilla leaves free, {free}")
         if not self.branches:
             raise ValueError("a gate circuit needs at least one outcome branch")

@@ -21,9 +21,10 @@ outputs some detection patterns keep, by Ryser's formula over repeated
 rows and columns (``_ryser_column``, one input occupation at a time), or
 runs the full ``evolve``. Either way its output is a linear map of the
 input, and it keeps each input occupation's piece of that map, a Ryser
-column or an ``evolve`` expansion (``evolve``'s ``_cache``), so that a
-gate's repeat runs skip that work; its docstring gives the route rule
-and the cache. The n!-sum ``permanent_amplitude`` computes single
+column or an ``evolve`` expansion (``evolve``'s ``_cache``), and each
+input support's plan, the route and the assembled map, so that a gate's
+repeat runs skip that work and the setting up; its docstring gives the
+route rule and the cache. The n!-sum ``permanent_amplitude`` computes single
 amplitudes by a third route and exists purely to cross-check the other
 two.
 
@@ -391,6 +392,17 @@ def _expand(occupations: np.ndarray, photons: int, cols: np.ndarray) -> np.ndarr
     return coeff
 
 
+def _add_terms(total: np.ndarray, rows: np.ndarray, coeff: np.ndarray, prefs: np.ndarray,
+               scales: np.ndarray) -> None:
+    """Add each coefficient (re/im along the last axis) times its term's
+    prefactor ``prefs`` and its row's scale into ``total`` at ``rows``, in
+    index order; see ``evolve``."""
+    part = coeff * prefs[..., :1]
+    part += coeff[..., ::-1] * (prefs[..., 1:] * _CROSS)
+    part *= scales
+    np.add.at(total, rows.ravel(), part.view(complex).ravel())
+
+
 def evolve(state: FockState, transform: ModeTransform, prune_tol: float = PRUNE_TOL, *,
            _cache: _HeraldedEvolution | None = None) -> FockState:
     """Send a Fock state through a linear network.
@@ -430,14 +442,25 @@ def evolve(state: FockState, transform: ModeTransform, prune_tol: float = PRUNE_
     A term's expansion and its output rows, relative to the basis of its
     photon number, depend only on the transform and its occupation: they
     are the term's piece of a linear map. ``_cache``, the evaluator
-    (``_HeraldedEvolution``) of this same transform, keeps these pieces
-    across calls in its ``expansions`` table, within its budget. A block
-    expands only the occupations the table lacks, in one ``_expand`` call
-    as before; then every term of the block, kept or new, is assembled
-    from its piece by the same products and the same ``np.add.at`` in the
-    same sorted term order, so the order of the sums is unchanged and the
-    table changes no bit. Without ``_cache`` the table is a local that
-    keeps nothing.
+    (``_HeraldedEvolution``) of this same transform, which passes itself
+    on its ``evolve`` route, keeps these pieces across calls in its
+    ``expansions`` table, within its budget. A block expands only the
+    occupations the table lacks, in one ``_expand`` call as before; then
+    every term of the block, kept or new, is assembled from its piece by
+    the same products and the same ``np.add.at`` in the same sorted term
+    order, so the order of the sums is unchanged and the table changes no
+    bit. The evaluator also keeps, per input support (the occupations of
+    ``terms()``, in order), the run's assembled map in its ``plans``
+    table: the terms' stable order and roots sqrt(prod n_k!), and, over
+    every (term, row) pair in the order of the sums, the term's place,
+    the coefficient, the output row among the rows the run reaches and
+    that row's scale, and those rows' occupations. A run on a known
+    support does no budget check, photon count or block: it divides the
+    amplitudes by the roots and makes the same products and one
+    ``np.add.at`` over the pairs from zeros, in the same order, so the plan
+    changes no bit either; a row no term reaches holds an exact zero,
+    which the pruning drops in any case. Without ``_cache`` nothing is
+    kept and no plan is assembled.
 
     Every input term is checked against ``MAX_PHOTONS`` and its basis,
     C(n+m-1, n) terms for n photons in all m modes, against
@@ -447,63 +470,80 @@ def evolve(state: FockState, transform: ModeTransform, prune_tol: float = PRUNE_
         raise ValueError(f"state has {state.num_modes} modes, transform {transform.dim}")
     m = transform.dim
     terms = list(state.terms())
-    photons = [sum(occ) for occ, _ in terms]
-    counts = list(dict.fromkeys(photons))
-    for n in counts:
-        check_term_budget(n, m)
-    if not terms:
-        return FockState._wrap(m, {})
-    spectators, active, cols = transform._active_block()
-    a = len(active)
-    occs = np.array([occ for occ, _ in terms], dtype=np.int8)
-    moving = occs[:, active].sum(axis=1)
-    # terms with an output in common move as many photons; a stable sort keeps their order
-    order = np.argsort(moving, kind="stable")
-    occs, moving = occs[order], moving[order].tolist()
-    terms = [terms[i] for i in order.tolist()]
-    bases = [_fock_basis(m, n) for n in counts]
-    start = dict(zip(counts, accumulate((len(basis) for basis, _, _ in bases), initial=0)))
-    first = np.array([start[sum(occ)] for occ, _ in terms])   # the first output row of each term's basis
-    scales = np.concatenate([scale for _, scale, _ in bases])
-    prefs = np.array([amp / math.sqrt(math.prod(map(_FACT.__getitem__, occ))) for occ, amp in terms])
-    prefs = prefs.view(float).reshape(-1, 1, 2)
-    cross = prefs[..., 1:] * _CROSS
-    kept = {} if _cache is None else _cache.expansions   # occupation -> (expansion, relative rows)
-    total = np.zeros(len(scales), dtype=complex)
-    ends = [i for i in range(1, len(terms)) if moving[i] != moving[i - 1]] + [len(terms)]
-    for lo, hi in zip([0] + ends, ends):
-        n = moving[lo]
-        basis = _fock_basis(a, n)[0]
-        if a < m:   # each output puts back its term's spectator counts
-            lift = np.zeros((len(basis), m), dtype=np.int8)
-            lift[:, active] = basis
-        block = max(1, RYSER_BLOCK // (a * math.comb(n + a - 2, n - 1) if n else 1))
-        for at in range(lo, hi, block):
-            sel = slice(at, min(at + block, hi))
-            pieces = [kept.get(occ) for occ, _ in terms[sel]]
-            new = [at + i for i, piece in enumerate(pieces) if piece is None]
-            if new:
-                lacking = occs[sel] if len(new) == len(pieces) else occs[new]
-                coeff = _expand(lacking[:, active], n, cols)   # (terms, active basis row, re/im)
-                if a < m:
-                    rows = _rank(lacking[:, None] * spectators + lift, max(counts))
-                else:   # the active basis is the full basis
-                    rows = np.arange(len(basis))[None].repeat(len(new), axis=0)
-                if _cache is not None:
-                    for i, piece in zip(new, zip(coeff, rows)):
-                        pieces[i - at] = piece
-                        _cache.keep(kept, terms[i][0], (piece[0].copy(), piece[1].copy()), len(basis))
-            if len(new) < len(pieces):   # some pieces were kept: assemble the block from them
-                coeff, rows = (np.array(part) for part in zip(*pieces))
-            rows = rows + first[sel, None]
-            part = coeff * prefs[sel, :, :1]
-            part += coeff[..., ::-1] * cross[sel]
-            part *= scales[rows]
-            np.add.at(total, rows.ravel(), part.view(complex).ravel())
+    support = tuple(occ for occ, _ in terms)
+    plan = None if _cache is None else _cache.plans.get(support)
+    if plan is not None:   # the evaluator's own plan for this support, on the evolve route
+        order, roots, pairs, coeff, rows, scales, basis = plan[1]
+        prefs = np.array([terms[i][1] / root for i, root in zip(order, roots)]).view(float).reshape(-1, 2)
+        total = np.zeros(len(basis), dtype=complex)
+        _add_terms(total, rows, coeff, prefs[pairs], scales)
+    else:
+        photons = [sum(occ) for occ in support]
+        counts = list(dict.fromkeys(photons))
+        for n in counts:
+            check_term_budget(n, m)
+        if not terms:
+            return FockState._wrap(m, {})
+        spectators, active, cols = transform._active_block()
+        a = len(active)
+        occs = np.array(support, dtype=np.int8)
+        moving = occs[:, active].sum(axis=1)
+        # terms with an output in common move as many photons; a stable sort keeps their order
+        order = np.argsort(moving, kind="stable")
+        occs, moving, order = occs[order], moving[order].tolist(), order.tolist()
+        roots = [math.sqrt(math.prod(map(_FACT.__getitem__, support[i]))) for i in order]
+        bases = [_fock_basis(m, n) for n in counts]
+        start = dict(zip(counts, accumulate((len(basis) for basis, _, _ in bases), initial=0)))
+        first = np.array([start[photons[i]] for i in order])   # the first output row of each term's basis
+        scales = np.concatenate([scale for _, scale, _ in bases])
+        prefs = np.array([terms[i][1] / root for i, root in zip(order, roots)]).view(float).reshape(-1, 2)
+        kept = {} if _cache is None else _cache.expansions   # occupation -> (expansion, relative rows)
+        parts = None   # a plan's pieces, gathered only if a plan of their count could be kept
+        if _cache is not None:
+            sizes = [math.comb(n + a - 1, n) if n else 1 for n in moving]   # (term, row) pairs per term
+            parts = [] if _cache.size + sum(sizes) <= COLUMN_CACHE_BUDGET else None
+        total = np.zeros(len(scales), dtype=complex)
+        ends = [i for i in range(1, len(terms)) if moving[i] != moving[i - 1]] + [len(terms)]
+        for lo, hi in zip([0] + ends, ends):
+            n = moving[lo]
+            basis = _fock_basis(a, n)[0]
+            if a < m:   # each output puts back its term's spectator counts
+                lift = np.zeros((len(basis), m), dtype=np.int8)
+                lift[:, active] = basis
+            block = max(1, RYSER_BLOCK // (a * math.comb(n + a - 2, n - 1) if n else 1))
+            for at in range(lo, hi, block):
+                sel = slice(at, min(at + block, hi))
+                pieces = [kept.get(support[i]) for i in order[sel]]
+                new = [at + i for i, piece in enumerate(pieces) if piece is None]
+                if new:
+                    lacking = occs[sel] if len(new) == len(pieces) else occs[new]
+                    coeff = _expand(lacking[:, active], n, cols)   # (terms, active basis row, re/im)
+                    if a < m:
+                        rows = _rank(lacking[:, None] * spectators + lift, max(counts))
+                    else:   # the active basis is the full basis
+                        rows = np.arange(len(basis))[None].repeat(len(new), axis=0)
+                    if _cache is not None:
+                        for i, piece in zip(new, zip(coeff, rows)):
+                            pieces[i - at] = piece
+                            _cache.keep(kept, support[order[i]], (piece[0].copy(), piece[1].copy()), len(basis))
+                if len(new) < len(pieces):   # some pieces were kept: assemble the block from them
+                    coeff, rows = (np.array(part) for part in zip(*pieces))
+                rows = rows + first[sel, None]
+                _add_terms(total, rows, coeff, prefs[sel, None], scales[rows])
+                if parts is not None:
+                    parts.append((coeff.reshape(-1, 2), rows.ravel()))
+        basis = np.concatenate([basis for basis, _, _ in bases])
+        if parts:
+            coeff, rows = (np.concatenate(part) for part in zip(*parts))
+            gathered, reached = scales[rows], slice(None)
+            if a < m:   # only the rows some term reaches, in order
+                reached, rows = np.unique(rows, return_inverse=True)
+            plan = False, (order, roots, np.arange(len(sizes)).repeat(sizes), coeff, rows, gathered, basis[reached])
+            _cache.keep(_cache.plans, support, plan, len(coeff))
     keep = total != 0
     if prune_tol > 0:
         keep &= np.hypot(total.real, total.imag) >= prune_tol
-    return FockState._of_rows(m, np.concatenate([basis for basis, _, _ in bases])[keep], total[keep])
+    return FockState._of_rows(m, basis[keep], total[keep])
 
 
 @functools.lru_cache(maxsize=32)
@@ -580,9 +620,11 @@ def _ryser_column(matrix: np.ndarray, occ: Occupation, outs: np.ndarray) -> tupl
 HERALDED_COST_PER_TERM = 256
 HERALDED_COST_PER_PRODUCT = 1 / 16
 
-#: Most complex numbers that a ``_HeraldedEvolution`` keeps in all: Ryser
-#: sums, one per heralded output per input occupation, and ``evolve``
-#: coefficients, one per active basis row per input occupation (1 MiB).
+#: Most numbers that a ``_HeraldedEvolution`` keeps in all (1 MiB of
+#: complex numbers): Ryser sums, one per heralded output per input
+#: occupation; ``evolve`` coefficients, one per active basis row per input
+#: occupation; and per input support a plan, one per heralded output or
+#: per (term, row) pair of ``evolve``.
 COLUMN_CACHE_BUDGET = 1 << 16
 
 
@@ -655,20 +697,37 @@ class _HeraldedEvolution:
     on the transform, the term's occupation and, on the heralded route,
     the heralded outputs. This object keeps those pieces per input
     occupation, ``columns`` for the heralded route and ``expansions`` for
-    ``evolve``, which it passes as ``evolve``'s ``_cache``; ``size``
-    counts the complex numbers both hold. A new piece is kept if both
+    ``evolve``, which it passes as ``evolve``'s ``_cache``. On the
+    heralded route a term's piece is its root sqrt(prod n_k!) and its
+    column of Ryser sums (``_ryser_column``) over the heralded outputs;
+    ``evolve``'s docstring gives its piece. This object also keeps, per
+    photon number, the heralded output rows (int8, as ``_fock_basis``
+    keeps them) and their roots.
+
+    It keeps one plan per input support, the tuple of a state's
+    occupations in ``terms()`` order, in ``plans``: the route the rule
+    picked, which is exact to keep since the rule reads only occupations,
+    and the run's assembled map. On the heralded route that is each
+    term's place in the support, output slice, root and column, in the
+    order of the sums, and the concatenated heralded rows and roots; on
+    the ``evolve`` route ``evolve`` assembles and keeps it (see there). A
+    run on a known support skips the grouping by photon number, the rule
+    and the per-photon-number outputs: the terms' amplitudes over their
+    roots times their columns are added to zeros in that order, one
+    photon number's slice at a time, each output is then divided by
+    sqrt(prod o_l!) and pruned at ``PRUNE_TOL`` as ``evolve`` prunes. A
+    run on a new support assembles its plan and runs it the same way.
+
+    ``size`` counts the numbers all three tables hold: one per Ryser sum
+    or expansion coefficient, and one per heralded output or per (term,
+    row) pair of ``evolve`` for a plan. A piece or a plan is kept if they
     then hold at most ``COLUMN_CACHE_BUDGET`` numbers (``keep``); nothing
-    is evicted, and a piece that would not fit is used and dropped. A run
-    whose occupations are all known computes no permanent and expands no
-    photon: it only multiplies in the amplitudes and adds. The cache does
-    not change a bit. On the heralded route a term's piece is its root
-    sqrt(prod n_k!) and its column of Ryser sums (``_ryser_column``) over
-    the heralded outputs; the terms' amplitudes over their roots times
-    their columns are added to zeros, one photon number at a time, each
-    output is then divided by sqrt(prod o_l!) and pruned at ``PRUNE_TOL``
-    as ``evolve`` prunes. This object also keeps, per photon number, the
-    heralded output rows (int8, as ``_fock_basis`` keeps them) and their
-    roots. ``evolve``'s docstring gives its piece.
+    is evicted, and one that would not fit is used and dropped. A
+    heralded plan is kept only if every column it reads is kept, so that
+    it holds no number ``size`` does not count. A run whose occupations
+    are all known computes no permanent and expands no photon; a run on
+    a known support does only the products and sums. The cache does not
+    change a bit: every route sums the same products in the same order.
     ``measurement.postselect_branches`` gives the same results on either
     route.
     """
@@ -682,30 +741,30 @@ class _HeraldedEvolution:
         self.outputs: dict[int, tuple[np.ndarray, np.ndarray]] = {}     # photons -> (rows, roots)
         self.columns: dict[Occupation, tuple[float, np.ndarray]] = {}   # occupation -> (root, column)
         self.expansions: dict[Occupation, tuple[np.ndarray, np.ndarray]] = {}   # see ``evolve``
-        self.size = 0   # Ryser sums and expansion coefficients kept
+        self.plans: dict[tuple[Occupation, ...], tuple[bool, tuple]] = {}   # support -> (heralded, map)
+        self.size = 0   # Ryser sums, expansion coefficients and plan entries kept
 
-    def keep(self, table: dict, occ: Occupation, piece: tuple, count: int) -> None:
-        """Keep an occupation's piece of ``count`` numbers in ``table`` if
-        both tables then hold at most ``COLUMN_CACHE_BUDGET``."""
+    def keep(self, table: dict, key, entry: tuple, count: int) -> None:
+        """Keep an entry of ``count`` numbers in ``table`` if the tables
+        then hold at most ``COLUMN_CACHE_BUDGET``."""
         if self.size + count <= COLUMN_CACHE_BUDGET:
-            table[occ] = piece
+            table[key] = entry
             self.size += count
 
-    def _heralded(self, by_photons: dict[int, list[tuple[Occupation, complex]]]) -> bool:
+    def _heralded(self, support: tuple[Occupation, ...], by_photons: dict[int, list[int]]) -> bool:
         """The route rule: True for the heralded route."""
         m = self.transform.dim
         full = products = 0
-        for n, terms in by_photons.items():
+        for n, places in by_photons.items():
             check_term_budget(n)
             heralded = sum(math.comb(n - h + len(s) - 1, n - h)
                            for h, s in zip(self.held, self.survivors) if n >= h)
-            grids = [math.prod(c + 1 for c in occ) for occ, _ in terms]
+            grids = [math.prod(c + 1 for c in support[i]) for i in places]
             if heralded > MAX_FOCK_TERMS or max(grids) > MAX_RYSER_GRID:
                 return False
-            full += math.comb(n + m - 1, n) * len(terms)
+            full += math.comb(n + m - 1, n) * len(places)
             products += heralded * sum(grids)
-        count = sum(map(len, by_photons.values()))
-        return HERALDED_COST_PER_TERM * count + HERALDED_COST_PER_PRODUCT * (m * products) < m * full
+        return HERALDED_COST_PER_TERM * len(support) + HERALDED_COST_PER_PRODUCT * (m * products) < m * full
 
     def _outputs_at(self, n: int) -> tuple[np.ndarray, np.ndarray]:
         """The distinct heralded output rows at ``n`` photons, pattern by
@@ -726,26 +785,43 @@ class _HeraldedEvolution:
             kept = self.outputs[n] = rows, roots
         return kept
 
-    def __call__(self, state: FockState) -> FockState:
-        by_photons: dict[int, list[tuple[Occupation, complex]]] = {}
-        for term in state.terms():
-            by_photons.setdefault(sum(term[0]), []).append(term)
-        if not self._heralded(by_photons):
-            return evolve(state, self.transform, _cache=self)
-        outs = {n: self._outputs_at(n) for n in sorted(by_photons)}
-        sums = []
-        for n, (rows, _) in outs.items():
-            total = np.zeros(len(rows), dtype=complex)
-            for occ, amp in by_photons[n]:
-                entry = self.columns.get(occ)
+    def _plan(self, support: tuple[Occupation, ...], by_photons: dict[int, list[int]]) -> tuple[bool, tuple]:
+        """The heralded route's plan for a new support, its columns computed
+        where none is kept; kept in ``plans`` if it fits."""
+        steps, outs, lo = [], [], 0
+        for n in sorted(by_photons):
+            rows, roots = self._outputs_at(n)
+            for i in by_photons[n]:
+                entry = self.columns.get(support[i])
                 if entry is None:
-                    entry = _ryser_column(self.transform.matrix, occ, rows)
-                    self.keep(self.columns, occ, entry, len(rows))
-                root, column = entry
-                total += (amp / root) * column
-            sums.append(total)
-        rows, roots = (np.concatenate(part) for part in zip(*outs.values()))
-        amps = np.concatenate(sums) / roots
+                    entry = _ryser_column(self.transform.matrix, support[i], rows)
+                    self.keep(self.columns, support[i], entry, len(rows))
+                steps.append((i, lo, lo + len(rows), *entry))
+            outs.append((rows, roots))
+            lo += len(rows)
+        rows, roots = (np.concatenate(part) for part in zip(*outs))
+        plan = True, (steps, rows, roots)
+        if all(occ in self.columns for occ in support):
+            self.keep(self.plans, support, plan, lo)
+        return plan
+
+    def __call__(self, state: FockState) -> FockState:
+        terms = list(state.terms())
+        support = tuple(occ for occ, _ in terms)
+        plan = self.plans.get(support)
+        if plan is None:
+            by_photons: dict[int, list[int]] = {}   # photons -> the terms' places in the support
+            for i, occ in enumerate(support):
+                by_photons.setdefault(sum(occ), []).append(i)
+            if self._heralded(support, by_photons):
+                plan = self._plan(support, by_photons)
+        if plan is None or not plan[0]:   # the evolve route, where evolve keeps the plan
+            return evolve(state, self.transform, _cache=self)
+        steps, rows, roots = plan[1]
+        total = np.zeros(len(rows), dtype=complex)
+        for i, lo, hi, root, column in steps:
+            total[lo:hi] += (terms[i][1] / root) * column
+        amps = total / roots
         kept = np.abs(amps) >= PRUNE_TOL
         # sums of products added to zeros, over a positive root: no part is -0.0
         return FockState._of_rows(self.transform.dim, rows[kept], amps[kept])

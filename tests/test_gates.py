@@ -235,7 +235,7 @@ def test_computational_modes_must_be_the_free_modes(computational_modes):
     branch = OutcomeBranch(DetectionPattern({1: 1}))
     with pytest.raises(ValueError, match="leaves free"):
         GateCircuit("x", 3, {1: 1}, [], [branch], computational_modes)
-    assert GateCircuit("x", 3, {1: 1}, [], [branch], [0, 2]).computational_modes == [0, 2]
+    assert GateCircuit("x", 3, {1: 1}, [], [branch], [0, 2]).computational_modes == (0, 2)
 
 
 # -- two cs stages in series -------------------------------------------------
@@ -396,6 +396,10 @@ def test_gate_circuit_parts_cannot_be_edited_in_place():
         gate.branches[0].label = "edited"
     with pytest.raises(FrozenInstanceError):
         gate.elements[0].modes = (0, 2)
+    with pytest.raises(AttributeError):
+        gate.computational_modes.append(9)
+    assert gate.computational_modes == (0, 1, 2, 3)
+    replace(gate)   # a list edited in place failed the free-modes check here
     assert _bits(gate.run(comp)) == _bits([before])
     # the new branch is a new circuit, whose run sees it
     *_, fresh = replace(gate, branches=[*gate.branches, extra]).run(comp)
@@ -404,17 +408,27 @@ def test_gate_circuit_parts_cannot_be_edited_in_place():
 
 #: Numbers each gate's cache holds at a budget: cs and the cascade keep 10
 #: Ryser sums per dual-rail word, ns 3, 6 and 10 expansion coefficients for
-#: 0, 1 and 2 signal photons, the two-photon CNOT 21 per logical word. The
-#: basis inputs come first, so a budget holds the first pieces that fit.
+#: 0, 1 and 2 signal photons, the two-photon CNOT 21 per logical word; each
+#: support's plan then counts as many, 10 heralded outputs for cs and the
+#: cascade and 3 + 6 + 10 and 4 x 21 (term, row) pairs for the random inputs
+#: of ns and the CNOT. The basis inputs come first, so a budget holds the
+#: first pieces and plans that fit.
 _HELD = {  # budget -> (cs, cascade, ns, two-photon CNOT)
-    0: (0, 0, 0, 0), 12: (10, 10, 9, 0), 25: (20, 20, 19, 21), 40: (40, 40, 19, 21), 84: (40, 40, 19, 84),
+    0: (0, 0, 0, 0), 12: (10, 10, 12, 0), 25: (20, 20, 18, 21), 40: (40, 40, 38, 21), 84: (80, 80, 57, 84),
+    252: (90, 90, 57, 252),
 }
+
+
+def _plan_size(plan):
+    heralded, parts = plan
+    return len(parts[1] if heralded else parts[2])   # heralded outputs, or evolve's (term, row) pairs
 
 
 @pytest.mark.parametrize("budget", sorted(_HELD))
 def test_the_column_cache_stays_within_its_budget(budget, monkeypatch):
-    # one budget for the Ryser columns and the evolve expansions; a piece that
-    # was computed and that the cache does not hold was used and dropped
+    # one budget for the Ryser columns, the evolve expansions and the plans; a
+    # piece or a plan that was made and that the cache does not hold was used
+    # and dropped
     computed = []
     ryser, expand = multiport._ryser_column, multiport._expand
 
@@ -442,8 +456,11 @@ def test_the_column_cache_stays_within_its_budget(budget, monkeypatch):
                 cache = gate._evolution
                 dropped += [occ for occ in computed if occ not in cache.columns and occ not in cache.expansions]
                 computed.clear()
+                support = tuple(occ for occ, _ in with_ancilla(comp, gate.ancilla, gate.num_modes).terms())
+                dropped += [support] if support not in cache.plans else []
                 assert cache.size == (sum(column.size for _, column in cache.columns.values())
-                                      + sum(len(coeff) for coeff, _ in cache.expansions.values()))
+                                      + sum(len(coeff) for coeff, _ in cache.expansions.values())
+                                      + sum(map(_plan_size, cache.plans.values())))
                 assert cache.size <= budget
         monkeypatch.setattr(multiport, "_ryser_column", ryser)
         monkeypatch.setattr(multiport, "_expand", expand)

@@ -435,12 +435,16 @@ def test_evolve_with_a_kept_table_repeats_plain_evolve_bit_for_bit(block, budget
         t = ModeTransform(matrix)
         table = multiport._HeraldedEvolution(t, [DetectionPattern({})])
         occs = _occupations(rng, modes, 3, 16)
-        for chosen in (occs[:10], occs[5:]):   # six of the second call's terms are kept
+        # six of the second call's terms are kept; the third call's support is the first's
+        for chosen in (occs[:10], occs[5:], occs[:10]):
             state = FockState(modes, {occ: complex(rng.normal(), rng.normal()) for occ in chosen})
             got, want = evolve(state, t, _cache=table)._arrays(), evolve(state, t)._arrays()
             assert np.array_equal(got[0], want[0]) and got[1].tobytes() == want[1].tobytes()
         assert 0 < table.size <= budget
-        assert table.size == sum(len(coeff) for coeff, _ in table.expansions.values())
+        assert table.size == (sum(len(coeff) for coeff, _ in table.expansions.values())
+                              + sum(len(pairs) for _, (_, _, pairs, *_) in table.plans.values()))
+        # a plan holds one (term, row) pair per active basis row of each term: 10 terms need more than 40
+        assert (tuple(sorted(occs[:10])) in table.plans) == (budget > 40)
 
 
 def test_evolve_memory_stays_under_8_mb():
@@ -655,6 +659,35 @@ def test_transition_amplitudes_repeat_the_term_by_term_pass_bit_for_bit(block, h
         rows, amps = heralded(state, t, *constraints)._arrays()
         assert np.array_equal(rows, np.array(outputs, dtype=int).reshape(len(outputs), t.dim)[keep])
         assert amps.tobytes() == want[keep].tobytes()
+
+
+@pytest.mark.parametrize("budget,columns,plans", [(0, 0, 0), (150, 6, 3), (multiport.COLUMN_CACHE_BUDGET, 8, 5)])
+def test_heralded_plans_repeat_the_term_by_term_pass_bit_for_bit(budget, columns, plans, monkeypatch):
+    # a plan kept per input support moves no bit: supports of one to four
+    # terms, at one to three photons, come back in interleaved order with new
+    # amplitudes, through three overlapping patterns; a partial budget keeps
+    # 6 of the 8 columns and 3 of the 5 plans and uses and drops the others
+    monkeypatch.setattr(multiport, "HERALDED_COST_PER_TERM", -math.inf)
+    monkeypatch.setattr(multiport, "evolve", _no_evolve)
+    monkeypatch.setattr(multiport, "COLUMN_CACHE_BUDGET", budget)
+    rng = np.random.default_rng(65)
+    t = ModeTransform(random_unitary(rng, 5))
+    constraints = [{3: 1, 4: 0}, {4: 1}, {0: 0, 3: 1}]
+    evaluate = multiport._HeraldedEvolution(t, [DetectionPattern(c) for c in constraints])
+    occs = _occupations(rng, 5, 3, 8)
+    supports = [occs[:1], occs[1:3], occs[:4], occs[4:8], occs[1:3], occs[:1], occs[4:8], occs[:4], occs[2:5]]
+    for chosen in supports:
+        state = FockState(5, {occ: complex(rng.normal(), rng.normal()) for occ in chosen})
+        outputs = _heralded_rows(state, constraints)
+        want = _ryser_term_by_term(state, t, outputs)
+        keep = np.abs(want) >= PRUNE_TOL
+        rows, amps = evaluate(state)._arrays()
+        assert np.array_equal(rows, np.array(outputs, dtype=int).reshape(len(outputs), 5)[keep])
+        assert amps.tobytes() == want[keep].tobytes()
+        assert evaluate.size <= budget
+    assert evaluate.size == (sum(column.size for _, column in evaluate.columns.values())
+                             + sum(len(rows) for _, (_, rows, _) in evaluate.plans.values()))
+    assert (len(evaluate.columns), len(evaluate.plans)) == (columns, plans)
 
 
 def test_transition_amplitudes_blocks_are_bit_identical(heralded, monkeypatch):
