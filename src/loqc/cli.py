@@ -43,7 +43,6 @@ import hashlib
 import json
 import math
 import os
-import re
 import sys
 from dataclasses import dataclass
 
@@ -59,7 +58,8 @@ from .measurement import (
     _distribution,
     _postselect,
 )
-from .multiport import MAX_MODES, ElementSpec, ModeTransform, check_term_budget, compose_elements, evolve
+from .multiport import (MAX_MODES, ElementSpec, ModeTransform, beam_splitter, check_term_budget, compose_elements,
+                        evolve, general3)
 from .search import (
     ns_in_ns_feasibility,
     optimize_success,
@@ -113,15 +113,19 @@ class Circuit:
     branches: tuple[tuple[str, OutcomeBranch], ...]   # (correction name, branch)
 
 
-_TOKEN = re.compile(r"\S+")
-
-
 def _tokens(line: str) -> list[tuple[str, int]]:
-    """(token, 1-based column) pairs; text after '#' is a comment."""
+    """(token, 1-based column) pairs: the runs of non-whitespace
+    (``str.split``), each found after the one before it; text after '#'
+    is a comment."""
     cut = line.find("#")
     if cut >= 0:
         line = line[:cut]
-    return [(m.group(), m.start() + 1) for m in _TOKEN.finditer(line)]
+    pairs, end = [], 0
+    for tok in line.split():
+        start = line.index(tok, end)
+        end = start + len(tok)
+        pairs.append((tok, start + 1))
+    return pairs
 
 
 def _parse_float(tok: str, lineno: int, col: int, what: str) -> float:
@@ -165,6 +169,13 @@ def _check_term_budget(photons: int, modes: int, lineno: int, col: int) -> None:
 
 
 def _parse_element(tokens: list[tuple[str, int]], lineno: int, modes: int) -> ElementSpec:
+    """A ``bs``, ``ps`` or ``gen3`` line as an element on 0-based modes.
+
+    Ports are checked here as ints in 1..``modes`` and distinct, ``eta``
+    in [0, 1] and every value finite, so the element is built unchecked
+    (``ElementSpec._wrap``) from the block ``ElementSpec.bs``, ``ps`` or
+    ``gen3`` would make.
+    """
     kind = tokens[0][0]
     want_ports = {"bs": 2, "ps": 1, "gen3": 3}[kind]
     if len(tokens) < 1 + want_ports:
@@ -188,18 +199,19 @@ def _parse_element(tokens: list[tuple[str, int]], lineno: int, modes: int) -> El
             eta = math.cos(math.radians(theta_deg)) ** 2
         else:
             raise ParseError(lineno, col, f"expected eta= or theta=, got {tok!r}")
-        return ElementSpec.bs(*ports, eta)
+        return ElementSpec._wrap(ports, beam_splitter(eta))
     if kind == "ps":
         if len(rest) != 1:
             raise ParseError(lineno, tokens[0][1], "ps takes exactly delta=<radians>")
         tok, col = rest[0]
-        return ElementSpec.ps(*ports, _parse_kv(tok, lineno, col, "delta"))
+        delta = _parse_kv(tok, lineno, col, "delta")
+        return ElementSpec._wrap(ports, ModeTransform._unitary([[np.exp(1j * delta)]]))
     if len(rest) != 3:
         raise ParseError(lineno, tokens[0][1], "gen3 takes t1= t2= t3= (radians)")
     angles = tuple(
         _parse_kv(tok, lineno, col, f"t{i + 1}") for i, (tok, col) in enumerate(rest)
     )
-    return ElementSpec.gen3(*ports, *angles)
+    return ElementSpec._wrap(ports, general3(*angles))
 
 
 def parse_circuit(text: str) -> Circuit:

@@ -166,7 +166,11 @@ class ElementSpec:
     for unitarity here. ``bs``, ``ps`` and ``gen3`` build blocks that are
     unitary by construction and skip that check; they reject what it
     caught, a non-finite parameter or an ``eta`` outside [0, 1], with the
-    same messages. Equality compares modes and blocks exactly.
+    same messages. Every block is read-only. The circuit-file parser,
+    which checks the ports and parameters of a line itself, builds the
+    same blocks and hands them to ``_wrap``, which checks nothing more.
+    Equality compares modes and blocks with ``np.array_equal``, which
+    does not tell 0.0 from -0.0.
     """
 
     modes: tuple[int, ...]
@@ -202,6 +206,17 @@ class ElementSpec:
     @classmethod
     def raw(cls, modes: tuple[int, ...], matrix: np.ndarray | ModeTransform) -> "ElementSpec":
         return cls(modes, matrix)
+
+    @classmethod
+    def _wrap(cls, modes: tuple[int, ...], block: ModeTransform) -> "ElementSpec":
+        """Take over a checked or unitary-by-construction block, with no
+        check of its own; the caller vouches for what ``__post_init__``
+        checks: ``modes`` is a tuple of distinct ints, one per row of
+        ``block``."""
+        element = object.__new__(cls)
+        object.__setattr__(element, "modes", modes)
+        object.__setattr__(element, "block", block.matrix)
+        return element
 
 
 def _finite(angle: float) -> float:
@@ -284,29 +299,40 @@ def ns_matrix() -> ModeTransform:
 NS_ANGLES = (math.pi / 8, math.acos(SQRT2 - 1.0), math.pi / 8)
 
 
-def _embedded(element: ElementSpec, total_modes: int) -> np.ndarray:
-    """An element's block on its target modes, identity elsewhere; the
-    block was checked when the element was built."""
+def _embedded(element: ElementSpec, identity: np.ndarray) -> np.ndarray:
+    """An element's block on its target modes, identity elsewhere: a copy
+    of the complex ``identity`` of the circuit's size with the block's
+    entries stored over it, the same matrix, bit for bit, that a fresh
+    ``np.eye`` with the block written in gives. The block was checked when
+    the element was built; its modes are checked here, before any store."""
     for m in element.modes:
-        if not 0 <= m < total_modes:
-            raise ValueError(f"element mode {m} out of range for {total_modes} modes")
-    full = np.eye(total_modes, dtype=complex)
+        if not 0 <= m < len(identity):
+            raise ValueError(f"element mode {m} out of range for {len(identity)} modes")
+    full = identity.copy()
     idx = np.array(element.modes)
-    full[np.ix_(idx, idx)] = element.block
+    full[idx[:, None], idx] = element.block
     return full
 
 
 def embed(element: ElementSpec, total_modes: int) -> ModeTransform:
     """Place an element's block on its target modes, identity elsewhere."""
-    return ModeTransform(_embedded(element, total_modes))
+    return ModeTransform(_embedded(element, np.eye(total_modes, dtype=complex)))
 
 
 def compose_elements(elements: list[ElementSpec] | tuple[ElementSpec, ...], total_modes: int) -> ModeTransform:
     """Embed and compose a sequence of elements in circuit order; the
-    product is checked for unitarity once."""
-    total = np.eye(total_modes, dtype=complex)
+    product is checked for unitarity once.
+
+    Starting from the identity, each element's full N x N embedding
+    multiplies the running product from the left, ``total = E_k @ total``
+    for k = 1, 2, ... in list order. Every product has the same operands,
+    in the same order, as with each embedding built from its own
+    ``np.eye``, so the result is the same bit for bit. Multiplying by
+    blocks alone, or merging disjoint elements into one layer first, sums
+    in a different order, which can flip the sign of an exact zero."""
+    total = identity = np.eye(total_modes, dtype=complex)
     for el in elements:
-        total = _embedded(el, total_modes) @ total
+        total = _embedded(el, identity) @ total
     return ModeTransform(total)
 
 

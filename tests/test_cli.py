@@ -1,7 +1,9 @@
 import hashlib
 import importlib.util
 import json
+import math
 import os
+import re
 import string
 import subprocess
 import sys
@@ -155,6 +157,72 @@ def test_parse_converts_ports_at_the_boundary():
     want = compose_elements([ElementSpec.ps(0, 1.5)], 3).matrix
     assert np.array_equal(fixed.correction.matrix, want)
     assert plain.correction is None
+
+
+_HALF_PI = math.pi / 2
+
+#: (element line on 4 ports, the public constructor's element): parameters
+#: at edge values; theta converts to eta = cos^2 theta as the parser does it
+PARSED_ELEMENTS = [
+    ("bs 1 3 eta=0", ElementSpec.bs(0, 2, 0.0)),
+    ("bs 3 1 eta=1", ElementSpec.bs(2, 0, 1.0)),
+    ("bs 2 4 eta=0.3", ElementSpec.bs(1, 3, 0.3)),
+    ("bs 2 4 theta=90", ElementSpec.bs(1, 3, math.cos(math.radians(90.0)) ** 2)),
+    ("bs 4 2 theta=-0", ElementSpec.bs(3, 1, math.cos(math.radians(-0.0)) ** 2)),
+    ("ps 4 delta=-0.0", ElementSpec.ps(3, -0.0)),
+    ("ps 1 delta=0.0", ElementSpec.ps(0, 0.0)),
+    ("ps 2 delta=1e308", ElementSpec.ps(1, 1e308)),
+    ("gen3 1 2 3 t1=0 t2=0 t3=-0.0", ElementSpec.gen3(0, 1, 2, 0.0, 0.0, -0.0)),
+    (f"gen3 4 2 1 t1={_HALF_PI!r} t2=0 t3={_HALF_PI!r}", ElementSpec.gen3(3, 1, 0, _HALF_PI, 0.0, _HALF_PI)),
+    ("gen3 3 1 4 t1=0.1 t2=-2.5 t3=7", ElementSpec.gen3(2, 0, 3, 0.1, -2.5, 7.0)),
+]
+
+
+@pytest.mark.parametrize("line,public", PARSED_ELEMENTS, ids=[row[0] for row in PARSED_ELEMENTS])
+def test_parsed_elements_equal_the_public_constructors_bit_for_bit(line, public):
+    # ElementSpec.__eq__ uses np.array_equal, which does not tell 0.0 from -0.0
+    main_line = parse_circuit(f"modes 4\n{line}\n").elements[0]
+    correction = cli._parse_element(cli._tokens(f"correction fix {line}")[2:], 2, 4)
+    for element in (main_line, correction):
+        assert element.modes == public.modes and all(type(m) is int for m in element.modes)
+        assert element.block.dtype == public.block.dtype and element.block.shape == public.block.shape
+        assert element.block.tobytes() == public.block.tobytes()
+        assert not element.block.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            element.block[0, 0] = 0.0
+
+
+def test_public_element_constructors_keep_their_checks():
+    for make, args, message in [
+        (ElementSpec.bs, (1, 1, 0.5), "element modes must be distinct: (1, 1)"),
+        (ElementSpec.gen3, (0, 2, 0, 0.1, 0.2, 0.3), "element modes must be distinct: (0, 2, 0)"),
+        (ElementSpec.bs, (0, 1, 1.5), "reflectivity eta must lie in [0, 1], got 1.5"),
+        (ElementSpec.ps, (0, math.nan), "matrix is not unitary (deviation nan)"),
+        (ElementSpec.ps, (0, math.inf), "matrix is not unitary (deviation nan)"),
+        (ElementSpec.ps, (1.5, 0.1), "element modes must be integers, got (1.5,)"),
+    ]:
+        with pytest.raises(ValueError) as err:
+            make(*args)
+        assert str(err.value) == message
+
+
+def _regex_tokens(line):
+    """The (token, column) pairs of ``re.finditer(r"\\S+")`` before any '#'."""
+    line = line.partition("#")[0]
+    return [(m.group(), m.start() + 1) for m in re.finditer(r"\S+", line)]
+
+
+def test_tokens_split_as_the_whitespace_regex_on_every_bmp_code_point():
+    # each code point as a separator and inside a token: a whitespace one
+    # splits, any other joins; then with a comment cutting the line
+    chars = [chr(c) for c in range(0x10000) if chr(c) != "#"]
+    for k in range(0, len(chars), 64):
+        chunk = chars[k:k + 64]
+        line = "".join(f"{c}t{c}{c}u {c}" for c in chunk)
+        for text in (line, line + "#" + line, line[:150] + "# " + line[150:], "#" + line):
+            assert cli._tokens(text) == _regex_tokens(text)
+    for text in ("#", " # a", "a#b c", "bs 1 2 eta=0.5 #", "\tbs 1  2　eta=0.5"):
+        assert cli._tokens(text) == _regex_tokens(text)
 
 
 def test_fock_input_photon_cap_is_a_positioned_error():

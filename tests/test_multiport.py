@@ -210,6 +210,63 @@ def test_three_splitter_network_reproduces_ns_matrix():
     assert np.abs(network.matrix - ns_matrix().matrix).max() < 1e-9
 
 
+def _embedded_by_eye(element, total_modes):
+    """The oracle embedding: a fresh ``np.eye`` per element with the block
+    written in through ``np.ix_``."""
+    full = np.eye(total_modes, dtype=complex)
+    idx = np.array(element.modes)
+    full[np.ix_(idx, idx)] = element.block
+    return full
+
+
+def _random_elements(rng, modes, count):
+    """``count`` elements on ``modes`` modes: bs, ps, gen3 and 3- and 4-mode
+    raw blocks, with half the parameters at an edge value (eta 0 and 1,
+    delta 0.0 and -0.0, gen3 angles 0 and pi/2)."""
+    kinds = ["ps"] + ["bs"] * (modes >= 2) + ["gen3", "raw"] * (modes >= 3)
+
+    def pick(edges, low, high):
+        return edges[rng.integers(len(edges))] if rng.random() < 0.5 else float(rng.uniform(low, high))
+
+    for _ in range(count):
+        kind = kinds[rng.integers(len(kinds))]
+        size = {"ps": 1, "bs": 2, "gen3": 3}.get(kind) or int(rng.integers(3, min(modes, 4) + 1))
+        ports = tuple(rng.choice(modes, size, replace=False).tolist())
+        if kind == "ps":
+            yield ElementSpec.ps(*ports, pick((0.0, -0.0), -4.0, 4.0))
+        elif kind == "bs":
+            yield ElementSpec.bs(*ports, pick((0.0, 1.0), 0.0, 1.0))
+        elif kind == "gen3":
+            yield ElementSpec.gen3(*ports, *(pick((0.0, math.pi / 2), -4.0, 4.0) for _ in range(3)))
+        else:
+            yield ElementSpec.raw(ports, random_unitary(rng, size))
+
+
+def test_compose_repeats_the_per_element_eye_product_bit_for_bit():
+    # the same left products in the same order as with one np.eye and one
+    # np.ix_ store per element; np.array_equal would hide a flipped zero sign
+    rng = np.random.default_rng(30)
+    for _ in range(300):
+        modes = int(rng.integers(1, 13))
+        elements = list(_random_elements(rng, modes, int(rng.integers(0, 61))))
+        want = np.eye(modes, dtype=complex)
+        for el in elements:
+            full = _embedded_by_eye(el, modes)
+            assert embed(el, modes).matrix.tobytes() == full.tobytes()
+            want = full @ want
+        assert compose_elements(elements, modes).matrix.tobytes() == want.tobytes()
+        assert compose_elements(tuple(elements), modes).matrix.tobytes() == want.tobytes()
+
+
+def test_compose_checks_modes_before_any_store():
+    ok = ElementSpec.bs(0, 1, 0.3)
+    for bad in (ElementSpec.bs(1, 3, 0.3), ElementSpec.ps(-1, 0.1), ElementSpec.gen3(2, 0, 5, 0.1, 0.2, 0.3)):
+        with pytest.raises(ValueError, match="out of range for 3 modes"):
+            compose_elements([ok, bad], 3)
+        with pytest.raises(ValueError, match="out of range for 3 modes"):
+            embed(bad, 3)
+
+
 # -- evolution -------------------------------------------------------------
 
 def test_single_photon_through_splitter():

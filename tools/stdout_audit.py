@@ -18,9 +18,11 @@ to 15 digits and takes the float round trip from 16):
 grid and at ``--grid-step 0.3``; ``selftest`` with seeds 0 and 7;
 ``simulate`` on the circuit files the benchmark's ``circuits_full``
 workload writes for seeds 0 and 7 (``perfbench/workloads.write_circuits``,
-imported read-only) and on the three files of ``PORT_SET_CIRCUITS``,
-whose branches measure several port sets; ``--pretty`` on ``verify-gate cs`` and
-one ``simulate``. The library is imported from this checkout's ``src/``.
+imported read-only), on the three files of ``PORT_SET_CIRCUITS``,
+whose branches measure several port sets, and on the three files of
+``ELEMENT_EDGE_CIRCUITS``, whose elements sit at edge values; ``--pretty``
+on ``verify-gate cs`` and one ``simulate``. The library is imported from
+this checkout's ``src/``.
 """
 
 from __future__ import annotations
@@ -60,6 +62,35 @@ PORT_SET_CIRCUITS = (
 )
 
 
+_HALF_PI = "1.5707963267948966"
+
+#: (name, lines): circuit files whose elements sit at edge values, so that
+#: exact 0, 1 and -0.0 entries stand in their blocks and composed matrices
+#: (``bs`` at eta 0 has -r = -0.0) and exact 0.0, 1.0 and -1.0 values in
+#: the printed maps: ``bs`` at eta 0 and 1 and theta 90, 0 and -0;
+#: ``ps`` at delta 0.0, -0.0, pi and 1e308, each file with one on a mode
+#: no other element touches; ``gen3`` at angles 0 and pi/2; and
+#: corrections at such values on the surviving ports.
+ELEMENT_EDGE_CIRCUITS = (
+    ("edge_bs5n3", ["modes 5", "input fock 1 1 0 0 1", "bs 1 2 eta=0", "bs 2 3 eta=1",
+                    "bs 3 4 theta=90", "bs 1 2 theta=-0", "bs 2 3 theta=0", "bs 2 3 eta=0.5",
+                    "ps 5 delta=-0.0", "ps 1 delta=0.0", "correction fix bs 1 2 eta=1",
+                    "correction fix ps 2 delta=-0.0", "detect 4=0 correct fix", "detect 4=1",
+                    "detect 4=2 3=0 correct fix"]),
+    ("edge_ps6n3", ["modes 6", "input fock 1 0 1 0 0 1", "bs 1 2 eta=0.5", "bs 3 4 eta=1",
+                    "ps 6 delta=-0.0", "ps 6 delta=1e308", "ps 3 delta=-0.0", "bs 2 3 theta=90",
+                    "ps 6 delta=3.141592653589793", "correction flip ps 1 delta=-0.0",
+                    "correction flip bs 2 3 eta=0", "detect 4=0 correct flip",
+                    "detect 4=1 correct flip", "detect 4=2 5=0"]),
+    ("edge_gen3_5n2", ["modes 5", "input fock 0 1 0 0 1", "gen3 1 2 3 t1=0 t2=0 t3=0",
+                       f"gen3 2 3 4 t1={_HALF_PI} t2={_HALF_PI} t3={_HALF_PI}",
+                       f"gen3 4 1 2 t1=0 t2={_HALF_PI} t3=-0.0", "ps 5 delta=-0.0", "bs 3 4 eta=1",
+                       f"correction g gen3 1 2 3 t1={_HALF_PI} t2=0 t3={_HALF_PI}",
+                       "correction g ps 4 delta=-0.0", "detect 5=1 correct g", "detect 5=0",
+                       "detect 5=2 4=0"]),
+)
+
+
 def _port_set_circuit(modes: int, occupation: tuple[int, ...], corrections: list[str],
                       detects: list[str]) -> str:
     """A brickwork of splitters and phases with fixed parameters, one
@@ -92,6 +123,10 @@ def _invocations(circuits: Path) -> list[tuple[str, list[str]]]:
     for name, *spec in PORT_SET_CIRCUITS:
         path = circuits / f"{name}.txt"
         path.write_text(_port_set_circuit(*spec), encoding="utf-8")
+        runs.append((f"simulate {name}.txt", ["simulate", str(path)]))
+    for name, lines in ELEMENT_EDGE_CIRCUITS:
+        path = circuits / f"{name}.txt"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         runs.append((f"simulate {name}.txt", ["simulate", str(path)]))
     return runs
 
