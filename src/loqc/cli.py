@@ -366,19 +366,25 @@ def parse_circuit(text: str) -> Circuit:
     if modes is None:
         raise ParseError(1, 1, "missing modes declaration")
 
-    # corrections act on surviving ports: check ranges and compose once per
-    # (name, survivor count), when the first branch that needs it comes
-    composed: dict[tuple[str, int], ModeTransform | None] = {}
-    branches = []
+    # corrections act on surviving ports: check every branch against its
+    # correction's highest port before anything is composed, naming the
+    # first bad port in file order, then compose once per (name, survivor count)
+    highest = {name: max((m for el, _, _ in els for m in el.modes), default=-1)
+               for name, els in corrections.items()}
+    labelled = []
     for pattern, name in detects:
         label = " ".join(f"{m + 1}={c}" for m, c in pattern.constraints)
         surviving = len(pattern.survivors(modes))
+        if highest[name] >= surviving:
+            line, col, m = next((line, col, m) for el, line, port_cols in corrections[name]
+                                for m, col in zip(el.modes, port_cols) if m >= surviving)
+            raise ParseError(line, col, f"correction {name!r} uses port {m + 1} but branch "
+                                        f"'{label}' leaves only {surviving} surviving port(s)")
+        labelled.append((pattern, name, label, surviving))
+    composed: dict[tuple[str, int], ModeTransform | None] = {}
+    branches = []
+    for pattern, name, label, surviving in labelled:
         if (name, surviving) not in composed:
-            for el, line, port_cols in corrections[name]:
-                for m, col in zip(el.modes, port_cols):
-                    if m >= surviving:
-                        raise ParseError(line, col, f"correction {name!r} uses port {m + 1} but branch "
-                                                    f"'{label}' leaves only {surviving} surviving port(s)")
             specs = [el for el, _, _ in corrections[name]]
             composed[name, surviving] = compose_elements(specs, surviving) if specs else None
         branches.append((name, OutcomeBranch(pattern, composed[name, surviving], label=label)))

@@ -26,12 +26,15 @@ exclusion windows around degenerate angles.
 Every scan runs on one engine, ``_refine_scan``: a coarse grid over the
 scheme's domain, then ``REFINE_ROUNDS`` (3) rounds that each divide the
 step by ten and rescan a window of refined cells either side of the
-incumbent. The last two axes form one slab per kernel call (at most
-``MAX_SLAB_POINTS`` points), passed as (n, 1) and (1, m) axes that the
-kernel broadcasts, so its trigonometry runs per axis value, not per point;
-a leading axis is looped over. Before the first kernel call the engine
-also bounds the whole scan, the coarse grid plus every refinement window,
-by ``MAX_SCAN_POINTS`` (10^9) points. A "clipped" grid is laid over the
+incumbent. The kernel gets the grid as broadcast ``np.ix_`` axes, so its
+trigonometry runs per axis value, not per point. Each call covers a block
+of consecutive first-axis values, as many as fit in ``SCAN_BLOCK_POINTS``
+(2^14) grid points and at least one, so a call's temporaries stay
+cache-sized; no call covers more than max(``SCAN_BLOCK_POINTS``, one
+first-axis slab) points. Before the first kernel call the engine bounds
+the last two axes by ``MAX_SLAB_POINTS`` points, and so the largest call;
+and the whole scan, the coarse grid plus every refinement window, by
+``MAX_SCAN_POINTS`` (10^9) points. A "clipped" grid is laid over the
 window cut to the domain; a "filtered" one over the whole window, keeping
 only the points inside the domain. A kernel marks a point it does not
 admit with cost +inf. Per scheme:
@@ -52,8 +55,10 @@ set (``minimize``), where the worst-case branch probability is exactly 1/4.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import operator
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -79,9 +84,17 @@ RESIDUAL_PENALTY = 1.0
 #: Refinement rounds after the coarse grid, each dividing the step by ten.
 REFINE_ROUNDS = 3
 
-#: Most grid points one kernel call may cover. A scan whose slab would be
-#: larger is rejected before the slab is allocated.
+#: Most grid points in the last two scan axes; with three axes that is one
+#: first-axis slab, the largest single kernel call. A scan whose slab would
+#: be larger is rejected before the slab is allocated.
 MAX_SLAB_POINTS = 10**7
+
+#: Grid points one kernel call covers when several first-axis values fit:
+#: a call takes as many consecutive first-axis values as stay within this
+#: many points, and at least one. Small enough that a call's temporaries
+#: stay in cache, large enough that numpy's fixed cost per pass is spread
+#: over many points (BENCH_31.json has the sweep that set it).
+SCAN_BLOCK_POINTS = 2**14
 
 #: Most grid points one whole scan may cover, coarse grid and refinement
 #: windows together; checked before the first kernel call.
@@ -177,15 +190,28 @@ def proportionality_residual(values, target, fallback=1.0):
         raise ValueError("proportionality_residual takes real values only")
     if len(values) != len(target):
         raise ValueError(f"values have {len(values)} components, target has {len(target)}")
-    nt = sum(t * t for t in target)
+    nt = _inner(target, target)
     if not nt > 0.0:
         raise ValueError("target must have a nonzero component")
-    nc = sum(c * c for c in values)
-    ip = sum(t * c for t, c in zip(target, values))
-    alive = nc > 0.0
-    ratio = np.divide(ip * ip, nt * nc, out=np.zeros(np.shape(nc)), where=alive)
-    r = np.where(alive, np.clip(1.0 - ratio, 0.0, 1.0), fallback)
+    nc = _inner(values, values)
+    r = _residual(_inner(target, values), nt * nc, nc > 0.0, fallback)
     return r if r.ndim else float(r)
+
+
+def _inner(a, b):
+    """sum(a_k b_k) in component order, started from the first term:
+    sum()'s 0 + ... is one more pass that can change only a zero's sign."""
+    return functools.reduce(operator.add, map(operator.mul, a, b))
+
+
+def _residual(ip, den, alive, fallback):
+    """1 - ip^2 / den clipped to [0, 1] where ``alive``, ``fallback``
+    elsewhere: with den = |t|^2 |c|^2 and alive = |c|^2 > 0 this is
+    r(c, t), ``proportionality_residual``'s last step; the scan kernels
+    that share |c|^2 between scores call it directly."""
+    ratio = np.divide(ip * ip, den, out=np.zeros(np.shape(den)), where=alive)
+    np.subtract(1.0, ratio, out=ratio)
+    return np.where(alive, np.clip(ratio, 0.0, 1.0, out=ratio), fallback)
 
 
 def uncorrected_mismatch(case: int, target: str) -> float:
@@ -244,12 +270,16 @@ def _refine_scan(kernel, domains, step, window, *, clip):
     clipped to the domain before the grid is laid; otherwise the grid
     covers the whole window and points outside the domain are dropped.
 
-    The last two axes form one slab of ``np.ix_`` axes, shapes (n, 1) and
-    (1, m), and ``kernel(*lead, *slab)`` is called once for each
-    combination of leading-axis values. It returns ``(cost, *aux)`` arrays
-    that broadcast over the slab, with cost +inf at a point it does not
-    admit; ``aux`` is read at the first-index argmin of ``cost``. A coarse
-    grid with no admitted point raises ``ValueError``.
+    The kernel gets the ``np.ix_`` axes, shapes (k, 1, 1), (1, n, 1) and
+    (1, 1, m) for three axes, with the first cut to a block of consecutive
+    values: as many as fit in ``SCAN_BLOCK_POINTS`` grid points, and at
+    least one, so a call covers at most max(``SCAN_BLOCK_POINTS``, one
+    first-axis slab) points. It returns ``(cost, *aux)`` arrays that
+    broadcast over the block, with cost +inf at a point it does not admit;
+    ``aux`` is read at the first-index argmin of ``cost``, and a later
+    block replaces the incumbent only with a strictly lower cost, so the
+    pick is the first argmin of the whole grid in C order. A coarse grid
+    with no admitted point raises ``ValueError``.
 
     Returns ``(best, history)``. ``best`` is ``(cost, point, aux)`` with the
     point ordered like the axes; ``history`` holds one ``(step, best)`` pair
@@ -276,16 +306,16 @@ def _refine_scan(kernel, domains, step, window, *, clip):
                 lo, hi = max(lo, dlo), min(hi, dhi)
             ax = np.arange(lo, hi + step / 2, step)
             axes.append(ax if clip else ax[(ax >= dlo) & (ax <= dhi)])
-        slab = axes[-2:]
-        grid = np.ix_(*slab)
+        first, *rest = np.ix_(*axes)
+        per = max(1, SCAN_BLOCK_POINTS // math.prod(len(ax) for ax in axes[1:]))
         best = None
-        for lead in itertools.product(*axes[:-2]):
-            cost, *aux = np.broadcast_arrays(*kernel(*lead, *grid))
+        for lo in range(0, len(axes[0]), per):
+            cost, *aux = np.broadcast_arrays(*kernel(first[lo:lo + per], *rest))
             i = int(np.argmin(cost))
             value = float(cost.flat[i])
             if best is None or value < best[0]:
                 at = np.unravel_index(i, cost.shape)
-                point = (*lead, *(ax[j] for ax, j in zip(slab, at)))
+                point = (axes[0][lo + at[0]], *(ax[j] for ax, j in zip(axes[1:], at[1:])))
                 best = (value, tuple(map(float, point)), tuple(float(a.flat[i]) for a in aux))
         return best
 
@@ -386,12 +416,16 @@ def two_bs_feasibility(grid_step: float = 1e-2, *, tolerance: float = 1e-6) -> F
     fallback = uncorrected_mismatch(3, "sign_flip")
     tvec = TARGETS["sign_flip"]
     # the target each phase scores the phase-0 triple against: the sign
-    # cos(k phase) of component k, moved onto the target (exact, as it is +-1)
+    # cos(k phase) of component k, moved onto the target (exact, as it is
+    # +-1, so every phase target has the norm of tvec)
     phase_targets = [tuple(t * math.cos(k * phi) for k, t in enumerate(tvec)) for phi in TWO_BS_PHASES]
+    nt = _inner(tvec, tvec)
 
     def kernel(xs, ys):
         parts = two_bs_corrected(xs, ys)
-        r0, r1 = (proportionality_residual(parts, t, fallback) for t in phase_targets)
+        nc = _inner(parts, parts)
+        den, alive = nt * nc, nc > 0.0
+        r0, r1 = (_residual(_inner(t, parts), den, alive, fallback) for t in phase_targets)
         return np.minimum(r0, r1), np.where(r1 < r0, TWO_BS_PHASES[1], TWO_BS_PHASES[0])
 
     (residual, (x, y), (phase,)), _ = _refine_scan(kernel, [(0.0, math.pi)] * 2, grid_step, 100, clip=True)
@@ -529,10 +563,15 @@ def optimize_success(grid_step: float = 0.05) -> OptimizationResult:
     ``rounds`` holds the grid-only score of the coarse scan and of each
     refinement round; the polish is not part of it.
     """
+    tvec = TARGETS["sign_flip"]
+    nt = _inner(tvec, tvec)
+
     def kernel(t1, t2, t3):  # the engine minimizes, so the score enters negated
-        a0, a1, a2 = sign_shift_branch_amplitudes(t1, t2, t3)
-        prob = np.minimum(np.minimum(a0 ** 2, a1 ** 2), a2 ** 2)
-        r = proportionality_residual((a0, a1, a2), TARGETS["sign_flip"])
+        amps = sign_shift_branch_amplitudes(t1, t2, t3)
+        sq0, sq1, sq2 = (a * a for a in amps)
+        prob = np.minimum(np.minimum(sq0, sq1), sq2)
+        nc = sq0 + sq1 + sq2
+        r = _residual(_inner(tvec, amps), nt * nc, nc > 0.0, 1.0)
         return -(prob - RESIDUAL_PENALTY * r), prob, r
 
     (neg_score, angles, (prob, resid)), history = _refine_scan(

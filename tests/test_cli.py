@@ -318,6 +318,23 @@ def test_simulate_diagnostics_exit_1(tmp_path, capsys, text, diagnostic):
     assert diagnostic in err
 
 
+def test_a_bad_correction_port_fails_before_any_compose(tmp_path, capsys, monkeypatch):
+    # the first two branches leave three ports and would compose 'fix'; only
+    # the last, which leaves two, is out of range for its port 3
+    def no_compose(*args, **kwargs):
+        raise AssertionError("compose_elements ran")
+
+    monkeypatch.setattr("loqc.cli.compose_elements", no_compose)
+    path = tmp_path / "circuit.txt"
+    path.write_text("modes 4\ninput fock 1 0 1 0\ncorrection fix bs 1 2 eta=0.3\n"
+                    "correction fix ps 3 delta=0.5\ndetect 1=1 correct fix\n"
+                    "detect 2=1 correct fix\ndetect 1=0 2=2 correct fix\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, "simulate", str(path))
+    assert (code, out) == (1, "")
+    assert err == (f"loqc: error: {path}:4:19: correction 'fix' uses port 3 but branch "
+                   f"'1=0 2=2' leaves only 2 surviving port(s)\n")
+
+
 def test_fock_basis_budget_is_checked_before_evolve(tmp_path, capsys, monkeypatch):
     def no_evolve(*args, **kwargs):
         raise AssertionError("evolve ran")

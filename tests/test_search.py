@@ -313,10 +313,63 @@ def test_two_axis_kernels_receive_broadcast_axes(monkeypatch):
 
     monkeypatch.setattr(search, "ns_in_ns_products", recording)
     ns_in_ns_feasibility(0.5)
-    slabs = [s for s in shapes if s != ((), (), ())]  # the root family is sampled point by point
-    assert slabs
-    for lead, rows, cols in slabs:
-        assert lead == () and len(rows) == len(cols) == 2 and rows[1] == cols[0] == 1
+    blocks = [s for s in shapes if s != ((), (), ())]  # the root family is sampled point by point
+    assert blocks
+    for lead, rows, cols in blocks:
+        (k, _, _), (_, n, _), (_, _, m) = lead, rows, cols
+        assert (lead, rows, cols) == ((k, 1, 1), (1, n, 1), (1, 1, m))  # never a meshgrid
+        assert k * n * m <= max(search.SCAN_BLOCK_POINTS, n * m)
+    assert any(lead[0] > 1 for lead, _, _ in blocks)  # the coarse grid goes in one call
+
+
+def _recorded_scans(monkeypatch, run):
+    """``(kernel, args, kwargs, result)`` of every ``_refine_scan`` call
+    ``run`` makes."""
+    calls = []
+    engine = search._refine_scan
+
+    def recording(kernel, *args, **kwargs):
+        result = engine(kernel, *args, **kwargs)
+        calls.append((kernel, args, kwargs, result))
+        return result
+
+    monkeypatch.setattr(search, "_refine_scan", recording)
+    run()
+    monkeypatch.setattr(search, "_refine_scan", engine)
+    return calls
+
+
+def _hex(value):
+    return value.hex() if isinstance(value, float) else tuple(map(_hex, value))
+
+
+@pytest.mark.parametrize("run,step", [
+    (lambda step: single_bs_infeasibility(1, step), 1e-2),
+    (lambda step: single_bs_infeasibility(3, step), 0.0493),
+    (two_bs_feasibility, 0.1),
+    (two_bs_feasibility, 0.0507),
+    (ns_in_ns_feasibility, 1.0),
+    (ns_in_ns_feasibility, 0.5),
+    (optimize_success, 0.2),
+    (optimize_success, 0.05),
+], ids=["single_bs-1e-2", "single_bs-0.0493", "two_bs-0.1", "two_bs-0.0507",
+        "ns_in_ns-1.0", "ns_in_ns-0.5", "optimize_ns-0.2", "optimize_ns-0.05"])
+def test_block_size_moves_no_scan_bit(monkeypatch, run, step):
+    ((kernel, args, kwargs, default),) = _recorded_scans(monkeypatch, lambda: run(step))
+    partial = []
+
+    def recording(first, *rest):
+        per = max(1, search.SCAN_BLOCK_POINTS // math.prod(r.size for r in rest))
+        partial.append(len(first) < per)
+        return kernel(first, *rest)
+
+    # the default block against one first-axis value per call and against
+    # 1000 points, whose last block on each coarse grid here holds fewer
+    # first-axis values than a full one
+    for block in (1, 1000):
+        monkeypatch.setattr(search, "SCAN_BLOCK_POINTS", block)
+        assert _hex(search._refine_scan(recording, *args, **kwargs)) == _hex(default)
+    assert any(partial)
 
 
 def test_second_network_scan_finds_the_family():
@@ -394,16 +447,7 @@ def test_polish_reaches_the_quarter_point(step):
 
 def _optimize_ns_score(monkeypatch):
     """The score ``optimize_success`` maximizes, read from its scan kernel."""
-    kernels = []
-    scan = search._refine_scan
-
-    def recording(kernel, *args, **kwargs):
-        kernels.append(kernel)
-        return scan(kernel, *args, **kwargs)
-
-    monkeypatch.setattr(search, "_refine_scan", recording)
-    optimize_success(grid_step=1.5)
-    (kernel,) = kernels
+    ((kernel, *_),) = _recorded_scans(monkeypatch, lambda: optimize_success(grid_step=1.5))
     return lambda *angles: -kernel(*angles)[0]
 
 

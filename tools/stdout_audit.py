@@ -15,7 +15,10 @@ and 17 (17 digits round no double, so only a shorter setting shows a float
 that skipped rounding; ``simulate`` writes its maps from the ``%g`` text up
 to 15 digits and takes the float round trip from 16):
 ``verify-gate`` on every gallery gate; the five searches at their default
-grid and at ``--grid-step 0.3``; ``selftest`` with seeds 0 and 7;
+grid and at ``--grid-step`` 0.3 and 0.1 (at 0.1 the ``optimize_ns`` and
+``ns_in_ns`` scans take several first-axis values per kernel call, and
+``ns_in_ns``'s last coarse call fewer than the rest); ``selftest`` with
+seeds 0 and 7;
 ``simulate`` on the circuit files the benchmark's ``circuits_full``
 workload writes for seeds 0 and 7 (``perfbench/workloads.write_circuits``,
 imported read-only), on the three files of ``PORT_SET_CIRCUITS``,
@@ -110,7 +113,8 @@ def _invocations(circuits: Path) -> list[tuple[str, list[str]]]:
     runs = [(f"verify-gate {g}", ["verify-gate", g]) for g in loqc.cli.GATE_NAMES]
     for scheme in loqc.cli.SEARCH_SCHEMES:
         runs.append((f"search {scheme}", ["search", scheme]))
-        runs.append((f"search {scheme} --grid-step 0.3", ["search", scheme, "--grid-step", "0.3"]))
+        runs += [(f"search {scheme} --grid-step {step}", ["search", scheme, "--grid-step", step])
+                 for step in ("0.3", "0.1")]
     runs += [(f"selftest --seed {s}", ["selftest", "--seed", str(s)]) for s in SEEDS]
     files = workloads.write_circuits(workloads.DEFAULT_SEED, "default", 1, circuits / "default")
     for seed in SEEDS:
