@@ -21,15 +21,13 @@ circuit keeps next to its composed ``transform``
 (``multiport._HeraldedEvolution``, whose docstring gives the route rule
 and the cache) and returns each branch's ``PostselectionResult`` in
 branch order, straight from ``postselect_branches``. On either route
-the evaluator keeps each input occupation's piece of the gate's linear
-map, a Ryser column or an ``evolve`` expansion, so a repeat run on known
-occupations computes no permanent and expands no photon, and each input
-support's plan, the route and the assembled map, so a run on a known
+the evaluator keeps one table: each input support's plan, the route and
+the gate's assembled linear map on that support, so a run on a known
 support (any input with every logical amplitude nonzero, after the
-first) only makes the products and sums, in the same order.
-``dataclasses.replace`` builds a circuit with an empty cache; results
-never depend on what the cache holds. Everything that evaluates a
-circuit calls ``run``:
+first) computes no permanent, expands no photon and only makes the
+products and sums, in the same order. ``dataclasses.replace`` builds a
+circuit with an empty cache; results never depend on what the cache
+holds. Everything that evaluates a circuit calls ``run``:
 
 * ``evaluate_gate`` is one loop over a gate's inputs with a prepare/read
   pair per gate: a one-mode qutrit for ``ns``, ``encode``/``decode`` for
@@ -78,10 +76,9 @@ class GateCircuit:
     cannot be reassigned, and construction keeps ``elements`` and
     ``branches`` as tuples of frozen values, ``computational_modes`` as a
     tuple and ``ancilla`` as a read-only copy, so they cannot be edited in
-    place either: the composed ``transform`` and the Ryser columns,
-    ``evolve`` expansions and per-support plans that ``run`` keeps stay
-    valid. ``dataclasses.replace`` builds a new
-    circuit, which starts with none of them.
+    place either: the composed ``transform`` and the per-support plans
+    that ``run`` keeps stay valid. ``dataclasses.replace`` builds a new
+    circuit, which starts with neither.
     """
 
     name: str

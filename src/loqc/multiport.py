@@ -18,15 +18,14 @@ photon, guided by an index table per (modes, photons) from a bounded
 cache; the ``evolve`` docstring gives the order in which it sums.
 ``_HeraldedEvolution`` is the one heralded evaluator: it computes the
 outputs some detection patterns keep, by Ryser's formula over repeated
-rows and columns (``_ryser_column``, one input occupation at a time), or
-runs the full ``evolve``. Either way its output is a linear map of the
-input, and it keeps each input occupation's piece of that map, a Ryser
-column or an ``evolve`` expansion (``evolve``'s ``_cache``), and each
-input support's plan, the route and the assembled map, so that a gate's
-repeat runs skip that work and the setting up; its docstring gives the
-route rule and the cache. The n!-sum ``permanent_amplitude`` computes single
-amplitudes by a third route and exists purely to cross-check the other
-two.
+rows and columns (``_ryser_column``, one input term at a time), or runs
+the full ``evolve``. Either way its output is a linear map of the input,
+and it keeps one table, a plan per input support: the route and the
+assembled map (on the ``evolve`` route through ``evolve``'s ``_cache``),
+so that a gate's repeat runs on a known support only make the products
+and sums; its docstring gives the route rule. The n!-sum
+``permanent_amplitude`` computes single amplitudes by a third route and
+exists purely to cross-check the other two.
 
 Budgets: a Fock term may carry at most ``MAX_PHOTONS`` photons (all three
 routes check), an input term may span at most ``MAX_FOCK_TERMS`` basis
@@ -437,60 +436,34 @@ def evolve(state: FockState, transform: ModeTransform, prune_tol: float = PRUNE_
     of creation-operator monomials; every operator of input mode k is
     replaced by the linear form given by column k of the matrix, the
     product is expanded, and monomials are converted back to occupation
-    amplitudes. Total photon number is conserved term by term.
-
-    A spectator mode k, whose row and column of the matrix are both
-    exactly e_k, keeps its photons, and no other photon enters it; the
-    expansion runs over the other, active modes only. The photons of a
-    term in active modes enter in ascending mode order, one numpy pass
-    per photon over the Fock basis of the active modes, for all input
-    terms with the same number of active photons. After one more photon
-    of mode k, occupation K holds the sum over l of
-    parent(K - e_l) * L[l, k], added up from zero in descending order of
-    l (``np.add.at`` adds in index order). Complex products are formed
-    from real ones, as Python forms them; numpy's complex multiply may
-    fuse them. Each term's spectator counts are then put back, its rows
-    found in the full basis by their rank, and the amplitudes scaled by
-    sqrt(prod o_l!) / sqrt(prod n_k!) over all modes and summed over the
-    input terms in sorted order. For a transform whose columns have no
-    zero entry this repeats, operation for operation, the term-by-term
-    expansion of the operator products. A spectator photon would multiply
-    by exactly 1 and add exact zeros, so skipping it changes no bit. Other
-    zero entries only add exact zeros, but the expansion then meets fewer
-    occupations and may sum over l in another order, which can move the
-    last bits. Input terms and columns l are taken in blocks, so that a
-    working array holds at most ``RYSER_BLOCK`` complex numbers or one
-    term's products with one column (and, with spectators, m small
-    integers per output row for the ranks); the order of the sums does
-    not depend on the blocks. The index tables of the last 128
-    (modes, photons) pairs stay cached.
-
-    A term's expansion and its output rows, relative to the basis of its
-    photon number, depend only on the transform and its occupation: they
-    are the term's piece of a linear map. ``_cache``, the evaluator
-    (``_HeraldedEvolution``) of this same transform, which passes itself
-    on its ``evolve`` route, keeps these pieces across calls in its
-    ``expansions`` table, within its budget. A block expands only the
-    occupations the table lacks, in one ``_expand`` call as before; then
-    every term of the block, kept or new, is assembled from its piece by
-    the same products and the same ``np.add.at`` in the same sorted term
-    order, so the order of the sums is unchanged and the table changes no
-    bit. The evaluator also keeps, per input support (the occupations of
-    ``terms()``, in order), the run's assembled map in its ``plans``
-    table: the terms' stable order and roots sqrt(prod n_k!), and, over
-    every (term, row) pair in the order of the sums, the term's place,
-    the coefficient, the output row among the rows the run reaches and
-    that row's scale, and those rows' occupations. A run on a known
-    support does no budget check, photon count or block: it divides the
-    amplitudes by the roots and makes the same products and one
-    ``np.add.at`` over the pairs from zeros, in the same order, so the plan
-    changes no bit either; a row no term reaches holds an exact zero,
-    which the pruning drops in any case. Without ``_cache`` nothing is
-    kept and no plan is assembled.
-
-    Every input term is checked against ``MAX_PHOTONS`` and its basis,
+    amplitudes. Total photon number is conserved term by term. Every
+    input term is checked against ``MAX_PHOTONS`` and its basis,
     C(n+m-1, n) terms for n photons in all m modes, against
     ``MAX_FOCK_TERMS`` before any table is built.
+
+    Order of the sums. A spectator mode k, whose row and column are both
+    exactly e_k, keeps its photons; the expansion runs over the active
+    modes only, one numpy pass per photon, the photons of a term in
+    ascending mode order, for all terms with as many active photons (a
+    stable sort by that count). After one more photon of mode k,
+    occupation K holds the sum over l of parent(K - e_l) * L[l, k], added
+    up from zero in descending order of l; complex products are formed
+    from real ones. Each output is then scaled by sqrt(prod o_l!) /
+    sqrt(prod n_k!) and the terms are added in sorted order. For columns
+    with no zero entry this repeats the term-by-term operator expansion
+    operation for operation. Skipping a spectator changes no bit; other
+    zero entries may change the order over l and move the last bits.
+    Terms and columns are taken in blocks of at most ``RYSER_BLOCK``
+    numbers, which do not change the order of the sums.
+
+    ``_cache``, the evaluator (``_HeraldedEvolution``) of this same
+    transform, keeps the run's assembled map as the plan of the input's
+    support (its occupations in ``terms()`` order), within its budget: the
+    terms' order and roots and, over every (term, row) pair in the order of
+    the sums, the term's place, the coefficient, the row among the rows
+    reached and its scale. A run on a known support makes the same products
+    and one ``np.add.at`` from zeros in the same order, so no bit moves.
+    Timings are in ``BENCH_29.json`` and ``BENCH_32.json``.
     """
     if state.num_modes != transform.dim:
         raise ValueError(f"state has {state.num_modes} modes, transform {transform.dim}")
@@ -523,8 +496,7 @@ def evolve(state: FockState, transform: ModeTransform, prune_tol: float = PRUNE_
         first = np.array([start[photons[i]] for i in order])   # the first output row of each term's basis
         scales = np.concatenate([scale for _, scale, _ in bases])
         prefs = np.array([terms[i][1] / root for i, root in zip(order, roots)]).view(float).reshape(-1, 2)
-        kept = {} if _cache is None else _cache.expansions   # occupation -> (expansion, relative rows)
-        parts = None   # a plan's pieces, gathered only if a plan of their count could be kept
+        parts = None   # the plan's pieces, gathered only if a plan of their count could be kept
         if _cache is not None:
             sizes = [math.comb(n + a - 1, n) if n else 1 for n in moving]   # (term, row) pairs per term
             parts = [] if _cache.size + sum(sizes) <= COLUMN_CACHE_BUDGET else None
@@ -539,22 +511,11 @@ def evolve(state: FockState, transform: ModeTransform, prune_tol: float = PRUNE_
             block = max(1, RYSER_BLOCK // (a * math.comb(n + a - 2, n - 1) if n else 1))
             for at in range(lo, hi, block):
                 sel = slice(at, min(at + block, hi))
-                pieces = [kept.get(support[i]) for i in order[sel]]
-                new = [at + i for i, piece in enumerate(pieces) if piece is None]
-                if new:
-                    lacking = occs[sel] if len(new) == len(pieces) else occs[new]
-                    coeff = _expand(lacking[:, active], n, cols)   # (terms, active basis row, re/im)
-                    if a < m:
-                        rows = _rank(lacking[:, None] * spectators + lift, max(counts))
-                    else:   # the active basis is the full basis
-                        rows = np.arange(len(basis))[None].repeat(len(new), axis=0)
-                    if _cache is not None:
-                        for i, piece in zip(new, zip(coeff, rows)):
-                            pieces[i - at] = piece
-                            _cache.keep(kept, support[order[i]], (piece[0].copy(), piece[1].copy()), len(basis))
-                if len(new) < len(pieces):   # some pieces were kept: assemble the block from them
-                    coeff, rows = (np.array(part) for part in zip(*pieces))
-                rows = rows + first[sel, None]
+                coeff = _expand(occs[sel, active], n, cols)   # (terms, active basis row, re/im)
+                if a < m:
+                    rows = _rank(occs[sel, None] * spectators + lift, max(counts)) + first[sel, None]
+                else:   # the active basis is the full basis
+                    rows = np.arange(len(basis)) + first[sel, None]
                 _add_terms(total, rows, coeff, prefs[sel, None], scales[rows])
                 if parts is not None:
                     parts.append((coeff.reshape(-1, 2), rows.ravel()))
@@ -565,7 +526,7 @@ def evolve(state: FockState, transform: ModeTransform, prune_tol: float = PRUNE_
             if a < m:   # only the rows some term reaches, in order
                 reached, rows = np.unique(rows, return_inverse=True)
             plan = False, (order, roots, np.arange(len(sizes)).repeat(sizes), coeff, rows, gathered, basis[reached])
-            _cache.keep(_cache.plans, support, plan, len(coeff))
+            _cache.keep(support, plan, len(coeff))
     keep = total != 0
     if prune_tol > 0:
         keep &= np.hypot(total.real, total.imag) >= prune_tol
@@ -646,11 +607,9 @@ def _ryser_column(matrix: np.ndarray, occ: Occupation, outs: np.ndarray) -> tupl
 HERALDED_COST_PER_TERM = 256
 HERALDED_COST_PER_PRODUCT = 1 / 16
 
-#: Most numbers that a ``_HeraldedEvolution`` keeps in all (1 MiB of
-#: complex numbers): Ryser sums, one per heralded output per input
-#: occupation; ``evolve`` coefficients, one per active basis row per input
-#: occupation; and per input support a plan, one per heralded output or
-#: per (term, row) pair of ``evolve``.
+#: Most numbers that a ``_HeraldedEvolution`` keeps in its plans (1 MiB of
+#: complex numbers): per input support, one Ryser sum per heralded output
+#: per term, or one ``evolve`` coefficient per (term, row) pair.
 COLUMN_CACHE_BUDGET = 1 << 16
 
 
@@ -704,58 +663,35 @@ class _HeraldedEvolution:
     terms, is below that of ``evolve``, no term's s-grid, prod(n_k + 1),
     exceeds ``MAX_RYSER_GRID`` and no H_n exceeds ``MAX_FOCK_TERMS``; an
     input over either budget goes to ``evolve``, which raises its own
-    budget error when the basis is too large (H_n is at most the basis
-    size for patterns that conflict pairwise). Every term is checked
+    budget error when the basis is too large. Every term is checked
     against ``MAX_PHOTONS`` first. The rule reads only the input's
-    occupations, the mode count and the patterns. Both constants were
-    fitted to both routes timed on the gate gallery, the two-stage cs
-    cascade, Haar networks and singly occupied inputs with one to three
-    detectors; the fit and its quality are recorded in ``BENCH_7.json``,
-    and the gallery picks were re-timed in ``BENCH_16.json``. The fixed
-    part keeps small inputs on ``evolve``: on the gallery, ``ns`` and
-    ``cnot_2photon`` take ``evolve``, ``cs``, ``cnot_klm`` and the cascade
-    the heralded route. The per-product part sends an input back to
-    ``evolve`` when its s-grid outgrows the basis, as for one detector
-    behind six singly occupied modes.
+    occupations, the mode count and the patterns. On the gallery, ``ns``
+    and ``cnot_2photon`` take ``evolve``, ``cs``, ``cnot_klm`` and the
+    cascade the heralded route; the fit is in ``BENCH_7.json`` and the
+    gallery picks are re-timed in ``BENCH_16.json``.
 
-    Either route's output is a fixed linear map of its input: the sum, in
-    term order, of each term's amplitude times a piece that depends only
-    on the transform, the term's occupation and, on the heralded route,
-    the heralded outputs. This object keeps those pieces per input
-    occupation, ``columns`` for the heralded route and ``expansions`` for
-    ``evolve``, which it passes as ``evolve``'s ``_cache``. On the
-    heralded route a term's piece is its root sqrt(prod n_k!) and its
-    column of Ryser sums (``_ryser_column``) over the heralded outputs;
-    ``evolve``'s docstring gives its piece. This object also keeps, per
-    photon number, the heralded output rows (int8, as ``_fock_basis``
-    keeps them) and their roots.
+    Order of the sums on the heralded route: photon number by photon
+    number, ascending, each term in ``terms()`` order adds its amplitude
+    over its root sqrt(prod n_k!) times its column of Ryser sums
+    (``_ryser_column``) over the heralded outputs to zeros; each output is
+    then divided by sqrt(prod o_l!) and pruned at ``PRUNE_TOL`` as
+    ``evolve`` prunes. This object keeps each photon number's heralded
+    outputs, as int8 rows with their roots, in ``outputs``.
 
-    It keeps one plan per input support, the tuple of a state's
-    occupations in ``terms()`` order, in ``plans``: the route the rule
-    picked, which is exact to keep since the rule reads only occupations,
-    and the run's assembled map. On the heralded route that is each
-    term's place in the support, output slice, root and column, in the
-    order of the sums, and the concatenated heralded rows and roots; on
-    the ``evolve`` route ``evolve`` assembles and keeps it (see there). A
-    run on a known support skips the grouping by photon number, the rule
-    and the per-photon-number outputs: the terms' amplitudes over their
-    roots times their columns are added to zeros in that order, one
-    photon number's slice at a time, each output is then divided by
-    sqrt(prod o_l!) and pruned at ``PRUNE_TOL`` as ``evolve`` prunes. A
-    run on a new support assembles its plan and runs it the same way.
-
-    ``size`` counts the numbers all three tables hold: one per Ryser sum
-    or expansion coefficient, and one per heralded output or per (term,
-    row) pair of ``evolve`` for a plan. A piece or a plan is kept if they
-    then hold at most ``COLUMN_CACHE_BUDGET`` numbers (``keep``); nothing
-    is evicted, and one that would not fit is used and dropped. A
-    heralded plan is kept only if every column it reads is kept, so that
-    it holds no number ``size`` does not count. A run whose occupations
-    are all known computes no permanent and expands no photon; a run on
-    a known support does only the products and sums. The cache does not
-    change a bit: every route sums the same products in the same order.
-    ``measurement.postselect_branches`` gives the same results on either
-    route.
+    Its one other table, ``plans``, keeps per input support, the tuple of
+    a state's occupations in ``terms()`` order, the route the rule picked,
+    which is exact to keep since the rule reads only occupations, and the
+    run's assembled map: on the heralded route each term's place, output
+    slice, root and column and the heralded rows and roots; on the
+    ``evolve`` route what ``evolve`` keeps (see there). A run on a known
+    support skips the rule and every Ryser pass or expansion and makes the
+    same sums in the same order; a run on a new support computes every
+    term's piece. ``size`` counts the numbers the plans hold, the Ryser
+    sums of a heralded plan and the (term, row) pairs of an ``evolve``
+    plan; a plan is kept if they then hold at most ``COLUMN_CACHE_BUDGET``
+    (``keep``), otherwise used and dropped, and nothing is evicted. No
+    plan changes a bit. Timings are in ``BENCH_29.json`` and
+    ``BENCH_32.json``.
     """
 
     def __init__(self, transform: ModeTransform, patterns: Sequence) -> None:
@@ -765,16 +701,14 @@ class _HeraldedEvolution:
         self.survivors = [p.survivors(m) for p in self.patterns]
         self.held = [sum(c for _, c in p.constraints) for p in self.patterns]
         self.outputs: dict[int, tuple[np.ndarray, np.ndarray]] = {}     # photons -> (rows, roots)
-        self.columns: dict[Occupation, tuple[float, np.ndarray]] = {}   # occupation -> (root, column)
-        self.expansions: dict[Occupation, tuple[np.ndarray, np.ndarray]] = {}   # see ``evolve``
         self.plans: dict[tuple[Occupation, ...], tuple[bool, tuple]] = {}   # support -> (heralded, map)
-        self.size = 0   # Ryser sums, expansion coefficients and plan entries kept
+        self.size = 0   # Ryser sums and (term, row) pairs the plans hold
 
-    def keep(self, table: dict, key, entry: tuple, count: int) -> None:
-        """Keep an entry of ``count`` numbers in ``table`` if the tables
+    def keep(self, support: tuple[Occupation, ...], plan: tuple[bool, tuple], count: int) -> None:
+        """Keep the plan of ``count`` numbers for ``support`` if the plans
         then hold at most ``COLUMN_CACHE_BUDGET``."""
         if self.size + count <= COLUMN_CACHE_BUDGET:
-            table[key] = entry
+            self.plans[support] = plan
             self.size += count
 
     def _heralded(self, support: tuple[Occupation, ...], by_photons: dict[int, list[int]]) -> bool:
@@ -812,23 +746,18 @@ class _HeraldedEvolution:
         return kept
 
     def _plan(self, support: tuple[Occupation, ...], by_photons: dict[int, list[int]]) -> tuple[bool, tuple]:
-        """The heralded route's plan for a new support, its columns computed
-        where none is kept; kept in ``plans`` if it fits."""
+        """The heralded route's plan for a new support, one Ryser pass per
+        term; kept in ``plans`` if it fits."""
         steps, outs, lo = [], [], 0
         for n in sorted(by_photons):
             rows, roots = self._outputs_at(n)
             for i in by_photons[n]:
-                entry = self.columns.get(support[i])
-                if entry is None:
-                    entry = _ryser_column(self.transform.matrix, support[i], rows)
-                    self.keep(self.columns, support[i], entry, len(rows))
-                steps.append((i, lo, lo + len(rows), *entry))
+                steps.append((i, lo, lo + len(rows), *_ryser_column(self.transform.matrix, support[i], rows)))
             outs.append((rows, roots))
             lo += len(rows)
-        rows, roots = (np.concatenate(part) for part in zip(*outs))
+        rows, roots = outs[0] if len(outs) == 1 else (np.concatenate(part) for part in zip(*outs))
         plan = True, (steps, rows, roots)
-        if all(occ in self.columns for occ in support):
-            self.keep(self.plans, support, plan, lo)
+        self.keep(support, plan, sum(len(column) for *_, column in steps))
         return plan
 
     def __call__(self, state: FockState) -> FockState:

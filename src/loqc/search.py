@@ -132,9 +132,9 @@ def closed_form_amplitudes(angles: tuple[float, float, float]) -> dict:
         (1, (1, 1, 0)): d1 * e2 + d2 * e1,
         (1, (1, 0, 1)): d1 * e3 + d3 * e1,
         (1, (0, 1, 1)): d2 * e3 + d3 * e2,
-        (2, (3, 0, 0)): math.sqrt(3.0) * d1 ** 2 * e1,
-        (2, (2, 1, 0)): d1 ** 2 * e2 + 2 * d1 * d2 * e1,
-        (2, (2, 0, 1)): d1 ** 2 * e3 + 2 * d1 * d3 * e1,
+        (2, (3, 0, 0)): math.sqrt(3.0) * (d1 * d1) * e1,
+        (2, (2, 1, 0)): d1 * d1 * e2 + 2 * d1 * d2 * e1,
+        (2, (2, 0, 1)): d1 * d1 * e3 + 2 * d1 * d3 * e1,
         (2, (1, 1, 1)): SQRT2 * (d1 * d2 * e3 + d1 * d3 * e2 + d2 * d3 * e1),
     }
 
@@ -355,9 +355,9 @@ def single_bs_corrected(case: int, x):
     """
     s, c = np.sin(x), np.cos(x)
     if case == 1:
-        monos = (s, s * c, s * c ** 2)
+        monos = (s, s * c, s * (c * c))
     elif case == 3:
-        monos = (-c, s ** 2 - c ** 2, 2 * s ** 2 * c - c ** 3)
+        monos = (-c, s * s - c * c, 2 * (s * s) * c - c ** 3)
     else:
         raise ValueError(f"only cases 1 and 3 have a one-splitter correction scan, got case {case}")
     return tuple(k * m for k, m in zip(CASE_AMPLITUDES[case], monos))
@@ -405,7 +405,7 @@ def two_bs_corrected(x, y):
     pi on this same triple against the target with its middle entry negated.
     """
     sx, cx, sy, cy = np.sin(x), np.cos(x), np.sin(y), np.cos(y)
-    monos = (sx * sy, 2 * sx * cx * sy * cy, 3 * sx * cx ** 2 * sy * cy ** 2)
+    monos = (sx * sy, 2 * sx * cx * sy * cy, 3 * sx * (cx * cx) * sy * (cy * cy))
     return tuple(co * m for co, m in zip(CASE_AMPLITUDES[3], monos))
 
 
@@ -465,8 +465,8 @@ def second_gate_coefficients(case: int, pattern: tuple[int, int], t1, t2, t3):
         raise ValueError(f"unsupported case/pattern combination: case {case}, pattern {pattern}")
     (d1, d2, _), (e1, e2, _) = itertools.islice(general3_columns(t1, t2, t3), 2)
     return (d2 * e2,
-            d2 ** 2 * e1 + 2 * d1 * d2 * e2,
-            3 * d1 * d2 ** 2 * e1 + 3 * d1 ** 2 * d2 * e2)
+            d2 * d2 * e1 + 2 * d1 * d2 * e2,
+            3 * d1 * (d2 * d2) * e1 + 3 * (d1 * d1) * d2 * e2)
 
 
 def ns_in_ns_products(case: int, pattern: tuple[int, int], t1, t2, t3):

@@ -346,7 +346,8 @@ def test_cached_runs_repeat_the_uncached_bits(build):
     assert copy.__dict__.keys() >= {"transform", "_evolution"}
     assert copy._evolution is not gate._evolution
     on_evolve = gate.name in ("ns", "cnot_2photon")
-    assert bool(gate._evolution.expansions) == on_evolve and bool(gate._evolution.columns) != on_evolve
+    plans = gate._evolution.plans.values()
+    assert plans and all(heralded != on_evolve for heralded, _ in plans)
 
 
 @pytest.mark.parametrize("cost", [math.inf, -math.inf], ids=["evolve", "heralded"])
@@ -406,29 +407,28 @@ def test_gate_circuit_parts_cannot_be_edited_in_place():
     assert fresh.probability == pytest.approx(0.015034290379138858, abs=1e-15)
 
 
-#: Numbers each gate's cache holds at a budget: cs and the cascade keep 10
-#: Ryser sums per dual-rail word, ns 3, 6 and 10 expansion coefficients for
-#: 0, 1 and 2 signal photons, the two-photon CNOT 21 per logical word; each
-#: support's plan then counts as many, 10 heralded outputs for cs and the
-#: cascade and 3 + 6 + 10 and 4 x 21 (term, row) pairs for the random inputs
-#: of ns and the CNOT. The basis inputs come first, so a budget holds the
-#: first pieces and plans that fit.
+#: Numbers each gate's plans hold at a budget. A plan holds, per term of its
+#: support, 10 Ryser sums for cs and the cascade, 3, 6 or 10 (term, row)
+#: pairs for ns at 0, 1 or 2 signal photons, and 21 for the two-photon CNOT.
+#: The basis inputs come first, one term each, then the random inputs, which
+#: share one support; a budget holds the first plans that fit.
 _HELD = {  # budget -> (cs, cascade, ns, two-photon CNOT)
-    0: (0, 0, 0, 0), 12: (10, 10, 12, 0), 25: (20, 20, 18, 21), 40: (40, 40, 38, 21), 84: (80, 80, 57, 84),
-    252: (90, 90, 57, 252),
+    0: (0, 0, 0, 0), 12: (10, 10, 9, 0), 25: (20, 20, 19, 21), 40: (40, 40, 38, 21), 84: (80, 80, 38, 84),
+    252: (80, 80, 38, 168),
 }
 
 
 def _plan_size(plan):
-    heralded, parts = plan
-    return len(parts[1] if heralded else parts[2])   # heralded outputs, or evolve's (term, row) pairs
+    heralded, parts = plan   # Ryser sums, or evolve's (term, row) pairs
+    return sum(len(column) for *_, column in parts[0]) if heralded else len(parts[2])
 
 
 @pytest.mark.parametrize("budget", sorted(_HELD))
 def test_the_column_cache_stays_within_its_budget(budget, monkeypatch):
-    # one budget for the Ryser columns, the evolve expansions and the plans; a
-    # piece or a plan that was made and that the cache does not hold was used
-    # and dropped
+    # one budget for the plans of both routes. A run on a new support computes
+    # one piece per term, a Ryser column or an evolve expansion, and a run on
+    # a kept support none; a plan that was made and that the cache does not
+    # hold was used and dropped
     computed = []
     ryser, expand = multiport._ryser_column, multiport._expand
 
@@ -449,18 +449,16 @@ def test_the_column_cache_stays_within_its_budget(budget, monkeypatch):
         want = [_bits(_uncached(gate, comp)) for comp in inputs]
         monkeypatch.setattr(multiport, "_ryser_column", counted_column)
         monkeypatch.setattr(multiport, "_expand", counted_expansion)
-        dropped = []
+        cache, dropped = gate._evolution, []
         for _ in range(2):
             for comp, bits in zip(inputs, want):
-                assert _bits(gate.run(comp)) == bits
-                cache = gate._evolution
-                dropped += [occ for occ in computed if occ not in cache.columns and occ not in cache.expansions]
-                computed.clear()
                 support = tuple(occ for occ, _ in with_ancilla(comp, gate.ancilla, gate.num_modes).terms())
+                known = support in cache.plans
+                assert _bits(gate.run(comp)) == bits
+                assert sorted(computed) == ([] if known else sorted(support))
+                computed.clear()
                 dropped += [support] if support not in cache.plans else []
-                assert cache.size == (sum(column.size for _, column in cache.columns.values())
-                                      + sum(len(coeff) for coeff, _ in cache.expansions.values())
-                                      + sum(map(_plan_size, cache.plans.values())))
+                assert cache.size == sum(map(_plan_size, cache.plans.values()))
                 assert cache.size <= budget
         monkeypatch.setattr(multiport, "_ryser_column", ryser)
         monkeypatch.setattr(multiport, "_expand", expand)
@@ -468,7 +466,7 @@ def test_the_column_cache_stays_within_its_budget(budget, monkeypatch):
         assert bool(dropped) == (held < full)
 
 
-def test_a_run_computes_one_column_per_new_occupation(monkeypatch):
+def test_a_run_computes_one_column_per_term_of_a_new_support(monkeypatch):
     calls = []
     ryser = multiport._ryser_column
 
@@ -484,15 +482,15 @@ def test_a_run_computes_one_column_per_new_occupation(monkeypatch):
     comp = encode(v, gate.encoding)
     assert comp.num_terms() == 4
     gate.run(comp)
-    assert len(calls) == len(set(calls)) == 4   # the three dual-rail words not seen yet
+    assert len(calls) == 5   # a new support: every term, the word seen before too
+    assert set(calls[1:]) == {occ for occ, _ in with_ancilla(comp, gate.ancilla, gate.num_modes).terms()}
     gate.run(encode(v[::-1], gate.encoding))
-    assert len(calls) == 4   # a warm run computes no permanent
-    assert set(calls) == {occ for occ, _ in with_ancilla(comp, gate.ancilla, gate.num_modes).terms()}
+    assert len(calls) == 5   # a run on a known support computes no permanent
 
 
 def test_a_warm_evolve_route_run_expands_no_photon(monkeypatch):
-    # ns takes evolve on every run, once per run, and expands only the
-    # occupations its evaluator has not seen
+    # ns takes evolve on every run, once per run, and expands every term of
+    # a support its evaluator has not seen and none of one it has
     evolved, expanded = [], []
     full, expand = multiport.evolve, multiport._expand
 
@@ -511,6 +509,6 @@ def test_a_warm_evolve_route_run_expands_no_photon(monkeypatch):
     assert expanded == [(1, 1, 0)]
     superposition = FockState(1, {(0,): 0.6, (1,): 0.6j, (2,): -math.sqrt(0.28)})
     gate.run(superposition)
-    assert sorted(expanded) == [(0, 1, 0), (1, 1, 0), (2, 1, 0)]   # the two not seen yet
+    assert sorted(expanded[1:]) == [(0, 1, 0), (1, 1, 0), (2, 1, 0)]   # a new support
     gate.run(superposition.scaled(1j))
-    assert len(expanded) == 3 and len(evolved) == 3
+    assert len(expanded) == 4 and len(evolved) == 3

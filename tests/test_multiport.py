@@ -478,13 +478,23 @@ def _occupations(rng, modes, photons, count):
 @pytest.mark.parametrize("block,budget", [(multiport.RYSER_BLOCK, multiport.COLUMN_CACHE_BUDGET),
                                           (5, multiport.COLUMN_CACHE_BUDGET), (multiport.RYSER_BLOCK, 40)])
 def test_evolve_with_a_kept_table_repeats_plain_evolve_bit_for_bit(block, budget, monkeypatch):
-    # a table kept across calls, as a gate's evaluator keeps it, moves no bit:
+    # a plan kept across calls, as a gate's evaluator keeps it, moves no bit:
     # spectator modes put back their counts by rank, and terms of several photon
-    # numbers and moving-photon counts start at different row offsets. The second
-    # call mixes kept and new occupations in one block; a block of 5 numbers puts
-    # every term in a block of its own, and a budget of 40 keeps only some pieces
+    # numbers and moving-photon counts start at different row offsets. The
+    # second call shares six occupations with the first and expands them again;
+    # the third call's support is the first's, and it replays the first call's
+    # plan if one was kept. A block of 5 numbers puts every term in a block of
+    # its own; a budget of 40 keeps only the 36 (term, row) pairs of the
+    # six-mode case's first plan, of plans of 160, 180, 36, 51, 81 and 68
     monkeypatch.setattr(multiport, "RYSER_BLOCK", block)
     monkeypatch.setattr(multiport, "COLUMN_CACHE_BUDGET", budget)
+    expanded, kept = [], []
+    expand = multiport._expand
+
+    def counted_expansion(occupations, photons, cols):
+        expanded.extend(map(tuple, occupations.tolist()))
+        return expand(occupations, photons, cols)
+
     rng = np.random.default_rng(64)
     for modes, active in [(4, (0, 1, 2, 3)), (6, (1, 2, 4)), (7, (0, 3, 5, 6))]:
         matrix = np.eye(modes, dtype=complex)
@@ -492,16 +502,20 @@ def test_evolve_with_a_kept_table_repeats_plain_evolve_bit_for_bit(block, budget
         t = ModeTransform(matrix)
         table = multiport._HeraldedEvolution(t, [DetectionPattern({})])
         occs = _occupations(rng, modes, 3, 16)
-        # six of the second call's terms are kept; the third call's support is the first's
         for chosen in (occs[:10], occs[5:], occs[:10]):
             state = FockState(modes, {occ: complex(rng.normal(), rng.normal()) for occ in chosen})
-            got, want = evolve(state, t, _cache=table)._arrays(), evolve(state, t)._arrays()
+            known = tuple(sorted(chosen)) in table.plans
+            want = evolve(state, t)._arrays()
+            monkeypatch.setattr(multiport, "_expand", counted_expansion)
+            got = evolve(state, t, _cache=table)._arrays()
+            monkeypatch.setattr(multiport, "_expand", expand)
             assert np.array_equal(got[0], want[0]) and got[1].tobytes() == want[1].tobytes()
-        assert 0 < table.size <= budget
-        assert table.size == (sum(len(coeff) for coeff, _ in table.expansions.values())
-                              + sum(len(pairs) for _, (_, _, pairs, *_) in table.plans.values()))
-        # a plan holds one (term, row) pair per active basis row of each term: 10 terms need more than 40
-        assert (tuple(sorted(occs[:10])) in table.plans) == (budget > 40)
+            assert len(expanded) == (0 if known else len(chosen))
+            expanded.clear()
+        assert table.size <= budget
+        assert table.size == sum(len(pairs) for _, (_, _, pairs, *_) in table.plans.values())
+        kept.append(len(table.plans))
+    assert kept == ([2, 2, 2] if budget > 40 else [0, 1, 0])
 
 
 def test_evolve_memory_stays_under_8_mb():
@@ -718,12 +732,13 @@ def test_transition_amplitudes_repeat_the_term_by_term_pass_bit_for_bit(block, h
         assert amps.tobytes() == want[keep].tobytes()
 
 
-@pytest.mark.parametrize("budget,columns,plans", [(0, 0, 0), (150, 6, 3), (multiport.COLUMN_CACHE_BUDGET, 8, 5)])
-def test_heralded_plans_repeat_the_term_by_term_pass_bit_for_bit(budget, columns, plans, monkeypatch):
+@pytest.mark.parametrize("budget,plans", [(0, 0), (110, 4), (multiport.COLUMN_CACHE_BUDGET, 5)])
+def test_heralded_plans_repeat_the_term_by_term_pass_bit_for_bit(budget, plans, monkeypatch):
     # a plan kept per input support moves no bit: supports of one to four
     # terms, at one to three photons, come back in interleaved order with new
-    # amplitudes, through three overlapping patterns; a partial budget keeps
-    # 6 of the 8 columns and 3 of the 5 plans and uses and drops the others
+    # amplitudes, through three overlapping patterns. The five plans hold 17,
+    # 24, 43, 58 and 26 Ryser sums; a budget of 110 keeps the first three,
+    # uses and drops the fourth on both of its runs, and keeps the fifth
     monkeypatch.setattr(multiport, "HERALDED_COST_PER_TERM", -math.inf)
     monkeypatch.setattr(multiport, "evolve", _no_evolve)
     monkeypatch.setattr(multiport, "COLUMN_CACHE_BUDGET", budget)
@@ -742,9 +757,9 @@ def test_heralded_plans_repeat_the_term_by_term_pass_bit_for_bit(budget, columns
         assert np.array_equal(rows, np.array(outputs, dtype=int).reshape(len(outputs), 5)[keep])
         assert amps.tobytes() == want[keep].tobytes()
         assert evaluate.size <= budget
-    assert evaluate.size == (sum(column.size for _, column in evaluate.columns.values())
-                             + sum(len(rows) for _, (_, rows, _) in evaluate.plans.values()))
-    assert (len(evaluate.columns), len(evaluate.plans)) == (columns, plans)
+    assert evaluate.size == sum(column.size for _, (steps, _, _) in evaluate.plans.values()
+                                for *_, column in steps)
+    assert len(evaluate.plans) == plans
 
 
 def test_transition_amplitudes_blocks_are_bit_identical(heralded, monkeypatch):

@@ -21,13 +21,11 @@ of 0, 1 and 2 photons on its one mode. Each gate runs its inputs twice (first an
 repeat runs) on the circuit as built and then twice on a
 ``dataclasses.replace`` copy, which starts with an empty cache; all of
 it at ``multiport.COLUMN_CACHE_BUDGET`` 2^16, 25 and 0, so that runs
-that keep every piece and plan, some and none are all covered. The
-budget covers what a gate keeps: per input occupation the Ryser columns
-of the heralded route (``cs``, ``cnot_klm``, the cascade and
-``cs_branches``) and the ``evolve`` expansions (``ns``, 3 + 6 + 10
-coefficients; ``cnot_2photon``, 21 each), and per input support a plan,
-counted by its heralded outputs or ``evolve``'s (term, row) pairs. A
-change meant to leave gate results bit-identical runs this at the
+that keep every plan, some and none are all covered. The budget covers
+what a gate keeps, one plan per input support, counted by its Ryser sums
+on the heralded route (``cs``, ``cnot_klm`` and the cascade, 10 per
+term; ``cs_branches``, 85) or by ``evolve``'s (term, row) pairs
+(``ns``, 3, 6 or 10 per term; ``cnot_2photon``, 21). A change meant to leave gate results bit-identical runs this at the
 parent commit and at the change and compares the two lines. The library
 is imported from this checkout's ``src/``.
 """
