@@ -52,12 +52,7 @@ from . import __version__
 from .encodings import Encoding, encode
 from .fock import NORM_ATOL, FockState
 from .gates import GATE_NAMES, evaluate_gate
-from .measurement import (
-    DetectionPattern,
-    OutcomeBranch,
-    _distribution,
-    _postselect,
-)
+from .measurement import DetectionPattern, OutcomeBranch, _distribution, postselect_branches
 from .multiport import (MAX_MODES, ElementSpec, ModeTransform, beam_splitter, check_term_budget, compose_elements,
                         evolve, general3)
 from .search import (
@@ -494,7 +489,7 @@ def simulate_report(circ: Circuit, source_text: str, digits: int) -> dict:
     counts, probs, runs = _distribution(out, measured)   # the counts in ascending order
     if circ.branches:
         try:   # branches on the measured ports read the distribution's runs
-            evaluated = _postselect(out, [b for _, b in circ.branches], (measured, runs))
+            evaluated = postselect_branches(out, [b for _, b in circ.branches], _runs=(measured, runs))
         except ValueError as exc:
             raise CliError(str(exc)) from None
     del runs   # the sorted output is not held while the report's maps are written

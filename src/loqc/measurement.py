@@ -19,16 +19,17 @@ state's terms once per group, not once per branch: a state of fewer than
 occupation rows. The rows are sorted by their counts on the group's
 modes, and each run of equal counts is summed (``_runs``), the same pass
 that gives ``outcome_distribution``; a branch takes the run that shows its
-counts. Both routes give the same bits; the crossover was measured on both
-(see ``postselect_branches``). A probability that overflows a float is a
-``ValueError`` on either route.
+counts. Both routes give the same bits; the crossover was timed on both
+(``BENCH_19.json``, ``BENCH_20.json``). A probability that overflows a
+float is a ``ValueError`` on either route.
 
 A gate run evolves its input only as far as its branches' patterns can
 see it, by ``multiport._HeraldedEvolution``, whose docstring gives the
 route rule and the cache. Circuit files keep the full ``evolve`` because
 their report lists the whole outcome distribution; ``simulate`` hands its
-distribution's runs to the branches (``_postselect``) when they all
-measure the distribution's modes, so it sorts the output once.
+distribution's runs to ``postselect_branches`` (its keyword-only
+``_runs``), which reads them when every branch measures the
+distribution's modes, so it sorts the output once.
 
 This module holds only these measurement primitives; what runs them on a
 gate lives in ``gates``. Everything here operates on pure states with
@@ -176,54 +177,40 @@ ARRAY_ROUTE_TERMS = 128
 
 
 def postselect_branches(
-    state: FockState, branches: Sequence[OutcomeBranch]
+    state: FockState, branches: Sequence[OutcomeBranch], *,
+    _runs: tuple[Sequence[int], tuple] | None = None,
 ) -> list[tuple[OutcomeBranch, PostselectionResult]]:
     """Evaluate a family of mutually exclusive outcome branches.
 
     Each branch postselects on its pattern and then sends the survivors
-    through its correction. Branches whose patterns could both match the
-    same basis state are a configuration error, which names the first such
-    pair (``_first_overlap``).
+    through its correction. The branches are grouped by their measured
+    modes, in order of their first members. Every check runs before the
+    state is read, in this order, each a ``ValueError``: no branch; the
+    first pair of patterns that one basis state could both match
+    (``_first_overlap``); a pattern outside the register
+    (``DetectionPattern.survivors``, once per group, first group first); a
+    correction whose size is not its group's surviving-mode count, first
+    branch first.
 
-    The branches are grouped by their measured modes, and each group reads
-    the state once: the patterns of a group conflict pairwise, so a term's
-    counts on those modes pick at most one branch, which keeps it. A
-    branch's probability is the sum over its kept terms in the order that
-    ``_runs`` states, on either route, and a probability that overflows a
-    float raises ``ValueError``; the kept terms are then scaled by
-    ``FockState.scaled``. The groups come in order of their first members,
-    so a bad pattern fails as its first branch.
-
-    A state of fewer than ``ARRAY_ROUTE_TERMS`` terms is read term by term
+    Each group reads the state once: its patterns conflict pairwise, so a
+    term's counts on its modes pick at most one branch, which keeps it. A
+    state of fewer than ``ARRAY_ROUTE_TERMS`` terms is read term by term
     (``_read_terms``), a larger one as occupation rows (``_read_rows``),
-    which sorts and sums the rows once per group (``_runs``). Both give the
-    same bits. The rows pay numpy's fixed cost, and a sort of the whole
-    state, per group, and cost less per term. Both routes were timed on
-    fresh ``evolve`` outputs of 45 to 330 terms with one branch, three on
-    one port set, and five on two port sets (medians of 9 alternating
-    rounds, ``BENCH_20.json``): the rows took 0.94-2.15 times as long at
-    45-84 terms, 0.64-1.07 times at 120-126 terms on one port set but
-    1.0-1.43 times on two, 0.46-0.85 times at 165-210 and 0.31-0.52 times
-    at 330. The crossover lies between 84 and 126 terms for one port set
-    and near 150 for two, where ``BENCH_19.json`` put it for the key pass
-    this route replaced.
+    which sorts and sums the rows once per group (``_runs``); the timings
+    behind the crossover are in ``BENCH_19.json`` and ``BENCH_20.json``.
+    Both give the same bits: a branch's probability is the sum over its
+    kept terms in the order that ``_runs`` states, a probability that
+    overflows a float raises ``ValueError``, and the kept terms are then
+    scaled by ``FockState.scaled``.
+
+    ``_runs`` is None, or a list of modes and the state's ``_runs`` on
+    them. When every branch measures exactly those modes, the row route
+    reads them instead of sorting the state again: ``cli.simulate_report``
+    hands over those of its outcome distribution (``_distribution``).
 
     The result pairs each branch with its ``PostselectionResult``, in
     branch order (``perfbench/tracer.py`` reads the pairs).
     """
-    return _postselect(state, branches, None)
-
-
-def _postselect(state: FockState, branches: Sequence[OutcomeBranch],
-                known: tuple[Sequence[int], tuple] | None) -> list[tuple[OutcomeBranch, PostselectionResult]]:
-    """``postselect_branches``, given ``known``: None, or a list of modes
-    and the state's ``_runs`` on them. When every branch measures exactly
-    those modes, the row route reads the given runs instead of sorting the
-    state again: ``cli.simulate_report`` hands over those of its outcome
-    distribution (``_distribution``). A state of fewer than
-    ``ARRAY_ROUTE_TERMS`` terms is still read term by term: at 15-20 terms
-    the given runs took longer than the term-by-term read, and at 84-126
-    terms about as long."""
     if not branches:
         raise ValueError("at least one branch is required")
     patterns = [b.pattern for b in branches]
@@ -237,11 +224,18 @@ def _postselect(state: FockState, branches: Sequence[OutcomeBranch],
             f"branch patterns overlap: '{a.label or a.pattern.describe()}' "
             f"and '{b.label or b.pattern.describe()}'"
         )
+    survivors: dict[tuple[int, ...], list[int]] = {}
+    for modes, members in groups.items():   # the members share their survivors
+        survivors[modes] = patterns[members[0]].survivors(state.num_modes)
+    for b in branches:   # a checked pattern leaves the modes it does not fix
+        if b.correction is not None and b.correction.dim != (width := state.num_modes - len(b.pattern.constraints)):
+            raise ValueError(f"branch '{b.label or b.pattern.describe()}' has a {b.correction.dim}-mode "
+                             f"correction but {width} surviving modes")
     if state.num_terms() < ARRAY_ROUTE_TERMS:
-        probs, kept = _read_terms(state, patterns, groups)
+        probs, kept = _read_terms(state, patterns, groups, survivors)
     else:
-        runs = known[1] if known is not None and list(groups) == [tuple(known[0])] else None
-        probs, kept = _read_rows(state, patterns, groups, runs)
+        runs = _runs[1] if _runs is not None and list(groups) == [tuple(_runs[0])] else None
+        probs, kept = _read_rows(state, patterns, groups, survivors, runs)
     if any(map(math.isinf, probs)):
         raise _overflow_error()
     results = []
@@ -256,17 +250,17 @@ def _postselect(state: FockState, branches: Sequence[OutcomeBranch],
 
 
 def _read_terms(state: FockState, patterns: Sequence[DetectionPattern],
-                groups: Mapping[tuple[int, ...], Sequence[int]]) -> tuple[list[float], list[FockState]]:
+                groups: Mapping[tuple[int, ...], Sequence[int]],
+                survivors: Mapping[tuple[int, ...], Sequence[int]]) -> tuple[list[float], list[FockState]]:
     """Each pattern's probability and kept (unscaled) survivor terms, read
     one term at a time: a dict lookup of each term's measured counts per
-    group. A kept term's squared magnitude that overflows raises
-    ``ValueError``."""
+    group, whose surviving modes ``survivors`` gives. A kept term's squared
+    magnitude that overflows raises ``ValueError``."""
     terms = list(state.terms())   # sorted once for every group
     probs = [0.0] * len(patterns)
     kept: list[dict[Occupation, complex]] = [{} for _ in patterns]
     for modes, members in groups.items():
-        survivors = patterns[members[0]].survivors(state.num_modes)   # the members share them
-        measured, survivor = _counts_on(modes), _counts_on(survivors)
+        measured, survivor = _counts_on(modes), _counts_on(survivors[modes])
         branch_of = {tuple(c for _, c in patterns[i].constraints): i for i in members}.get
         for occ, amp in terms:
             i = branch_of(measured(occ))
@@ -318,6 +312,7 @@ def _runs(state: FockState, modes: Sequence[int],
 
 def _read_rows(state: FockState, patterns: Sequence[DetectionPattern],
                groups: Mapping[tuple[int, ...], Sequence[int]],
+               survivors: Mapping[tuple[int, ...], Sequence[int]],
                runs: tuple | None = None) -> tuple[list[float], list[FockState | None]]:
     """``_read_terms`` on the state's occupation rows: ``_runs`` once per
     group, on ``_squares`` taken once, unless the one group's ``runs`` are
@@ -328,7 +323,7 @@ def _read_rows(state: FockState, patterns: Sequence[DetectionPattern],
     kept: list[FockState | None] = [None] * len(patterns)
     squares = _squares(state) if runs is None else None   # once for every group
     for modes, members in groups.items():
-        survivors = patterns[members[0]].survivors(state.num_modes)   # the members share them
+        free = survivors[modes]
         rows, amps, starts, sums = _runs(state, modes, squares) if runs is None else runs
         run_of = {counts: k for k, counts in enumerate(map(tuple, rows[starts][:, modes].tolist()))}
         bounds, sums = starts.tolist() + [len(rows)], sums.tolist()
@@ -337,14 +332,14 @@ def _read_rows(state: FockState, patterns: Sequence[DetectionPattern],
             if k is not None:
                 lo, hi = bounds[k], bounds[k + 1]
                 probs[i] = sums[k]
-                kept[i] = FockState._of_rows(len(survivors), rows[lo:hi, survivors], amps[lo:hi])
+                kept[i] = FockState._of_rows(len(free), rows[lo:hi, free], amps[lo:hi])
     return probs, kept
 
 
 def _distribution(state: FockState, modes: Sequence[int]) -> tuple[np.ndarray, np.ndarray, tuple]:
     """``outcome_distribution`` as arrays: the distinct count rows on
     ``modes``, ascending, the probability of each, and the ``_runs`` they
-    come from, which ``_postselect`` can read again."""
+    come from, which ``postselect_branches`` can read again (its ``_runs``)."""
     modes = list(_integers(modes, "outcome modes"))
     for m in modes:
         if not 0 <= m < state.num_modes:

@@ -78,9 +78,6 @@ VERDICT_MARGIN = 1e-3
 #: scored at both.
 TWO_BS_PHASES = (0.0, math.pi)
 
-#: Weight of the proportionality residual in the optimizer's score.
-RESIDUAL_PENALTY = 1.0
-
 #: Refinement rounds after the coarse grid, each dividing the step by ten.
 REFINE_ROUNDS = 3
 
@@ -357,7 +354,7 @@ def single_bs_corrected(case: int, x):
     if case == 1:
         monos = (s, s * c, s * (c * c))
     elif case == 3:
-        monos = (-c, s * s - c * c, 2 * (s * s) * c - c ** 3)
+        monos = (-c, s * s - c * c, 2 * (s * s) * c - c * (c * c))
     else:
         raise ValueError(f"only cases 1 and 3 have a one-splitter correction scan, got case {case}")
     return tuple(k * m for k, m in zip(CASE_AMPLITUDES[case], monos))
@@ -572,7 +569,7 @@ def optimize_success(grid_step: float = 0.05) -> OptimizationResult:
         prob = np.minimum(np.minimum(sq0, sq1), sq2)
         nc = sq0 + sq1 + sq2
         r = _residual(_inner(tvec, amps), nt * nc, nc > 0.0, 1.0)
-        return -(prob - RESIDUAL_PENALTY * r), prob, r
+        return -(prob - r), prob, r
 
     (neg_score, angles, (prob, resid)), history = _refine_scan(
         kernel, [(0.0, math.pi)] * 3, grid_step, 10, clip=True)

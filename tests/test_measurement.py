@@ -122,6 +122,27 @@ def test_overlap_diagnostic_names_the_first_pair_of_the_double_loop():
     assert 50 < found < 400
 
 
+def test_a_correction_of_the_wrong_size_fails_whatever_the_branch_keeps():
+    # the size is checked before the state is read, on either route, so a
+    # branch that keeps nothing fails as one that keeps terms does
+    rng = np.random.default_rng(63)
+    wrong = ModeTransform(random_unitary(rng, 5))   # each pattern leaves 4 of 5 modes
+    small = FockState.from_occupation([1, 1, 0, 0, 0])
+    large = evolve(FockState.from_occupation([3, 3, 0, 0, 0]), ModeTransform(random_unitary(rng, 5)))
+    assert small.num_terms() < measurement.ARRAY_ROUTE_TERMS <= large.num_terms()
+    for state in (small, large):
+        for count in (1, 9):   # probability above 0, and 0
+            [(_, res)] = postselect_branches(state, [OutcomeBranch(DetectionPattern({0: count}))])
+            assert (res.probability > 0.0) == (count == 1)
+            with pytest.raises(ValueError) as err:
+                postselect_branches(state, [OutcomeBranch(DetectionPattern({0: count}), wrong)])
+            assert str(err.value) == f"branch '0={count}' has a 5-mode correction but 4 surviving modes"
+    # a pattern outside the register is reported first
+    with pytest.raises(ValueError, match="out of range"):
+        postselect_branches(small, [OutcomeBranch(DetectionPattern({0: 1}), wrong),
+                                    OutcomeBranch(DetectionPattern({0: 0, 7: 0}))])
+
+
 def _groups(patterns):
     """The indices of the patterns on each tuple of measured modes, as
     ``postselect_branches`` groups them for ``_first_overlap``."""
@@ -248,7 +269,7 @@ def test_postselection_reads_given_runs_to_the_same_bits():
         for family in (branches, other):
             want = _per_branch_reference(state, family)
             runs = measurement._runs(state, modes, measurement._squares(state))
-            got = measurement._postselect(state, family, (modes, runs))
+            got = postselect_branches(state, family, _runs=(modes, runs))
             assert [b for b, _ in got] == family
             for (_, res), (prob, cond) in zip(got, want):
                 assert res.probability.hex() == prob.hex()

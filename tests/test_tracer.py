@@ -11,7 +11,8 @@ from pathlib import Path
 import numpy as np
 
 import loqc.cli  # noqa: F401  the tracer wraps bindings in every loqc module
-from loqc import GATE_NAMES, NS_ANGLES, FockState, build_gate, encode, search
+from loqc import GATE_NAMES, NS_ANGLES, FockState, build_gate, compose_elements, encode, evolve, search
+from loqc.measurement import postselect_branches
 
 from helpers import cs_cascade
 
@@ -98,3 +99,33 @@ def test_traced_gate_runs_keep_the_benchmark_pins():
     cascade = [s[6] for s in spans if s[0] == "measurement.postselect_branches"
                and spans[s[3]][6]["gate"] == "cs_cascade"]
     assert [attrs["kept"] for attrs in cascade] == [4, 4]
+
+
+def test_simulate_postselects_through_the_traced_entry_point(tmp_path):
+    # one detected port set, on an output of at least ARRAY_ROUTE_TERMS terms
+    # (the rows read the distribution's runs) and on a smaller one
+    chain = "".join(f"bs {k} {k + 1} eta=0.{k + 2}\n" for k in range(1, 6)) * 3
+    texts = ["modes 6\ninput fock 1 1 1 1 1 0\n" + chain + "correction fix ps 2 delta=0.5\n"
+             "detect 1=0\ndetect 1=1\ndetect 1=2 correct fix\n",
+             "modes 4\ninput fock 1 0 1 0\nbs 1 2 eta=0.3\nbs 2 3 eta=0.6\ndetect 2=1\ndetect 2=0\n"]
+    tracer = _load_tracer().Tracer()
+    want, got = [], []
+    for k, text in enumerate(texts):
+        path = tmp_path / f"c{k}.txt"
+        path.write_text(text, encoding="utf-8")
+        circ = loqc.cli.parse_circuit(text)
+        out = evolve(circ.state, compose_elements(circ.elements, circ.modes))
+        results = postselect_branches(out, [b for _, b in circ.branches])
+        want.append({"scanned": out.num_terms(),
+                     "kept": sum(r.conditional_state.num_terms() for _, r in results
+                                 if r.conditional_state is not None)})
+        try:
+            leaks = tracer.install()
+            assert loqc.cli.main(["simulate", str(path)]) == 0
+        finally:
+            tracer.uninstall()
+        assert leaks == []
+        got.append([s[6] for s in tracer.spans if s[0] == "measurement.postselect_branches"])
+        tracer.spans.clear()
+    assert want[0]["scanned"] >= loqc.measurement.ARRAY_ROUTE_TERMS > want[1]["scanned"]
+    assert got == [[w] for w in want]
