@@ -15,7 +15,11 @@ The gallery:
 
 A ``GateCircuit`` is an immutable description (ancilla preparation,
 element list, outcome branches, computational modes): a frozen dataclass
-whose fields can be neither reassigned nor edited in place.
+whose fields can be neither reassigned nor edited in place. Its branch
+family is checked once, when the circuit is built (``dataclasses.replace``
+included), after its computational modes, with the checks and messages
+of ``postselect_branches`` (see ``GateCircuit``). So a circuit's
+patterns conflict pairwise, as its heralded evaluator needs.
 ``GateCircuit.run`` evolves the input by the heralded evaluator that the
 circuit keeps next to its composed ``transform``
 (``multiport._HeraldedEvolution``, whose docstring gives the route rule
@@ -55,6 +59,7 @@ from .measurement import (
     DetectionPattern,
     OutcomeBranch,
     PostselectionResult,
+    _check_branches,
     postselect_branches,
     with_ancilla,
 )
@@ -72,7 +77,13 @@ class GateCircuit:
     """A postselected gate: network, ancilla preparation and branches.
 
     ``computational_modes`` must be the modes the ancilla leaves free, in
-    ascending order: ``with_ancilla`` places the input there. The fields
+    ascending order: ``with_ancilla`` places the input there. Construction
+    checks that first (``DetectionPattern.survivors`` on the ancilla, then
+    the modes themselves) and then the branch family against the register
+    with ``measurement._check_branches``, the checks and messages of
+    ``postselect_branches``: no branch, the first overlapping pair, a
+    pattern outside the register, a correction of the wrong size; each is
+    a ``ValueError``. The fields
     cannot be reassigned, and construction keeps ``elements`` and
     ``branches`` as tuples of frozen values, ``computational_modes`` as a
     tuple and ``ancilla`` as a read-only copy, so they cannot be edited in
@@ -99,8 +110,7 @@ class GateCircuit:
         if list(self.computational_modes) != free:
             raise ValueError(f"computational modes {list(self.computational_modes)} must be "
                              f"the modes the ancilla leaves free, {free}")
-        if not self.branches:
-            raise ValueError("a gate circuit needs at least one outcome branch")
+        _check_branches(self.branches, self.num_modes)
 
     @cached_property
     def transform(self) -> ModeTransform:

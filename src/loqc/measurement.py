@@ -13,8 +13,11 @@ each paired with a unitary correction applied to the surviving modes.
 ``postselect_branches`` is the one place that postselects and corrects:
 gate runs (``gates.GateCircuit.run``, which the input-independence probe
 calls too), circuit files and ``postselect`` (its one-branch case) all go
-through it. It groups the branches by their measured modes and reads the
-state's terms once per group, not once per branch: a state of fewer than
+through it. What makes a branch family valid is checked in one function,
+``_check_branches``, which it runs on every call and a gate circuit once,
+when it is built. ``postselect_branches`` groups the branches by their
+measured modes and reads the state's terms once per group, not once per
+branch: a state of fewer than
 ``ARRAY_ROUTE_TERMS`` terms one term at a time, a larger one as
 occupation rows. The rows are sorted by their counts on the group's
 modes, and each run of equal counts is summed (``_runs``), the same pass
@@ -171,6 +174,41 @@ def _first_overlap(patterns: Sequence[DetectionPattern],
     return first
 
 
+def _check_branches(branches: Sequence[OutcomeBranch], num_modes: int) -> tuple[dict, dict]:
+    """Check a family of outcome branches against a ``num_modes``-mode
+    register. In this order, each a ``ValueError``: no branch; the first
+    pair of patterns that one basis state could both match
+    (``_first_overlap``); a pattern outside the register
+    (``DetectionPattern.survivors``, once per group, first group first); a
+    correction whose size is not its group's surviving-mode count, first
+    branch first. ``postselect_branches`` runs it on every call and
+    ``gates.GateCircuit`` once, when it is built.
+
+    Returns the branches' indices grouped by their measured modes, in
+    order of their first members, and each group's surviving modes.
+    """
+    if not branches:
+        raise ValueError("at least one branch is required")
+    patterns = [b.pattern for b in branches]
+    groups: dict[tuple[int, ...], list[int]] = {}
+    for i, p in enumerate(patterns):
+        groups.setdefault(p.modes, []).append(i)
+    pair = _first_overlap(patterns, groups) if len(branches) > 1 else None
+    if pair is not None:
+        a, b = (branches[i] for i in pair)
+        raise ValueError(
+            f"branch patterns overlap: '{a.label or a.pattern.describe()}' "
+            f"and '{b.label or b.pattern.describe()}'"
+        )
+    # the members of a group share their survivors
+    survivors = {modes: patterns[members[0]].survivors(num_modes) for modes, members in groups.items()}
+    for b in branches:   # a checked pattern leaves the modes it does not fix
+        if b.correction is not None and b.correction.dim != (width := num_modes - len(b.pattern.constraints)):
+            raise ValueError(f"branch '{b.label or b.pattern.describe()}' has a {b.correction.dim}-mode "
+                             f"correction but {width} surviving modes")
+    return groups, survivors
+
+
 #: Fewest terms of a state that ``postselect_branches`` reads as occupation
 #: rows rather than term by term; measured on both routes (see there).
 ARRAY_ROUTE_TERMS = 128
@@ -183,14 +221,10 @@ def postselect_branches(
     """Evaluate a family of mutually exclusive outcome branches.
 
     Each branch postselects on its pattern and then sends the survivors
-    through its correction. The branches are grouped by their measured
-    modes, in order of their first members. Every check runs before the
-    state is read, in this order, each a ``ValueError``: no branch; the
-    first pair of patterns that one basis state could both match
-    (``_first_overlap``); a pattern outside the register
-    (``DetectionPattern.survivors``, once per group, first group first); a
-    correction whose size is not its group's surviving-mode count, first
-    branch first.
+    through its correction. Before the state is read, ``_check_branches``
+    checks the family against the state's register, the same checks in
+    the same order that a ``gates.GateCircuit`` runs once when it is
+    built, and groups the branches by their measured modes.
 
     Each group reads the state once: its patterns conflict pairwise, so a
     term's counts on its modes pick at most one branch, which keeps it. A
@@ -211,26 +245,8 @@ def postselect_branches(
     The result pairs each branch with its ``PostselectionResult``, in
     branch order (``perfbench/tracer.py`` reads the pairs).
     """
-    if not branches:
-        raise ValueError("at least one branch is required")
     patterns = [b.pattern for b in branches]
-    groups: dict[tuple[int, ...], list[int]] = {}
-    for i, p in enumerate(patterns):
-        groups.setdefault(p.modes, []).append(i)
-    pair = _first_overlap(patterns, groups) if len(branches) > 1 else None
-    if pair is not None:
-        a, b = (branches[i] for i in pair)
-        raise ValueError(
-            f"branch patterns overlap: '{a.label or a.pattern.describe()}' "
-            f"and '{b.label or b.pattern.describe()}'"
-        )
-    survivors: dict[tuple[int, ...], list[int]] = {}
-    for modes, members in groups.items():   # the members share their survivors
-        survivors[modes] = patterns[members[0]].survivors(state.num_modes)
-    for b in branches:   # a checked pattern leaves the modes it does not fix
-        if b.correction is not None and b.correction.dim != (width := state.num_modes - len(b.pattern.constraints)):
-            raise ValueError(f"branch '{b.label or b.pattern.describe()}' has a {b.correction.dim}-mode "
-                             f"correction but {width} surviving modes")
+    groups, survivors = _check_branches(branches, state.num_modes)
     if state.num_terms() < ARRAY_ROUTE_TERMS:
         probs, kept = _read_terms(state, patterns, groups, survivors)
     else:

@@ -644,9 +644,12 @@ class _HeraldedEvolution:
     can see it; a gate keeps one per circuit (``gates.GateCircuit``).
 
     The patterns are ``measurement.DetectionPattern`` values, of which
-    only ``constraints`` and ``survivors`` are read. The outputs a pattern
-    keeps are its counts times every occupation of its surviving modes, at
-    each photon number of the input. Called on a state, this gives its
+    only ``constraints`` and ``survivors`` are read. They must conflict
+    pairwise, as a ``GateCircuit``'s do (it checks its branches when it is
+    built). The outputs a pattern keeps are its counts times every
+    occupation of its surviving modes, at each photon number of the
+    input; since no output is kept by two patterns, they are listed
+    pattern by pattern. Called on a state, this gives its
     amplitudes on just those outputs (the heralded route) when that is
     cheaper by the measured costs, else the full ``evolve``, called
     through this module's global. For an input term with n photons, n_k in
@@ -727,16 +730,14 @@ class _HeraldedEvolution:
         return HERALDED_COST_PER_TERM * len(support) + HERALDED_COST_PER_PRODUCT * (m * products) < m * full
 
     def _outputs_at(self, n: int) -> tuple[np.ndarray, np.ndarray]:
-        """The distinct heralded output rows at ``n`` photons, pattern by
-        pattern, and their roots sqrt(prod o_l!); kept once built. The
-        factorials are multiplied along each row, ``RYSER_BLOCK`` numbers at
-        a time."""
+        """The heralded output rows at ``n`` photons, pattern by pattern,
+        and their roots sqrt(prod o_l!); kept once built. The patterns
+        conflict pairwise, so no row repeats. The factorials are multiplied
+        along each row, ``RYSER_BLOCK`` numbers at a time."""
         kept = self.outputs.get(n)
         if kept is None:
             m = self.transform.dim
             rows = np.concatenate([_heralded_outputs(p, s, m, n) for p, s in zip(self.patterns, self.survivors)])
-            if len(self.patterns) > 1:   # the first of equal rows, in pattern order
-                rows = rows[np.sort(np.unique(rows, axis=0, return_index=True)[1])]
             factorials = np.array([math.factorial(k) for k in range(n + 1)], dtype=float)
             roots = np.empty(len(rows))
             step = max(1, RYSER_BLOCK // m)

@@ -275,8 +275,12 @@ def _refine_scan(kernel, domains, step, window, *, clip):
     broadcast over the block, with cost +inf at a point it does not admit;
     ``aux`` is read at the first-index argmin of ``cost``, and a later
     block replaces the incumbent only with a strictly lower cost, so the
-    pick is the first argmin of the whole grid in C order. A coarse grid
-    with no admitted point raises ``ValueError``.
+    pick is the first argmin of the whole grid in C order. A window whose
+    span overflows a float, or whose grid leaves an axis with no point in
+    the domain (a filtered window far wider than the domain, whose points
+    round past its edges), is a grid with no admitted point. A coarse grid
+    with no admitted point raises ``ValueError``; a refinement round with
+    none keeps its incumbent.
 
     Returns ``(best, history)``. ``best`` is ``(cost, point, aux)`` with the
     point ordered like the axes; ``history`` holds one ``(step, best)`` pair
@@ -301,16 +305,18 @@ def _refine_scan(kernel, domains, step, window, *, clip):
         for (lo, hi), (dlo, dhi) in zip(windows, domains):
             if clip:
                 lo, hi = max(lo, dlo), min(hi, dhi)
-            ax = np.arange(lo, hi + step / 2, step)
+            ax = np.arange(lo, hi + step / 2, step) if math.isfinite(hi - lo) else np.empty(0)
             axes.append(ax if clip else ax[(ax >= dlo) & (ax <= dhi)])
+        best = (math.inf, None, ())
+        if not all(map(len, axes)):   # a window too wide to lay, or with no point in the domain
+            return best
         first, *rest = np.ix_(*axes)
         per = max(1, SCAN_BLOCK_POINTS // math.prod(len(ax) for ax in axes[1:]))
-        best = None
         for lo in range(0, len(axes[0]), per):
             cost, *aux = np.broadcast_arrays(*kernel(first[lo:lo + per], *rest))
             i = int(np.argmin(cost))
             value = float(cost.flat[i])
-            if best is None or value < best[0]:
+            if value < best[0]:
                 at = np.unravel_index(i, cost.shape)
                 point = (axes[0][lo + at[0]], *(ax[j] for ax, j in zip(axes[1:], at[1:])))
                 best = (value, tuple(map(float, point)), tuple(float(a.flat[i]) for a in aux))

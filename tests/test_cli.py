@@ -782,6 +782,14 @@ def test_search_rejects_bad_inputs(capsys, argv):
     assert err.startswith("loqc: error: ")
 
 
+@pytest.mark.parametrize("step", ["5e20", "1e100", "1e307"])
+def test_search_at_a_huge_grid_step_is_no_internal_error(capsys, step):
+    # the refinement windows of ns_in_ns around its incumbent at t = 0 have
+    # no point in [0, 2 pi] on some axis (5e20, 1e100) or overflow (1e307)
+    code, _, err = run_cli(capsys, "search", "ns_in_ns:case1", "--grid-step", step)
+    assert code in (0, 1), err
+
+
 def test_search_slab_budget_is_checked_before_allocation(capsys, monkeypatch):
     def no_kernel(*args, **kwargs):
         raise AssertionError("slab allocated")

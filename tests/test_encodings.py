@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -73,6 +74,27 @@ def test_single_rail_superposition():
 def test_polarization_matches_dual_rail_layout():
     state = encode("10", Encoding("polarization", 2))
     assert state.amplitude([0, 1, 1, 0]) == pytest.approx(1.0)
+
+
+_QUBIT = Encoding("dual_rail", 1)
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: Encoding("bogus", 1), "unknown scheme 'bogus'"),
+    (lambda: Encoding("dual_rail", 0), "num_qubits must be positive"),
+    (lambda: _QUBIT.basis_occupation("2"), "bad bitstring '2' for 1 qubit(s)"),
+    (lambda: encode([1, 0, 0], _QUBIT), "amplitude vector must have length 2, got (3,)"),
+    (lambda: decode(FockState(2, {}), _QUBIT), "no logical support: zero state"),
+    (lambda: qubit_gate("RX"), "RX requires an angle"),
+    (lambda: zy_decompose(np.eye(3)), "input must be a 2x2 unitary"),
+    (lambda: dual_rail_apply(np.eye(2), 0, FockState.from_occupation([1, 0, 0])),
+     "dual-rail states need an even mode count"),
+    (lambda: dual_rail_apply(np.eye(2), 1, encode("0", _QUBIT)), "qubit 1 out of range for 1 qubits"),
+], ids=["scheme", "no-qubit", "bitstring", "vector-length", "zero-state", "rx-angle", "zy-shape",
+        "odd-modes", "qubit-range"])
+def test_encoding_errors_name_their_cause(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()
 
 
 def test_encode_rejects_unnormalized_vector():

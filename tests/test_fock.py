@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -70,6 +71,18 @@ def test_validation_rejects_bad_input():
         FockState(2, {(1,): 1.0})
     with pytest.raises(ValueError, match="non-finite"):
         FockState(1, {(0,): complex("nan")})
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: FockState(0, {}), "num_modes must be positive"),
+    # each square fits a float, their sum does not
+    (lambda: FockState(2, {(1, 0): 1e154, (0, 1): 1e154}).norm(), "squared amplitudes overflow a float"),
+    (lambda: FockState(1, {(1,): 1e300}).scaled(1e10), "non-finite amplitude (inf+0j) for (1,)"),
+    (lambda: FockState(1, {(1,): 1.0}) + FockState(2, {(1, 0): 1.0}), "mode-count mismatch"),
+], ids=["no-mode", "norm-overflow", "scaled-overflow", "add-modes"])
+def test_state_errors_name_their_cause(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()
 
 
 STATE = FockState(2, {(1, 0): 1.0})

@@ -10,6 +10,7 @@ from loqc import (
     Encoding,
     FockState,
     GateCircuit,
+    ModeTransform,
     OutcomeBranch,
     build_gate,
     cnot_from_cs,
@@ -18,6 +19,7 @@ from loqc import (
     encode,
     evaluate_gate,
     evolve,
+    input_independence_check,
     logical_fidelity,
     ns_gate,
     postselect_branches,
@@ -236,6 +238,36 @@ def test_computational_modes_must_be_the_free_modes(computational_modes):
     with pytest.raises(ValueError, match="leaves free"):
         GateCircuit("x", 3, {1: 1}, [], [branch], computational_modes)
     assert GateCircuit("x", 3, {1: 1}, [], [branch], [0, 2]).computational_modes == (0, 2)
+
+
+def _error(call):
+    with pytest.raises(ValueError) as info:
+        call()
+    return str(info.value)
+
+
+@pytest.mark.parametrize("branches,message", [
+    ([], "at least one branch is required"),
+    ([OutcomeBranch(DetectionPattern({1: 1, 2: 0}), label="heralded"), OutcomeBranch(DetectionPattern({1: 1}))],
+     "branch patterns overlap: 'heralded' and '1=1'"),
+    ([OutcomeBranch(DetectionPattern({1: 1, 3: 0}))], "pattern mode 3 out of range for 3 modes"),
+    ([OutcomeBranch(DetectionPattern({1: 1, 2: 0}), ModeTransform(np.eye(2)))],
+     "branch '1=1 2=0' has a 2-mode correction but 1 surviving modes"),
+], ids=["no-branch", "overlap", "outside-register", "correction-size"])
+def test_a_bad_branch_family_fails_where_the_circuit_is_built(branches, message):
+    # a circuit checks its branch family once, when it is built, with the
+    # checks and messages of postselect_branches, after its computational modes
+    gate = ns_gate()
+    assert _error(lambda: postselect_branches(FockState.from_occupation([1, 1, 0]), branches)) == message
+    assert _error(lambda: GateCircuit("x", 3, gate.ancilla, gate.elements, branches, [0])) == message
+    assert _error(lambda: replace(gate, branches=branches)) == message
+    with pytest.raises(ValueError, match="leaves free"):
+        replace(gate, branches=branches, computational_modes=[1])
+
+
+def test_independence_check_needs_a_probe():
+    with pytest.raises(ValueError, match="at least one probe state is required"):
+        input_independence_check(ns_gate(), [])
 
 
 # -- two cs stages in series -------------------------------------------------

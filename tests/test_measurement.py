@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -65,6 +66,19 @@ def test_impossible_pattern_yields_zero_probability():
 def test_pattern_mode_out_of_range():
     with pytest.raises(ValueError, match="out of range"):
         postselect(FockState.from_occupation([1, 0]), DetectionPattern({5: 1}))
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: DetectionPattern({0: -1}), "photon counts must be non-negative"),
+    (lambda: DetectionPattern({0: 1, 1: 0}).survivors(2), "pattern must leave at least one surviving mode"),
+    (lambda: postselect_branches(FockState.from_occupation([1, 0]), []), "at least one branch is required"),
+    (lambda: outcome_distribution(FockState.from_occupation([1, 0]), [0, 2]), "mode 2 out of range for 2 modes"),
+    (lambda: with_ancilla(FockState.from_occupation([1, 0]), {1: 0}, 2),
+     "computational state has 2 modes, expected 1"),
+], ids=["negative-count", "no-survivor", "no-branch", "outcome-mode", "ancilla-register"])
+def test_measurement_errors_name_their_cause(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()
 
 
 def test_single_identity_branch_reduces_to_postselect():

@@ -1,6 +1,6 @@
 import math
 import tracemalloc
-from itertools import combinations_with_replacement, product
+from itertools import combinations, combinations_with_replacement, product
 
 import numpy as np
 import pytest
@@ -286,6 +286,11 @@ def test_two_photon_interference_kills_coincidence():
 def test_sign_shift_heralded_amplitude():
     out = evolve(FockState.from_occupation([1, 1, 0]), ns_matrix())
     assert out.amplitude([1, 1, 0]) == pytest.approx(0.5)
+
+
+def test_evolve_of_the_zero_state_is_the_zero_state():
+    out = evolve(FockState(2, {}), beam_splitter(0.5))
+    assert (out.num_modes, out.num_terms()) == (2, 0)
 
 
 def test_evolve_dimension_mismatch():
@@ -694,16 +699,24 @@ def _heralded_rows(state, constraints):
     """The heralded evaluator's output rows for ``state``, unpruned, in
     its order: by photon number, then pattern by pattern, each pattern's
     free photons placed on its unmeasured modes in the order of
-    ``combinations_with_replacement``; a row seen before is skipped."""
+    ``combinations_with_replacement``. The patterns conflict pairwise, so
+    no row is listed twice."""
     m = state.num_modes
-    rows = {}
+    rows = []
     for n in sorted({sum(occ) for occ, _ in state.terms()}):
         for c in constraints:
             free = n - sum(c.values())
             survivors = [k for k in range(m) if k not in c]
             for placed in combinations_with_replacement(survivors, free) if free >= 0 else ():
-                rows.setdefault(tuple(c.get(k, 0) + placed.count(k) for k in range(m)))
-    return list(rows)
+                rows.append(tuple(c.get(k, 0) + placed.count(k) for k in range(m)))
+    return rows
+
+
+def _conflicting(constraints):
+    """True when the patterns of ``constraints`` conflict pairwise, as a
+    gate circuit's branch patterns must."""
+    patterns = [DetectionPattern(c) for c in constraints]
+    return all(a.conflicts_with(b) for a, b in combinations(patterns, 2))
 
 
 @pytest.mark.parametrize("block", [multiport.RYSER_BLOCK, 64, 5])
@@ -718,10 +731,16 @@ def test_transition_amplitudes_repeat_the_term_by_term_pass_bit_for_bit(block, h
         occs = {tuple(np.bincount(rng.integers(0, m, int(rng.integers(0, 5))), minlength=m).tolist())
                 for _ in range(int(rng.integers(1, 7)))}
         state = FockState(m, {o: complex(rng.normal(), rng.normal()) for o in occs})
-        # one to three patterns, each fixing up to m - 1 modes at 0 to 2 photons
+        # one to three patterns, each fixing up to m - 1 modes at 0 to 2 photons,
+        # kept only when they conflict pairwise
         constraints = [{int(k): int(rng.integers(0, 3)) for k in rng.permutation(m)[:int(rng.integers(0, m))]}
                        for _ in range(int(rng.integers(1, 4)))]
-        cases.append((state, ModeTransform(random_unitary(rng, m)), constraints))
+        t = ModeTransform(random_unitary(rng, m))
+        if _conflicting(constraints):
+            cases.append((state, t, constraints))
+    # 24 families, four of them over two or three sets of measured modes
+    assert len(cases) == 24
+    assert sum(len({tuple(sorted(c)) for c in constraints}) > 1 for *_, constraints in cases) == 4
     monkeypatch.setattr(multiport, "RYSER_BLOCK", block)
     for state, t, constraints in cases:
         outputs = _heralded_rows(state, constraints)
@@ -732,19 +751,21 @@ def test_transition_amplitudes_repeat_the_term_by_term_pass_bit_for_bit(block, h
         assert amps.tobytes() == want[keep].tobytes()
 
 
-@pytest.mark.parametrize("budget,plans", [(0, 0), (110, 4), (multiport.COLUMN_CACHE_BUDGET, 5)])
+@pytest.mark.parametrize("budget,plans", [(0, 0), (110, 3), (multiport.COLUMN_CACHE_BUDGET, 5)])
 def test_heralded_plans_repeat_the_term_by_term_pass_bit_for_bit(budget, plans, monkeypatch):
     # a plan kept per input support moves no bit: supports of one to four
     # terms, at one to three photons, come back in interleaved order with new
-    # amplitudes, through three overlapping patterns. The five plans hold 17,
-    # 24, 43, 58 and 26 Ryser sums; a budget of 110 keeps the first three,
-    # uses and drops the fourth on both of its runs, and keeps the fifth
+    # amplitudes, through three conflicting patterns. The five plans hold 26,
+    # 39, 70, 91 and 44 Ryser sums; a budget of 110 keeps the first two, uses
+    # and drops the third and the fourth on both of their runs, and keeps the
+    # fifth
     monkeypatch.setattr(multiport, "HERALDED_COST_PER_TERM", -math.inf)
     monkeypatch.setattr(multiport, "evolve", _no_evolve)
     monkeypatch.setattr(multiport, "COLUMN_CACHE_BUDGET", budget)
     rng = np.random.default_rng(65)
     t = ModeTransform(random_unitary(rng, 5))
-    constraints = [{3: 1, 4: 0}, {4: 1}, {0: 0, 3: 1}]
+    constraints = [{3: 1, 4: 0}, {4: 1}, {3: 0, 4: 0}]
+    assert _conflicting(constraints)
     evaluate = multiport._HeraldedEvolution(t, [DetectionPattern(c) for c in constraints])
     occs = _occupations(rng, 5, 3, 8)
     supports = [occs[:1], occs[1:3], occs[:4], occs[4:8], occs[1:3], occs[:1], occs[4:8], occs[:4], occs[2:5]]
@@ -810,18 +831,21 @@ def test_heralded_rows_are_held_as_small_integers():
 
 
 def test_heralded_rows_list_each_output_once_in_pattern_order():
-    # overlapping patterns: an output two patterns keep is listed where the first
-    # one lists it; each pattern's outputs come in combinations_with_replacement order
-    patterns = [DetectionPattern({0: 1}), DetectionPattern({3: 0}), DetectionPattern({0: 1, 3: 0}),
-                DetectionPattern({1: 2, 2: 0})]
+    # conflicting patterns over three sets of measured modes: the rows come
+    # pattern by pattern, none skipped, each pattern's outputs in
+    # combinations_with_replacement order
+    patterns = [DetectionPattern({0: 1}), DetectionPattern({0: 0, 3: 0}), DetectionPattern({0: 0, 1: 2, 3: 1})]
     evaluate = multiport._HeraldedEvolution(ModeTransform(np.eye(5)), patterns)
     for n in range(5):
-        want = {}
+        want = []
         for p in patterns:
             fixed = dict(p.constraints)
             free = n - sum(fixed.values())
             for placed in combinations_with_replacement(p.survivors(5), free) if free >= 0 else ():
-                want.setdefault(tuple(fixed.get(k, 0) + placed.count(k) for k in range(5)), None)
+                want.append(tuple(fixed.get(k, 0) + placed.count(k) for k in range(5)))
+        assert len(set(want)) == len(want)
+        assert len(want) == sum(math.comb(n - h + 4 - len(p.constraints), n - h)
+                                for p, h in zip(patterns, (1, 0, 3)) if n >= h)
         rows, roots = evaluate._outputs_at(n)
         assert rows.dtype == np.int8 and rows.tolist() == [list(occ) for occ in want]
         assert roots.tolist() == [math.sqrt(math.prod(map(math.factorial, occ))) for occ in want]

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -415,6 +416,51 @@ def test_unknown_pattern_is_rejected():
 def test_unknown_target_is_rejected(scan):
     with pytest.raises(ValueError, match="target must be one of"):
         scan()
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: single_bs_infeasibility(1, grid_step=-1), "grid_step must be finite and positive"),
+    (lambda: single_bs_corrected(2, 0.3), "only cases 1 and 3 have a one-splitter correction scan, got case 2"),
+], ids=["negative-step", "case-2"])
+def test_search_errors_name_their_cause(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()
+
+
+@pytest.mark.parametrize("step,grids", [(5e20, 3), (1e100, 1), (1e307, 1)])
+def test_a_window_with_an_empty_axis_admits_no_point(step, grids):
+    # at these steps the coarse grid is the corner (0, 0). A filtered window
+    # 100 refined steps either side of it rounds its points near 0 outside
+    # [0, 2 pi] (the first round at 5e20, every round at 1e100), or spans
+    # more than a float holds (the first round at 1e307, whose later windows
+    # round out of the domain): such a round lays no grid and keeps the
+    # incumbent
+    calls = []
+
+    def kernel(xs, ys):
+        calls.append((xs.size, ys.size))
+        return (xs + ys,)
+
+    best, history = search._refine_scan(kernel, [(0.0, 2 * math.pi)] * 2, step, 100, clip=False)
+    assert calls == [(1, 1)] * grids
+    assert best == (0.0, (0.0, 0.0), ())
+    assert [b for _, b in history] == [best] * 4
+
+
+def test_no_grid_step_escapes_as_anything_but_a_value_error():
+    # steps m * 10^k: from 5e20 up, a filtered ns_in_ns window around an
+    # incumbent at the domain's edge has no point in the domain on some axis,
+    # and from about 9e306 up its span overflows a float; both are grids
+    # with no admitted point. Smaller steps are either refused by a budget
+    # or scanned as usual (from 1 to 70 they take most of this test's time)
+    scans = [lambda step: single_bs_infeasibility(1, step), lambda step: single_bs_infeasibility(3, step),
+             two_bs_feasibility, ns_in_ns_feasibility, optimize_success]
+    for scan in scans:
+        for step in [float(f"{m}e{k}") for k in range(2, 40) for m in (1, 2, 3, 5, 7)] + [1e307]:
+            try:
+                scan(step)
+            except ValueError:
+                pass
 
 
 def test_engine_rejects_a_grid_it_never_admits():
