@@ -26,7 +26,9 @@ exclusion windows around degenerate angles.
 Every scan runs on one engine, ``_refine_scan``: a coarse grid over the
 scheme's domain, then ``REFINE_ROUNDS`` (3) rounds that each divide the
 step by ten and rescan a window of refined cells either side of the
-incumbent. The kernel gets the grid as broadcast ``np.ix_`` axes, so its
+incumbent. It refuses a step wider than the domain (pi; 2 pi for
+``ns_in_ns``), so every grid it lays has a point of the domain on each
+axis. The kernel gets the grid as broadcast ``np.ix_`` axes, so its
 trigonometry runs per axis value, not per point. Each call covers a block
 of consecutive first-axis values, as many as fit in ``SCAN_BLOCK_POINTS``
 (2^14) grid points and at least one, so a call's temporaries stay
@@ -275,12 +277,12 @@ def _refine_scan(kernel, domains, step, window, *, clip):
     broadcast over the block, with cost +inf at a point it does not admit;
     ``aux`` is read at the first-index argmin of ``cost``, and a later
     block replaces the incumbent only with a strictly lower cost, so the
-    pick is the first argmin of the whole grid in C order. A window whose
-    span overflows a float, or whose grid leaves an axis with no point in
-    the domain (a filtered window far wider than the domain, whose points
-    round past its edges), is a grid with no admitted point. A coarse grid
-    with no admitted point raises ``ValueError``; a refinement round with
-    none keeps its incumbent.
+    pick is the first argmin of the whole grid in C order. ``step`` must be
+    finite, positive and no wider than the narrowest domain; it is checked,
+    then both budgets, before the first kernel call. Every domain starts at
+    0, so each grid then has a point of the domain on each axis. A coarse
+    grid with no admitted point raises ``ValueError``; a refinement round
+    with none keeps its incumbent.
 
     Returns ``(best, history)``. ``best`` is ``(cost, point, aux)`` with the
     point ordered like the axes; ``history`` holds one ``(step, best)`` pair
@@ -288,9 +290,11 @@ def _refine_scan(kernel, domains, step, window, *, clip):
     """
     if not (math.isfinite(step) and step > 0):
         raise ValueError("grid_step must be finite and positive")
+    if step > (width := min(hi - lo for lo, hi in domains)):
+        raise ValueError(f"grid_step {step!r} is wider than the scan's narrowest axis ({width!r})")
     # a refinement window spans at most 2 * window + 1 points per axis, so
     # the coarse grid bounds both budgets
-    coarse = [max(0.0, (hi - lo) / step + 1.0) for lo, hi in domains]
+    coarse = [(hi - lo) / step + 1.0 for lo, hi in domains]
     slab = math.prod(coarse[-2:])
     if slab > MAX_SLAB_POINTS:
         raise ValueError(f"a scan slab of {slab:.3g} grid points exceeds "
@@ -305,11 +309,9 @@ def _refine_scan(kernel, domains, step, window, *, clip):
         for (lo, hi), (dlo, dhi) in zip(windows, domains):
             if clip:
                 lo, hi = max(lo, dlo), min(hi, dhi)
-            ax = np.arange(lo, hi + step / 2, step) if math.isfinite(hi - lo) else np.empty(0)
+            ax = np.arange(lo, hi + step / 2, step)
             axes.append(ax if clip else ax[(ax >= dlo) & (ax <= dhi)])
         best = (math.inf, None, ())
-        if not all(map(len, axes)):   # a window too wide to lay, or with no point in the domain
-            return best
         first, *rest = np.ix_(*axes)
         per = max(1, SCAN_BLOCK_POINTS // math.prod(len(ax) for ax in axes[1:]))
         for lo in range(0, len(axes[0]), per):

@@ -767,7 +767,7 @@ def test_search_optimizer_scheme(capsys):
 
 @pytest.mark.parametrize("argv", [
     ["single_bs:case1", "--grid-step", "-1"],
-    ["single_bs:case1", "--grid-step", "4"],  # every coarse point excluded
+    ["single_bs:case1", "--grid-step", "3.141592653589793"],  # both coarse points excluded
     ["single_bs:case1", "--grid-step", "nan"],
     ["two_bs:case3", "--grid-step", "inf"],
     ["optimize_ns", "--tolerance", "nan"],
@@ -784,10 +784,23 @@ def test_search_rejects_bad_inputs(capsys, argv):
 
 @pytest.mark.parametrize("step", ["5e20", "1e100", "1e307"])
 def test_search_at_a_huge_grid_step_is_no_internal_error(capsys, step):
-    # the refinement windows of ns_in_ns around its incumbent at t = 0 have
-    # no point in [0, 2 pi] on some axis (5e20, 1e100) or overflow (1e307)
+    # each step is wider than the ns_in_ns domain [0, 2 pi], so the search
+    # is refused before it lays a grid
     code, _, err = run_cli(capsys, "search", "ns_in_ns:case1", "--grid-step", step)
     assert code in (0, 1), err
+
+
+@pytest.mark.parametrize("argv", [
+    ["two_bs:case3", "--grid-step", "1e20"],
+    ["two_bs:case3", "--grid-step", "4"],
+    ["optimize_ns", "--grid-step", "4"],
+    ["ns_in_ns:case1", "--grid-step", "7"],
+], ids=["two_bs-1e20", "two_bs-4", "optimize_ns-4", "ns_in_ns-7"])
+def test_search_refuses_a_step_wider_than_its_domain(capsys, argv):
+    code, out, err = run_cli(capsys, "search", *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("loqc: error: grid_step ") and "wider than the scan's narrowest axis" in err
 
 
 def test_search_slab_budget_is_checked_before_allocation(capsys, monkeypatch):

@@ -427,32 +427,69 @@ def test_search_errors_name_their_cause(call, message):
         call()
 
 
-@pytest.mark.parametrize("step,grids", [(5e20, 3), (1e100, 1), (1e307, 1)])
-def test_a_window_with_an_empty_axis_admits_no_point(step, grids):
-    # at these steps the coarse grid is the corner (0, 0). A filtered window
-    # 100 refined steps either side of it rounds its points near 0 outside
-    # [0, 2 pi] (the first round at 5e20, every round at 1e100), or spans
-    # more than a float holds (the first round at 1e307, whose later windows
-    # round out of the domain): such a round lays no grid and keeps the
-    # incumbent
-    calls = []
+#: (scan, domain width, steps below the width in the sweep) for each of the
+#: five scans; ns_in_ns refines 201^3 points a round at any step, so it is
+#: swept at one.
+SCANS = [
+    pytest.param(lambda step: single_bs_infeasibility(1, step), math.pi, 12, id="single_bs:case1"),
+    pytest.param(lambda step: single_bs_infeasibility(3, step), math.pi, 12, id="single_bs:case3"),
+    pytest.param(two_bs_feasibility, math.pi, 12, id="two_bs:case3"),
+    pytest.param(ns_in_ns_feasibility, 2 * math.pi, 1, id="ns_in_ns:case1"),
+    pytest.param(optimize_success, math.pi, 12, id="optimize_ns"),
+]
 
-    def kernel(xs, ys):
-        calls.append((xs.size, ys.size))
-        return (xs + ys,)
 
-    best, history = search._refine_scan(kernel, [(0.0, 2 * math.pi)] * 2, step, 100, clip=False)
-    assert calls == [(1, 1)] * grids
-    assert best == (0.0, (0.0, 0.0), ())
-    assert [b for _, b in history] == [best] * 4
+@pytest.mark.parametrize("scan,width,_", SCANS)
+def test_a_step_wider_than_the_domain_is_refused_before_any_kernel_call(monkeypatch, scan, width, _):
+    engine = search._refine_scan
+
+    def kernel(*axes):
+        raise AssertionError("kernel called")
+
+    monkeypatch.setattr(search, "_refine_scan", lambda _kernel, *args, **kwargs: engine(kernel, *args, **kwargs))
+    with pytest.raises(ValueError, match=re.escape(f"grid_step {math.nextafter(width, math.inf)!r} is wider")):
+        scan(math.nextafter(width, math.inf))
+    with pytest.raises(AssertionError, match="kernel called"):  # a step equal to the width is admitted
+        scan(width)
+
+
+@pytest.mark.parametrize("scan,width,count", SCANS)
+def test_every_admitted_step_lays_a_point_on_every_axis(monkeypatch, scan, width, count):
+    # geometric steps from width / 20, then the double just below the width
+    # and the width itself: every grid the engine lays, coarse or refined,
+    # clipped or filtered, holds a point of the domain on each axis, so each
+    # of its kernel calls gets non-empty axes
+    laid, calls = [], []
+    ix, engine = np.ix_, search._refine_scan
+
+    def recording_ix(*axes):
+        laid.append([len(ax) for ax in axes])
+        return ix(*axes)
+
+    def instrumented(kernel, *args, **kwargs):
+        def recording(*axes):
+            calls.append([ax.size for ax in axes])
+            return kernel(*axes)
+        return engine(recording, *args, **kwargs)
+
+    monkeypatch.setattr(np, "ix_", recording_ix)
+    monkeypatch.setattr(search, "_refine_scan", instrumented)
+    steps = [*np.geomspace(width / 20, width, count + 1)[:-1].tolist(), math.nextafter(width, 0.0), width]
+    refused = 0
+    for step in steps:
+        try:
+            scan(step)
+        except ValueError as exc:  # single_bs, where every coarse point is excluded
+            assert "no admissible point" in str(exc) and laid[-1] == [2]
+            refused += 1
+    assert len(laid) == (1 + search.REFINE_ROUNDS) * (len(steps) - refused) + refused
+    assert min(map(min, laid)) >= 1 and min(map(min, calls)) >= 1
 
 
 def test_no_grid_step_escapes_as_anything_but_a_value_error():
-    # steps m * 10^k: from 5e20 up, a filtered ns_in_ns window around an
-    # incumbent at the domain's edge has no point in the domain on some axis,
-    # and from about 9e306 up its span overflows a float; both are grids
-    # with no admitted point. Smaller steps are either refused by a budget
-    # or scanned as usual (from 1 to 70 they take most of this test's time)
+    # steps m * 10^k from 100 up, and 1e307: each is wider than every
+    # scan's domain (pi, or 2 pi for ns_in_ns), so the engine refuses it
+    # with a ValueError before it checks a budget or lays a grid
     scans = [lambda step: single_bs_infeasibility(1, step), lambda step: single_bs_infeasibility(3, step),
              two_bs_feasibility, ns_in_ns_feasibility, optimize_success]
     for scan in scans:

@@ -17,8 +17,10 @@ to 15 digits and takes the float round trip from 16):
 ``verify-gate`` on every gallery gate; the five searches at their default
 grid and at ``--grid-step`` 0.3 and 0.1 (at 0.1 the ``optimize_ns`` and
 ``ns_in_ns`` scans take several first-axis values per kernel call, and
-``ns_in_ns``'s last coarse call fewer than the rest); ``selftest`` with
-seeds 0 and 7;
+``ns_in_ns``'s last coarse call fewer than the rest), at a step equal to
+the width of each scheme's domain (pi; 2 pi for ``ns_in_ns``), the widest
+step the scan engine admits, and at the next double above it, which it
+refuses (exit 1); ``selftest`` with seeds 0 and 7;
 ``simulate`` on the circuit files the benchmark's ``circuits_full``
 workload writes for seeds 0 and 7 (``perfbench/workloads.write_circuits``,
 imported read-only), on the three files of ``PORT_SET_CIRCUITS``,
@@ -35,6 +37,7 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import os
 import sys
 import tempfile
@@ -48,6 +51,10 @@ import workloads  # noqa: E402
 
 DIGITS = (None, "3", "15", "16", "17")
 SEEDS = (0, 7)
+
+#: Width of each search scheme's domain: each axis runs from 0 to it.
+DOMAIN_WIDTHS = {"single_bs:case1": math.pi, "single_bs:case3": math.pi, "two_bs:case3": math.pi,
+                 "ns_in_ns:case1": 2 * math.pi, "optimize_ns": math.pi}
 
 _NESTED = ("1=1", "1=2", "1=0 2=0", "1=0 2=1", "1=0 2=2 3=0", "1=0 2=2 3=1")
 
@@ -115,6 +122,9 @@ def _invocations(circuits: Path) -> list[tuple[str, list[str]]]:
         runs.append((f"search {scheme}", ["search", scheme]))
         runs += [(f"search {scheme} --grid-step {step}", ["search", scheme, "--grid-step", step])
                  for step in ("0.3", "0.1")]
+    for scheme, width in DOMAIN_WIDTHS.items():
+        runs += [(f"search {scheme} --grid-step {step!r}", ["search", scheme, "--grid-step", repr(step)])
+                 for step in (width, math.nextafter(width, math.inf))]
     runs += [(f"selftest --seed {s}", ["selftest", "--seed", str(s)]) for s in SEEDS]
     files = workloads.write_circuits(workloads.DEFAULT_SEED, "default", 1, circuits / "default")
     for seed in SEEDS:
