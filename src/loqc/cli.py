@@ -52,7 +52,7 @@ from . import __version__
 from .encodings import Encoding, encode
 from .fock import NORM_ATOL, FockState
 from .gates import GATE_NAMES, evaluate_gate
-from .measurement import DetectionPattern, OutcomeBranch, _distribution, postselect_branches
+from .measurement import DetectionPattern, OutcomeBranch, _distribution, _first_overlap, postselect_branches
 from .multiport import (MAX_MODES, ElementSpec, ModeTransform, beam_splitter, check_term_budget, compose_elements,
                         evolve, general3)
 from .search import (
@@ -217,8 +217,8 @@ def parse_circuit(text: str) -> Circuit:
     # name -> [(element, line, port columns)] in file order; 'identity' is
     # reserved and names no element
     corrections: dict[str, list[tuple[ElementSpec, int, list[int]]]] = {"identity": []}
-    detects: list[tuple[DetectionPattern, str]] = []
-    port_sets: set[tuple[int, ...]] = set()
+    detects: list[tuple[DetectionPattern, str, int, int]] = []   # (pattern, correction, line, column)
+    port_sets: dict[tuple[int, ...], list[int]] = {}   # measured modes -> the detects on them, in order
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         tokens = _tokens(raw)
@@ -346,14 +346,14 @@ def parse_circuit(text: str) -> Circuit:
             if len(counts) >= modes:
                 raise ParseError(lineno, head_col,
                                  "detect must leave at least one surviving port")
-            port_sets.add(tuple(sorted(counts)))
+            port_sets.setdefault(tuple(sorted(counts)), []).append(len(detects))
             if len(port_sets) > MAX_PORT_SETS:
                 raise ParseError(lineno, head_col, f"detect lines measure more than "
                                                    f"MAX_PORT_SETS = {MAX_PORT_SETS} distinct port sets")
             name = tail[1][0] if tail else "identity"
             if name not in corrections:
                 raise ParseError(lineno, head_col, f"unknown correction {name!r}")
-            detects.append((DetectionPattern(counts), name))
+            detects.append((DetectionPattern(counts), name, lineno, head_col))
             continue
 
         raise ParseError(lineno, head_col, f"unknown directive {head!r}")
@@ -363,11 +363,12 @@ def parse_circuit(text: str) -> Circuit:
 
     # corrections act on surviving ports: check every branch against its
     # correction's highest port before anything is composed, naming the
-    # first bad port in file order, then compose once per (name, survivor count)
+    # first bad port in file order, then the least overlapping pair of
+    # branches at its later line; then compose once per (name, survivor count)
     highest = {name: max((m for el, _, _ in els for m in el.modes), default=-1)
                for name, els in corrections.items()}
     labelled = []
-    for pattern, name in detects:
+    for pattern, name, _, _ in detects:
         label = " ".join(f"{m + 1}={c}" for m, c in pattern.constraints)
         surviving = len(pattern.survivors(modes))
         if highest[name] >= surviving:
@@ -376,6 +377,9 @@ def parse_circuit(text: str) -> Circuit:
             raise ParseError(line, col, f"correction {name!r} uses port {m + 1} but branch "
                                         f"'{label}' leaves only {surviving} surviving port(s)")
         labelled.append((pattern, name, label, surviving))
+    if (pair := _first_overlap([pattern for pattern, *_ in detects], port_sets)) is not None:
+        first, later = (labelled[i][2] for i in pair)   # their labels
+        raise ParseError(*detects[pair[1]][2:], f"branch patterns overlap: '{first}' and '{later}'")
     composed: dict[tuple[str, int], ModeTransform | None] = {}
     branches = []
     for pattern, name, label, surviving in labelled:

@@ -25,7 +25,9 @@ assembled map (on the ``evolve`` route through ``evolve``'s ``_cache``),
 so that a gate's repeat runs on a known support only make the products
 and sums; its docstring gives the route rule. The n!-sum
 ``permanent_amplitude`` computes single amplitudes by a third route and
-exists purely to cross-check the other two.
+exists purely to cross-check the other two. Every other amplitude is
+normalised by roots sqrt(prod n_k!) from ``_root`` and ``_roots`` alone:
+the exact integer product, rounded once, so both routes agree bit for bit.
 
 Budgets: a Fock term may carry at most ``MAX_PHOTONS`` photons (all three
 routes check), an input term may span at most ``MAX_FOCK_TERMS`` basis
@@ -88,7 +90,9 @@ RYSER_BLOCK = 1 << 15
 #: further singly occupied photon.
 MAX_RYSER_GRID = 1 << 12
 
+#: n! up to ``MAX_PHOTONS``; for ``_roots`` also as exact and float arrays.
 _FACT = [math.factorial(n) for n in range(MAX_PHOTONS + 1)]
+_FACT_EXACT, _FACT_FLOAT = np.array(_FACT, dtype=object), np.array(_FACT, dtype=float)
 
 #: Signs that turn the imaginary part b of a factor into the two cross
 #: terms of a complex product: (re, im) * (a + ib) = (re*a - im*b, im*a + re*b).
@@ -108,6 +112,28 @@ def check_term_budget(photons: int, modes: int | None = None) -> None:
                          f"MAX_FOCK_TERMS = {MAX_FOCK_TERMS} are supported")
 
 
+def _root(occ: Sequence[int]) -> float:
+    """sqrt(prod_l o_l!), the exact integer product rounded once: the
+    normalisation of every Fock amplitude but ``permanent_amplitude``'s."""
+    return math.sqrt(math.prod(map(_FACT.__getitem__, occ)))
+
+
+def _roots(rows: np.ndarray) -> np.ndarray:
+    """``_root`` of each int8 occupation row, bit for bit, with no
+    rows x modes float temporary. A float running product over the columns
+    is exact while it stays below 2^53, every factor being an integer
+    >= 1; rounding is monotone, so a row whose product reaches 2^53 reads
+    at least 2^53. Only those rows take the exact integer product, one
+    object-array product for all of them (a ``_root`` call per row is
+    slower, ``BENCH_36.json``), rounded once."""
+    prods = np.ones(len(rows))
+    for column in rows.T:
+        prods *= _FACT_FLOAT.take(column)
+    if len(big := np.flatnonzero(prods >= 2.0 ** 53)):
+        prods[big] = _FACT_EXACT.take(rows.take(big, axis=0)).prod(axis=1).astype(float)
+    return np.sqrt(prods)
+
+
 class ModeTransform:
     """An N x N unitary matrix acting on mode operators."""
 
@@ -117,11 +143,11 @@ class ModeTransform:
         m = np.array(matrix, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"matrix must be square, got shape {m.shape}")
-        dev = np.abs(m.conj().T @ m - np.eye(m.shape[0])).max()
-        if not np.isfinite(m).all() or dev > UNITARY_TOL:
-            raise ValueError(f"matrix is not unitary (deviation {dev:.3e})")
         m.flags.writeable = False
         self.dim, self._m, self._block = m.shape[0], m, None
+        dev = self.unitarity_deviation()
+        if not np.isfinite(m).all() or dev > UNITARY_TOL:
+            raise ValueError(f"matrix is not unitary (deviation {dev:.3e})")
 
     @classmethod
     def _unitary(cls, matrix: np.ndarray) -> "ModeTransform":
@@ -361,17 +387,11 @@ def _rank(occs: np.ndarray, photons: int) -> np.ndarray:
 
 @functools.lru_cache(maxsize=128)
 def _fock_basis(modes: int, photons: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The Fock basis of ``photons`` photons in ``modes`` modes, its
-    scale factors, and the index table that builds it from the basis of
-    one photon fewer.
-
-    ``basis`` holds the occupations o as int8 rows in descending
-    lexicographic order, ``scale`` holds sqrt(prod_l o_l!) as a column,
-    the integer product taken exactly before it is rounded. For the basis
-    ``prev`` of one photon fewer, ``bins[m - 1 - l, p]`` is (2r, 2r + 1),
-    where r = ``_rank(prev[p] + e_l)``: the real and imaginary slots of
-    that row in an interleaved array.
-    """
+    """The Fock basis of ``photons`` photons in ``modes`` modes as int8
+    rows in descending lexicographic order; their ``_roots`` as a column;
+    and ``bins``, where ``bins[m - 1 - l, p]`` is (2r, 2r + 1) for
+    r = ``_rank(prev[p] + e_l)`` and ``prev`` the basis of one photon
+    fewer: that row's real and imaginary slots in an interleaved array."""
     if photons == 0:
         return np.zeros((1, modes), np.int8), np.ones((1, 1)), np.zeros((modes, 0, 2), np.int32)
     size = math.comb(photons + modes - 1, photons)
@@ -380,9 +400,8 @@ def _fock_basis(modes: int, photons: int) -> tuple[np.ndarray, np.ndarray, np.nd
     child = np.array([_rank(prev + e_l, photons) for e_l in eye])     # (mode l, parent row)
     basis = np.empty((size, modes), dtype=np.int8)
     basis[child] = prev + eye[:, None, :]
-    scale = np.sqrt(np.array(_FACT, dtype=object)[basis].prod(axis=1).astype(float))
+    scale = _roots(basis)[:, None]
     bins = (2 * child[::-1, :, None] + np.array([0, 1])).astype(np.min_scalar_type(2 * size))
-    scale = scale[:, None]
     for table in (basis, scale, bins):   # shared by every caller
         table.flags.writeable = False
     return basis, scale, bins
@@ -490,7 +509,7 @@ def evolve(state: FockState, transform: ModeTransform, prune_tol: float = PRUNE_
         # terms with an output in common move as many photons; a stable sort keeps their order
         order = np.argsort(moving, kind="stable")
         occs, moving, order = occs[order], moving[order].tolist(), order.tolist()
-        roots = [math.sqrt(math.prod(map(_FACT.__getitem__, support[i]))) for i in order]
+        roots = [_root(support[i]) for i in order]
         bases = [_fock_basis(m, n) for n in counts]
         start = dict(zip(counts, accumulate((len(basis) for basis, _, _ in bases), initial=0)))
         first = np.array([start[photons[i]] for i in order])   # the first output row of each term's basis
@@ -534,15 +553,11 @@ def evolve(state: FockState, transform: ModeTransform, prune_tol: float = PRUNE_
 
 
 @functools.lru_cache(maxsize=32)
-def _ryser_grid(counts: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, float]:
+def _ryser_grid(counts: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
     """The s-grid of an input term whose nonzero counts, in mode order, are
-    ``counts``: the points 0 <= s_j <= counts[j] as (j, point) in the
-    order of ``itertools.product``, each point's weight
-    (-1)^(n - |s|) prod_j C(counts[j], s_j), and the root
-    sqrt(prod_j counts[j]!) that each term's amplitude is divided by. The
-    weights are integers below 2^53, so every product is exact. The grids
-    of the last 32 count tuples stay cached, at most
-    ``MAX_RYSER_GRID`` x 13 numbers each."""
+    ``counts``: the points 0 <= s_j <= counts[j] as (j, point) in
+    ``itertools.product`` order, and each point's weight
+    (-1)^(n - |s|) prod_j C(counts[j], s_j), an exact integer below 2^53."""
     dims = [c + 1 for c in counts]
     weights = np.ones(1)
     for c in counts:
@@ -551,34 +566,26 @@ def _ryser_grid(counts: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, float]
     s, weights = np.indices(dims).reshape(len(dims), len(weights)), weights.astype(complex)
     for table in (s, weights):   # shared by every caller
         table.flags.writeable = False
-    return s, weights, math.sqrt(math.prod(math.factorial(c) for c in counts))
+    return s, weights
 
 
 def _ryser_column(matrix: np.ndarray, occ: Occupation, outs: np.ndarray) -> tuple[float, np.ndarray]:
-    """One input occupation's unscaled Ryser sum on each output row of
-    ``outs``, with the root sqrt(prod n_k!) that its amplitude is divided
-    by: (root, sums).
-
-    For an input term with n_k photons in mode k and an output occupation
-    (o_l), Ryser's formula over repeated rows and columns gives
+    """One input occupation's ``_root``, and on each output row of
+    ``outs`` (each of its photon number) the sum of Ryser's formula over
+    repeated rows and columns (H. J. Ryser, Combinatorial Mathematics,
+    1963) before the division by both roots:
 
         <o|U|n> = sum_{0 <= s_k <= n_k} (-1)^(n - |s|) prod_k C(n_k, s_k)
-                  prod_l (sum_k s_k U[l, k])^(o_l) / sqrt(prod n_k! prod o_l!)
+                  prod_l (sum_k s_k U[l, k])^(o_l) / (_root(n) _root(o))
 
-    (H. J. Ryser, Combinatorial Mathematics, 1963), prod(n_k + 1) <= 2^n
-    products per output and mode instead of the n! of ``matrix_permanent``.
-    The sums here are the part before either root, which depends only on
-    the transform, the occupation and the outputs; every output holds the
-    occupation's photon number. One pass forms r = sum_k s_k U[:, k] over
-    the s-grid of ``_ryser_grid`` and its powers, (modes, n + 1, s-grid),
-    for only the modes and the powers that some output uses, then a running
-    product over (outputs, s-grid), multiplied over the modes in ascending
-    order and summed over the s-grid, in blocks of ``RYSER_BLOCK`` // s-grid
-    outputs. numpy's complex multiply may fuse its products, depending on
-    the operands' strides, so the layout of every operand is part of the
-    result's bits.
+    Over the s-grid of ``_ryser_grid`` it
+    forms r = sum_k s_k U[:, k] and its powers, for the modes and powers
+    some output uses, then a running product over (outputs, s-grid), the
+    modes ascending, summed over the s-grid, ``RYSER_BLOCK`` // s-grid
+    outputs at a time. numpy's complex multiply may fuse products
+    depending on strides, so every operand's layout is part of the bits.
     """
-    s, weights, root = _ryser_grid(tuple(c for c in occ if c))
+    s, weights = _ryser_grid(tuple(c for c in occ if c))
     used = np.flatnonzero(outs.any(axis=0))
     # no matmul here or below: on these small shapes, BLAS threads cost
     # more than they save
@@ -598,7 +605,7 @@ def _ryser_column(matrix: np.ndarray, occ: Occupation, outs: np.ndarray) -> tupl
         for i in np.flatnonzero(sub.any(axis=0)):
             prods *= powers[i][sub[:, i]]
         sums[lo:lo + width] = prods.sum(axis=1)
-    return root, sums
+    return _root(occ), sums
 
 
 #: Costs of the heralded route in units of one full-basis output term per
@@ -675,25 +682,21 @@ class _HeraldedEvolution:
 
     Order of the sums on the heralded route: photon number by photon
     number, ascending, each term in ``terms()`` order adds its amplitude
-    over its root sqrt(prod n_k!) times its column of Ryser sums
-    (``_ryser_column``) over the heralded outputs to zeros; each output is
-    then divided by sqrt(prod o_l!) and pruned at ``PRUNE_TOL`` as
-    ``evolve`` prunes. This object keeps each photon number's heralded
-    outputs, as int8 rows with their roots, in ``outputs``.
+    over its ``_root`` times its column of Ryser sums (``_ryser_column``)
+    to zeros; each output is then divided by its ``_roots`` entry and
+    pruned at ``PRUNE_TOL`` as ``evolve`` prunes. ``outputs`` keeps each
+    photon number's heralded rows and roots (``_outputs_at``).
 
-    Its one other table, ``plans``, keeps per input support, the tuple of
-    a state's occupations in ``terms()`` order, the route the rule picked,
-    which is exact to keep since the rule reads only occupations, and the
-    run's assembled map: on the heralded route each term's place, output
-    slice, root and column and the heralded rows and roots; on the
-    ``evolve`` route what ``evolve`` keeps (see there). A run on a known
-    support skips the rule and every Ryser pass or expansion and makes the
-    same sums in the same order; a run on a new support computes every
-    term's piece. ``size`` counts the numbers the plans hold, the Ryser
-    sums of a heralded plan and the (term, row) pairs of an ``evolve``
-    plan; a plan is kept if they then hold at most ``COLUMN_CACHE_BUDGET``
-    (``keep``), otherwise used and dropped, and nothing is evicted. No
-    plan changes a bit. Timings are in ``BENCH_29.json`` and
+    ``plans`` keeps per input support, its occupations in ``terms()``
+    order, the route the rule picked (the rule reads only occupations) and
+    the run's assembled map: on the heralded route each term's place,
+    output slice, root and column and the heralded rows and roots; on the
+    ``evolve`` route what ``evolve`` keeps. A run on a known support skips
+    the rule and every Ryser pass or expansion and makes the same sums in
+    the same order. ``size`` counts the Ryser sums or (term, row) pairs the
+    plans hold; a plan is kept while they stay within
+    ``COLUMN_CACHE_BUDGET`` (``keep``), otherwise used and dropped, and
+    nothing is evicted. Timings are in ``BENCH_29.json`` and
     ``BENCH_32.json``.
     """
 
@@ -730,20 +733,13 @@ class _HeraldedEvolution:
         return HERALDED_COST_PER_TERM * len(support) + HERALDED_COST_PER_PRODUCT * (m * products) < m * full
 
     def _outputs_at(self, n: int) -> tuple[np.ndarray, np.ndarray]:
-        """The heralded output rows at ``n`` photons, pattern by pattern,
-        and their roots sqrt(prod o_l!); kept once built. The patterns
-        conflict pairwise, so no row repeats. The factorials are multiplied
-        along each row, ``RYSER_BLOCK`` numbers at a time."""
+        """The heralded output rows at ``n`` photons, pattern by pattern
+        (none repeats), and their ``_roots``; kept once built."""
         kept = self.outputs.get(n)
         if kept is None:
             m = self.transform.dim
             rows = np.concatenate([_heralded_outputs(p, s, m, n) for p, s in zip(self.patterns, self.survivors)])
-            factorials = np.array([math.factorial(k) for k in range(n + 1)], dtype=float)
-            roots = np.empty(len(rows))
-            step = max(1, RYSER_BLOCK // m)
-            for lo in range(0, len(rows), step):
-                roots[lo:lo + step] = np.sqrt(factorials[rows[lo:lo + step]].prod(axis=1))
-            kept = self.outputs[n] = rows, roots
+            kept = self.outputs[n] = rows, _roots(rows)
         return kept
 
     def _plan(self, support: tuple[Occupation, ...], by_photons: dict[int, list[int]]) -> tuple[bool, tuple]:

@@ -506,6 +506,39 @@ def test_overlapping_detect_lines_are_a_diagnostic(tmp_path, capsys):
     assert code == 1
     assert "overlap" in err
     assert "'2=0'" in err and "'3=0'" in err
+    assert err == f"loqc: error: {path}:4:1: branch patterns overlap: '2=0' and '3=0'\n"
+
+
+@pytest.mark.parametrize("lines, where, pair", [
+    # an adjacent pair, after an element line: named at the later line
+    (["bs 1 2 eta=0.5", "detect 3=0", "detect 2=1 3=0"], (5, 1), "'3=0' and '2=1 3=0'"),
+    # line 3 conflicts with lines 4 and 6 and overlaps line 7, which is
+    # indented; line 8 overlaps lines 4 and 7, later pairs
+    (["detect 1=0 2=0", "detect 1=1", "# a comment", "detect 1=0 2=1", "  detect 2=0", "detect 2=0 1=1"],
+     (7, 3), "'1=0 2=0' and '2=0'"),
+])
+def test_overlapping_detect_lines_are_a_parse_error_at_the_later_line(lines, where, pair, tmp_path, capsys,
+                                                                      monkeypatch):
+    def no_evolve(*args, **kwargs):
+        raise AssertionError("evolve ran")
+
+    text = "modes 3\ninput fock 1 1 0\n" + "\n".join(lines) + "\n"
+    with pytest.raises(ParseError) as info:
+        parse_circuit(text)
+    assert (info.value.line, info.value.column, info.value.message) == (*where, f"branch patterns overlap: {pair}")
+    monkeypatch.setattr("loqc.cli.evolve", no_evolve)
+    path = tmp_path / "overlap.circ"
+    path.write_text(text)
+    assert run_cli(capsys, "simulate", str(path)) == (1, "", f"loqc: error: {path}:{where[0]}:{where[1]}: "
+                                                             f"branch patterns overlap: {pair}\n")
+
+
+def test_a_correction_port_is_checked_before_overlapping_detect_lines():
+    text = "modes 3\ninput fock 1 0 0\ncorrection c ps 3 delta=1\ndetect 2=0\ndetect 3=0 correct c\n"
+    with pytest.raises(ParseError) as info:
+        parse_circuit(text)
+    assert (info.value.line, info.value.column) == (3, 17)
+    assert info.value.message == "correction 'c' uses port 3 but branch '3=0' leaves only 2 surviving port(s)"
 
 
 def test_parse_error_exit_code(tmp_path, capsys):

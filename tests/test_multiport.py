@@ -851,6 +851,43 @@ def test_heralded_rows_list_each_output_once_in_pattern_order():
         assert roots.tolist() == [math.sqrt(math.prod(map(math.factorial, occ))) for occ in want]
 
 
+def _exact_root(row):
+    return math.sqrt(math.prod(map(math.factorial, row)))
+
+
+def test_heralded_roots_are_exact_past_two_to_the_53():
+    # 29 photons on 3 modes behind {2: 0}: rows (23, 6, 0) and (6, 23, 0) have
+    # a factorial product past 2^53, which a float product rounds 1 ulp high
+    evaluate = multiport._HeraldedEvolution(ModeTransform(np.eye(3)), [DetectionPattern({2: 0})])
+    rows, roots = evaluate._outputs_at(29)
+    basis, scale, _ = multiport._fock_basis(3, 29)
+    where = {occ: i for i, occ in enumerate(map(tuple, basis.tolist()))}
+    shared = [where[occ] for occ in map(tuple, rows.tolist())]
+    assert len(shared) == len(rows) == 30
+    assert roots.tolist() == scale[shared, 0].tolist()
+    assert roots.tolist() == [_exact_root(row) for row in rows.tolist()]
+    assert scale[:, 0].tolist() == [_exact_root(row) for row in basis.tolist()]
+    assert roots[rows.tolist().index([23, 6, 0])].hex() == "0x1.f6411567394f4p+41"
+
+
+def test_roots_of_rows_match_the_exact_root_across_two_to_the_53():
+    # (18, 1) lies below 2^53 and (18, 2) just past it; 19! and 39! alone are past it
+    assert math.factorial(18) < 2**53 < math.factorial(18) * 2 < math.factorial(19)
+    rng = np.random.default_rng(53)
+    for modes in (1, 2, 3, 5, 12, 64):
+        rows = [row + (0,) * (modes - len(row)) for row in [(18,), (19,), (39,), (18, 1), (18, 2), (23, 6)]
+                if len(row) <= modes]
+        for photons in (1, 7, 18, 20, 25, 39):
+            weights = rng.dirichlet(np.full(modes, 0.3))
+            rows += [tuple(rng.multinomial(photons, weights)) for _ in range(20)]
+        block = np.array(rows, dtype=np.int8)
+        want = [multiport._root(row) for row in rows]
+        assert multiport._roots(block).tolist() == want == [_exact_root(row) for row in rows]
+        products = [math.prod(map(math.factorial, row)) for row in rows]
+        assert min(products) < 2**53 <= max(products)
+    assert multiport._roots(np.zeros((0, 4), dtype=np.int8)).shape == (0,)
+
+
 def test_ryser_grid_budget_is_a_named_error_before_allocating(monkeypatch):
     # 20 singly occupied photons: a 2^20-point s-grid, whose powers table alone
     # would take 20 x 21 x 2^20 complex numbers (7 GB); even on the forced
