@@ -52,7 +52,7 @@ from . import __version__
 from .encodings import Encoding, encode
 from .fock import NORM_ATOL, FockState
 from .gates import GATE_NAMES, evaluate_gate
-from .measurement import DetectionPattern, OutcomeBranch, _distribution, _first_overlap, postselect_branches
+from .measurement import DetectionPattern, OutcomeBranch, _check_branches, _distribution, _Overlap, postselect_branches
 from .multiport import (MAX_MODES, ElementSpec, ModeTransform, beam_splitter, check_term_budget, compose_elements,
                         evolve, general3)
 from .search import (
@@ -76,9 +76,10 @@ MAX_CIRCUIT_BYTES = 1 << 20
 #: measure. Postselection sorts the output once per port set, and the
 #: overlap check compares every pair of port sets. At this budget the worst
 #: admitted file, 64 modes with 3 photons (45,760 output terms, the most 64
-#: modes admit) and one detect line per port set, simulates in 2.0 s in
-#: process, 0.29 s of it for one port set; a 1 MiB file of 37,846 detect
-#: lines on 64 port sets takes 6.0 s, against 4.9 s for 68,118 lines on one.
+#: modes admit) and one detect line per port set, simulates in 2.1 s in
+#: process, against 0.4 s with one detect line; a 1 MiB file of 37,846
+#: detect lines on 64 port sets takes 5.0 s, against 2.3 s for 68,118 lines
+#: on one (``BENCH_37.json``).
 MAX_PORT_SETS = 64
 
 
@@ -106,6 +107,7 @@ class Circuit:
     state: FockState | None                           # None without an input line
     elements: tuple[ElementSpec, ...]
     branches: tuple[tuple[str, OutcomeBranch], ...]   # (correction name, branch)
+    family: tuple[OutcomeBranch, ...]                 # the branches, checked (``_check_branches``)
 
 
 def _tokens(line: str) -> list[tuple[str, int]]:
@@ -218,7 +220,7 @@ def parse_circuit(text: str) -> Circuit:
     # reserved and names no element
     corrections: dict[str, list[tuple[ElementSpec, int, list[int]]]] = {"identity": []}
     detects: list[tuple[DetectionPattern, str, int, int]] = []   # (pattern, correction, line, column)
-    port_sets: dict[tuple[int, ...], list[int]] = {}   # measured modes -> the detects on them, in order
+    port_sets: set[tuple[int, ...]] = set()   # the measured port sets
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         tokens = _tokens(raw)
@@ -346,7 +348,7 @@ def parse_circuit(text: str) -> Circuit:
             if len(counts) >= modes:
                 raise ParseError(lineno, head_col,
                                  "detect must leave at least one surviving port")
-            port_sets.setdefault(tuple(sorted(counts)), []).append(len(detects))
+            port_sets.add(tuple(sorted(counts)))
             if len(port_sets) > MAX_PORT_SETS:
                 raise ParseError(lineno, head_col, f"detect lines measure more than "
                                                    f"MAX_PORT_SETS = {MAX_PORT_SETS} distinct port sets")
@@ -363,23 +365,20 @@ def parse_circuit(text: str) -> Circuit:
 
     # corrections act on surviving ports: check every branch against its
     # correction's highest port before anything is composed, naming the
-    # first bad port in file order, then the least overlapping pair of
-    # branches at its later line; then compose once per (name, survivor count)
+    # first bad port in file order; compose once per (name, survivor count),
+    # then check the family, naming the least overlapping pair at its later line
     highest = {name: max((m for el, _, _ in els for m in el.modes), default=-1)
                for name, els in corrections.items()}
     labelled = []
     for pattern, name, _, _ in detects:
         label = " ".join(f"{m + 1}={c}" for m, c in pattern.constraints)
-        surviving = len(pattern.survivors(modes))
+        surviving = modes - len(pattern.constraints)   # its ports are checked above
         if highest[name] >= surviving:
             line, col, m = next((line, col, m) for el, line, port_cols in corrections[name]
                                 for m, col in zip(el.modes, port_cols) if m >= surviving)
             raise ParseError(line, col, f"correction {name!r} uses port {m + 1} but branch "
                                         f"'{label}' leaves only {surviving} surviving port(s)")
         labelled.append((pattern, name, label, surviving))
-    if (pair := _first_overlap([pattern for pattern, *_ in detects], port_sets)) is not None:
-        first, later = (labelled[i][2] for i in pair)   # their labels
-        raise ParseError(*detects[pair[1]][2:], f"branch patterns overlap: '{first}' and '{later}'")
     composed: dict[tuple[str, int], ModeTransform | None] = {}
     branches = []
     for pattern, name, label, surviving in labelled:
@@ -387,7 +386,11 @@ def parse_circuit(text: str) -> Circuit:
             specs = [el for el, _, _ in corrections[name]]
             composed[name, surviving] = compose_elements(specs, surviving) if specs else None
         branches.append((name, OutcomeBranch(pattern, composed[name, surviving], label=label)))
-    return Circuit(modes, state, tuple(elements), tuple(branches))
+    try:
+        family = _check_branches([b for _, b in branches], modes) if branches else ()
+    except _Overlap as exc:
+        raise ParseError(*detects[exc.pair[1]][2:], str(exc)) from None
+    return Circuit(modes, state, tuple(elements), tuple(branches), family)
 
 
 # -- report assembly -------------------------------------------------------
@@ -486,14 +489,11 @@ def simulate_report(circ: Circuit, source_text: str, digits: int) -> dict:
     spec = f".{digits}g"
     out = evolve(circ.state, compose_elements(circ.elements, circ.modes))
 
-    if circ.branches:
-        measured = sorted({m for _, b in circ.branches for m in b.pattern.modes})
-    else:
-        measured = list(range(circ.modes))
+    measured = sorted({m for modes in circ.family.groups for m in modes}) if circ.family else list(range(circ.modes))
     counts, probs, runs = _distribution(out, measured)   # the counts in ascending order
     if circ.branches:
         try:   # branches on the measured ports read the distribution's runs
-            evaluated = postselect_branches(out, [b for _, b in circ.branches], _runs=(measured, runs))
+            evaluated = postselect_branches(out, circ.family, _runs=(measured, runs))
         except ValueError as exc:
             raise CliError(str(exc)) from None
     del runs   # the sorted output is not held while the report's maps are written
@@ -518,7 +518,7 @@ def simulate_report(circ: Circuit, source_text: str, digits: int) -> dict:
                 "pattern": branch.label,
                 "correction": name,
                 "probability": float(format(res.probability, spec)),
-                "surviving_ports": [m + 1 for m in branch.pattern.survivors(circ.modes)],
+                "surviving_ports": [m + 1 for m in circ.family.survivors[branch.pattern.modes]],
             })
             rows.append(head[:-1] + ',"conditional":' + conditional + "}")   # the head's last member
         report["branches"] = _JsonText("[" + ",".join(rows) + "]")

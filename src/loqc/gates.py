@@ -15,23 +15,23 @@ The gallery:
 
 A ``GateCircuit`` is an immutable description (ancilla preparation,
 element list, outcome branches, computational modes): a frozen dataclass
-whose fields can be neither reassigned nor edited in place. Its branch
-family is checked once, when the circuit is built (``dataclasses.replace``
-included), after its computational modes, with the checks and messages
-of ``postselect_branches`` (see ``GateCircuit``). So a circuit's
-patterns conflict pairwise, as its heralded evaluator needs.
-``GateCircuit.run`` evolves the input by the heralded evaluator that the
-circuit keeps next to its composed ``transform``
-(``multiport._HeraldedEvolution``, whose docstring gives the route rule
-and the cache) and returns each branch's ``PostselectionResult`` in
-branch order, straight from ``postselect_branches``. On either route
-the evaluator keeps one table: each input support's plan, the route and
-the gate's assembled linear map on that support, so a run on a known
-support (any input with every logical amplitude nonzero, after the
-first) computes no permanent, expands no photon and only makes the
-products and sums, in the same order. ``dataclasses.replace`` builds a
-circuit with an empty cache; results never depend on what the cache
-holds. Everything that evaluates a circuit calls ``run``:
+whose fields can be neither reassigned nor edited in place. Its ancilla
+pattern and checked branch family are built once, with the circuit
+(``dataclasses.replace`` included; see ``GateCircuit``), so a run
+rebuilds neither and checks no branch, and its patterns conflict
+pairwise, as its heralded evaluator needs. ``GateCircuit.run`` evolves
+the input by the heralded evaluator that the circuit keeps next to its
+composed ``transform`` (``multiport._HeraldedEvolution``, whose
+docstring gives the route rule and the cache) and returns each branch's
+``PostselectionResult`` in branch order, from ``postselect_branches``.
+On either route the evaluator keeps one table: each input support's
+plan, the route and the gate's assembled linear map on that support, so
+a run on a known support (any input with every logical amplitude
+nonzero, after the first) computes no permanent, expands no photon and
+only makes the products and sums, in the same order.
+``dataclasses.replace`` builds a circuit with an empty cache; results
+never depend on what the cache holds. Everything that evaluates a
+circuit calls ``run``:
 
 * ``evaluate_gate`` is one loop over a gate's inputs with a prepare/read
   pair per gate: a one-mode qutrit for ``ns``, ``encode``/``decode`` for
@@ -79,17 +79,17 @@ class GateCircuit:
     ``computational_modes`` must be the modes the ancilla leaves free, in
     ascending order: ``with_ancilla`` places the input there. Construction
     checks that first (``DetectionPattern.survivors`` on the ancilla, then
-    the modes themselves) and then the branch family against the register
-    with ``measurement._check_branches``, the checks and messages of
-    ``postselect_branches``: no branch, the first overlapping pair, a
-    pattern outside the register, a correction of the wrong size; each is
-    a ``ValueError``. The fields
-    cannot be reassigned, and construction keeps ``elements`` and
-    ``branches`` as tuples of frozen values, ``computational_modes`` as a
-    tuple and ``ancilla`` as a read-only copy, so they cannot be edited in
-    place either: the composed ``transform`` and the per-support plans
-    that ``run`` keeps stay valid. ``dataclasses.replace`` builds a new
-    circuit, which starts with neither.
+    the modes themselves) and then the branch family with
+    ``measurement._check_branches``: no branch, the first overlapping pair,
+    a pattern outside the register, a correction of the wrong size; each a
+    ``ValueError``. It keeps the ancilla's ``DetectionPattern`` for
+    ``with_ancilla`` and the checked family as ``branches``, which
+    ``postselect_branches`` reads unchecked. The fields cannot be
+    reassigned, and ``elements`` and ``branches`` are tuples of frozen
+    values, ``computational_modes`` a tuple and ``ancilla`` a read-only
+    copy, so they cannot be edited in place either: the composed
+    ``transform`` and the per-support plans that ``run`` keeps stay valid.
+    ``dataclasses.replace`` builds a new circuit, which starts with neither.
     """
 
     name: str
@@ -104,13 +104,13 @@ class GateCircuit:
     def __post_init__(self) -> None:
         object.__setattr__(self, "ancilla", MappingProxyType(dict(self.ancilla)))
         object.__setattr__(self, "elements", tuple(self.elements))
-        object.__setattr__(self, "branches", tuple(self.branches))
         object.__setattr__(self, "computational_modes", tuple(self.computational_modes))
-        free = DetectionPattern(self.ancilla).survivors(self.num_modes)
+        object.__setattr__(self, "_ancilla_pattern", DetectionPattern(self.ancilla))
+        free = self._ancilla_pattern.survivors(self.num_modes)
         if list(self.computational_modes) != free:
             raise ValueError(f"computational modes {list(self.computational_modes)} must be "
                              f"the modes the ancilla leaves free, {free}")
-        _check_branches(self.branches, self.num_modes)
+        object.__setattr__(self, "branches", _check_branches(self.branches, self.num_modes))
 
     @cached_property
     def transform(self) -> ModeTransform:
@@ -122,7 +122,7 @@ class GateCircuit:
 
     def run(self, comp_state: FockState) -> list[PostselectionResult]:
         """Evolve a computational-mode input; one result per branch, in branch order."""
-        full = with_ancilla(comp_state, self.ancilla, self.num_modes)
+        full = with_ancilla(comp_state, self._ancilla_pattern, self.num_modes)
         out = self._evolution(full)
         return [res for _, res in postselect_branches(out, self.branches)]
 

@@ -13,11 +13,10 @@ each paired with a unitary correction applied to the surviving modes.
 ``postselect_branches`` is the one place that postselects and corrects:
 gate runs (``gates.GateCircuit.run``, which the input-independence probe
 calls too), circuit files and ``postselect`` (its one-branch case) all go
-through it. What makes a branch family valid is checked in one function,
-``_check_branches``, which it runs on every call and a gate circuit once,
-when it is built. ``postselect_branches`` groups the branches by their
-measured modes and reads the state's terms once per group, not once per
-branch: a state of fewer than
+through it. ``_check_branches`` checks a family where it is built (a
+gate circuit, a circuit file) and returns it grouped by measured modes;
+``postselect_branches`` checks any other sequence, and reads the state
+once per group, not once per branch: a state of fewer than
 ``ARRAY_ROUTE_TERMS`` terms one term at a time, a larger one as
 occupation rows. The rows are sorted by their counts on the group's
 modes, and each run of equal counts is summed (``_runs``), the same pass
@@ -47,6 +46,7 @@ import math
 from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass
 from operator import itemgetter
+from types import MappingProxyType
 
 import numpy as np
 
@@ -174,19 +174,29 @@ def _first_overlap(patterns: Sequence[DetectionPattern],
     return first
 
 
-def _check_branches(branches: Sequence[OutcomeBranch], num_modes: int) -> tuple[dict, dict]:
-    """Check a family of outcome branches against a ``num_modes``-mode
-    register. In this order, each a ``ValueError``: no branch; the first
-    pair of patterns that one basis state could both match
-    (``_first_overlap``); a pattern outside the register
-    (``DetectionPattern.survivors``, once per group, first group first); a
-    correction whose size is not its group's surviving-mode count, first
-    branch first. ``postselect_branches`` runs it on every call and
-    ``gates.GateCircuit`` once, when it is built.
+class _Family(tuple):
+    """The branches that ``_check_branches`` checked for ``num_modes``
+    modes, with read-only maps from measured modes to member indices
+    (``groups``, in order of first members) and to surviving modes."""
 
-    Returns the branches' indices grouped by their measured modes, in
-    order of their first members, and each group's surviving modes.
+
+class _Overlap(ValueError):
+    """The overlap ``ValueError``; ``pair`` indexes its two branches."""
+
+    def __init__(self, message: str, pair: tuple[int, int]):
+        super().__init__(message)
+        self.pair = pair
+
+
+def _check_branches(branches: Sequence[OutcomeBranch], num_modes: int) -> _Family:
+    """The checked family of ``branches`` on a ``num_modes``-mode register.
+    In this order, each a ``ValueError``: no branch; the first pair of
+    patterns that one basis state could both match (``_Overlap``); a
+    pattern outside the register (``DetectionPattern.survivors``, once per
+    group, first group first); a correction whose size is not its group's
+    surviving-mode count, first branch first.
     """
+    branches = _Family(branches)
     if not branches:
         raise ValueError("at least one branch is required")
     patterns = [b.pattern for b in branches]
@@ -196,17 +206,17 @@ def _check_branches(branches: Sequence[OutcomeBranch], num_modes: int) -> tuple[
     pair = _first_overlap(patterns, groups) if len(branches) > 1 else None
     if pair is not None:
         a, b = (branches[i] for i in pair)
-        raise ValueError(
-            f"branch patterns overlap: '{a.label or a.pattern.describe()}' "
-            f"and '{b.label or b.pattern.describe()}'"
-        )
+        raise _Overlap(f"branch patterns overlap: '{a.label or a.pattern.describe()}' "
+                       f"and '{b.label or b.pattern.describe()}'", pair)
     # the members of a group share their survivors
-    survivors = {modes: patterns[members[0]].survivors(num_modes) for modes, members in groups.items()}
+    survivors = {modes: tuple(patterns[members[0]].survivors(num_modes)) for modes, members in groups.items()}
     for b in branches:   # a checked pattern leaves the modes it does not fix
         if b.correction is not None and b.correction.dim != (width := num_modes - len(b.pattern.constraints)):
             raise ValueError(f"branch '{b.label or b.pattern.describe()}' has a {b.correction.dim}-mode "
                              f"correction but {width} surviving modes")
-    return groups, survivors
+    branches.__dict__.update(num_modes=num_modes, survivors=MappingProxyType(survivors),
+                             groups=MappingProxyType({modes: tuple(ids) for modes, ids in groups.items()}))
+    return branches
 
 
 #: Fewest terms of a state that ``postselect_branches`` reads as occupation
@@ -221,10 +231,9 @@ def postselect_branches(
     """Evaluate a family of mutually exclusive outcome branches.
 
     Each branch postselects on its pattern and then sends the survivors
-    through its correction. Before the state is read, ``_check_branches``
-    checks the family against the state's register, the same checks in
-    the same order that a ``gates.GateCircuit`` runs once when it is
-    built, and groups the branches by their measured modes.
+    through its correction. A family that ``_check_branches`` returned for
+    the state's mode count is read as checked; any other sequence is
+    checked first, before the state is read.
 
     Each group reads the state once: its patterns conflict pairwise, so a
     term's counts on its modes pick at most one branch, which keeps it. A
@@ -238,24 +247,23 @@ def postselect_branches(
     scaled by ``FockState.scaled``.
 
     ``_runs`` is None, or a list of modes and the state's ``_runs`` on
-    them. When every branch measures exactly those modes, the row route
-    reads them instead of sorting the state again: ``cli.simulate_report``
-    hands over those of its outcome distribution (``_distribution``).
+    them, which the row route reads when every branch measures exactly
+    those modes (``cli.simulate_report`` hands over its ``_distribution``'s).
 
     The result pairs each branch with its ``PostselectionResult``, in
     branch order (``perfbench/tracer.py`` reads the pairs).
     """
-    patterns = [b.pattern for b in branches]
-    groups, survivors = _check_branches(branches, state.num_modes)
+    family = branches if isinstance(branches, _Family) and branches.num_modes == state.num_modes \
+        else _check_branches(branches, state.num_modes)
     if state.num_terms() < ARRAY_ROUTE_TERMS:
-        probs, kept = _read_terms(state, patterns, groups, survivors)
+        probs, kept = _read_terms(state, family)
     else:
-        runs = _runs[1] if _runs is not None and list(groups) == [tuple(_runs[0])] else None
-        probs, kept = _read_rows(state, patterns, groups, survivors, runs)
+        runs = _runs[1] if _runs is not None and list(family.groups) == [tuple(_runs[0])] else None
+        probs, kept = _read_rows(state, family, runs)
     if any(map(math.isinf, probs)):
         raise _overflow_error()
     results = []
-    for branch, prob, amps in zip(branches, probs, kept):
+    for branch, prob, amps in zip(family, probs, kept):
         cond = None
         if prob > PROB_FLOOR:
             cond = amps.scaled(1.0 / math.sqrt(prob))
@@ -265,19 +273,17 @@ def postselect_branches(
     return results
 
 
-def _read_terms(state: FockState, patterns: Sequence[DetectionPattern],
-                groups: Mapping[tuple[int, ...], Sequence[int]],
-                survivors: Mapping[tuple[int, ...], Sequence[int]]) -> tuple[list[float], list[FockState]]:
-    """Each pattern's probability and kept (unscaled) survivor terms, read
+def _read_terms(state: FockState, family: _Family) -> tuple[list[float], list[FockState]]:
+    """Each branch's probability and kept (unscaled) survivor terms, read
     one term at a time: a dict lookup of each term's measured counts per
-    group, whose surviving modes ``survivors`` gives. A kept term's squared
-    magnitude that overflows raises ``ValueError``."""
+    group of the checked ``family``. A kept term's squared magnitude that
+    overflows raises ``ValueError``."""
     terms = list(state.terms())   # sorted once for every group
-    probs = [0.0] * len(patterns)
-    kept: list[dict[Occupation, complex]] = [{} for _ in patterns]
-    for modes, members in groups.items():
-        measured, survivor = _counts_on(modes), _counts_on(survivors[modes])
-        branch_of = {tuple(c for _, c in patterns[i].constraints): i for i in members}.get
+    probs = [0.0] * len(family)
+    kept: list[dict[Occupation, complex]] = [{} for _ in family]
+    for modes, members in family.groups.items():
+        measured, survivor = _counts_on(modes), _counts_on(family.survivors[modes])
+        branch_of = {tuple(c for _, c in family[i].pattern.constraints): i for i in members}.get
         for occ, amp in terms:
             i = branch_of(measured(occ))
             if i is not None:   # the measured counts are fixed, so survivors are distinct
@@ -286,8 +292,8 @@ def _read_terms(state: FockState, patterns: Sequence[DetectionPattern],
                 except OverflowError:
                     raise _overflow_error() from None
                 kept[i][survivor(occ)] = amp
-    return probs, [FockState._wrap(state.num_modes - len(p.constraints), amps)
-                   for p, amps in zip(patterns, kept)]
+    return probs, [FockState._wrap(state.num_modes - len(b.pattern.constraints), amps)
+                   for b, amps in zip(family, kept)]
 
 
 def _squares(state: FockState) -> np.ndarray:
@@ -326,25 +332,23 @@ def _runs(state: FockState, modes: Sequence[int],
     return rows, amps, np.flatnonzero(first), sums
 
 
-def _read_rows(state: FockState, patterns: Sequence[DetectionPattern],
-               groups: Mapping[tuple[int, ...], Sequence[int]],
-               survivors: Mapping[tuple[int, ...], Sequence[int]],
+def _read_rows(state: FockState, family: _Family,
                runs: tuple | None = None) -> tuple[list[float], list[FockState | None]]:
     """``_read_terms`` on the state's occupation rows: ``_runs`` once per
     group, on ``_squares`` taken once, unless the one group's ``runs`` are
     given, and each pattern's run looked up by its counts. The run's sum is
     the pattern's probability and its terms are the kept ones; a pattern
     that matches no run keeps nothing and gets None."""
-    probs = [0.0] * len(patterns)
-    kept: list[FockState | None] = [None] * len(patterns)
+    probs = [0.0] * len(family)
+    kept: list[FockState | None] = [None] * len(family)
     squares = _squares(state) if runs is None else None   # once for every group
-    for modes, members in groups.items():
-        free = survivors[modes]
+    for modes, members in family.groups.items():
+        free = family.survivors[modes]
         rows, amps, starts, sums = _runs(state, modes, squares) if runs is None else runs
         run_of = {counts: k for k, counts in enumerate(map(tuple, rows[starts][:, modes].tolist()))}
         bounds, sums = starts.tolist() + [len(rows)], sums.tolist()
         for i in members:
-            k = run_of.get(tuple(c for _, c in patterns[i].constraints))
+            k = run_of.get(tuple(c for _, c in family[i].pattern.constraints))
             if k is not None:
                 lo, hi = bounds[k], bounds[k + 1]
                 probs[i] = sums[k]
@@ -386,14 +390,14 @@ def outcome_distribution(state: FockState, modes: Sequence[int]) -> dict[tuple[i
     return dict(zip(keys, sums.tolist()))
 
 
-def with_ancilla(comp_state: FockState, ancilla: Mapping[int, int], num_modes: int) -> FockState:
+def with_ancilla(comp_state: FockState, ancilla: Mapping[int, int] | DetectionPattern, num_modes: int) -> FockState:
     """Interleave a computational state with fixed ancilla occupations.
 
-    The ancilla is a ``DetectionPattern`` of the counts it holds, and the
-    computational state's modes fill the modes it leaves free, in
-    ascending mode order.
+    The ancilla is a ``DetectionPattern`` of the counts it holds (a map is
+    built into one); the computational state's modes fill the modes it
+    leaves free, in ascending order.
     """
-    held = DetectionPattern(ancilla)
+    held = ancilla if isinstance(ancilla, DetectionPattern) else DetectionPattern(ancilla)
     comp_modes = held.survivors(num_modes)
     if comp_state.num_modes != len(comp_modes):
         raise ValueError(

@@ -516,6 +516,9 @@ def test_overlapping_detect_lines_are_a_diagnostic(tmp_path, capsys):
     # indented; line 8 overlaps lines 4 and 7, later pairs
     (["detect 1=0 2=0", "detect 1=1", "# a comment", "detect 1=0 2=1", "  detect 2=0", "detect 2=0 1=1"],
      (7, 3), "'1=0 2=0' and '2=0'"),
+    # corrected lines: the corrections are composed before the pair is named
+    (["correction fix ps 1 delta=0.5", "correction fix ps 1 delta=0.3", "detect 3=0 correct fix",
+      "detect 3=1 correct fix", "detect 3=0 2=0 correct fix"], (7, 1), "'3=0' and '2=0 3=0'"),
 ])
 def test_overlapping_detect_lines_are_a_parse_error_at_the_later_line(lines, where, pair, tmp_path, capsys,
                                                                       monkeypatch):
@@ -531,6 +534,22 @@ def test_overlapping_detect_lines_are_a_parse_error_at_the_later_line(lines, whe
     path.write_text(text)
     assert run_cli(capsys, "simulate", str(path)) == (1, "", f"loqc: error: {path}:{where[0]}:{where[1]}: "
                                                              f"branch patterns overlap: {pair}\n")
+
+
+def test_a_simulate_checks_its_detect_lines_once(tmp_path, capsys, monkeypatch):
+    # parse_circuit checks the family and simulate_report hands it on
+    calls = []
+    first_overlap = measurement._first_overlap
+    for module in (measurement, cli):
+        if hasattr(module, "_first_overlap"):
+            monkeypatch.setattr(module, "_first_overlap", lambda *args: calls.append(1) or first_overlap(*args))
+    path = tmp_path / "branches.circ"
+    path.write_text("modes 4\ninput fock 1 1 0 0\nbs 1 2 eta=0.5\nbs 2 3 eta=0.3\ncorrection fix ps 1 delta=0.5\n"
+                    "detect 4=0 correct fix\ndetect 4=1\ndetect 4=2 3=0 correct fix\ndetect 4=2 3=1\n")
+    code, out, _ = run_cli(capsys, "simulate", str(path))
+    assert (code, len(calls)) == (0, 1)
+    assert [b["pattern"] for b in json.loads(out)["branches"]] == ["4=0", "4=1", "3=0 4=2", "3=1 4=2"]
+    assert not hasattr(cli, "_first_overlap")
 
 
 def test_a_correction_port_is_checked_before_overlapping_detect_lines():

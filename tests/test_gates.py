@@ -28,7 +28,7 @@ from loqc import (
     two_photon_cnot_matrix,
     with_ancilla,
 )
-from loqc import multiport
+from loqc import gates, measurement, multiport
 
 from helpers import cs_cascade
 
@@ -380,6 +380,30 @@ def test_cached_runs_repeat_the_uncached_bits(build):
     on_evolve = gate.name in ("ns", "cnot_2photon")
     plans = gate._evolution.plans.values()
     assert plans and all(heralded != on_evolve for heralded, _ in plans)
+
+
+@pytest.mark.parametrize("build", [ns_gate, cs_gate, cnot_from_cs, two_photon_cnot, cs_cascade])
+def test_a_gate_run_checks_nothing_its_build_checked(build, monkeypatch):
+    # the branch family and the ancilla pattern are checked and kept where
+    # the circuit is built; first and repeat runs hand them on unchecked
+    gate = build()
+    calls = []
+    check, init = measurement._check_branches, DetectionPattern.__init__
+    for module in (measurement, gates):
+        monkeypatch.setattr(module, "_check_branches", lambda *args: calls.append("check") or check(*args))
+    monkeypatch.setattr(DetectionPattern, "__init__", lambda self, c: calls.append("pattern") or init(self, c))
+    inputs = _gate_inputs(gate, np.random.default_rng(50), count=2)
+    runs = [gate.run(comp) for comp in inputs]
+    assert [_bits(gate.run(comp)) for comp in inputs] == [_bits(run) for run in runs]
+    assert calls == []
+    copy = replace(gate)   # a build checks both
+    assert calls == ["pattern", "check"]
+    assert [_bits(copy.run(comp)) for comp in inputs] == [_bits(run) for run in runs]
+    # a plain sequence of the same branches is checked on every call
+    out = gate._evolution(with_ancilla(inputs[0], gate.ancilla, gate.num_modes))
+    for _ in range(2):
+        assert _bits(res for _, res in postselect_branches(out, list(gate.branches))) == _bits(runs[0])
+    assert calls == ["pattern", "check", "pattern", "check", "check"]
 
 
 @pytest.mark.parametrize("cost", [math.inf, -math.inf], ids=["evolve", "heralded"])

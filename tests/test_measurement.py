@@ -157,6 +157,42 @@ def test_a_correction_of_the_wrong_size_fails_whatever_the_branch_keeps():
                                     OutcomeBranch(DetectionPattern({0: 0, 7: 0}))])
 
 
+def test_a_family_checked_for_another_register_is_checked_again():
+    branches = [OutcomeBranch(DetectionPattern({1: 1, 2: 0}), ModeTransform(np.eye(1)), label="fired"),
+                OutcomeBranch(DetectionPattern({1: 0, 2: 0})), OutcomeBranch(DetectionPattern({1: 2}))]
+    family = measurement._check_branches(branches, 3)
+    assert list(family) == branches
+    for state in (FockState.from_occupation([1, 1]), FockState.from_occupation([1, 1, 0, 0])):
+        errors = []
+        for given in (branches, family):
+            with pytest.raises(ValueError) as info:
+                postselect_branches(state, given)
+            errors.append((type(info.value), str(info.value)))
+        assert errors[0] == errors[1]
+    assert errors[0][1] == "branch 'fired' has a 1-mode correction but 2 surviving modes"
+    # with no correction the family fits a wider register, checked for it
+    plain = measurement._check_branches(branches[1:], 3)
+    state = FockState(4, {(1, 0, 0, 1): 0.6, (0, 2, 0, 0): 0.8})
+    got, want = postselect_branches(state, plain), postselect_branches(state, branches[1:])
+    assert [(r.probability, list(r.conditional_state.terms())) for _, r in got] \
+        == [(r.probability, list(r.conditional_state.terms())) for _, r in want]
+
+
+def test_a_checked_family_cannot_be_edited_in_place():
+    branches = [OutcomeBranch(DetectionPattern({1: 1, 2: 0})), OutcomeBranch(DetectionPattern({1: 2})),
+                OutcomeBranch(DetectionPattern({1: 0, 2: 0}))]
+    family = measurement._check_branches(branches, 3)
+    assert (family.num_modes, dict(family.groups), dict(family.survivors)) == \
+        (3, {(1, 2): (0, 2), (1,): (1,)}, {(1, 2): (0,), (1,): (0, 2)})
+    for table in (family.groups, family.survivors):
+        with pytest.raises(TypeError):
+            table[(1,)] = (0,)
+        with pytest.raises(AttributeError):
+            table[(1, 2)].append(1)
+    with pytest.raises(AttributeError):
+        family.append(branches[0])
+
+
 def _groups(patterns):
     """The indices of the patterns on each tuple of measured modes, as
     ``postselect_branches`` groups them for ``_first_overlap``."""

@@ -1,11 +1,13 @@
 #!/usr/bin/env python3
-"""Byte-identity audit of ``loqc`` stdout over a fixed set of invocations.
+"""Byte-identity audit of ``loqc`` output over a fixed set of invocations.
 
     python tools/stdout_audit.py OUT.json
     python tools/stdout_audit.py --compare A.json B.json
 
 The first form runs every invocation in process through ``loqc.cli.main``
-and writes ``{invocation: "exit:sha256-of-stdout"}``. The second lists the
+and writes ``{invocation: "exit:sha256-of-stdout:sha256-of-stderr"}``,
+with the temporary directory of the circuit files written as ``CIRCUITS``
+in stderr, so that a diagnostic's text is compared. The second lists the
 invocations whose entries differ (or that only one file has) and exits 1
 if there are any. A change meant to leave reports byte-identical runs the
 first form at the parent commit and at the change, then compares.
@@ -24,8 +26,9 @@ refuses (exit 1); ``selftest`` with seeds 0 and 7;
 ``simulate`` on the circuit files the benchmark's ``circuits_full``
 workload writes for seeds 0 and 7 (``perfbench/workloads.write_circuits``,
 imported read-only), on the three files of ``PORT_SET_CIRCUITS``,
-whose branches measure several port sets, and on the three files of
-``ELEMENT_EDGE_CIRCUITS``, whose elements sit at edge values; ``--pretty``
+whose branches measure several port sets, on the three files of
+``ELEMENT_EDGE_CIRCUITS``, whose elements sit at edge values, and on the
+two of ``DIAGNOSTIC_CIRCUITS``, each a diagnostic (exit 1); ``--pretty``
 on ``verify-gate cs`` and one ``simulate``. The library is imported from
 this checkout's ``src/``.
 """
@@ -101,6 +104,18 @@ ELEMENT_EDGE_CIRCUITS = (
 )
 
 
+#: (name, lines): circuit files that are diagnostics: an overlapping pair
+#: of detect lines that name a correction, and a correction port past the
+#: survivors of a branch that also overlaps another.
+DIAGNOSTIC_CIRCUITS = (
+    ("overlap_corrected", ["modes 4", "input fock 1 1 0 0", "bs 1 2 eta=0.5", "correction fix ps 1 delta=0.5",
+                           "correction fix bs 1 2 eta=0.3", "detect 4=1 correct fix", "detect 4=0 3=1 correct fix",
+                           "detect 4=0 correct fix"]),
+    ("port_past_survivors", ["modes 3", "input fock 1 0 0", "correction c bs 1 3 eta=0.5", "detect 2=0 correct c",
+                             "detect 3=0"]),
+)
+
+
 def _port_set_circuit(modes: int, occupation: tuple[int, ...], corrections: list[str],
                       detects: list[str]) -> str:
     """A brickwork of splitters and phases with fixed parameters, one
@@ -138,18 +153,19 @@ def _invocations(circuits: Path) -> list[tuple[str, list[str]]]:
         path = circuits / f"{name}.txt"
         path.write_text(_port_set_circuit(*spec), encoding="utf-8")
         runs.append((f"simulate {name}.txt", ["simulate", str(path)]))
-    for name, lines in ELEMENT_EDGE_CIRCUITS:
+    for name, lines in ELEMENT_EDGE_CIRCUITS + DIAGNOSTIC_CIRCUITS:
         path = circuits / f"{name}.txt"
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         runs.append((f"simulate {name}.txt", ["simulate", str(path)]))
     return runs
 
 
-def _run(argv: list[str]) -> str:
+def _run(argv: list[str], circuits: str) -> str:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = loqc.cli.main(argv)
-    return f"{code}:{hashlib.sha256(out.getvalue().encode()).hexdigest()}"
+    texts = (out.getvalue(), err.getvalue().replace(circuits, "CIRCUITS"))
+    return ":".join([str(code), *(hashlib.sha256(t.encode()).hexdigest() for t in texts)])
 
 
 def audit() -> dict[str, str]:
@@ -165,7 +181,7 @@ def audit() -> dict[str, str]:
                 os.environ[loqc.cli.DIGITS_ENV] = digits
                 prefix = f"{loqc.cli.DIGITS_ENV}={digits} "
             for key, argv in runs:
-                digests[prefix + key] = _run(argv)
+                digests[prefix + key] = _run(argv, tmp)
     return digests
 
 
