@@ -122,7 +122,8 @@ class GateCircuit:
 
     def run(self, comp_state: FockState) -> list[PostselectionResult]:
         """Evolve a computational-mode input; one result per branch, in branch order."""
-        full = with_ancilla(comp_state, self._ancilla_pattern, self.num_modes)
+        full = with_ancilla(comp_state, self._ancilla_pattern, self.num_modes,
+                            free_modes=self.computational_modes)
         out = self._evolution(full)
         return [res for _, res in postselect_branches(out, self.branches)]
 

@@ -390,15 +390,16 @@ def outcome_distribution(state: FockState, modes: Sequence[int]) -> dict[tuple[i
     return dict(zip(keys, sums.tolist()))
 
 
-def with_ancilla(comp_state: FockState, ancilla: Mapping[int, int] | DetectionPattern, num_modes: int) -> FockState:
+def with_ancilla(comp_state: FockState, ancilla: Mapping[int, int] | DetectionPattern, num_modes: int,
+                 *, free_modes: Sequence[int] | None = None) -> FockState:
     """Interleave a computational state with fixed ancilla occupations.
 
-    The ancilla is a ``DetectionPattern`` of the counts it holds (a map is
-    built into one); the computational state's modes fill the modes it
-    leaves free, in ascending order.
+    The ancilla is a ``DetectionPattern`` of its counts (or a map of
+    them); the state fills the modes it leaves free, ascending, or
+    ``free_modes``, a caller's checked list.
     """
     held = ancilla if isinstance(ancilla, DetectionPattern) else DetectionPattern(ancilla)
-    comp_modes = held.survivors(num_modes)
+    comp_modes = held.survivors(num_modes) if free_modes is None else free_modes
     if comp_state.num_modes != len(comp_modes):
         raise ValueError(
             f"computational state has {comp_state.num_modes} modes, expected {len(comp_modes)}"

@@ -274,16 +274,17 @@ def phase_shifter(delta: float) -> ModeTransform:
     return ModeTransform(np.array([[np.exp(1j * float(delta)), 0], [0, 1]]))
 
 
-def general3_columns(t1, t2, t3):
-    """Yield the columns of ``general3`` in order: the images of the three
-    mode creation operators. Accepts scalars or broadcastable arrays; a
-    caller that needs only the first columns stops early."""
+def general3_columns(t1, t2, t3, out=None):
+    """Yield the columns of ``general3`` (images of the creation
+    operators) at scalar or broadcast angles; a caller may stop early.
+    ``out`` ends the second column at its middle entry, held there."""
     c1, s1 = np.cos(t1), np.sin(t1)
     c2, s2 = np.cos(t2), np.sin(t2)
     c3, s3 = np.cos(t3), np.sin(t3)
     yield -c2, c1 * s2, s1 * s2
     c1c2, s1c2 = c1 * c2, s1 * c2
-    yield s2 * c3, s1 * s3 + c1c2 * c3, -c1 * s3 + s1c2 * c3
+    e = s2 * c3, np.add(s1 * s3, np.multiply(c1c2, c3, out=out), out=out)
+    yield e if out is not None else (*e, -c1 * s3 + s1c2 * c3)
     yield s2 * s3, -s1 * c3 + c1c2 * s3, c1 * c3 + s1c2 * s3
 
 

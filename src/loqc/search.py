@@ -4,8 +4,8 @@ The object under study is the parametrized three-mode sign-shift network
 (``multiport.general3``) fed with k = 0, 1, 2 signal photons plus one
 ancilla photon on mode 1. For each detector outcome the surviving
 mode-0 amplitude is a trigonometric polynomial in the three angles; the
-closed forms here were expanded by hand once and are continuously
-cross-checked against the operator-expansion simulator by the tests.
+closed forms here were expanded by hand, and the tests check them against
+the operator-expansion simulator.
 
 Feasibility of a correction scheme is judged by a proportionality
 residual: the corrected amplitude triple must be proportional to the
@@ -17,11 +17,11 @@ scale-free,
 
 zero exactly on proportional triples. Where a parameter choice kills all
 three corrected amplitudes (|c|^2 = 0) the scheme applies no correction
-at all and the residual falls back to the uncorrected mismatch of the case.
+and the residual falls back to the case's uncorrected mismatch.
 
 Verdicts are numerical certificates, not proofs: "infeasible" means the
 residual exceeded the margin everywhere on a refined grid outside small
-exclusion windows around degenerate angles.
+windows around degenerate angles.
 
 Every scan runs on one engine, ``_refine_scan``: a coarse grid over the
 scheme's domain, then ``REFINE_ROUNDS`` (3) rounds that each divide the
@@ -31,15 +31,15 @@ incumbent. It refuses a step wider than the domain (pi; 2 pi for
 axis. The kernel gets the grid as broadcast ``np.ix_`` axes, so its
 trigonometry runs per axis value, not per point. Each call covers a block
 of consecutive first-axis values, as many as fit in ``SCAN_BLOCK_POINTS``
-(2^14) grid points and at least one, so a call's temporaries stay
-cache-sized; no call covers more than max(``SCAN_BLOCK_POINTS``, one
-first-axis slab) points. Before the first kernel call the engine bounds
-the last two axes by ``MAX_SLAB_POINTS`` points, and so the largest call;
-and the whole scan, the coarse grid plus every refinement window, by
-``MAX_SCAN_POINTS`` (10^9) points. A "clipped" grid is laid over the
-window cut to the domain; a "filtered" one over the whole window, keeping
-only the points inside the domain. A kernel marks a point it does not
-admit with cost +inf. Per scheme:
+(2^14) grid points and at least one; no call covers more than
+max(``SCAN_BLOCK_POINTS``, one first-axis slab) points. The ``two_bs`` and
+``optimize_ns`` kernels write each block into per-scan ``_Buffers`` by the
+same ufuncs in the same order, so the same bits. Before the first kernel
+call the engine bounds the last two axes by ``MAX_SLAB_POINTS`` points,
+and so the largest call, and the whole scan, every grid included, by
+``MAX_SCAN_POINTS`` (10^9). A "clipped" grid covers the window cut to the
+domain; a "filtered" one the whole window, keeping the points inside the
+domain. A kernel gives a point it does not admit cost +inf. Per scheme:
 
 * ``single_bs``: x in [0, pi], filtered; window 100. Points within
   ``DEGENERATE_EXCLUSION`` of 0, pi/2 and pi cost +inf.
@@ -57,10 +57,8 @@ set (``minimize``), where the worst-case branch probability is exactly 1/4.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
-import operator
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -90,9 +88,12 @@ MAX_SLAB_POINTS = 10**7
 
 #: Grid points one kernel call covers when several first-axis values fit:
 #: a call takes as many consecutive first-axis values as stay within this
-#: many points, and at least one. Small enough that a call's temporaries
-#: stay in cache, large enough that numpy's fixed cost per pass is spread
-#: over many points (BENCH_31.json has the sweep that set it).
+#: many points, and at least one. Small enough that a block's arrays stay
+#: in cache, large enough that numpy's fixed cost per pass is spread over
+#: many points (BENCH_31.json has the sweep). The ``two_bs`` and
+#: ``optimize_ns`` kernels keep their arrays for the whole scan and write
+#: each block into them with the same ufuncs in the same order, so the
+#: same bits.
 SCAN_BLOCK_POINTS = 2**14
 
 #: Most grid points one whole scan may cover, coarse grid and refinement
@@ -149,14 +150,15 @@ def parametrized_ns_amplitudes(angles: tuple[float, float, float]) -> dict:
     return table
 
 
-def sign_shift_branch_amplitudes(t1, t2, t3):
-    """Amplitudes of the heralded branch (one photon on detector 1, none
-    on detector 2) for k = 0, 1, 2; accepts scalars or arrays."""
-    d, e = itertools.islice(general3_columns(t1, t2, t3), 2)
-    a0 = e[1]
-    a1 = d[0] * e[1] + d[1] * e[0]
-    a2 = d[0] * (d[0] * e[1] + 2 * d[1] * e[0])
-    return a0, a1, a2
+def sign_shift_branch_amplitudes(t1, t2, t3, out=None):
+    """Amplitudes for k = 0, 1, 2 of the branch with one photon on detector
+    1, none on 2; ``out`` holds the three, then scratch."""
+    a0, a1, a2, de = out or (None,) * 4
+    d, e = itertools.islice(general3_columns(t1, t2, t3, out=a0), 2)
+    de = np.multiply(d[0], e[1], out=de)
+    a1 = np.add(de, np.multiply(d[1], e[0], out=a1), out=a1)
+    a2 = np.multiply(d[0], np.add(de, np.multiply(2 * d[1], e[0], out=a2), out=a2), out=a2)
+    return e[1], a1, a2
 
 
 # -- case data ------------------------------------------------------------
@@ -197,20 +199,30 @@ def proportionality_residual(values, target, fallback=1.0):
     return r if r.ndim else float(r)
 
 
-def _inner(a, b):
-    """sum(a_k b_k) in component order, started from the first term:
-    sum()'s 0 + ... is one more pass that can change only a zero's sign."""
-    return functools.reduce(operator.add, map(operator.mul, a, b))
+def _inner(a, b, out=None):
+    """sum(a_k b_k) in component order from the first term (a 0 start
+    could flip a zero's sign); ``out`` is (sum, scratch)."""
+    acc, term = out or (None, None)
+    first, *rest = zip(a, b)
+    total = np.multiply(*first, out=acc)
+    for x, y in rest:
+        total = np.add(total, np.multiply(x, y, out=term), out=acc)
+    return total
 
 
-def _residual(ip, den, alive, fallback):
+def _residual(ip, den, alive, fallback, out=None):
     """1 - ip^2 / den clipped to [0, 1] where ``alive``, ``fallback``
-    elsewhere: with den = |t|^2 |c|^2 and alive = |c|^2 > 0 this is
-    r(c, t), ``proportionality_residual``'s last step; the scan kernels
-    that share |c|^2 between scores call it directly."""
-    ratio = np.divide(ip * ip, den, out=np.zeros(np.shape(den)), where=alive)
+    elsewhere: r(c, t)'s last step, with den = |t|^2 |c|^2 and alive =
+    |c|^2 > 0, for kernels that share |c|^2. ``out`` is (scratch, result);
+    the result may be ``ip``'s array."""
+    ratio, r = out or (np.empty(np.shape(den)), np.empty(np.shape(den)))
+    ratio.fill(0.0)
+    np.divide(np.multiply(ip, ip, out=r), den, out=ratio, where=alive)
     np.subtract(1.0, ratio, out=ratio)
-    return np.where(alive, np.clip(ratio, 0.0, 1.0, out=ratio), fallback)
+    np.clip(ratio, 0.0, 1.0, out=ratio)
+    r.fill(fallback)
+    np.copyto(r, ratio, where=alive)
+    return r
 
 
 def uncorrected_mismatch(case: int, target: str) -> float:
@@ -259,6 +271,24 @@ def _feasibility_report(scheme, grid_step, tolerance, residual, best_params, fal
 
 
 # -- the scan engine ---------------------------------------------------------
+
+class _Buffers:
+    """One scan's kernel arrays: ``floats`` float arrays and one bool array.
+    A call views each in the broadcast shape of its arguments, the block's
+    axes. They are allocated at the first call with
+    max(``SCAN_BLOCK_POINTS``, block) elements, and again only for a larger
+    block; they die with the kernel that holds them."""
+
+    def __init__(self, floats):
+        self.dtypes, self.flat = [float] * floats + [bool], []
+
+    def __call__(self, *axes):
+        shape = np.broadcast_shapes(*map(np.shape, axes))
+        size = math.prod(shape)
+        if not self.flat or self.flat[0].size < size:
+            self.flat = [np.empty(max(SCAN_BLOCK_POINTS, size), dtype) for dtype in self.dtypes]
+        return [flat[:size].reshape(shape) for flat in self.flat]
+
 
 def _refine_scan(kernel, domains, step, window, *, clip):
     """Grid scan of ``kernel`` over ``domains``, refined around the incumbent.
@@ -397,21 +427,24 @@ def single_bs_infeasibility(
 
 # -- two-splitter correction -------------------------------------------------
 
-def two_bs_corrected(x, y):
+def two_bs_corrected(x, y, out=None):
     """Corrected amplitude triple of the two-splitter scheme for case 3,
-    at phase 0.
+    at phase 0, written into ``out`` if given.
 
-    The two angles enter through the product monomial family
-    (sin x sin y, 2 sin x cos x sin y cos y, 3 sin x cos^2 x sin y cos^2 y).
-    A phase shifter multiplies the k-photon component by e^{i k phase},
-    which for the phases ``TWO_BS_PHASES`` (0, pi) is the real cos(k phase),
-    exactly +1 or -1. The residual is unchanged when that sign moves from
-    the component onto the target, so ``two_bs_feasibility`` scores phase
-    pi on this same triple against the target with its middle entry negated.
+    The angles enter through the monomials (sin x sin y,
+    2 sin x cos x sin y cos y, 3 sin x cos^2 x sin y cos^2 y). A phase
+    shifter multiplies the k-photon component by e^{i k phase}, for the
+    phases ``TWO_BS_PHASES`` (0, pi) the real cos(k phase), exactly +1 or
+    -1. The residual is unchanged when that sign moves from the component
+    onto the target, so ``two_bs_feasibility`` scores phase pi on this
+    triple against the target with its middle entry negated.
     """
     sx, cx, sy, cy = np.sin(x), np.cos(x), np.sin(y), np.cos(y)
-    monos = (sx * sy, 2 * sx * cx * sy * cy, 3 * sx * (cx * cx) * sy * (cy * cy))
-    return tuple(co * m for co, m in zip(CASE_AMPLITUDES[3], monos))
+    out = out or (None, None, None)
+    monos = (np.multiply(sx, sy, out=out[0]),
+             np.multiply(np.multiply(2 * sx * cx, sy, out=out[1]), cy, out=out[1]),
+             np.multiply(np.multiply(3 * sx * (cx * cx), sy, out=out[2]), cy * cy, out=out[2]))
+    return tuple(np.multiply(co, m, out=o) for co, m, o in zip(CASE_AMPLITUDES[3], monos, out))
 
 
 def two_bs_feasibility(grid_step: float = 1e-2, *, tolerance: float = 1e-6) -> FeasibilityReport:
@@ -426,12 +459,19 @@ def two_bs_feasibility(grid_step: float = 1e-2, *, tolerance: float = 1e-6) -> F
     phase_targets = [tuple(t * math.cos(k * phi) for k, t in enumerate(tvec)) for phi in TWO_BS_PHASES]
     nt = _inner(tvec, tvec)
 
+    buffers = _Buffers(8)
+
     def kernel(xs, ys):
-        parts = two_bs_corrected(xs, ys)
-        nc = _inner(parts, parts)
-        den, alive = nt * nc, nc > 0.0
-        r0, r1 = (_residual(_inner(t, parts), den, alive, fallback) for t in phase_targets)
-        return np.minimum(r0, r1), np.where(r1 < r0, TWO_BS_PHASES[1], TWO_BS_PHASES[0])
+        *parts, nc, term, r0, r1, ratio, alive = buffers(xs, ys)
+        parts = two_bs_corrected(xs, ys, out=parts)
+        nc = _inner(parts, parts, out=(nc, term))
+        np.greater(nc, 0.0, out=alive)
+        den = np.multiply(nt, nc, out=nc)
+        r0, r1 = (_residual(_inner(t, parts, out=(r, term)), den, alive, fallback, out=(ratio, r))
+                  for t, r in zip(phase_targets, (r0, r1)))
+        term.fill(TWO_BS_PHASES[0])  # the phase pick, phase 0 on a tie
+        np.copyto(term, TWO_BS_PHASES[1], where=np.less(r1, r0, out=alive))
+        return np.minimum(r0, r1, out=ratio), term
 
     (residual, (x, y), (phase,)), _ = _refine_scan(kernel, [(0.0, math.pi)] * 2, grid_step, 100, clip=True)
 
@@ -571,13 +611,18 @@ def optimize_success(grid_step: float = 0.05) -> OptimizationResult:
     tvec = TARGETS["sign_flip"]
     nt = _inner(tvec, tvec)
 
+    buffers = _Buffers(9)
+
     def kernel(t1, t2, t3):  # the engine minimizes, so the score enters negated
-        amps = sign_shift_branch_amplitudes(t1, t2, t3)
-        sq0, sq1, sq2 = (a * a for a in amps)
-        prob = np.minimum(np.minimum(sq0, sq1), sq2)
-        nc = sq0 + sq1 + sq2
-        r = _residual(_inner(tvec, amps), nt * nc, nc > 0.0, 1.0)
-        return -(prob - r), prob, r
+        a0, a1, a2, sq0, sq1, sq2, prob, ip, ratio, alive = buffers(t1, t2, t3)
+        amps = sign_shift_branch_amplitudes(t1, t2, t3, out=(a0, a1, a2, ip))
+        sq0, sq1, sq2 = (np.multiply(a, a, out=sq) for a, sq in zip(amps, (sq0, sq1, sq2)))
+        prob = np.minimum(np.minimum(sq0, sq1, out=prob), sq2, out=prob)
+        nc = np.add(np.add(sq0, sq1, out=sq0), sq2, out=sq0)
+        r = _residual(_inner(tvec, amps, out=(ip, sq1)), np.multiply(nt, nc, out=sq2),
+                      np.greater(nc, 0.0, out=alive), 1.0, out=(ratio, ip))
+        cost = np.subtract(prob, r, out=sq1)
+        return np.negative(cost, out=cost), prob, r
 
     (neg_score, angles, (prob, resid)), history = _refine_scan(
         kernel, [(0.0, math.pi)] * 3, grid_step, 10, clip=True)

@@ -397,6 +397,69 @@ def test_block_size_moves_no_scan_bit(monkeypatch, run, step):
     assert any(partial)
 
 
+def _two_bs_reference(xs, ys):
+    """The ``two_bs`` kernel's cost and phase from unbuffered calls."""
+    fallback = uncorrected_mismatch(3, "sign_flip")
+    r0, r1 = (proportionality_residual(two_bs_corrected(xs, ys), t, fallback)
+              for t in ((1.0, 1.0, -1.0), (1.0, -1.0, -1.0)))
+    return np.minimum(r0, r1), np.where(r1 < r0, math.pi, 0.0)
+
+
+def _optimize_ns_reference(t1, t2, t3):
+    """The ``optimize_ns`` kernel as one expression over fresh arrays."""
+    amps = sign_shift_branch_amplitudes(t1, t2, t3)
+    sq0, sq1, sq2 = (a * a for a in amps)
+    prob = np.minimum(np.minimum(sq0, sq1), sq2)
+    nc = sq0 + sq1 + sq2
+    r = search._residual(search._inner((1.0, 1.0, -1.0), amps), 3.0 * nc, nc > 0.0, 1.0)
+    return -(prob - r), prob, r
+
+
+def _random_blocks(rng, dims, per):
+    """Broadcast axes over [0, pi], each with its 0 value, cut into blocks of
+    ``per`` first-axis values; the last block holds fewer."""
+    first, *rest = np.ix_(*(np.sort(np.append(rng.uniform(0.0, math.pi, n - 1), 0.0)) for n in dims))
+    return [(first[lo:lo + per], *rest) for lo in range(0, len(first), per)]
+
+
+@pytest.mark.parametrize("run,reference,dims", [
+    (lambda: two_bs_feasibility(0.1), _two_bs_reference, (123, 97)),
+    (lambda: optimize_success(0.2), _optimize_ns_reference, (23, 17, 19)),
+], ids=["two_bs", "optimize_ns"])
+def test_buffered_kernels_repeat_the_unbuffered_bits(monkeypatch, run, reference, dims):
+    ((kernel, *_),) = _recorded_scans(monkeypatch, run)
+    blocks = _random_blocks(np.random.default_rng(38), dims, 10)
+    assert len(blocks[-1][0]) < len(blocks[0][0])
+    for axes in blocks:
+        got, want = ([(a.shape, a.tobytes()) for a in arrays] for arrays in (kernel(*axes), reference(*axes)))
+        assert got == want
+    if len(dims) == 2:  # every corrected amplitude vanishes at x = 0 and at y = 0
+        cost = kernel(*blocks[0])[0]
+        assert set(cost[0]) | set(cost[:, 0]) == {uncorrected_mismatch(3, "sign_flip")}
+
+
+@pytest.mark.parametrize("scan", [two_bs_feasibility, optimize_success], ids=["two_bs", "optimize_ns"])
+def test_scan_kernels_keep_their_buffers_for_one_scan(monkeypatch, scan):
+    engine, costs = search._refine_scan, []
+
+    def recording(kernel, *args, **kwargs):
+        def spy(*axes):
+            result = kernel(*axes)
+            costs[-1].append(result[0])
+            return result
+        return engine(spy, *args, **kwargs)
+
+    monkeypatch.setattr(search, "_refine_scan", recording)
+    for _ in range(2):
+        costs.append([])
+        scan(0.2)
+    first, second = costs
+    assert len(first) > 1
+    for calls in costs:
+        assert all(np.shares_memory(calls[0], cost) for cost in calls[1:])
+    assert not any(np.shares_memory(a, b) for a in first for b in second)
+
+
 def test_second_network_scan_finds_the_family():
     report = ns_in_ns_feasibility(0.1)
     assert report.verdict == "feasible"
